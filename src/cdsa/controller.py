@@ -13,6 +13,10 @@ each pass. Scores live in normalized coordinates; the k1 term is mapped back
 to env units through the action std, and the inverse-dynamics term is already
 an env-unit action.
 
+Episodes run in lockstep (run_episodes): every time step corrects the actions
+of all running episodes in one batched pass of each network, and
+correct_action / control_episode are the one-row / one-episode cases.
+
 A small Langevin sampler over a score function is included as a diagnostic;
 the controller itself never samples.
 """
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, NormStats
-from .envs import Env, EnvSpec, Policy
+from .envs import EnvSpec, EnvStates, Policy, env_reset, env_step_batch
 from .invdyn import (
     InvDynModel,
     InvDynTrainConfig,
@@ -34,7 +38,7 @@ from .invdyn import (
     model_dims,
 )
 from .invdyn import LEAKY_SLOPE as INVDYN_SLOPE
-from .neuralcore import AdamState, Rng, adam_step, forward_batch, mlp_init
+from .neuralcore import AdamState, Rng, adam_step, forward_batch, mlp_init, row_norms
 from .scorefield import (
     LEAKY_SLOPE as SCORE_SLOPE,
     ScoreField,
@@ -187,17 +191,33 @@ def correct_action(models: CdsaModels, s: np.ndarray, a_o: np.ndarray,
     With ablation "baseline", or k1 = k2 = 0, the original action is returned
     untouched (bitwise). Disabled terms are skipped entirely, never added as
     zeros, so ablations agree bitwise with the matching k at 0. Per-pass
-    action-delta norms are appended to deltas_out when given.
+    action-delta norms are appended to deltas_out as floats when given. This
+    is the one-row case of the batched correction rollouts use.
     """
     cfg.validate()
     s = np.asarray(s, dtype=np.float64)
     a_o = np.asarray(a_o, dtype=np.float64)
-    low = np.asarray(cfg.action_low, dtype=np.float64)
-    high = np.asarray(cfg.action_high, dtype=np.float64)
     if s.shape != (models.state_dim,) or a_o.shape != (models.action_dim,):
         raise ControlError(
             f"expected state dim {models.state_dim} and action dim "
             f"{models.action_dim}, got {s.shape} and {a_o.shape}")
+    passes: list | None = None if deltas_out is None else []
+    a = _correct_rows(models, s[None, :], a_o[None, :], cfg, passes)[0]
+    if deltas_out is not None:
+        deltas_out.extend(float(d[0]) for d in passes)
+    return a
+
+
+def _correct_rows(models: CdsaModels, s: np.ndarray, a_o: np.ndarray,
+                  cfg: ControlConfig, deltas_out: list | None) -> np.ndarray:
+    """The correction rule on (n, d) rows of states and base actions at once.
+
+    Every pass evaluates g, h and I once over all rows. Inputs are trusted:
+    callers validate models, cfg and dims once per batch. Per pass, an (n,)
+    array of per-row action-delta norms is appended to deltas_out when given.
+    """
+    low = np.asarray(cfg.action_low, dtype=np.float64)
+    high = np.asarray(cfg.action_high, dtype=np.float64)
     use_a1 = cfg.ablation in ("full", "no_a2") and cfg.k1 != 0.0
     use_a2 = cfg.ablation in ("full", "no_a1") and cfg.k2 != 0.0
     a_cur = np.clip(a_o, low, high)
@@ -219,7 +239,7 @@ def correct_action(models: CdsaModels, s: np.ndarray, a_o: np.ndarray,
         if not np.all(np.isfinite(a_new)):
             raise ControlError("non-finite corrected action (diverged model)")
         if deltas_out is not None:
-            deltas_out.append(float(np.linalg.norm(a_new - a_cur)))
+            deltas_out.append(row_norms(a_new - a_cur))
         a_cur = a_new
     return a_cur
 
@@ -246,6 +266,105 @@ class Trajectory:
         return float(np.sum(self.rewards))
 
 
+@dataclass
+class EpisodeTotals:
+    """Running totals of a batch of episodes; entry i belongs to episode i."""
+
+    returns: np.ndarray
+    discounted_returns: np.ndarray
+    steps: np.ndarray
+    risk_entries: np.ndarray
+    reached_goal: np.ndarray
+
+
+def run_episodes(spec: EnvSpec, base_policy: Policy, models: CdsaModels | None,
+                 cfg: ControlConfig | None, rngs: list, max_steps: int | None = None,
+                 gamma: float = 1.0, record: int = 0):
+    """Roll len(rngs) episodes in lockstep; episode i draws only from rngs[i].
+
+    Each time step makes one batched policy call, one batched correction and
+    one batched env step over the episodes still running; an episode leaves
+    the live set when it is done. models = None runs the base policy
+    untouched. max_steps overrides the spec's budget when given. Returns
+    (EpisodeTotals, trajectories): full step records are kept only for the
+    first `record` episodes, the rest keep running totals.
+
+    A row's arithmetic does not depend on the other rows, except that a
+    network evaluates all live rows in one matrix product, whose last bits
+    depend on the row count; results match a one-episode-at-a-time run to
+    float tolerance, and equal it exactly where no network runs.
+    """
+    spec.validate()
+    if not rngs:
+        raise ControlError("run_episodes needs at least one episode rng")
+    if models is not None:
+        if cfg is None:
+            raise ControlError("models were given without a ControlConfig (cfg is None)")
+        models.validate()
+        cfg.validate()
+        if models.state_dim != spec.state_dim or models.action_dim != spec.action_dim:
+            raise ControlError("model dims do not match the env spec")
+    budget = spec.max_steps if max_steps is None else max_steps
+    n, ds, da = len(rngs), spec.state_dim, spec.action_dim
+    st = EnvStates.stack([env_reset(spec, rng) for rng in rngs])
+    final = st.take(np.arange(n))  # a copy: rows are stored into it as episodes end
+    ids = np.arange(n)
+    live_rngs = list(rngs)
+    returns = np.zeros(n)
+    discounted = np.zeros(n)
+    risk_entries = np.zeros(n, dtype=np.int64)
+    cols: list = [[] for _ in range(8)]  # episode, s, a_o, a, r, risk, done, deltas
+    for t in range(budget):
+        if len(ids) == 0:
+            break
+        a_o = np.asarray(base_policy.act_batch(st.s, st, live_rngs), dtype=np.float64)
+        if a_o.shape != (len(ids), da):
+            raise ControlError(f"policy returned actions of shape {a_o.shape}, "
+                               f"expected {(len(ids), da)}")
+        a_o = np.clip(a_o, spec.action_low, spec.action_high)
+        k = int(np.searchsorted(ids, record))  # ids ascend: recorded rows lead
+        passes: list | None = [] if k else None
+        a = a_o if models is None else _correct_rows(models, st.s, a_o, cfg, passes)
+        st_next, r, done, risk = env_step_batch(spec, st, a, live_rngs)
+        returns[ids] += r
+        discounted[ids] += r * gamma ** t
+        risk_entries[ids] += risk
+        if k:
+            deltas = np.array(passes).reshape(len(passes), len(ids))[:, :k].T
+            # copies, so the step's full-batch arrays are not kept alive
+            for col, v in zip(cols, (ids, st.s, a_o, a, r, risk, done, deltas)):
+                col.append(v[:k].copy())
+        st = st_next
+        if done.any():
+            final.put(ids[done], st.take(done))
+            keep = ~done
+            st, ids = st.take(keep), ids[keep]
+            live_rngs = [rng for rng, d in zip(live_rngs, done) if not d]
+    final.put(ids, st)
+
+    at_goal = row_norms(final.s - spec.goal) <= spec.capture_radius
+    if spec.variant == "goods":
+        at_goal &= final.goods_visited
+    totals = EpisodeTotals(returns=returns, discounted_returns=discounted,
+                           steps=final.steps, risk_entries=risk_entries,
+                           reached_goal=at_goal & (final.steps > 0))
+    tails = ((), (ds,), (da,), (da,), (), (), (), (0,))
+    dtypes = (np.int64, np.float64, np.float64, np.float64, np.float64, bool, bool, np.float64)
+    ep, S, AO, A, R, RISK, DONE, D = (
+        np.concatenate(col) if col else np.zeros((0,) + tail, dtype=dt)
+        for col, tail, dt in zip(cols, tails, dtypes))
+    trajectories = []
+    for e in range(min(record, n)):
+        m = ep == e
+        trajectories.append(Trajectory(
+            states=S[m], actions_base=AO[m], actions=A[m], rewards=R[m],
+            risk_flags=RISK[m], dones=DONE[m], final_state=final.s[e].copy(),
+            reached_goal=bool(totals.reached_goal[e]),
+            delta_norms=[] if models is None else D[m].tolist(),
+        ))
+    return totals, trajectories
+
+
 def control_episode(spec: EnvSpec, base_policy: Policy, models: CdsaModels | None,
                     cfg: ControlConfig, rng: Rng,
                     max_steps: int | None = None) -> Trajectory:
@@ -253,50 +372,12 @@ def control_episode(spec: EnvSpec, base_policy: Policy, models: CdsaModels | Non
 
     models = None runs the base policy untouched (same as ablation
     "baseline"). max_steps overrides the env spec's budget when given; 0 yields an
-    empty trajectory with return 0.
+    empty trajectory with return 0. This is the one-episode case of
+    run_episodes.
     """
-    if models is not None:
-        models.validate()
-        if models.state_dim != spec.state_dim or models.action_dim != spec.action_dim:
-            raise ControlError("model dims do not match the env spec")
-    budget = spec.max_steps if max_steps is None else max_steps
-    env = Env(spec, rng)
-    s = env.reset()
-    states, a_os, a_cs, rewards, risks, dones, deltas = [], [], [], [], [], [], []
-    for _ in range(budget):
-        a_o = np.clip(base_policy.act(s, env.context(), env.rng),
-                      spec.action_low, spec.action_high)
-        if models is None:
-            a = a_o
-        else:
-            step_deltas: list = []
-            a = correct_action(models, s, a_o, cfg, step_deltas)
-            deltas.append(step_deltas)
-        s2, r, done, risk = env.step(a)
-        states.append(s)
-        a_os.append(a_o)
-        a_cs.append(a)
-        rewards.append(r)
-        risks.append(risk)
-        dones.append(done)
-        s = s2
-        if done:
-            break
-    ctx = env.context()
-    at_goal = float(np.linalg.norm(ctx.s - spec.goal)) <= spec.capture_radius
-    reached = at_goal and (spec.variant != "goods" or ctx.goods_visited)
-    ds, da = spec.state_dim, spec.action_dim
-    return Trajectory(
-        states=np.array(states, dtype=np.float64).reshape(-1, ds),
-        actions_base=np.array(a_os, dtype=np.float64).reshape(-1, da),
-        actions=np.array(a_cs, dtype=np.float64).reshape(-1, da),
-        rewards=np.array(rewards, dtype=np.float64),
-        risk_flags=np.array(risks, dtype=bool),
-        dones=np.array(dones, dtype=bool),
-        final_state=np.asarray(s, dtype=np.float64),
-        reached_goal=bool(reached and len(rewards) > 0),
-        delta_norms=deltas,
-    )
+    _, trajectories = run_episodes(spec, base_policy, models, cfg, [rng], max_steps,
+                                   record=1)
+    return trajectories[0]
 
 
 def save_trajectory_csv(traj: Trajectory, path: str) -> None:

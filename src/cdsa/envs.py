@@ -12,6 +12,10 @@ bookkeeping that is not part of the observed state (step count, goods visited,
 airport used) rides in EnvState so the observed state keeps the same dims
 across task variants.
 
+Stepping is batched: env_step_batch advances many episodes at once from an
+EnvStates (one row per episode, each row with its own rng stream), and
+env_step is its one-row case. Policies act on batches the same way.
+
 Base policies: a straight-to-target scripted policy, a grid-planning scripted
 policy that avoids inflated risk regions (dataset generation only), a uniform
 random policy, and a behavior-cloned MLP.
@@ -35,6 +39,7 @@ from .neuralcore import (
     backward_batch,
     forward_batch,
     mlp_init,
+    row_norms,
 )
 
 ENV_KINDS = ("risky_pointmass", "risky_transport", "linear_point")
@@ -300,7 +305,15 @@ def builtin_spec_path(name: str) -> str:
 
 
 def in_risk_region(spec: EnvSpec, p: np.ndarray) -> bool:
-    return any(reg.contains(p) for reg in spec.risk_regions)
+    return bool(_risk_occupancy(spec, np.asarray(p, dtype=np.float64)[None, :])[0])
+
+
+def _risk_occupancy(spec: EnvSpec, pts: np.ndarray) -> np.ndarray:
+    """Per-row flag: does the (n, 2) point lie inside any risk region."""
+    hit = np.zeros(len(pts), dtype=bool)
+    for reg in spec.risk_regions:
+        hit |= reg.contains_many(pts)
+    return hit
 
 
 @dataclass
@@ -314,41 +327,110 @@ class EnvState:
     done: bool = False
 
 
+@dataclass
+class EnvStates:
+    """The EnvState of n episodes as arrays; row i is episode i.
+
+    s has shape (n, state_dim); the bookkeeping fields have shape (n,).
+    """
+
+    s: np.ndarray
+    steps: np.ndarray
+    goods_visited: np.ndarray
+    airport_used: np.ndarray
+    done: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.s)
+
+    @classmethod
+    def stack(cls, states: list[EnvState]) -> "EnvStates":
+        return cls(
+            s=np.array([st.s for st in states], dtype=np.float64).reshape(len(states), -1),
+            steps=np.array([st.steps for st in states], dtype=np.int64),
+            goods_visited=np.array([st.goods_visited for st in states], dtype=bool),
+            airport_used=np.array([st.airport_used for st in states], dtype=bool),
+            done=np.array([st.done for st in states], dtype=bool),
+        )
+
+    def row(self, i: int) -> EnvState:
+        return EnvState(s=self.s[i].copy(), steps=int(self.steps[i]),
+                        goods_visited=bool(self.goods_visited[i]),
+                        airport_used=bool(self.airport_used[i]), done=bool(self.done[i]))
+
+    def take(self, idx) -> "EnvStates":
+        """The rows selected by an index array or boolean mask, as a new batch."""
+        return EnvStates(self.s[idx], self.steps[idx], self.goods_visited[idx],
+                         self.airport_used[idx], self.done[idx])
+
+    def put(self, idx, src: "EnvStates") -> None:
+        """Overwrite the rows selected by idx with the rows of src, in place."""
+        self.s[idx] = src.s
+        self.steps[idx] = src.steps
+        self.goods_visited[idx] = src.goods_visited
+        self.airport_used[idx] = src.airport_used
+        self.done[idx] = src.done
+
+
 def env_reset(spec: EnvSpec, rng: Rng) -> EnvState:
     s = rng.uniform(spec.start_min, spec.start_max, size=spec.state_dim)
     return EnvState(s=np.asarray(s, dtype=np.float64))
 
 
-def env_step(spec: EnvSpec, st: EnvState, action: np.ndarray, rng: Rng):
-    """One dynamics step. Returns (next EnvState, reward, done, risk_entered).
+def env_step_batch(spec: EnvSpec, st: EnvStates, actions: np.ndarray, rngs: list):
+    """One dynamics step of n episodes at once; row i draws from rngs[i].
 
-    The risk Bernoulli consumes exactly one uniform draw every step whether or
-    not the agent occupies a risk region, so paired-seed runs stay aligned.
+    Returns (next EnvStates, rewards, dones, risk_entered), the last three of
+    shape (n,). Every row consumes exactly one uniform draw from its own
+    stream for the risk Bernoulli, whether or not it occupies a risk region,
+    so paired-seed runs stay aligned. A row's result does not depend on the
+    other rows or on n, so it equals env_step on that row bitwise. The spec
+    is trusted to be validated; actions are checked here.
     """
-    action = np.asarray(action, dtype=np.float64)
-    if action.shape != (spec.action_dim,) or not np.all(np.isfinite(action)):
-        raise EnvError(f"action must be a finite vector of dim {spec.action_dim}")
-    a = np.clip(action, spec.action_low, spec.action_high)
+    actions = np.asarray(actions, dtype=np.float64)
+    n = len(st)
+    if (actions.shape != (n, spec.action_dim) or len(rngs) != n
+            or not np.all(np.isfinite(actions))):
+        raise EnvError(f"actions must be a finite ({n}, {spec.action_dim}) array, "
+                       f"one row and one rng per episode")
+    a = np.clip(actions, spec.action_low, spec.action_high)
     pos = np.clip(st.s + a * spec.dt, spec.arena_min, spec.arena_max)
     airport_used = st.airport_used
-    if (spec.variant == "airport" and not airport_used
-            and spec.airport_region.contains(pos)):
-        pos = np.array(spec.landing_point, dtype=np.float64)
-        airport_used = True
-    risk_entered = in_risk_region(spec, pos)
-    fired = rng.random() < spec.risk_prob
-    reward = -spec.step_cost * float(np.linalg.norm(pos - spec.goal))
-    if risk_entered and fired:
-        reward += spec.risk_penalty
-    goods_visited = st.goods_visited or (
-        spec.variant == "goods" and spec.goods_region.contains(pos))
+    if spec.variant == "airport":
+        jump = ~airport_used & spec.airport_region.contains_many(pos)
+        if jump.any():
+            pos[jump] = spec.landing_point
+            airport_used = airport_used | jump
+    risk_entered = _risk_occupancy(spec, pos)
+    fired = np.array([rng.random() for rng in rngs]) < spec.risk_prob
+    dist = row_norms(pos - spec.goal)
+    reward = -spec.step_cost * dist
+    penalized = risk_entered & fired
+    if penalized.any():
+        reward[penalized] += spec.risk_penalty
     steps = st.steps + 1
-    at_goal = float(np.linalg.norm(pos - spec.goal)) <= spec.capture_radius
-    goal_counts = at_goal and (spec.variant != "goods" or goods_visited)
-    done = goal_counts or steps >= spec.max_steps
-    nxt = EnvState(s=pos, steps=steps, goods_visited=goods_visited,
-                   airport_used=airport_used, done=done)
+    goal_counts = dist <= spec.capture_radius
+    goods_visited = st.goods_visited
+    if spec.variant == "goods":
+        goods_visited = goods_visited | spec.goods_region.contains_many(pos)
+        goal_counts &= goods_visited
+    done = goal_counts | (steps >= spec.max_steps)
+    nxt = EnvStates(s=pos, steps=steps, goods_visited=goods_visited,
+                    airport_used=airport_used, done=done)
     return nxt, reward, done, risk_entered
+
+
+def env_step(spec: EnvSpec, st: EnvState, action: np.ndarray, rng: Rng):
+    """One dynamics step: the one-row case of env_step_batch.
+
+    Returns (next EnvState, reward, done, risk_entered).
+    """
+    action = np.asarray(action, dtype=np.float64)
+    if action.shape != (spec.action_dim,):
+        raise EnvError(f"action must be a finite vector of dim {spec.action_dim}")
+    nxt, reward, done, risk = env_step_batch(spec, EnvStates.stack([st]), action[None, :],
+                                             [rng])
+    return nxt.row(0), float(reward[0]), bool(done[0]), bool(risk[0])
 
 
 class Env:
@@ -377,49 +459,71 @@ class Env:
 
 
 class Policy:
-    """Base policy interface: act(observed state, episode context, rng)."""
+    """Base policy interface.
+
+    act_batch(states, ctx, rngs) maps an (n, state_dim) array of observed
+    states, the episodes' EnvStates (None when the policy ignores context) and
+    one rng per row to an (n, action_dim) array of actions. A row's action
+    depends only on that row (up to the last bits of a network's batched
+    matrix product), and a row draws randomness only from its own rng.
+    act(s, ctx, rng) is the one-row case; every policy class binds it as its
+    own attribute so per-class instrumentation can wrap it.
+    """
 
     kind = "abstract"
 
-    def act(self, s: np.ndarray, ctx: EnvState, rng: Rng) -> np.ndarray:
+    def act(self, s: np.ndarray, ctx: EnvState | None, rng: Rng | None) -> np.ndarray:
+        batch = None if ctx is None else EnvStates.stack([ctx])
+        return self.act_batch(np.asarray(s, dtype=np.float64)[None, :], batch, [rng])[0]
+
+    def act_batch(self, states: np.ndarray, ctx: EnvStates | None, rngs: list) -> np.ndarray:
         raise NotImplementedError
 
 
-def _capped_step_toward(target: np.ndarray, s: np.ndarray, spec: EnvSpec) -> np.ndarray:
-    a = (np.asarray(target, dtype=np.float64) - s) / spec.dt
-    n = float(np.linalg.norm(a))
-    if n > 1.0:
-        a = a / n
+def _capped_steps_toward(targets: np.ndarray, states: np.ndarray,
+                         spec: EnvSpec) -> np.ndarray:
+    """Per row, the step toward its target scaled down to unit norm, then clipped."""
+    a = (np.asarray(targets, dtype=np.float64) - states) / spec.dt
+    n = row_norms(a)
+    over = n > 1.0
+    if over.any():
+        a[over] = a[over] / n[over, None]
     return np.clip(a, spec.action_low, spec.action_high)
 
 
-def _current_target(spec: EnvSpec, ctx: EnvState) -> np.ndarray:
-    if spec.variant == "goods" and not ctx.goods_visited:
-        return spec.goods_region.reference_point()
-    return spec.goal
+def _current_targets(spec: EnvSpec, ctx: EnvStates, n: int) -> np.ndarray:
+    targets = np.broadcast_to(spec.goal, (n, len(spec.goal)))
+    if spec.variant == "goods":
+        targets = np.where(ctx.goods_visited[:, None],
+                           targets, spec.goods_region.reference_point())
+    return targets
 
 
 class ScriptedDirect(Policy):
     """Unit-capped step straight at the current target, through anything."""
 
     kind = "direct"
+    act = Policy.act
 
     def __init__(self, spec: EnvSpec):
         self.spec = spec
 
-    def act(self, s: np.ndarray, ctx: EnvState, rng: Rng) -> np.ndarray:
-        return _capped_step_toward(_current_target(self.spec, ctx), s, self.spec)
+    def act_batch(self, states: np.ndarray, ctx: EnvStates | None, rngs: list) -> np.ndarray:
+        return _capped_steps_toward(_current_targets(self.spec, ctx, len(states)), states,
+                                    self.spec)
 
 
 class RandomPolicy(Policy):
     kind = "random"
+    act = Policy.act
 
     def __init__(self, spec: EnvSpec):
         self.spec = spec
 
-    def act(self, s: np.ndarray, ctx: EnvState, rng: Rng) -> np.ndarray:
-        return rng.uniform(self.spec.action_low, self.spec.action_high,
-                           size=self.spec.action_dim)
+    def act_batch(self, states: np.ndarray, ctx: EnvStates | None, rngs: list) -> np.ndarray:
+        lo, hi, d = self.spec.action_low, self.spec.action_high, self.spec.action_dim
+        return np.array([rng.uniform(lo, hi, size=d) for rng in rngs],
+                        dtype=np.float64).reshape(len(rngs), d)
 
 
 class _GridField:
@@ -505,6 +609,7 @@ class ScriptedRiskAvoiding(Policy):
     """
 
     kind = "risk-avoiding"
+    act = Policy.act
 
     def __init__(self, spec: EnvSpec, grid_n: int = 40, inflation: float = 0.08,
                  exec_noise: float = 0.0):
@@ -523,17 +628,24 @@ class ScriptedRiskAvoiding(Policy):
         if self._grid.blocked[c] or not np.isfinite(self._goal_reach[c]):
             raise PlanningError("no safe route from the start box to the goal")
 
-    def _field_and_target(self, ctx: EnvState):
-        if self._goods_field is not None and not ctx.goods_visited:
+    def _field_and_target(self, goods_visited: bool):
+        if self._goods_field is not None and not goods_visited:
             return self._goods_field, self.spec.goods_region.reference_point()
         return self._goal_field, self.spec.goal
 
-    def act(self, s: np.ndarray, ctx: EnvState, rng: Rng) -> np.ndarray:
-        fieldv, target = self._field_and_target(ctx)
+    def act_batch(self, states: np.ndarray, ctx: EnvStates | None, rngs: list) -> np.ndarray:
+        visited = (ctx.goods_visited if self._goods_field is not None
+                   else np.zeros(len(states), dtype=bool))
+        return np.array([self._act_row(states[i], bool(visited[i]), rngs[i])
+                         for i in range(len(states))],
+                        dtype=np.float64).reshape(len(states), self.spec.action_dim)
+
+    def _act_row(self, s: np.ndarray, goods_visited: bool, rng: Rng) -> np.ndarray:
+        fieldv, target = self._field_and_target(goods_visited)
         g = self._grid
         i, j = g.cell_of(s)
         if fieldv[i, j] == 0.0:
-            a = _capped_step_toward(target, s, self.spec)
+            a = _capped_steps_toward(target[None, :], s[None, :], self.spec)[0]
         else:
             best, best_val = None, fieldv[i, j]
             for di in (-1, 0, 1):
@@ -544,7 +656,7 @@ class ScriptedRiskAvoiding(Policy):
                     if fieldv[ni, nj] < best_val:
                         best, best_val = (ni, nj), fieldv[ni, nj]
             if best is None:
-                a = _capped_step_toward(target, s, self.spec)
+                a = _capped_steps_toward(target[None, :], s[None, :], self.spec)[0]
             else:
                 waypoint = g.centers[best]
                 d = waypoint - s
@@ -567,10 +679,11 @@ class BehaviorCloned(Policy):
         self.action_low = np.asarray(action_low, dtype=np.float64)
         self.action_high = np.asarray(action_high, dtype=np.float64)
 
-    def act(self, s: np.ndarray, ctx: EnvState, rng: Rng) -> np.ndarray:
-        out, _ = forward_batch(self.params, self.norm.normalize_state(s)[None, :])
-        a = self.norm.denormalize_action(out[0])
-        return np.clip(a, self.action_low, self.action_high)
+    act = Policy.act
+
+    def act_batch(self, states: np.ndarray, ctx: EnvStates | None, rngs: list) -> np.ndarray:
+        out, _ = forward_batch(self.params, self.norm.normalize_state(states))
+        return np.clip(self.norm.denormalize_action(out), self.action_low, self.action_high)
 
 
 BC_HIDDEN_DIMS = [128, 128, 128]

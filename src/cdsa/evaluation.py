@@ -6,6 +6,15 @@ identical start states and risk events and every difference is attributable
 to the correction. VaR uses the linear-interpolation percentile (index
 (n-1)*p/100 into the ascending sort), which is nondecreasing in p by
 construction.
+
+An arm's episodes run in lockstep: every time step makes one batched policy
+call, one batched correction and one batched env step over the episodes still
+running, and a finished episode leaves the batch. The paired-seed randomness
+is exactly that of running the episodes one at a time (each episode draws
+only from its own substream, in the same order). The values match such a run
+to float tolerance, not bitwise: a network evaluates all running episodes in
+one matrix product, and BLAS rounds a row's last bits differently at
+different batch sizes. Without a network in the loop they match bitwise.
 """
 
 from __future__ import annotations
@@ -14,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controller import CdsaModels, ControlConfig, Trajectory, control_episode
+from .controller import CdsaModels, ControlConfig, Trajectory, run_episodes
 from .envs import EnvSpec, Policy
 from .neuralcore import Rng
 from . import svgplot
@@ -54,26 +63,38 @@ def stats_from_trajectory(traj: Trajectory, seed: int, gamma: float) -> EpisodeS
 
 
 def rollout_batch(env_spec: EnvSpec, base_policy: Policy,
-                  models: CdsaModels | None, cfg: ControlConfig,
+                  models: CdsaModels | None, cfg: ControlConfig | None,
                   episodes: int, base_seed: int, gamma: float = 1.0,
                   trajectories_out: list | None = None,
                   max_trajectories: int = 0) -> list[EpisodeStats]:
     """Run `episodes` paired-seed episodes; episode i uses substream (base_seed, i).
 
-    models = None rolls the base policy uncorrected. The first
-    max_trajectories trajectories are appended to trajectories_out when given.
+    All episodes step in lockstep (see controller.run_episodes). models =
+    None rolls the base policy uncorrected. The first max_trajectories
+    trajectories are appended to trajectories_out when given; only those
+    episodes keep full step records.
     """
     if episodes < 1:
         raise EvalError(f"episodes must be >= 1, got {episodes}")
     root = Rng(base_seed)
+    record = max_trajectories if trajectories_out is not None else 0
+    totals, trajectories = run_episodes(
+        env_spec, base_policy, models, cfg, [root.substream(i) for i in range(episodes)],
+        gamma=gamma, record=record)
     out = []
     for i in range(episodes):
-        traj = control_episode(env_spec, base_policy, models, cfg, root.substream(i))
-        st = stats_from_trajectory(traj, i, gamma)
+        st = EpisodeStats(
+            undiscounted_return=float(totals.returns[i]),
+            discounted_return=float(totals.discounted_returns[i]),
+            steps=int(totals.steps[i]),
+            risk_entries=int(totals.risk_entries[i]),
+            reached_goal=bool(totals.reached_goal[i]),
+            seed=i,
+        )
         st.validate(env_spec.max_steps)
         out.append(st)
-        if trajectories_out is not None and i < max_trajectories:
-            trajectories_out.append(traj)
+    if trajectories_out is not None:
+        trajectories_out.extend(trajectories)
     return out
 
 

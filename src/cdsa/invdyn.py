@@ -108,8 +108,12 @@ def train_invdyn(dataset: Dataset, config: InvDynTrainConfig):
 
 
 def infer_action(model: InvDynModel, s: np.ndarray, s_tilde: np.ndarray) -> np.ndarray:
-    """Action predicted to carry s to s_tilde, in env units both ways."""
-    s_n = model.norm.normalize_state(s)
-    t_n = model.norm.normalize_state(s_tilde)
-    out, _ = forward_batch(model.params, np.hstack([s_n, t_n])[None, :])
-    return model.norm.denormalize_action(out[0])
+    """Action predicted to carry s to s_tilde, in env units both ways.
+
+    s and s_tilde are single states, or (n, state_dim) arrays handled row by
+    row in one network pass; the result has the matching shape.
+    """
+    x = np.concatenate([model.norm.normalize_state(s), model.norm.normalize_state(s_tilde)],
+                       axis=-1)
+    out, _ = forward_batch(model.params, np.atleast_2d(x))
+    return model.norm.denormalize_action(out if x.ndim == 2 else out[0])

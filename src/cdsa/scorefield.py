@@ -168,10 +168,10 @@ def dsm_loss_reference(net: MlpParams, batch_with_noise, sigma: float,
     """
     states, actions, pert = (np.asarray(v, dtype=np.float64) for v in batch_with_noise)
     if kind is ScoreKind.ACTION:
-        x_tilde = np.hstack([states, pert])
+        x_tilde = np.concatenate([states, pert], axis=1)
         target = -(pert - actions) / sigma**2
     else:
-        x_tilde = np.hstack([pert, actions])
+        x_tilde = np.concatenate([pert, actions], axis=1)
         target = -(pert - states) / sigma**2
     out, _ = forward_batch(net, x_tilde)
     resid = out - target
@@ -210,10 +210,12 @@ def train_score_field(dataset: Dataset, kind: ScoreKind, config: ScoreTrainConfi
 def eval_score(field: ScoreField, s: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Score at an env-unit (s, a) pair, returned in normalized coordinates.
 
-    Consumers that need env units rescale by the embedded stats themselves;
-    the controller owns that mapping.
+    s and a are single vectors, or (n, d) arrays scored row by row in one
+    network pass; the result has the matching shape. Consumers that need env
+    units rescale by the embedded stats themselves; the controller owns that
+    mapping.
     """
-    s_n = field.norm.normalize_state(s)
-    a_n = field.norm.normalize_action(a)
-    out, _ = forward_batch(field.params, np.hstack([s_n, a_n])[None, :])
-    return out[0]
+    x = np.concatenate([field.norm.normalize_state(s), field.norm.normalize_action(a)],
+                       axis=-1)
+    out, _ = forward_batch(field.params, np.atleast_2d(x))
+    return out if x.ndim == 2 else out[0]

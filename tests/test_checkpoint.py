@@ -158,7 +158,8 @@ def test_bundle_manifest_digest_cross_check(tmp_path):
     d = str(tmp_path / "bundle")
     save_bundle(_models(), d)
     mpath = os.path.join(d, MANIFEST_FILE)
-    manifest = json.loads(open(mpath).read())
+    with open(mpath) as fh:
+        manifest = json.load(fh)
     manifest["norm_sha256"] = "0" * 64
     with open(mpath, "w") as fh:
         json.dump(manifest, fh)
@@ -170,7 +171,8 @@ def test_bundle_manifest_validation(tmp_path):
     d = str(tmp_path / "bundle")
     save_bundle(_models(), d)
     mpath = os.path.join(d, MANIFEST_FILE)
-    manifest = json.loads(open(mpath).read())
+    with open(mpath) as fh:
+        manifest = json.load(fh)
 
     for patch, msg in (({"format": "zip"}, "format"),
                        ({"version": 7}, "version"),

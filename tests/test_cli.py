@@ -12,6 +12,11 @@ from cdsa.dataset import load_dataset
 from cdsa.evaluation import load_report_csv
 
 
+def _read_json(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
 def _gen(tmp_path, name="data.jsonl", extra=()):
     out = str(tmp_path / name)
     rc = main(["gen-data", "--env", "linear", "--out", out, "--policy", "direct",
@@ -48,7 +53,7 @@ def test_gen_data_writes_dataset_and_config_echo(tmp_path):
     rc, out = _gen(tmp_path)
     assert rc == 0
     assert len(load_dataset(out)) > 0
-    echo = json.loads(open(out + ".config.json").read())
+    echo = _read_json(out + ".config.json")
     assert echo["command"] == "gen-data"
     assert echo["seed"] == 3 and echo["episodes"] == 2
     assert echo["policy"] == "direct"
@@ -70,7 +75,7 @@ def test_seed_falls_back_to_env_var(tmp_path, monkeypatch):
     rc = main(["gen-data", "--env", "linear", "--out", out, "--policy", "direct",
                "--episodes", "1"])
     assert rc == 0
-    assert json.loads(open(out + ".config.json").read())["seed"] == 7
+    assert _read_json(out + ".config.json")["seed"] == 7
 
 
 def test_bad_seed_env_var_exits_1(tmp_path, monkeypatch, capsys):
@@ -88,13 +93,13 @@ def test_config_file_merges_and_flags_win(tmp_path):
     rc = main(["gen-data", "--env", "linear", "--out", out, "--seed", "1",
                "--config", str(cfg)])
     assert rc == 0
-    assert json.loads(open(out + ".config.json").read())["episodes"] == 3
+    assert _read_json(out + ".config.json")["episodes"] == 3
 
     out2 = str(tmp_path / "d2.jsonl")
     rc = main(["gen-data", "--env", "linear", "--out", out2, "--seed", "1",
                "--config", str(cfg), "--episodes", "4"])
     assert rc == 0
-    assert json.loads(open(out2 + ".config.json").read())["episodes"] == 4
+    assert _read_json(out2 + ".config.json")["episodes"] == 4
 
 
 def test_config_file_unknown_key_exits_1(tmp_path, capsys):

@@ -185,6 +185,21 @@ def test_control_episode_baseline_matches_bare_policy():
     assert np.array_equal(t1.rewards, t2.rewards)
 
 
+def test_control_episode_with_models_needs_config():
+    spec, _, models = _trained_models(iterations=0)
+    with pytest.raises(ControlError, match="ControlConfig"):
+        control_episode(spec, ScriptedDirect(spec), models, None, Rng(1))
+
+
+def test_correct_action_reports_one_float_per_pass():
+    models = _stub_models()
+    deltas = []
+    out = correct_action(models, np.zeros(2), np.zeros(2), _wide_cfg(n_refine=2), deltas)
+    assert np.allclose(out, [0.3, 0.0], atol=1e-12)
+    assert len(deltas) == 3 and all(type(d) is float for d in deltas)
+    assert np.allclose(deltas, 0.1, atol=1e-12)
+
+
 def test_control_episode_zero_budget():
     spec, _, _ = _trained_models(iterations=0)
     traj = control_episode(spec, ScriptedDirect(spec), None, None, Rng(1),

@@ -9,6 +9,7 @@ from cdsa.envs import (
     EnvError,
     Env,
     EnvState,
+    EnvStates,
     PlanningError,
     RandomPolicy,
     Region,
@@ -17,6 +18,7 @@ from cdsa.envs import (
     builtin_spec_path,
     env_reset,
     env_step,
+    env_step_batch,
     in_risk_region,
     load_env_spec,
     save_env_spec,
@@ -293,6 +295,107 @@ def test_step_budget_ends_episode():
     for i in range(3):
         _, _, done, _ = env.step(np.array([0.0, 0.01]))
     assert done
+
+
+# ---------------------------------------------------------------------------
+# batched step
+# ---------------------------------------------------------------------------
+
+def _reference_env_step(spec, st, action, rng):
+    """The scalar step written out row-wise, as the batched step must reproduce."""
+    a = np.clip(np.asarray(action, dtype=np.float64), spec.action_low, spec.action_high)
+    pos = np.clip(st.s + a * spec.dt, spec.arena_min, spec.arena_max)
+    airport_used = st.airport_used
+    if (spec.variant == "airport" and not airport_used
+            and spec.airport_region.contains(pos)):
+        pos = np.array(spec.landing_point, dtype=np.float64)
+        airport_used = True
+    risk_entered = any(reg.contains(pos) for reg in spec.risk_regions)
+    fired = rng.random() < spec.risk_prob
+    reward = -spec.step_cost * float(np.linalg.norm(pos - spec.goal))
+    if risk_entered and fired:
+        reward += spec.risk_penalty
+    goods_visited = st.goods_visited or (
+        spec.variant == "goods" and spec.goods_region.contains(pos))
+    steps = st.steps + 1
+    at_goal = float(np.linalg.norm(pos - spec.goal)) <= spec.capture_radius
+    done = (at_goal and (spec.variant != "goods" or goods_visited)) or steps >= spec.max_steps
+    return EnvState(pos, steps, goods_visited, airport_used, done), reward, done, risk_entered
+
+
+class _CountingRng:
+    def __init__(self, rng):
+        self.rng = rng
+        self.draws = 0
+
+    def random(self):
+        self.draws += 1
+        return self.rng.random()
+
+
+def _staged_rows(spec):
+    """Episode states at different stages of the spec's task variant."""
+    rows = [EnvState(s=np.array([0.05, 0.05])),
+            EnvState(s=np.array([0.22, 0.3]), steps=7),                 # inside the river
+            EnvState(s=spec.goal.copy(), steps=12, done=True),           # already done
+            EnvState(s=np.array([0.5, 0.5]), steps=spec.max_steps - 1)]  # last budgeted step
+    if spec.variant == "goods":
+        rows += [EnvState(s=spec.goods_region.center - np.array([0.04, 0.0]), steps=3),
+                 EnvState(s=spec.goal - np.array([0.03, 0.0]), steps=30, goods_visited=True),
+                 EnvState(s=spec.goal - np.array([0.03, 0.0]), steps=30)]
+    if spec.variant == "airport":
+        rows += [EnvState(s=spec.airport_region.center - np.array([0.07, 0.0]), steps=4),
+                 EnvState(s=spec.airport_region.center.copy(), steps=9, airport_used=True)]
+    return rows
+
+
+@pytest.mark.parametrize("variant", ["pathfinding", "goods", "airport"])
+def test_batched_step_matches_scalar_rows(variant):
+    spec = replace(_transport().with_variant(variant), risk_prob=0.5)
+    rows = _staged_rows(spec)
+    n = len(rows)
+    batch = EnvStates.stack(rows)
+    batch_rngs = [_CountingRng(Rng(61, (i,))) for i in range(n)]
+    ref_rngs = [Rng(61, (i,)) for i in range(n)]
+    one_rngs = [Rng(61, (i,)) for i in range(n)]
+    one_rows = list(rows)
+    act_rng = Rng(5)
+    penalized = False
+    for step in range(4):
+        actions = act_rng.uniform(-1.0, 1.0, size=(n, 2))
+        actions[:, 0] = np.abs(actions[:, 0])  # drift right, into goods and airport
+        batch, r, done, risk = env_step_batch(spec, batch, actions, batch_rngs)
+        assert [c.draws for c in batch_rngs] == [step + 1] * n
+        penalized = penalized or bool(np.any(r <= spec.risk_penalty))
+        for i in range(n):
+            want, want_r, want_done, want_risk = _reference_env_step(
+                spec, rows[i], actions[i], ref_rngs[i])
+            got = batch.row(i)
+            assert np.array_equal(got.s, want.s)
+            assert (got.steps, got.goods_visited, got.airport_used, got.done) == (
+                want.steps, want.goods_visited, want.airport_used, want.done)
+            assert (r[i], done[i], risk[i]) == (want_r, want_done, want_risk)
+            one_rows[i], r1, d1, k1 = env_step(spec, one_rows[i], actions[i], one_rngs[i])
+            assert np.array_equal(one_rows[i].s, want.s) and (r1, d1, k1) == (
+                want_r, want_done, want_risk)
+            rows[i] = want
+    # the staged rows exercise every branch they were built for
+    assert penalized and batch.done.any() and not batch.done.all()
+    if variant == "goods":
+        assert batch.goods_visited.any() and not batch.goods_visited.all()
+    if variant == "airport":
+        assert batch.airport_used.sum() >= 2
+
+
+def test_batched_step_rejects_bad_actions():
+    spec = _transport()
+    batch = EnvStates.stack([EnvState(s=np.array([0.05, 0.05]))] * 2)
+    rngs = [Rng(0), Rng(1)]
+    for bad in (np.zeros((3, 2)), np.zeros((2, 3)), np.array([[0.0, np.nan], [0.0, 0.0]])):
+        with pytest.raises(EnvError):
+            env_step_batch(spec, batch, bad, rngs)
+    with pytest.raises(EnvError):
+        env_step_batch(spec, batch, np.zeros((2, 2)), rngs[:1])
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
-from cdsa.controller import Trajectory
+from cdsa.controller import ControlError, Trajectory, train_cdsa
+from cdsa.dataset import generate_dataset
 from cdsa.envs import RandomPolicy, ScriptedDirect, builtin_spec_path, load_env_spec
 from cdsa.evaluation import (EpisodeStats, EvalError, emit_report,
                              load_report_csv, risk_entry_rate, rollout_batch,
                              stats_from_trajectory, summarize, var_at)
+from cdsa.invdyn import InvDynTrainConfig
 from cdsa.neuralcore import Rng
+from cdsa.scorefield import ScoreTrainConfig
 
 
 def _stats(ret, risk=0, steps=10, goal=False, seed=0):
@@ -95,6 +98,14 @@ def test_rollout_batch_validation():
     spec = load_env_spec(builtin_spec_path("linear"))
     with pytest.raises(EvalError, match="episodes"):
         rollout_batch(spec, RandomPolicy(spec), None, None, episodes=0, base_seed=1)
+
+
+def test_rollout_batch_with_models_needs_config():
+    spec = load_env_spec(builtin_spec_path("linear"))
+    data = generate_dataset(spec, RandomPolicy(spec), 3, spec.max_steps, Rng(3))
+    models = train_cdsa(data, ScoreTrainConfig(iterations=0), InvDynTrainConfig(iterations=0))
+    with pytest.raises(ControlError, match="ControlConfig"):
+        rollout_batch(spec, RandomPolicy(spec), models, None, episodes=2, base_seed=1)
 
 
 def test_risk_entry_rate_oracle():

@@ -87,6 +87,19 @@ def test_infer_action_normalization_mapping():
     assert np.allclose(out, data.norm.action_mean)
 
 
+def test_infer_action_accepts_row_batches():
+    rng = np.random.default_rng(12)
+    trans = [Transition(rng.normal(size=2), rng.normal(size=2), 0.0,
+                        rng.normal(size=2), False) for _ in range(40)]
+    model, _ = train_invdyn(Dataset(trans, 2, 2),
+                            InvDynTrainConfig(iterations=5, batch_size=8, seed=1))
+    s, s2 = rng.normal(size=(7, 2)), rng.normal(size=(7, 2))
+    out = infer_action(model, s, s2)
+    assert out.shape == (7, 2)
+    rows = np.vstack([infer_action(model, s[i], s2[i]) for i in range(7)])
+    np.testing.assert_allclose(out, rows, rtol=0.0, atol=1e-12)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         InvDynTrainConfig(iterations=-2).validate()

@@ -6,6 +6,7 @@ from cdsa.neuralcore import (
     MlpParams,
     NeuralCoreError,
     Rng,
+    _leaky,
     adam_step,
     backward_batch,
     fd_grads,
@@ -13,6 +14,7 @@ from cdsa.neuralcore import (
     mlp_backward,
     mlp_forward,
     mlp_init,
+    row_norms,
     zero_like_params,
 )
 
@@ -71,6 +73,23 @@ def test_leaky_relu_slope_applied():
                   [np.zeros(1), np.zeros(1)], slope)
     assert mlp_forward(p, np.array([2.0]))[0] == 2.0
     assert mlp_forward(p, np.array([-2.0]))[0] == -2.0 * slope
+
+
+@pytest.mark.parametrize("slope", [0.1, 0.2])
+def test_leaky_bitwise_equals_where_form(slope):
+    tiny = np.finfo(np.float64).tiny
+    z = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+                  tiny, -tiny, tiny / 3, -tiny / 3, 1.5, -1.5, 1e308, -1e308])
+    want = np.where(z >= 0.0, z, slope * z)
+    assert _leaky(z, slope).tobytes() == want.tobytes()
+
+
+def test_row_norms_match_linalg_norm_per_row():
+    x = Rng(4).normal(size=(257, 2)) * np.geomspace(1e-3, 1e3, 257)[:, None]
+    want = np.array([np.linalg.norm(row) for row in x])
+    assert np.array_equal(row_norms(x), want)
+    assert np.array_equal(row_norms(x[:1]), want[:1])
+    assert row_norms(np.zeros((0, 2))).shape == (0,)
 
 
 def test_single_vector_matches_batch():

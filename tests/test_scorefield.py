@@ -161,6 +161,19 @@ def test_eval_score_uses_normalized_coordinates():
     assert out[0] == pytest.approx((5.0 - 1.0) / 2.0)
 
 
+def test_eval_score_accepts_row_batches():
+    params = mlp_init(field_dims(ScoreKind.STATE, 2, 2), 0.1, Rng(2))
+    norm = NormStats(np.array([0.5, -1.0]), np.array([2.0, 0.5]),
+                     np.array([0.1, 0.0]), np.array([0.3, 1.5]))
+    field = ScoreField(params=params, kind=ScoreKind.STATE, sigma=0.1, norm=norm)
+    s = Rng(3).normal(size=(9, 2))
+    a = Rng(4).normal(size=(9, 2))
+    out = eval_score(field, s, a)
+    assert out.shape == (9, 2)
+    rows = np.vstack([eval_score(field, s[i], a[i]) for i in range(9)])
+    np.testing.assert_allclose(out, rows, rtol=0.0, atol=1e-12)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ScoreTrainConfig(sigma=0.0).validate()
