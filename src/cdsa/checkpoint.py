@@ -51,12 +51,14 @@ def _params_from_dict(d: dict) -> MlpParams:
     dims = [int(v) for v in d["dims"]]
     weights = [np.asarray(layer["w"], dtype=np.float64) for layer in d["layers"]]
     biases = [np.asarray(layer["b"], dtype=np.float64) for layer in d["layers"]]
-    params = MlpParams(layer_dims=dims, weights=weights, biases=biases,
-                       leaky_slope=float(d["slope"]))
+    if len(weights) != len(dims) - 1:
+        raise CheckpointError(f"{len(weights)} layers do not match dims {dims}")
     for i, (w, b) in enumerate(zip(weights, biases)):
         if w.shape != (dims[i + 1], dims[i]) or b.shape != (dims[i + 1],):
             raise CheckpointError(f"layer {i} shapes do not match dims {dims}")
-    return params
+    # the constructor packs the layers into the params' one flat buffer
+    return MlpParams(layer_dims=dims, weights=weights, biases=biases,
+                     leaky_slope=float(d["slope"]))
 
 
 def norm_digest(norm: NormStats) -> str:

@@ -38,7 +38,15 @@ from .invdyn import (
     model_dims,
 )
 from .invdyn import LEAKY_SLOPE as INVDYN_SLOPE
-from .neuralcore import AdamState, Rng, adam_step, forward_batch, mlp_init, row_norms
+from .neuralcore import (
+    AdamState,
+    Rng,
+    TrainBuffers,
+    adam_step,
+    forward_batch,
+    mlp_init,
+    row_norms,
+)
 from .scorefield import (
     LEAKY_SLOPE as SCORE_SLOPE,
     ScoreField,
@@ -148,6 +156,9 @@ def train_cdsa(dataset: Dataset, score_cfg: ScoreTrainConfig,
     opt_g = AdamState.for_params(net_g)
     opt_h = AdamState.for_params(net_h)
     opt_i = AdamState.for_params(net_i)
+    # the three nets step one after another, so they share one buffer set
+    bufs = TrainBuffers(max(score_cfg.batch_size, invdyn_cfg.batch_size),
+                        [net_g, net_h, net_i])
 
     hist: dict = {"action_score": [], "state_score": [], "invdyn": []}
     n = len(dataset)
@@ -156,20 +167,22 @@ def train_cdsa(dataset: Dataset, score_cfg: ScoreTrainConfig,
             idx = rng_g.integers(n, size=score_cfg.batch_size)
             z = rng_g.normal(size=(score_cfg.batch_size, da))
             loss, grads = dsm_loss_reparam_given_noise(
-                net_g, states_n[idx], actions_n[idx], score_cfg.sigma, z, ScoreKind.ACTION)
-            adam_step(opt_g, net_g, grads, score_cfg.lr)
+                net_g, states_n[idx], actions_n[idx], score_cfg.sigma, z, ScoreKind.ACTION,
+                bufs)
+            adam_step(opt_g, net_g, grads, score_cfg.lr, bufs)
             hist["action_score"].append((step, loss))
 
             idx = rng_h.integers(n, size=score_cfg.batch_size)
             z = rng_h.normal(size=(score_cfg.batch_size, ds))
             loss, grads = dsm_loss_reparam_given_noise(
-                net_h, states_n[idx], actions_n[idx], score_cfg.sigma, z, ScoreKind.STATE)
-            adam_step(opt_h, net_h, grads, score_cfg.lr)
+                net_h, states_n[idx], actions_n[idx], score_cfg.sigma, z, ScoreKind.STATE,
+                bufs)
+            adam_step(opt_h, net_h, grads, score_cfg.lr, bufs)
             hist["state_score"].append((step, loss))
         if step < invdyn_cfg.iterations:
             idx = rng_i.integers(n, size=invdyn_cfg.batch_size)
-            loss, grads = invdyn_loss(net_i, states_n[idx], next_n[idx], actions_n[idx])
-            adam_step(opt_i, net_i, grads, invdyn_cfg.lr)
+            loss, grads = invdyn_loss(net_i, states_n[idx], next_n[idx], actions_n[idx], bufs)
+            adam_step(opt_i, net_i, grads, invdyn_cfg.lr, bufs)
             hist["invdyn"].append((step, loss))
     if histories_out is not None:
         histories_out.update(hist)

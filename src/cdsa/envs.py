@@ -35,10 +35,11 @@ from .neuralcore import (
     AdamState,
     MlpParams,
     Rng,
+    TrainBuffers,
     adam_step,
-    backward_batch,
     forward_batch,
     mlp_init,
+    mse_loss,
     row_norms,
 )
 
@@ -706,14 +707,10 @@ class BcTrainConfig:
             raise ValueError(f"lr must be positive, got {self.lr}")
 
 
-def bc_loss(net: MlpParams, states: np.ndarray, actions: np.ndarray):
+def bc_loss(net: MlpParams, states: np.ndarray, actions: np.ndarray,
+            bufs: TrainBuffers | None = None):
     """Mean squared error of predicted vs dataset actions, with gradients."""
-    out, cache = forward_batch(net, states)
-    resid = out - actions
-    n = len(resid)
-    loss = float(np.sum(resid * resid)) / n
-    grads, _ = backward_batch(net, cache, 2.0 * resid / n)
-    return loss, grads
+    return mse_loss(net, states, actions, bufs)
 
 
 def train_bc_policy(dataset: Dataset, config: BcTrainConfig,
@@ -732,10 +729,11 @@ def train_bc_policy(dataset: Dataset, config: BcTrainConfig,
     dims = [dataset.state_dim] + BC_HIDDEN_DIMS + [dataset.action_dim]
     net = mlp_init(dims, BC_LEAKY_SLOPE, rng)
     opt = AdamState.for_params(net)
+    bufs = TrainBuffers(config.batch_size, [net])
     history = []
     for step in range(config.iterations):
         idx = rng.integers(len(dataset), size=config.batch_size)
-        loss, grads = bc_loss(net, states_n[idx], actions_n[idx])
-        adam_step(opt, net, grads, config.lr)
+        loss, grads = bc_loss(net, states_n[idx], actions_n[idx], bufs)
+        adam_step(opt, net, grads, config.lr, bufs)
         history.append((step, loss))
     return BehaviorCloned(net, norm, action_low, action_high), history

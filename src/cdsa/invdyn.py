@@ -17,10 +17,11 @@ from .neuralcore import (
     AdamState,
     MlpParams,
     Rng,
+    TrainBuffers,
     adam_step,
-    backward_batch,
     forward_batch,
     mlp_init,
+    mse_loss,
 )
 
 HIDDEN_DIMS = [128, 128, 128]
@@ -65,22 +66,19 @@ def model_dims(state_dim: int, action_dim: int) -> list[int]:
 
 
 def invdyn_loss(net: MlpParams, states: np.ndarray, next_states: np.ndarray,
-                actions: np.ndarray):
+                actions: np.ndarray, bufs: TrainBuffers | None = None):
     """Mean squared action-recovery error with exact gradients.
 
     loss = mean over the batch of ||net(s, s_next) - a||^2, summed over
     action coordinates. Zero net and a single action (0.3, -0.4) give 0.25.
+    With bufs the step runs in that training buffer set.
     """
     states = np.asarray(states, dtype=np.float64)
     next_states = np.asarray(next_states, dtype=np.float64)
     actions = np.asarray(actions, dtype=np.float64)
-    x = np.hstack([states, next_states])
-    out, cache = forward_batch(net, x)
-    resid = out - actions
-    n = len(resid)
-    loss = float(np.sum(resid * resid)) / n
-    grads, _ = backward_batch(net, cache, 2.0 * resid / n)
-    return loss, grads
+    x = np.concatenate([states, next_states], axis=1,
+                       out=None if bufs is None else bufs.views(net, len(states)).x)
+    return mse_loss(net, x, actions, bufs)
 
 
 def train_invdyn(dataset: Dataset, config: InvDynTrainConfig):
@@ -98,11 +96,12 @@ def train_invdyn(dataset: Dataset, config: InvDynTrainConfig):
     rng = Rng(config.seed)
     net = mlp_init(model_dims(dataset.state_dim, dataset.action_dim), LEAKY_SLOPE, rng)
     opt = AdamState.for_params(net)
+    bufs = TrainBuffers(config.batch_size, [net])
     history = []
     for step in range(config.iterations):
         idx = rng.integers(len(dataset), size=config.batch_size)
-        loss, grads = invdyn_loss(net, states_n[idx], next_n[idx], actions_n[idx])
-        adam_step(opt, net, grads, config.lr)
+        loss, grads = invdyn_loss(net, states_n[idx], next_n[idx], actions_n[idx], bufs)
+        adam_step(opt, net, grads, config.lr, bufs)
         history.append((step, loss))
     return InvDynModel(net, norm), history
 

@@ -10,6 +10,12 @@ All math is float64. Hidden activations are LeakyReLU with a configurable
 negative-side slope; the output layer is linear so outputs span all reals.
 The LeakyReLU derivative at exactly 0 is defined as 1 (positive-side
 convention) for reproducibility.
+
+Each network's parameters live in one flat buffer, and Adam updates it with
+a fixed handful of whole-buffer operations. Training loops pass a
+TrainBuffers set through the forward pass, backward pass and Adam step, so a
+step at a fixed batch size writes into arrays it already owns instead of
+allocating batch-sized temporaries; results are bitwise equal either way.
 """
 
 from __future__ import annotations
@@ -77,6 +83,23 @@ def row_norms(x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def param_count(layer_dims) -> int:
+    """Number of weights plus biases of a network with these layer dims."""
+    return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]))
+
+
+def _layer_views(flat: np.ndarray, layer_dims):
+    """(weights, biases) as views into flat, laid out w0, b0, w1, b1, ..."""
+    weights, biases = [], []
+    off = 0
+    for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
+        weights.append(flat[off:off + fan_out * fan_in].reshape(fan_out, fan_in))
+        off += fan_out * fan_in
+        biases.append(flat[off:off + fan_out])
+        off += fan_out
+    return weights, biases
+
+
 @dataclass
 class MlpParams:
     """Weights/biases of one feed-forward network.
@@ -84,12 +107,44 @@ class MlpParams:
     weights[i] has shape (layer_dims[i+1], layer_dims[i]); biases[i] has
     length layer_dims[i+1]. The last layer is linear, all earlier layers
     apply LeakyReLU(leaky_slope).
+
+    Every weight and bias is a view into one contiguous float64 buffer,
+    `flat`, laid out w0, b0, w1, b1, ...; the constructor copies the given
+    arrays into it. Gradients and Adam moments share the layout, so an Adam
+    step is a few whole-buffer operations. Change parameters by writing into
+    the arrays (`p.weights[0][:] = ...`): an array put in a list slot instead
+    is not part of `flat`.
     """
 
     layer_dims: list[int]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     leaky_slope: float
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        dims = list(self.layer_dims)
+        if not len(self.weights) == len(self.biases) == len(dims) - 1:
+            raise NeuralCoreError(
+                f"{len(self.weights)} weights and {len(self.biases)} biases for dims {dims}")
+        flat = np.empty(param_count(dims))
+        weights, biases = _layer_views(flat, dims)
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            if np.shape(w) != weights[i].shape or np.shape(b) != biases[i].shape:
+                raise NeuralCoreError(f"layer {i} shapes do not match dims {dims}")
+            weights[i][...] = w
+            biases[i][...] = b
+        self.layer_dims, self.weights, self.biases, self.flat = dims, weights, biases, flat
+
+    @classmethod
+    def on_buffer(cls, layer_dims, leaky_slope: float, flat: np.ndarray) -> "MlpParams":
+        """Params whose arrays are views into flat itself, which is not copied."""
+        params = cls.__new__(cls)
+        params.layer_dims = list(layer_dims)
+        params.leaky_slope = leaky_slope
+        params.flat = flat
+        params.weights, params.biases = _layer_views(flat, params.layer_dims)
+        return params
 
     @property
     def in_dim(self) -> int:
@@ -100,12 +155,7 @@ class MlpParams:
         return self.layer_dims[-1]
 
     def copy(self) -> "MlpParams":
-        return MlpParams(
-            list(self.layer_dims),
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            self.leaky_slope,
-        )
+        return MlpParams.on_buffer(self.layer_dims, self.leaky_slope, self.flat.copy())
 
     def allclose(self, other: "MlpParams", rtol=0.0, atol=0.0) -> bool:
         return (
@@ -131,21 +181,95 @@ def mlp_init(layer_dims: list[int], leaky_slope: float, rng: Rng) -> MlpParams:
         raise NeuralCoreError(f"layer_dims must have >= 2 positive entries, got {layer_dims}")
     if not 0.0 < leaky_slope < 1.0:
         raise NeuralCoreError(f"leaky_slope must be in (0, 1), got {leaky_slope}")
-    weights, biases = [], []
-    for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
+    params = MlpParams.on_buffer(layer_dims, leaky_slope, np.zeros(param_count(layer_dims)))
+    for w, fan_in in zip(params.weights, layer_dims[:-1]):
         bound = np.sqrt(6.0 / ((1.0 + leaky_slope**2) * fan_in))
-        weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
-    return MlpParams(list(layer_dims), weights, biases, leaky_slope)
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+    return params
 
 
 def zero_like_params(params: MlpParams) -> MlpParams:
-    return MlpParams(
-        list(params.layer_dims),
-        [np.zeros_like(w) for w in params.weights],
-        [np.zeros_like(b) for b in params.biases],
-        params.leaky_slope,
-    )
+    return MlpParams.on_buffer(params.layer_dims, params.leaky_slope,
+                               np.zeros_like(params.flat))
+
+
+# ---------------------------------------------------------------------------
+# Training buffers
+# ---------------------------------------------------------------------------
+
+
+class _Views:
+    """One net's (rows, width) windows onto a TrainBuffers set."""
+
+    def __init__(self, bufs: "TrainBuffers", params: MlpParams, rows: int):
+        dims = params.layer_dims
+        hidden = len(dims) - 2
+        if hidden > len(bufs.acts):
+            raise NeuralCoreError(f"buffers hold {len(bufs.acts)} hidden layers, net has {hidden}")
+        s0, s1, s2 = bufs.scratch
+        self.x = _window(bufs.inputs, rows, dims[0])
+        # hidden pre-activations are dead once their activation is written,
+        # so every layer's output lands in scratch 0; the loss head (residual,
+        # then output gradient) uses scratch 1
+        self.pre = [_window(s0, rows, d) for d in dims[1:]]
+        self.acts = [_window(bufs.acts[i], rows, dims[i + 1]) for i in range(hidden)]
+        self.signs = [_window(bufs.signs[i], rows, dims[i + 1]) for i in range(hidden)]
+        self.head = _window(s1, rows, dims[-1])
+        # backward: the gradient flowing into layer i-1 alternates between
+        # scratch 0 and 1 (never the array it is computed from), and the
+        # derivative lookup goes to scratch 2
+        self.back = {i: _window((s0, s1)[(hidden - i) % 2], rows, dims[i])
+                     for i in range(1, hidden + 1)}
+        self.deriv = {i: _window(s2, rows, dims[i]) for i in range(1, hidden + 1)}
+        n = param_count(dims)
+        if n > bufs.grads.size:
+            raise NeuralCoreError(f"buffers hold {bufs.grads.size} gradients, net has {n}")
+        self.grads = MlpParams.on_buffer(dims, params.leaky_slope, bufs.grads[:n])
+        self.lut = np.array([params.leaky_slope, 1.0])
+
+
+def _window(buf: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """C-contiguous (rows, cols) view onto the start of a 1-D buffer."""
+    if rows * cols > buf.size:
+        raise NeuralCoreError(f"({rows}, {cols}) does not fit a buffer of {buf.size}")
+    return buf[:rows * cols].reshape(rows, cols)
+
+
+class TrainBuffers:
+    """Reusable arrays for the training steps of one loop.
+
+    Holds, for batches of up to `rows` rows: an input matrix, the hidden
+    activations and their sign indices, a flat gradient buffer, and three
+    1-D scratch arrays (pre-activations, backward ping-pong, derivative
+    lookup, Adam temporaries). One set serves every net a loop trains, one
+    step at a time; each net sees prefixes of the 1-D arrays reshaped to its
+    own widths, so every view is C-contiguous and takes `out=`. What
+    forward_batch, backward_batch and the losses return from a set is valid
+    until that set's next step.
+
+    A training loop builds its set and drops it on return. Nothing caches it
+    on the nets, so trained parameters carry no training memory.
+    """
+
+    def __init__(self, rows: int, nets: list[MlpParams]):
+        if rows < 1 or not nets:
+            raise NeuralCoreError("TrainBuffers needs rows >= 1 and at least one net")
+        width = max(max(net.layer_dims[1:]) for net in nets)
+        size = max(net.flat.size for net in nets)
+        hidden = max(len(net.layer_dims) - 2 for net in nets)
+        self.inputs = np.empty(rows * max(net.in_dim for net in nets))
+        self.acts = [np.empty(rows * width) for _ in range(hidden)]
+        self.signs = [np.empty(rows * width, dtype=np.intp) for _ in range(hidden)]
+        self.scratch = [np.empty(max(rows * width, size)) for _ in range(3)]
+        self.grads = np.empty(size)
+        self._views: dict = {}
+
+    def views(self, params: MlpParams, rows: int) -> _Views:
+        key = (tuple(params.layer_dims), params.leaky_slope, rows)
+        v = self._views.get(key)
+        if v is None:
+            v = self._views[key] = _Views(self, params, rows)
+        return v
 
 
 # ---------------------------------------------------------------------------
@@ -160,20 +284,35 @@ def _leaky(z: np.ndarray, slope: float) -> np.ndarray:
     return np.maximum(z, out, out=out)
 
 
-def _leaky_deriv(z: np.ndarray, slope: float) -> np.ndarray:
-    # derivative at exactly 0 is 1 by convention
-    return np.where(z >= 0.0, 1.0, slope)
+def _sign_index(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """1 where z >= 0 (signed zeros included), else 0 (NaN included), as intp."""
+    if out is None:
+        out = np.empty(z.shape, dtype=np.intp)
+    return np.greater_equal(z, 0.0, out=out)
 
 
-def forward_batch(params: MlpParams, x: np.ndarray):
+def _leaky_deriv(signs: np.ndarray, lut: np.ndarray, out: np.ndarray | None = None):
+    # derivative at exactly 0 is 1 by convention. Looking up lut = [slope, 1]
+    # at the sign index equals np.where(z >= 0.0, 1.0, slope) bitwise at a
+    # fraction of its cost; the index must already be intp (take converts
+    # any other type into a fresh array) and mode="clip" lets take write into
+    # out directly (mode="raise" buffers it)
+    return np.take(lut, signs, out=out, mode="clip")
+
+
+def forward_batch(params: MlpParams, x: np.ndarray, bufs: TrainBuffers | None = None):
     """Forward pass on a (batch, in_dim) matrix.
 
-    Returns (output, cache); cache holds layer inputs and hidden
-    pre-activations for backward_batch.
+    Returns (output, cache) for backward_batch. Without bufs every array is
+    fresh and the cache holds layer inputs and hidden pre-activations. With
+    a TrainBuffers set (training), the output, activations and the sign
+    index of every pre-activation are written into the set instead.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.in_dim:
         raise NeuralCoreError(f"expected input shape (batch, {params.in_dim}), got {x.shape}")
+    if bufs is not None:
+        return _forward_into(params, x, bufs.views(params, len(x)))
     inputs = [x]
     preacts = []
     h = x
@@ -193,26 +332,74 @@ def forward_batch(params: MlpParams, x: np.ndarray):
     return h, (inputs, preacts)
 
 
-def backward_batch(params: MlpParams, cache, out_grad: np.ndarray):
+def _forward_into(params: MlpParams, x: np.ndarray, v: _Views):
+    inputs = [x]
+    last = len(params.weights) - 1
+    h = x
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        z = np.dot(h, w.T, out=v.pre[i])
+        z += b
+        if i < last:
+            _sign_index(z, out=v.signs[i])
+            # _leaky, written into the activation buffer
+            h = np.multiply(z, params.leaky_slope, out=v.acts[i])
+            np.maximum(z, h, out=h)
+            inputs.append(h)
+    return z, (inputs, v.signs)
+
+
+def backward_batch(params: MlpParams, cache, out_grad: np.ndarray,
+                   bufs: TrainBuffers | None = None):
     """Reverse-mode gradients given d(loss)/d(output) rows.
 
     Returns (param_grads, input_grad); param grads are summed over the batch
-    (callers fold any 1/B into out_grad).
+    (callers fold any 1/B into out_grad) and share the params' flat layout.
+    bufs must be the set the forward pass used, or None for both. With a
+    set, the gradients are written into it and the input gradient, which
+    training never needs, is skipped: input_grad is None.
     """
-    inputs, preacts = cache
+    # hidden pre-activations, or with bufs their sign indices
+    inputs, hidden = cache
     g = np.asarray(out_grad, dtype=np.float64)
     if g.shape != (inputs[0].shape[0], params.out_dim):
         raise NeuralCoreError(
             f"expected out_grad shape {(inputs[0].shape[0], params.out_dim)}, got {g.shape}"
         )
-    grads = zero_like_params(params)
-    for i in range(len(params.weights) - 1, -1, -1):
-        grads.weights[i] = g.T @ inputs[i]
-        grads.biases[i] = g.sum(axis=0)
-        g = g @ params.weights[i]
+    last = len(params.weights) - 1
+    if bufs is None:
+        grads = MlpParams.on_buffer(params.layer_dims, params.leaky_slope,
+                                    np.empty_like(params.flat))
+        signs = [_sign_index(z) for z in hidden]
+        lut = np.array([params.leaky_slope, 1.0])
+        back = deriv = {}
+    else:
+        v = bufs.views(params, len(g))
+        grads, signs, lut, back, deriv = v.grads, hidden, v.lut, v.back, v.deriv
+    for i in range(last, -1, -1):
+        np.dot(g.T, inputs[i], out=grads.weights[i])
+        np.sum(g, axis=0, out=grads.biases[i])
+        if i > 0 or bufs is None:
+            g = np.dot(g, params.weights[i], out=back.get(i))
         if i > 0:
-            g = g * _leaky_deriv(preacts[i - 1], params.leaky_slope)
-    return grads, g
+            g *= _leaky_deriv(signs[i - 1], lut, out=deriv.get(i))
+    return grads, (g if bufs is None else None)
+
+
+def mse_loss(net: MlpParams, x: np.ndarray, target: np.ndarray,
+             bufs: TrainBuffers | None = None):
+    """Mean squared regression error of net(x) against target rows, with gradients.
+
+    loss = mean over the batch of ||net(x) - target||^2, summed over output
+    coordinates. Returns (loss, grads); with bufs the step runs in the set.
+    """
+    out, cache = forward_batch(net, x, bufs)
+    n = len(out)
+    resid = np.subtract(out, target, out=None if bufs is None else bufs.views(net, n).head)
+    loss = float(np.sum(np.multiply(resid, resid, out=out))) / n
+    resid *= 2.0
+    resid /= n
+    grads, _ = backward_batch(net, cache, resid, bufs)
+    return loss, grads
 
 
 def mlp_forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
@@ -258,30 +445,51 @@ class AdamState:
         return cls(zero_like_params(params), zero_like_params(params), **kw)
 
 
-def adam_step(state: AdamState, params: MlpParams, grads: MlpParams, lr: float) -> None:
-    """One in-place bias-corrected Adam update (epsilon added after the sqrt)."""
+def adam_step(state: AdamState, params: MlpParams, grads: MlpParams, lr: float,
+              bufs: TrainBuffers | None = None) -> None:
+    """One in-place bias-corrected Adam update (epsilon added after the sqrt).
+
+    Every input is checked before anything changes, so a rejected step
+    leaves params, moments and step_count as they were. The update runs on
+    the flat buffers, in the per-array form's operation order, so results
+    are bitwise equal to it; with bufs its temporaries are scratch of the set.
+    """
     if lr <= 0.0:
         raise NeuralCoreError(f"lr must be positive, got {lr}")
+    for other, what in ((grads, "gradient"), (state.first_moment, "first moment"),
+                        (state.second_moment, "second moment")):
+        if other.layer_dims != params.layer_dims:
+            raise NeuralCoreError(
+                f"{what} dims {other.layer_dims} != param dims {params.layer_dims}")
+    g = grads.flat
+    if not np.isfinite(g).all():
+        raise NeuralCoreError("non-finite gradient entries")
     state.step_count += 1
     t = state.step_count
     b1, b2 = state.beta1, state.beta2
     c1 = 1.0 - b1**t
     c2 = 1.0 - b2**t
-    for arrays in ("weights", "biases"):
-        ps = getattr(params, arrays)
-        gs = getattr(grads, arrays)
-        ms = getattr(state.first_moment, arrays)
-        vs = getattr(state.second_moment, arrays)
-        for p, g, m, v in zip(ps, gs, ms, vs):
-            if p.shape != g.shape:
-                raise NeuralCoreError(f"gradient shape {g.shape} != param shape {p.shape}")
-            if not np.all(np.isfinite(g)):
-                raise NeuralCoreError("non-finite gradient entries")
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            p -= lr * (m / c1) / (np.sqrt(v / c2) + state.epsilon)
+    m, v, p = state.first_moment.flat, state.second_moment.flat, params.flat
+    if bufs is None:
+        s1, s2 = np.empty_like(g), np.empty_like(g)
+    else:
+        s1, s2 = (s[:g.size] for s in bufs.scratch[:2])
+    # m = b1*m + (1-b1)*g
+    m *= b1
+    m += np.multiply(g, 1.0 - b1, out=s1)
+    # v = b2*v + ((1-b2)*g)*g
+    v *= b2
+    np.multiply(g, 1.0 - b2, out=s1)
+    s1 *= g
+    v += s1
+    # p -= lr*(m/c1) / (sqrt(v/c2) + eps)
+    np.divide(v, c2, out=s1)
+    np.sqrt(s1, out=s1)
+    s1 += state.epsilon
+    np.divide(m, c1, out=s2)
+    s2 *= lr
+    s2 /= s1
+    p -= s2
 
 
 def fd_grads(loss_fn, params: MlpParams, h: float = 1e-6) -> MlpParams:

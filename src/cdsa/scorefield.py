@@ -28,6 +28,7 @@ from .neuralcore import (
     MlpParams,
     NeuralCoreError,
     Rng,
+    TrainBuffers,
     adam_step,
     backward_batch,
     forward_batch,
@@ -125,25 +126,31 @@ def _split_dims(net: MlpParams, kind: ScoreKind) -> tuple[int, int]:
 
 
 def dsm_loss_reparam_given_noise(net: MlpParams, states: np.ndarray, actions: np.ndarray,
-                                 sigma: float, z: np.ndarray, kind: ScoreKind):
+                                 sigma: float, z: np.ndarray, kind: ScoreKind,
+                                 bufs: TrainBuffers | None = None):
     """Reparameterized denoising loss for an explicit noise draw.
 
     loss = mean over the batch of 0.5 * ||net(x + sigma*zbar) + z/sigma||^2,
     where zbar places z on the scored coordinates. Returns (loss, grads) with
-    exact reverse-mode gradients.
+    exact reverse-mode gradients; with bufs the step runs in that training
+    buffer set and grads stay valid until its next step.
     """
     states = np.asarray(states, dtype=np.float64)
     actions = np.asarray(actions, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
     if kind is ScoreKind.ACTION:
-        x_tilde = np.hstack([states, actions + sigma * z])
+        parts = [states, actions + sigma * z]
     else:
-        x_tilde = np.hstack([states + sigma * z, actions])
-    out, cache = forward_batch(net, x_tilde)
-    resid = out + z / sigma
-    n = len(resid)
-    loss = 0.5 * float(np.sum(resid * resid)) / n
-    grads, _ = backward_batch(net, cache, resid / n)
+        parts = [states + sigma * z, actions]
+    n = len(z)
+    v = None if bufs is None else bufs.views(net, n)
+    x_tilde = np.concatenate(parts, axis=1, out=None if v is None else v.x)
+    out, cache = forward_batch(net, x_tilde, bufs)
+    resid = np.divide(z, sigma, out=None if v is None else v.head)
+    resid = np.add(out, resid, out=resid)
+    loss = 0.5 * float(np.sum(np.multiply(resid, resid, out=out))) / n
+    resid /= n
+    grads, _ = backward_batch(net, cache, resid, bufs)
     return loss, grads
 
 
@@ -193,16 +200,17 @@ def train_score_field(dataset: Dataset, kind: ScoreKind, config: ScoreTrainConfi
     rng = Rng(config.seed)
     net = mlp_init(field_dims(kind, dataset.state_dim, dataset.action_dim), LEAKY_SLOPE, rng)
     opt = AdamState.for_params(net)
+    bufs = TrainBuffers(config.batch_size, [net])
     noise_dim = dataset.action_dim if kind is ScoreKind.ACTION else dataset.state_dim
     history = []
     for step in range(config.iterations):
         idx = rng.integers(len(dataset), size=config.batch_size)
         z = rng.normal(size=(config.batch_size, noise_dim))
         loss, grads = dsm_loss_reparam_given_noise(
-            net, states_n[idx], actions_n[idx], config.sigma, z, kind)
+            net, states_n[idx], actions_n[idx], config.sigma, z, kind, bufs)
         if loss < 0:
             raise NeuralCoreError(f"negative loss {loss} at step {step}")
-        adam_step(opt, net, grads, config.lr)
+        adam_step(opt, net, grads, config.lr, bufs)
         history.append((step, loss))
     return ScoreField(net, kind, config.sigma, norm), history
 

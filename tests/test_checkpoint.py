@@ -114,6 +114,19 @@ def test_model_from_dict_rejects_shape_mismatch():
         model_from_dict(d)
 
 
+def test_model_from_dict_rejects_layer_count_mismatch():
+    d = model_to_dict(_invdyn())
+    del d["arch"]["layers"][-1]
+    with pytest.raises(CheckpointError, match="layers"):
+        model_from_dict(d)
+
+
+def test_loaded_params_live_in_one_flat_buffer():
+    params = model_from_dict(model_to_dict(_invdyn())).params
+    params.flat[:] = 2.5
+    assert all(np.all(a == 2.5) for a in params.weights + params.biases)
+
+
 def test_load_model_rejects_invalid_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -14,6 +14,7 @@ from cdsa.neuralcore import (
     mlp_backward,
     mlp_forward,
     mlp_init,
+    param_count,
     row_norms,
     zero_like_params,
 )
@@ -187,3 +188,50 @@ def test_zero_like_params_shapes():
     assert z.layer_dims == p.layer_dims
     assert all(np.all(w == 0) and w.shape == pw.shape
                for w, pw in zip(z.weights, p.weights))
+
+
+@pytest.mark.parametrize("bad", ["nan_last_bias", "inf_first_weight", "dims"])
+def test_rejected_adam_step_changes_nothing(bad):
+    p = mlp_init([3, 6, 2], 0.1, Rng(51))
+    st = AdamState.for_params(p)
+    x = np.asarray(Rng(52).normal(size=(8, 3)))
+    y = np.asarray(Rng(53).normal(size=(8, 2)))
+    for _ in range(3):
+        _, grads = _quadratic_loss(p, x, y)
+        adam_step(st, p, grads, lr=1e-2)
+    _, grads = _quadratic_loss(p, x, y)
+    if bad == "nan_last_bias":
+        grads.biases[-1][-1] = np.nan
+    elif bad == "inf_first_weight":
+        grads.weights[0][0, 0] = np.inf
+    else:
+        grads = zero_like_params(mlp_init([3, 5, 2], 0.1, Rng(54)))
+    before = [a.copy() for a in (p.flat, st.first_moment.flat, st.second_moment.flat)]
+    with pytest.raises(NeuralCoreError):
+        adam_step(st, p, grads, lr=1e-2)
+    after = (p.flat, st.first_moment.flat, st.second_moment.flat)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(before, after))
+    assert st.step_count == 3
+
+
+def test_params_are_views_into_one_flat_buffer():
+    dims = [3, 7, 5, 2]
+    built = mlp_init(dims, 0.1, Rng(61))
+    given = MlpParams(dims, [w.copy() for w in built.weights],
+                      [b.copy() for b in built.biases], 0.1)
+    for p in (built, built.copy(), zero_like_params(built), given):
+        assert p.flat.shape == (param_count(dims),)
+        assert p.flat.flags.c_contiguous
+        p.flat[:] = np.arange(p.flat.size)
+        # laid out w0, b0, w1, b1, ...: together the arrays tile flat in order
+        tiled = np.concatenate([a.ravel() for wb in zip(p.weights, p.biases) for a in wb])
+        assert np.array_equal(tiled, p.flat)
+    assert given.allclose(built) and not np.shares_memory(given.flat, built.flat)
+    assert not np.shares_memory(built.copy().flat, built.flat)
+
+
+def test_params_constructor_checks_shapes_against_dims():
+    with pytest.raises(NeuralCoreError, match="shapes"):
+        MlpParams([2, 3], [np.zeros((2, 3))], [np.zeros(3)], 0.1)
+    with pytest.raises(NeuralCoreError):
+        MlpParams([2, 3, 1], [np.zeros((3, 2))], [np.zeros(3)], 0.1)

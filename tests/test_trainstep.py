@@ -1,0 +1,330 @@
+"""Training steps against the per-array reference they replaced.
+
+Training now runs on flat parameter buffers, reusable TrainBuffers sets and
+one fused Adam update. The reference below is the per-array form it replaced:
+every weight and bias its own array, fresh arrays at every step, `@`, the
+np.where forms of LeakyReLU and its derivative, and Adam one array at a time.
+Parameters, Adam moments and loss histories must agree bitwise, with and
+without a buffer set, for every training loss and for the training loops.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from cdsa.controller import train_cdsa
+from cdsa.dataset import generate_dataset
+from cdsa.envs import (
+    BC_HIDDEN_DIMS,
+    BC_LEAKY_SLOPE,
+    BcTrainConfig,
+    ScriptedDirect,
+    bc_loss,
+    builtin_spec_path,
+    load_env_spec,
+    train_bc_policy,
+)
+from cdsa.invdyn import LEAKY_SLOPE as INVDYN_SLOPE
+from cdsa.invdyn import InvDynTrainConfig, invdyn_loss, model_dims
+from cdsa.neuralcore import (
+    AdamState,
+    NeuralCoreError,
+    Rng,
+    TrainBuffers,
+    _leaky_deriv,
+    _sign_index,
+    adam_step,
+    mlp_init,
+)
+from cdsa.scorefield import LEAKY_SLOPE as SCORE_SLOPE
+from cdsa.scorefield import (
+    ScoreKind,
+    ScoreTrainConfig,
+    dsm_loss_reparam_given_noise,
+    field_dims,
+)
+
+# ---------------------------------------------------------------------------
+# Reference: per-array parameters, fresh arrays, np.where derivative
+# ---------------------------------------------------------------------------
+
+
+class RefNet:
+    def __init__(self, dims, slope, rng):
+        self.slope = slope
+        self.weights, self.biases = [], []
+        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+            bound = np.sqrt(6.0 / ((1.0 + slope**2) * fan_in))
+            self.weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
+            self.biases.append(np.zeros(fan_out))
+        self.m = [np.zeros_like(a) for a in self.weights + self.biases]
+        self.v = [np.zeros_like(a) for a in self.weights + self.biases]
+        self.t = 0
+
+    def forward(self, x):
+        inputs, preacts, h = [x], [], x
+        last = len(self.weights) - 1
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            z = h @ w.T + b
+            if i < last:
+                preacts.append(z)
+                h = np.where(z >= 0.0, z, self.slope * z)
+                inputs.append(h)
+            else:
+                h = z
+        return h, (inputs, preacts)
+
+    def backward(self, cache, g):
+        inputs, preacts = cache
+        gw, gb = [None] * len(self.weights), [None] * len(self.biases)
+        for i in range(len(self.weights) - 1, -1, -1):
+            gw[i] = g.T @ inputs[i]
+            gb[i] = g.sum(axis=0)
+            g = g @ self.weights[i]
+            if i > 0:
+                g = g * np.where(preacts[i - 1] >= 0.0, 1.0, self.slope)
+        return gw + gb
+
+    def adam(self, grads, lr, b1=0.9, b2=0.999, eps=1e-8):
+        self.t += 1
+        c1 = 1.0 - b1**self.t
+        c2 = 1.0 - b2**self.t
+        for p, g, m, v in zip(self.weights + self.biases, grads, self.m, self.v):
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+
+
+def ref_dsm(net, states, actions, sigma, z, kind):
+    if kind is ScoreKind.ACTION:
+        x = np.hstack([states, actions + sigma * z])
+    else:
+        x = np.hstack([states + sigma * z, actions])
+    out, cache = net.forward(x)
+    resid = out + z / sigma
+    n = len(resid)
+    return 0.5 * float(np.sum(resid * resid)) / n, net.backward(cache, resid / n)
+
+
+def ref_mse(net, x, target):
+    out, cache = net.forward(x)
+    resid = out - target
+    n = len(resid)
+    return float(np.sum(resid * resid)) / n, net.backward(cache, 2.0 * resid / n)
+
+
+def ref_invdyn(net, states, next_states, actions):
+    return ref_mse(net, np.hstack([states, next_states]), actions)
+
+
+def ref_step(net, loss_fn, args, lr):
+    loss, grads = loss_fn(net, *args)
+    net.adam(grads, lr)
+    return loss
+
+
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_same_state(ref: RefNet, params, opt: AdamState):
+    arrays = params.weights + params.biases
+    m = opt.first_moment.weights + opt.first_moment.biases
+    v = opt.second_moment.weights + opt.second_moment.biases
+    assert all(same_bits(a, b) for a, b in zip(ref.weights + ref.biases, arrays))
+    assert all(same_bits(a, b) for a, b in zip(ref.m, m))
+    assert all(same_bits(a, b) for a, b in zip(ref.v, v))
+    assert opt.step_count == ref.t
+
+
+# ---------------------------------------------------------------------------
+# One loss at a time
+# ---------------------------------------------------------------------------
+
+STEPS = 50
+BATCH = 128
+
+
+def _loss_cases():
+    ds, da = 2, 2
+    return {
+        "dsm_action": (field_dims(ScoreKind.ACTION, ds, da), SCORE_SLOPE, 3e-4,
+                       lambda net, s, a, s2, z, bufs: dsm_loss_reparam_given_noise(
+                           net, s, a, 0.2, z, ScoreKind.ACTION, bufs),
+                       lambda net, s, a, s2, z: ref_dsm(net, s, a, 0.2, z, ScoreKind.ACTION)),
+        "dsm_state": (field_dims(ScoreKind.STATE, ds, da), SCORE_SLOPE, 3e-4,
+                      lambda net, s, a, s2, z, bufs: dsm_loss_reparam_given_noise(
+                          net, s, a, 0.2, z, ScoreKind.STATE, bufs),
+                      lambda net, s, a, s2, z: ref_dsm(net, s, a, 0.2, z, ScoreKind.STATE)),
+        "invdyn": (model_dims(ds, da), INVDYN_SLOPE, 1e-3,
+                   lambda net, s, a, s2, z, bufs: invdyn_loss(net, s, s2, a, bufs),
+                   lambda net, s, a, s2, z: ref_invdyn(net, s, s2, a)),
+        "bc": ([ds] + BC_HIDDEN_DIMS + [da], BC_LEAKY_SLOPE, 1e-3,
+               lambda net, s, a, s2, z, bufs: bc_loss(net, s, a, bufs),
+               lambda net, s, a, s2, z: ref_mse(net, s, a)),
+    }
+
+
+@pytest.mark.parametrize("case", ["dsm_action", "dsm_state", "invdyn", "bc"])
+@pytest.mark.parametrize("buffered", [True, False])
+def test_loss_and_adam_steps_bitwise_equal_reference(case, buffered):
+    dims, slope, lr, loss_fn, ref_fn = _loss_cases()[case]
+    net = mlp_init(dims, slope, Rng(5))
+    ref = RefNet(dims, slope, Rng(5))
+    opt = AdamState.for_params(net)
+    bufs = TrainBuffers(BATCH, [net]) if buffered else None
+    data = Rng(6)
+    losses, ref_losses = [], []
+    for _ in range(STEPS):
+        s, a, s2, z = (data.normal(size=(BATCH, 2)) for _ in range(4))
+        loss, grads = loss_fn(net, s, a, s2, z, bufs)
+        adam_step(opt, net, grads, lr, bufs)
+        losses.append(loss)
+        ref_losses.append(ref_step(ref, ref_fn, (s, a, s2, z), lr))
+    assert losses == ref_losses
+    assert_same_state(ref, net, opt)
+
+
+def test_buffer_set_shared_by_nets_of_different_shapes():
+    # train_cdsa runs three nets through one set; interleaving must not leak
+    # state from one net's step into the next
+    cases = _loss_cases()
+    nets, refs, opts = {}, {}, {}
+    for seed, name in enumerate(("dsm_action", "invdyn", "dsm_state")):
+        dims, slope = cases[name][:2]
+        nets[name] = mlp_init(dims, slope, Rng(seed))
+        refs[name] = RefNet(dims, slope, Rng(seed))
+        opts[name] = AdamState.for_params(nets[name])
+    bufs = TrainBuffers(BATCH, list(nets.values()))
+    data = Rng(8)
+    for _ in range(20):
+        for name, net in nets.items():
+            _, _, lr, loss_fn, ref_fn = cases[name]
+            # a smaller batch for one net, as with unequal batch sizes
+            rows = BATCH // 2 if name == "invdyn" else BATCH
+            s, a, s2, z = (data.normal(size=(rows, 2)) for _ in range(4))
+            loss, grads = loss_fn(net, s, a, s2, z, bufs)
+            adam_step(opts[name], net, grads, lr, bufs)
+            assert loss == ref_step(refs[name], ref_fn, (s, a, s2, z), lr)
+    for name in nets:
+        assert_same_state(refs[name], nets[name], opts[name])
+
+
+# ---------------------------------------------------------------------------
+# The training loops
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def transport_data():
+    spec = load_env_spec(builtin_spec_path("transport"))
+    return spec, generate_dataset(spec, ScriptedDirect(spec), 3, spec.max_steps, Rng(12))
+
+
+def test_train_cdsa_and_bc_bitwise_equal_reference(transport_data):
+    spec, data = transport_data
+    ds, da = data.state_dim, data.action_dim
+    norm = data.norm
+    s_n = norm.normalize_state(data.states)
+    s2_n = norm.normalize_state(data.next_states)
+    a_n = norm.normalize_action(data.actions)
+    n = len(data)
+    score_cfg = ScoreTrainConfig(sigma=0.2, iterations=STEPS, batch_size=64, seed=31)
+    inv_cfg = InvDynTrainConfig(iterations=STEPS + 5, batch_size=48, seed=37)
+
+    hist: dict = {}
+    models = train_cdsa(data, score_cfg, inv_cfg, hist)
+
+    rng_g, rng_h, rng_i = Rng(31), Rng(32), Rng(37)
+    ref_g = RefNet(field_dims(ScoreKind.ACTION, ds, da), SCORE_SLOPE, rng_g)
+    ref_h = RefNet(field_dims(ScoreKind.STATE, ds, da), SCORE_SLOPE, rng_h)
+    ref_i = RefNet(model_dims(ds, da), INVDYN_SLOPE, rng_i)
+    want: dict = {"action_score": [], "state_score": [], "invdyn": []}
+    for step in range(inv_cfg.iterations):
+        if step < score_cfg.iterations:
+            for key, ref, rng, kind, dim in (("action_score", ref_g, rng_g, ScoreKind.ACTION, da),
+                                             ("state_score", ref_h, rng_h, ScoreKind.STATE, ds)):
+                idx = rng.integers(n, size=64)
+                z = rng.normal(size=(64, dim))
+                loss, grads = ref_dsm(ref, s_n[idx], a_n[idx], 0.2, z, kind)
+                ref.adam(grads, score_cfg.lr)
+                want[key].append((step, loss))
+        idx = rng_i.integers(n, size=48)
+        want["invdyn"].append((step, ref_step(ref_i, ref_invdyn,
+                                              (s_n[idx], s2_n[idx], a_n[idx]), inv_cfg.lr)))
+    assert hist == want
+    for ref, params in ((ref_g, models.action_score.params), (ref_h, models.state_score.params),
+                        (ref_i, models.invdyn.params)):
+        assert all(same_bits(a, b) for a, b in zip(ref.weights + ref.biases,
+                                                   params.weights + params.biases))
+
+    bc_cfg = BcTrainConfig(iterations=STEPS, batch_size=64, seed=41)
+    policy, bc_hist = train_bc_policy(data, bc_cfg, spec.action_low, spec.action_high)
+    rng = Rng(41)
+    ref = RefNet([ds] + BC_HIDDEN_DIMS + [da], BC_LEAKY_SLOPE, rng)
+    want_bc = []
+    for step in range(bc_cfg.iterations):
+        idx = rng.integers(n, size=64)
+        want_bc.append((step, ref_step(ref, ref_mse, (s_n[idx], a_n[idx]), bc_cfg.lr)))
+    assert bc_hist == want_bc
+    assert all(same_bits(a, b) for a, b in zip(ref.weights + ref.biases,
+                                               policy.params.weights + policy.params.biases))
+
+
+# ---------------------------------------------------------------------------
+# Derivative lookup, allocation, buffer bounds
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("slope", [0.1, 0.2])
+def test_leaky_derivative_lookup_bitwise_equals_where_form(slope):
+    tiny = np.finfo(np.float64).tiny
+    z = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+                  tiny, -tiny, tiny / 3, -tiny / 3, 1.5, -1.5, 1e308, -1e308])
+    want = np.where(z >= 0.0, 1.0, slope)
+    lut = np.array([slope, 1.0])
+    assert _leaky_deriv(_sign_index(z), lut).tobytes() == want.tobytes()
+    signs = np.empty(z.shape, dtype=np.intp)
+    out = np.empty_like(z)
+    got = _leaky_deriv(_sign_index(z, out=signs), lut, out=out)
+    assert got is out and out.tobytes() == want.tobytes()
+
+
+def test_training_step_allocates_no_batch_sized_temporaries():
+    # one (256, 128) float64 activation is 256 KiB; the per-array form
+    # peaked near 2.3 MiB of traced allocation over these steps
+    net = mlp_init(model_dims(2, 2), INVDYN_SLOPE, Rng(0))
+    opt = AdamState.for_params(net)
+    bufs = TrainBuffers(256, [net])
+    data = Rng(1)
+    s, s2, a = (data.normal(size=(256, 2)) for _ in range(3))
+
+    def step():
+        _, grads = invdyn_loss(net, s, s2, a, bufs)
+        adam_step(opt, net, grads, 1e-3, bufs)
+
+    for _ in range(3):
+        step()
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        for _ in range(20):
+            step()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - base < 256 * 1024
+
+
+def test_buffer_set_rejects_batches_it_cannot_hold():
+    net = mlp_init([3, 8, 2], 0.1, Rng(0))
+    bufs = TrainBuffers(16, [net])
+    x = np.zeros((17, 3))
+    with pytest.raises(NeuralCoreError):
+        bc_loss(net, x, np.zeros((17, 2)), bufs)
+    wide = mlp_init([3, 64, 2], 0.1, Rng(1))
+    with pytest.raises(NeuralCoreError):
+        bc_loss(wide, np.zeros((16, 3)), np.zeros((16, 2)), bufs)
