@@ -156,8 +156,8 @@ def save_bundle(models: CdsaModels, dirpath: str, bc: BehaviorCloned | None = No
         fh.write("\n")
 
 
-def load_bundle(dirpath: str) -> CdsaModels:
-    """Load and cross-check a bundle directory; returns validated CdsaModels."""
+def _read_manifest(dirpath: str) -> dict:
+    """The bundle's manifest, after checking its format and version."""
     mpath = os.path.join(dirpath, MANIFEST_FILE)
     try:
         with open(mpath, encoding="utf-8") as fh:
@@ -170,6 +170,12 @@ def load_bundle(dirpath: str) -> CdsaModels:
         raise CheckpointError(f"not a bundle manifest (format {manifest.get('format')!r})")
     if manifest.get("version") != VERSION:
         raise CheckpointError(f"unsupported bundle version {manifest.get('version')!r}")
+    return manifest
+
+
+def load_bundle(dirpath: str) -> CdsaModels:
+    """Load and cross-check a bundle directory; returns validated CdsaModels."""
+    manifest = _read_manifest(dirpath)
     files = manifest.get("files", {})
     loaded = {}
     for key in BUNDLE_FILES:
@@ -188,10 +194,7 @@ def load_bundle(dirpath: str) -> CdsaModels:
 
 def load_bundle_bc(dirpath: str) -> BehaviorCloned:
     """Load the optional behavior-cloned policy stored in a bundle."""
-    mpath = os.path.join(dirpath, MANIFEST_FILE)
-    with open(mpath, encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    fname = manifest.get("files", {}).get("bc")
+    fname = _read_manifest(dirpath).get("files", {}).get("bc")
     if fname is None:
         raise CheckpointError(f"bundle {dirpath} holds no behavior-cloned policy")
     policy = load_model(os.path.join(dirpath, fname))

@@ -208,6 +208,10 @@ def cmd_train(args: argparse.Namespace) -> int:
         if not cfg["env"]:
             raise ValueError("--env is required with --bc (action bounds come from the env spec)")
         bc_spec = _resolve_spec(cfg["env"], cfg["variant"])
+        bc_iters = int(cfg["iters"] if cfg["bc_iters"] is None else cfg["bc_iters"])
+        bc_cfg = BcTrainConfig(iterations=bc_iters, batch_size=int(cfg["batch"]),
+                               lr=float(cfg["bc_lr"]), seed=int(cfg["seed"]))
+        bc_cfg.validate()
     _guard_overwrite(os.path.join(args.out, checkpoint.MANIFEST_FILE), args.force)
     if score_iters == 0 or invdyn_iters == 0:
         print("warning: 0 training iterations; bundle holds initialized, untrained models")
@@ -215,9 +219,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     models = train_cdsa(dataset, score_cfg, invdyn_cfg, histories)
     bc_policy = None
     if cfg["bc"]:
-        bc_iters = int(cfg["iters"] if cfg["bc_iters"] is None else cfg["bc_iters"])
-        bc_cfg = BcTrainConfig(iterations=bc_iters, batch_size=int(cfg["batch"]),
-                               lr=float(cfg["bc_lr"]), seed=int(cfg["seed"]))
         bc_policy, bc_hist = train_bc_policy(dataset, bc_cfg,
                                              bc_spec.action_low, bc_spec.action_high)
         histories["bc"] = bc_hist

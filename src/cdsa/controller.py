@@ -1,4 +1,4 @@
-"""Conservative action correction: joint training and the corrected controller.
+"""Conservative action correction: training its three models, and the corrected controller.
 
 The controller nudges a base policy's action toward regions the offline data
 supports, using three learned pieces: an action-score field (direct gradient
@@ -24,37 +24,20 @@ the controller itself never samples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .dataset import Dataset, NormStats
 from .envs import EnvSpec, EnvStates, Policy, env_reset, env_step_batch
-from .invdyn import (
-    InvDynModel,
-    InvDynTrainConfig,
-    infer_action,
-    invdyn_loss,
-    model_dims,
-)
-from .invdyn import LEAKY_SLOPE as INVDYN_SLOPE
-from .neuralcore import (
-    AdamState,
-    Rng,
-    TrainBuffers,
-    adam_step,
-    forward_batch,
-    mlp_init,
-    row_norms,
-)
+from .invdyn import InvDynModel, InvDynTrainConfig, infer_action, train_invdyn
+from .neuralcore import Rng, forward_batch, row_norms
 from .scorefield import (
-    LEAKY_SLOPE as SCORE_SLOPE,
     ScoreField,
     ScoreKind,
     ScoreTrainConfig,
-    dsm_loss_reparam_given_noise,
     eval_score,
-    field_dims,
+    train_score_field,
 )
 
 ABLATIONS = ("full", "no_a1", "no_a2", "baseline")
@@ -128,71 +111,25 @@ class LangevinConfig:
 def train_cdsa(dataset: Dataset, score_cfg: ScoreTrainConfig,
                invdyn_cfg: InvDynTrainConfig,
                histories_out: dict | None = None) -> CdsaModels:
-    """Train both score fields and the inverse dynamics model in one loop.
+    """Train both score fields and the inverse dynamics model, one after another.
 
-    The three models never interact during training, so one interleaved loop
-    with per-model rng streams produces checkpoints bitwise identical to
-    training each model alone: the action field with score_cfg.seed, the
-    state field with score_cfg.seed + 1, the inverse model with
-    invdyn_cfg.seed. When histories_out is given it is filled with per-step
-    (step, loss) lists under keys action_score, state_score, invdyn.
+    The three models never interact, so each is trained alone by its own
+    trainer: the action field with score_cfg.seed, the state field with
+    score_cfg.seed + 1, the inverse model with invdyn_cfg.seed. Both configs
+    are checked before any training starts. When histories_out is given it is
+    filled with per-step (step, loss) lists under keys action_score,
+    state_score, invdyn.
     """
     score_cfg.validate()
     invdyn_cfg.validate()
-    if len(dataset) == 0:
-        raise ValueError("cannot train on an empty dataset")
-    norm = dataset.norm
-    states_n = norm.normalize_state(dataset.states)
-    next_n = norm.normalize_state(dataset.next_states)
-    actions_n = norm.normalize_action(dataset.actions)
-    ds, da = dataset.state_dim, dataset.action_dim
-
-    rng_g = Rng(score_cfg.seed)
-    rng_h = Rng(score_cfg.seed + 1)
-    rng_i = Rng(invdyn_cfg.seed)
-    net_g = mlp_init(field_dims(ScoreKind.ACTION, ds, da), SCORE_SLOPE, rng_g)
-    net_h = mlp_init(field_dims(ScoreKind.STATE, ds, da), SCORE_SLOPE, rng_h)
-    net_i = mlp_init(model_dims(ds, da), INVDYN_SLOPE, rng_i)
-    opt_g = AdamState.for_params(net_g)
-    opt_h = AdamState.for_params(net_h)
-    opt_i = AdamState.for_params(net_i)
-    # the three nets step one after another, so they share one buffer set
-    bufs = TrainBuffers(max(score_cfg.batch_size, invdyn_cfg.batch_size),
-                        [net_g, net_h, net_i])
-
-    hist: dict = {"action_score": [], "state_score": [], "invdyn": []}
-    n = len(dataset)
-    for step in range(max(score_cfg.iterations, invdyn_cfg.iterations)):
-        if step < score_cfg.iterations:
-            idx = rng_g.integers(n, size=score_cfg.batch_size)
-            z = rng_g.normal(size=(score_cfg.batch_size, da))
-            loss, grads = dsm_loss_reparam_given_noise(
-                net_g, states_n[idx], actions_n[idx], score_cfg.sigma, z, ScoreKind.ACTION,
-                bufs)
-            adam_step(opt_g, net_g, grads, score_cfg.lr, bufs)
-            hist["action_score"].append((step, loss))
-
-            idx = rng_h.integers(n, size=score_cfg.batch_size)
-            z = rng_h.normal(size=(score_cfg.batch_size, ds))
-            loss, grads = dsm_loss_reparam_given_noise(
-                net_h, states_n[idx], actions_n[idx], score_cfg.sigma, z, ScoreKind.STATE,
-                bufs)
-            adam_step(opt_h, net_h, grads, score_cfg.lr, bufs)
-            hist["state_score"].append((step, loss))
-        if step < invdyn_cfg.iterations:
-            idx = rng_i.integers(n, size=invdyn_cfg.batch_size)
-            loss, grads = invdyn_loss(net_i, states_n[idx], next_n[idx], actions_n[idx], bufs)
-            adam_step(opt_i, net_i, grads, invdyn_cfg.lr, bufs)
-            hist["invdyn"].append((step, loss))
+    action_score, g_hist = train_score_field(dataset, ScoreKind.ACTION, score_cfg)
+    state_score, h_hist = train_score_field(dataset, ScoreKind.STATE,
+                                            replace(score_cfg, seed=score_cfg.seed + 1))
+    invdyn, i_hist = train_invdyn(dataset, invdyn_cfg)
     if histories_out is not None:
-        histories_out.update(hist)
-
-    models = CdsaModels(
-        action_score=ScoreField(net_g, ScoreKind.ACTION, score_cfg.sigma, norm),
-        state_score=ScoreField(net_h, ScoreKind.STATE, score_cfg.sigma, norm),
-        invdyn=InvDynModel(net_i, norm),
-        norm=norm,
-    )
+        histories_out.update(action_score=g_hist, state_score=h_hist, invdyn=i_hist)
+    models = CdsaModels(action_score=action_score, state_score=state_score, invdyn=invdyn,
+                        norm=dataset.norm)
     models.validate()
     return models
 

@@ -155,23 +155,25 @@ def generate_dataset(env_spec, policy, episodes: int, max_steps: int, rng: Rng,
                      norm: NormStats | None = None) -> Dataset:
     """Roll out full episodes of `policy` in the environment, recording every
     transition. Deterministic given the rng seed; episode i uses substream i.
+
+    The episodes run in lockstep (controller.run_episodes). Each stored
+    action is the one executed: the policy's action clipped to the spec's
+    action bounds.
     """
-    from .envs import Env  # local import, envs depends on dataset types
+    from .controller import run_episodes  # local import, controller depends on dataset types
 
     if episodes < 1:
         raise DatasetError(f"episodes must be >= 1, got {episodes}")
+    _, trajectories = run_episodes(env_spec, policy, None, None,
+                                   [rng.substream(ep) for ep in range(episodes)], max_steps,
+                                   record=episodes)
     transitions: list[Transition] = []
-    for ep in range(episodes):
-        env = Env(env_spec, rng.substream(ep))
-        s = env.reset()
-        for _ in range(max_steps):
-            a = policy.act(s, env.context(), env.rng)
-            s2, r, done, _risk = env.step(a)
-            transitions.append(Transition(s.copy(), np.asarray(a, dtype=np.float64).copy(),
-                                          float(r), s2.copy(), bool(done)))
-            s = s2
-            if done:
-                break
+    for traj in trajectories:
+        next_states = np.concatenate([traj.states[1:], traj.final_state[None, :]])
+        transitions.extend(
+            Transition(s, a, float(r), s2, bool(done))
+            for s, a, r, s2, done in zip(traj.states, traj.actions, traj.rewards,
+                                         next_states, traj.dones))
     return Dataset(transitions, env_spec.state_dim, env_spec.action_dim, norm=norm)
 
 

@@ -32,15 +32,14 @@ import numpy as np
 
 from .dataset import Dataset, NormStats
 from .neuralcore import (
-    AdamState,
     MlpParams,
     Rng,
     TrainBuffers,
-    adam_step,
+    TrainConfig,
     forward_batch,
-    mlp_init,
     mse_loss,
     row_norms,
+    train_mlp,
 )
 
 ENV_KINDS = ("risky_pointmass", "risky_transport", "linear_point")
@@ -691,20 +690,7 @@ BC_HIDDEN_DIMS = [128, 128, 128]
 BC_LEAKY_SLOPE = 0.2
 
 
-@dataclass
-class BcTrainConfig:
-    iterations: int = 10000
-    batch_size: int = 256
-    lr: float = 1e-3
-    seed: int = 0
-
-    def validate(self) -> None:
-        if self.iterations < 0:
-            raise ValueError(f"iterations must be >= 0, got {self.iterations}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.lr <= 0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
+BcTrainConfig = TrainConfig
 
 
 def bc_loss(net: MlpParams, states: np.ndarray, actions: np.ndarray,
@@ -713,27 +699,19 @@ def bc_loss(net: MlpParams, states: np.ndarray, actions: np.ndarray,
     return mse_loss(net, states, actions, bufs)
 
 
-def train_bc_policy(dataset: Dataset, config: BcTrainConfig,
+def train_bc_policy(dataset: Dataset, config: TrainConfig,
                     action_low: np.ndarray, action_high: np.ndarray):
     """Behavior cloning by Adam regression from states to actions.
 
     Returns (policy, loss_history). Deterministic given config.seed.
     """
-    config.validate()
-    if len(dataset) == 0:
-        raise ValueError("cannot train on an empty dataset")
     norm = dataset.norm
     states_n = norm.normalize_state(dataset.states)
     actions_n = norm.normalize_action(dataset.actions)
-    rng = Rng(config.seed)
-    dims = [dataset.state_dim] + BC_HIDDEN_DIMS + [dataset.action_dim]
-    net = mlp_init(dims, BC_LEAKY_SLOPE, rng)
-    opt = AdamState.for_params(net)
-    bufs = TrainBuffers(config.batch_size, [net])
-    history = []
-    for step in range(config.iterations):
-        idx = rng.integers(len(dataset), size=config.batch_size)
-        loss, grads = bc_loss(net, states_n[idx], actions_n[idx], bufs)
-        adam_step(opt, net, grads, config.lr, bufs)
-        history.append((step, loss))
+
+    def batch_loss(net, idx, rng, bufs):
+        return bc_loss(net, states_n[idx], actions_n[idx], bufs)
+
+    net, history = train_mlp([dataset.state_dim] + BC_HIDDEN_DIMS + [dataset.action_dim],
+                             BC_LEAKY_SLOPE, config, len(dataset), batch_loss)
     return BehaviorCloned(net, norm, action_low, action_high), history

@@ -14,21 +14,16 @@ import numpy as np
 
 from .dataset import Dataset, NormStats
 from .neuralcore import (
-    AdamState,
     MlpParams,
-    Rng,
     TrainBuffers,
-    adam_step,
+    TrainConfig,
     forward_batch,
-    mlp_init,
     mse_loss,
+    train_mlp,
 )
 
 HIDDEN_DIMS = [128, 128, 128]
 LEAKY_SLOPE = 0.2
-DEFAULT_LR = 1e-3
-DEFAULT_BATCH = 256
-DEFAULT_ITERS = 10000
 
 
 @dataclass
@@ -45,20 +40,7 @@ class InvDynModel:
         return len(self.norm.action_mean)
 
 
-@dataclass
-class InvDynTrainConfig:
-    iterations: int = DEFAULT_ITERS
-    batch_size: int = DEFAULT_BATCH
-    lr: float = DEFAULT_LR
-    seed: int = 0
-
-    def validate(self) -> None:
-        if self.iterations < 0:
-            raise ValueError(f"iterations must be >= 0, got {self.iterations}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.lr <= 0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
+InvDynTrainConfig = TrainConfig
 
 
 def model_dims(state_dim: int, action_dim: int) -> list[int]:
@@ -77,32 +59,25 @@ def invdyn_loss(net: MlpParams, states: np.ndarray, next_states: np.ndarray,
     next_states = np.asarray(next_states, dtype=np.float64)
     actions = np.asarray(actions, dtype=np.float64)
     x = np.concatenate([states, next_states], axis=1,
-                       out=None if bufs is None else bufs.views(net, len(states)).x)
+                       out=None if bufs is None else bufs.fit(net, len(states)).x)
     return mse_loss(net, x, actions, bufs)
 
 
-def train_invdyn(dataset: Dataset, config: InvDynTrainConfig):
+def train_invdyn(dataset: Dataset, config: TrainConfig):
     """Adam regression of normalized actions from normalized state pairs.
 
     Returns (model, loss_history). Deterministic given config.seed.
     """
-    config.validate()
-    if len(dataset) == 0:
-        raise ValueError("cannot train on an empty dataset")
     norm = dataset.norm
     states_n = norm.normalize_state(dataset.states)
     next_n = norm.normalize_state(dataset.next_states)
     actions_n = norm.normalize_action(dataset.actions)
-    rng = Rng(config.seed)
-    net = mlp_init(model_dims(dataset.state_dim, dataset.action_dim), LEAKY_SLOPE, rng)
-    opt = AdamState.for_params(net)
-    bufs = TrainBuffers(config.batch_size, [net])
-    history = []
-    for step in range(config.iterations):
-        idx = rng.integers(len(dataset), size=config.batch_size)
-        loss, grads = invdyn_loss(net, states_n[idx], next_n[idx], actions_n[idx], bufs)
-        adam_step(opt, net, grads, config.lr, bufs)
-        history.append((step, loss))
+
+    def batch_loss(net, idx, rng, bufs):
+        return invdyn_loss(net, states_n[idx], next_n[idx], actions_n[idx], bufs)
+
+    net, history = train_mlp(model_dims(dataset.state_dim, dataset.action_dim), LEAKY_SLOPE,
+                             config, len(dataset), batch_loss)
     return InvDynModel(net, norm), history
 
 

@@ -12,10 +12,11 @@ The LeakyReLU derivative at exactly 0 is defined as 1 (positive-side
 convention) for reproducibility.
 
 Each network's parameters live in one flat buffer, and Adam updates it with
-a fixed handful of whole-buffer operations. Training loops pass a
-TrainBuffers set through the forward pass, backward pass and Adam step, so a
-step at a fixed batch size writes into arrays it already owns instead of
-allocating batch-sized temporaries; results are bitwise equal either way.
+a fixed handful of whole-buffer operations. Every net trains through one
+loop, train_mlp, which passes a TrainBuffers set through the forward pass,
+backward pass and Adam step, so a step at a fixed batch size writes into
+arrays it already owns instead of allocating batch-sized temporaries;
+results are bitwise equal either way.
 """
 
 from __future__ import annotations
@@ -198,22 +199,40 @@ def zero_like_params(params: MlpParams) -> MlpParams:
 # ---------------------------------------------------------------------------
 
 
-class _Views:
-    """One net's (rows, width) windows onto a TrainBuffers set."""
+def _window(buf: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """C-contiguous (rows, cols) view onto the start of a 1-D buffer."""
+    return buf[:rows * cols].reshape(rows, cols)
 
-    def __init__(self, bufs: "TrainBuffers", params: MlpParams, rows: int):
-        dims = params.layer_dims
+
+class TrainBuffers:
+    """Reusable arrays for the training steps of one net at one batch size.
+
+    Holds, for batches of exactly `rows` rows of the net it was built for:
+    an input matrix, the hidden activations and their sign indices, a flat
+    gradient buffer, and three 1-D scratch arrays (pre-activations, backward
+    ping-pong, derivative lookup, Adam temporaries) seen through C-contiguous
+    (rows, width) prefix views, so every view takes `out=`. What
+    forward_batch, backward_batch and the losses return from a set is valid
+    until that set's next step.
+
+    A training loop builds its set and drops it on return. Nothing caches it
+    on the net, so trained parameters carry no training memory.
+    """
+
+    def __init__(self, rows: int, net: MlpParams):
+        if rows < 1:
+            raise NeuralCoreError(f"TrainBuffers needs rows >= 1, got {rows}")
+        dims = list(net.layer_dims)
         hidden = len(dims) - 2
-        if hidden > len(bufs.acts):
-            raise NeuralCoreError(f"buffers hold {len(bufs.acts)} hidden layers, net has {hidden}")
-        s0, s1, s2 = bufs.scratch
-        self.x = _window(bufs.inputs, rows, dims[0])
+        self.rows, self.dims, self.slope = rows, dims, net.leaky_slope
+        s0, s1, s2 = (np.empty(max(rows * max(dims[1:]), net.flat.size)) for _ in range(3))
+        self.x = np.empty((rows, dims[0]))
         # hidden pre-activations are dead once their activation is written,
         # so every layer's output lands in scratch 0; the loss head (residual,
         # then output gradient) uses scratch 1
         self.pre = [_window(s0, rows, d) for d in dims[1:]]
-        self.acts = [_window(bufs.acts[i], rows, dims[i + 1]) for i in range(hidden)]
-        self.signs = [_window(bufs.signs[i], rows, dims[i + 1]) for i in range(hidden)]
+        self.acts = [np.empty((rows, d)) for d in dims[1:-1]]
+        self.signs = [np.empty((rows, d), dtype=np.intp) for d in dims[1:-1]]
         self.head = _window(s1, rows, dims[-1])
         # backward: the gradient flowing into layer i-1 alternates between
         # scratch 0 and 1 (never the array it is computed from), and the
@@ -221,55 +240,19 @@ class _Views:
         self.back = {i: _window((s0, s1)[(hidden - i) % 2], rows, dims[i])
                      for i in range(1, hidden + 1)}
         self.deriv = {i: _window(s2, rows, dims[i]) for i in range(1, hidden + 1)}
-        n = param_count(dims)
-        if n > bufs.grads.size:
-            raise NeuralCoreError(f"buffers hold {bufs.grads.size} gradients, net has {n}")
-        self.grads = MlpParams.on_buffer(dims, params.leaky_slope, bufs.grads[:n])
-        self.lut = np.array([params.leaky_slope, 1.0])
+        self.grads = MlpParams.on_buffer(dims, net.leaky_slope, np.empty(net.flat.size))
+        self.lut = np.array([net.leaky_slope, 1.0])
+        self.adam = (s0[:net.flat.size], s1[:net.flat.size])
 
-
-def _window(buf: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """C-contiguous (rows, cols) view onto the start of a 1-D buffer."""
-    if rows * cols > buf.size:
-        raise NeuralCoreError(f"({rows}, {cols}) does not fit a buffer of {buf.size}")
-    return buf[:rows * cols].reshape(rows, cols)
-
-
-class TrainBuffers:
-    """Reusable arrays for the training steps of one loop.
-
-    Holds, for batches of up to `rows` rows: an input matrix, the hidden
-    activations and their sign indices, a flat gradient buffer, and three
-    1-D scratch arrays (pre-activations, backward ping-pong, derivative
-    lookup, Adam temporaries). One set serves every net a loop trains, one
-    step at a time; each net sees prefixes of the 1-D arrays reshaped to its
-    own widths, so every view is C-contiguous and takes `out=`. What
-    forward_batch, backward_batch and the losses return from a set is valid
-    until that set's next step.
-
-    A training loop builds its set and drops it on return. Nothing caches it
-    on the nets, so trained parameters carry no training memory.
-    """
-
-    def __init__(self, rows: int, nets: list[MlpParams]):
-        if rows < 1 or not nets:
-            raise NeuralCoreError("TrainBuffers needs rows >= 1 and at least one net")
-        width = max(max(net.layer_dims[1:]) for net in nets)
-        size = max(net.flat.size for net in nets)
-        hidden = max(len(net.layer_dims) - 2 for net in nets)
-        self.inputs = np.empty(rows * max(net.in_dim for net in nets))
-        self.acts = [np.empty(rows * width) for _ in range(hidden)]
-        self.signs = [np.empty(rows * width, dtype=np.intp) for _ in range(hidden)]
-        self.scratch = [np.empty(max(rows * width, size)) for _ in range(3)]
-        self.grads = np.empty(size)
-        self._views: dict = {}
-
-    def views(self, params: MlpParams, rows: int) -> _Views:
-        key = (tuple(params.layer_dims), params.leaky_slope, rows)
-        v = self._views.get(key)
-        if v is None:
-            v = self._views[key] = _Views(self, params, rows)
-        return v
+    def fit(self, params: MlpParams, rows: int) -> "TrainBuffers":
+        """This set, after checking it was built for params' net and rows rows."""
+        if params.layer_dims != self.dims or params.leaky_slope != self.slope:
+            raise NeuralCoreError(
+                f"buffers are for dims {self.dims} and slope {self.slope}, net has "
+                f"{params.layer_dims} and {params.leaky_slope}")
+        if rows != self.rows:
+            raise NeuralCoreError(f"buffers hold batches of {self.rows} rows, got {rows}")
+        return self
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +295,7 @@ def forward_batch(params: MlpParams, x: np.ndarray, bufs: TrainBuffers | None = 
     if x.ndim != 2 or x.shape[1] != params.in_dim:
         raise NeuralCoreError(f"expected input shape (batch, {params.in_dim}), got {x.shape}")
     if bufs is not None:
-        return _forward_into(params, x, bufs.views(params, len(x)))
+        return _forward_into(params, x, bufs.fit(params, len(x)))
     inputs = [x]
     preacts = []
     h = x
@@ -332,7 +315,7 @@ def forward_batch(params: MlpParams, x: np.ndarray, bufs: TrainBuffers | None = 
     return h, (inputs, preacts)
 
 
-def _forward_into(params: MlpParams, x: np.ndarray, v: _Views):
+def _forward_into(params: MlpParams, x: np.ndarray, v: TrainBuffers):
     inputs = [x]
     last = len(params.weights) - 1
     h = x
@@ -373,7 +356,7 @@ def backward_batch(params: MlpParams, cache, out_grad: np.ndarray,
         lut = np.array([params.leaky_slope, 1.0])
         back = deriv = {}
     else:
-        v = bufs.views(params, len(g))
+        v = bufs.fit(params, len(g))
         grads, signs, lut, back, deriv = v.grads, hidden, v.lut, v.back, v.deriv
     for i in range(last, -1, -1):
         np.dot(g.T, inputs[i], out=grads.weights[i])
@@ -394,7 +377,7 @@ def mse_loss(net: MlpParams, x: np.ndarray, target: np.ndarray,
     """
     out, cache = forward_batch(net, x, bufs)
     n = len(out)
-    resid = np.subtract(out, target, out=None if bufs is None else bufs.views(net, n).head)
+    resid = np.subtract(out, target, out=None if bufs is None else bufs.fit(net, n).head)
     loss = float(np.sum(np.multiply(resid, resid, out=out))) / n
     resid *= 2.0
     resid /= n
@@ -464,16 +447,17 @@ def adam_step(state: AdamState, params: MlpParams, grads: MlpParams, lr: float,
     g = grads.flat
     if not np.isfinite(g).all():
         raise NeuralCoreError("non-finite gradient entries")
+    if bufs is None:
+        s1, s2 = np.empty_like(g), np.empty_like(g)
+    else:
+        # an Adam step has no rows; check only that the set is this net's
+        s1, s2 = bufs.fit(params, bufs.rows).adam
     state.step_count += 1
     t = state.step_count
     b1, b2 = state.beta1, state.beta2
     c1 = 1.0 - b1**t
     c2 = 1.0 - b2**t
     m, v, p = state.first_moment.flat, state.second_moment.flat, params.flat
-    if bufs is None:
-        s1, s2 = np.empty_like(g), np.empty_like(g)
-    else:
-        s1, s2 = (s[:g.size] for s in bufs.scratch[:2])
     # m = b1*m + (1-b1)*g
     m *= b1
     m += np.multiply(g, 1.0 - b1, out=s1)
@@ -490,6 +474,54 @@ def adam_step(state: AdamState, params: MlpParams, grads: MlpParams, lr: float,
     s2 *= lr
     s2 /= s1
     p -= s2
+
+
+# ---------------------------------------------------------------------------
+# Training loop
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class TrainConfig:
+    iterations: int = 10000
+    batch_size: int = 256
+    lr: float = 1e-3
+    seed: int = 0
+
+    def validate(self) -> None:
+        if self.iterations < 0:
+            raise ValueError(f"iterations must be >= 0, got {self.iterations}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.lr <= 0:
+            raise ValueError(f"lr must be positive, got {self.lr}")
+
+
+def train_mlp(layer_dims: list[int], leaky_slope: float, config: TrainConfig, n_rows: int,
+              batch_loss):
+    """Adam on one net over config.iterations minibatch steps; the one training loop.
+
+    The net is initialized from Rng(config.seed). Each step draws
+    config.batch_size row indices in [0, n_rows), with replacement, from that
+    same stream and calls batch_loss(net, idx, rng, bufs), which returns
+    (loss, grads) for those rows and may draw more from rng; an Adam step
+    with config.lr follows. Returns (net, history), one (step, loss) row per
+    step. Deterministic given config.seed and the data.
+    """
+    config.validate()
+    if n_rows == 0:
+        raise ValueError("cannot train on an empty dataset")
+    rng = Rng(config.seed)
+    net = mlp_init(layer_dims, leaky_slope, rng)
+    opt = AdamState.for_params(net)
+    bufs = TrainBuffers(config.batch_size, net)
+    history = []
+    for step in range(config.iterations):
+        idx = rng.integers(n_rows, size=config.batch_size)
+        loss, grads = batch_loss(net, idx, rng, bufs)
+        adam_step(opt, net, grads, config.lr, bufs)
+        history.append((step, loss))
+    return net, history
 
 
 def fd_grads(loss_fn, params: MlpParams, h: float = 1e-6) -> MlpParams:

@@ -24,23 +24,20 @@ import numpy as np
 
 from .dataset import Dataset, NormStats
 from .neuralcore import (
-    AdamState,
     MlpParams,
     NeuralCoreError,
     Rng,
     TrainBuffers,
-    adam_step,
+    TrainConfig,
     backward_batch,
     forward_batch,
-    mlp_init,
+    train_mlp,
 )
 
 HIDDEN_DIMS = [32, 128, 32]
 LEAKY_SLOPE = 0.1
 DEFAULT_SIGMA = 0.1
 DEFAULT_LR = 3e-4
-DEFAULT_BATCH = 256
-DEFAULT_ITERS = 10000
 
 
 class ScoreKind(enum.Enum):
@@ -65,22 +62,14 @@ class ScoreField:
 
 
 @dataclass
-class ScoreTrainConfig:
-    sigma: float = DEFAULT_SIGMA
-    iterations: int = DEFAULT_ITERS
-    batch_size: int = DEFAULT_BATCH
+class ScoreTrainConfig(TrainConfig):
     lr: float = DEFAULT_LR
-    seed: int = 0
+    sigma: float = DEFAULT_SIGMA
 
     def validate(self) -> None:
         if self.sigma <= 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if self.iterations < 0:
-            raise ValueError(f"iterations must be >= 0, got {self.iterations}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.lr <= 0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
+        super().validate()
 
 
 def field_dims(kind: ScoreKind, state_dim: int, action_dim: int) -> list[int]:
@@ -143,7 +132,7 @@ def dsm_loss_reparam_given_noise(net: MlpParams, states: np.ndarray, actions: np
     else:
         parts = [states + sigma * z, actions]
     n = len(z)
-    v = None if bufs is None else bufs.views(net, n)
+    v = None if bufs is None else bufs.fit(net, n)
     x_tilde = np.concatenate(parts, axis=1, out=None if v is None else v.x)
     out, cache = forward_batch(net, x_tilde, bufs)
     resid = np.divide(z, sigma, out=None if v is None else v.head)
@@ -189,29 +178,21 @@ def train_score_field(dataset: Dataset, kind: ScoreKind, config: ScoreTrainConfi
     """Adam on the reparameterized denoising loss over normalized data.
 
     Returns (field, loss_history); loss_history is one (step, loss) row per
-    iteration. Deterministic given config.seed.
+    iteration. Deterministic given config.seed: each step draws its rows,
+    then its noise, from that one stream.
     """
-    config.validate()
-    if len(dataset) == 0:
-        raise ValueError("cannot train on an empty dataset")
     norm = dataset.norm
     states_n = norm.normalize_state(dataset.states)
     actions_n = norm.normalize_action(dataset.actions)
-    rng = Rng(config.seed)
-    net = mlp_init(field_dims(kind, dataset.state_dim, dataset.action_dim), LEAKY_SLOPE, rng)
-    opt = AdamState.for_params(net)
-    bufs = TrainBuffers(config.batch_size, [net])
     noise_dim = dataset.action_dim if kind is ScoreKind.ACTION else dataset.state_dim
-    history = []
-    for step in range(config.iterations):
-        idx = rng.integers(len(dataset), size=config.batch_size)
-        z = rng.normal(size=(config.batch_size, noise_dim))
-        loss, grads = dsm_loss_reparam_given_noise(
+
+    def batch_loss(net, idx, rng, bufs):
+        z = rng.normal(size=(len(idx), noise_dim))
+        return dsm_loss_reparam_given_noise(
             net, states_n[idx], actions_n[idx], config.sigma, z, kind, bufs)
-        if loss < 0:
-            raise NeuralCoreError(f"negative loss {loss} at step {step}")
-        adam_step(opt, net, grads, config.lr, bufs)
-        history.append((step, loss))
+
+    net, history = train_mlp(field_dims(kind, dataset.state_dim, dataset.action_dim),
+                             LEAKY_SLOPE, config, len(dataset), batch_loss)
     return ScoreField(net, kind, config.sigma, norm), history
 
 

@@ -202,6 +202,25 @@ def test_bundle_missing_manifest(tmp_path):
         load_bundle(str(tmp_path / "empty"))
 
 
+def test_bundle_bc_checks_manifest_format_and_version(tmp_path):
+    # the bc loader reads the manifest through the same checks as load_bundle
+    d = str(tmp_path / "bundle")
+    save_bundle(_models(), d, bc=_bc())
+    mpath = os.path.join(d, MANIFEST_FILE)
+    with open(mpath) as fh:
+        manifest = json.load(fh)
+    for patch, msg in (({"format": "not-a-bundle"}, "format"), ({"version": 99}, "version")):
+        with open(mpath, "w") as fh:
+            json.dump({**manifest, **patch}, fh)
+        with pytest.raises(CheckpointError, match=msg):
+            load_bundle_bc(d)
+
+
+def test_bundle_bc_missing_directory(tmp_path):
+    with pytest.raises(CheckpointError, match="manifest"):
+        load_bundle_bc(str(tmp_path / "empty"))
+
+
 def test_norm_digest_tracks_content():
     n1, n2 = _norm(0), _norm(9)
     assert norm_digest(n1) == norm_digest(_norm(0))

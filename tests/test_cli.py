@@ -175,6 +175,20 @@ def test_train_bc_requires_env(tmp_path, capsys):
     assert "--env" in capsys.readouterr().err
 
 
+def test_train_rejects_bad_bc_config_before_training(tmp_path, capsys, monkeypatch):
+    rc, data = _gen(tmp_path)
+    assert rc == 0
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("train_cdsa ran before the bc config was checked")
+
+    monkeypatch.setattr("cdsa.cli.train_cdsa", no_training)
+    rc, out = _train(tmp_path, data, extra=("--bc", "--env", "linear", "--bc-lr", "-1"))
+    assert rc == 1
+    assert "lr must be positive" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_eval_rejects_bad_ablation_and_gains(tmp_path, capsys):
     rc, data = _gen(tmp_path)
     rc, bundle = _train(tmp_path, data)

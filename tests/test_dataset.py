@@ -118,6 +118,18 @@ def test_generate_dataset_episode_boundaries():
     assert int(ds.dones.sum()) == 3
 
 
+def test_generate_dataset_stores_executed_clipped_actions():
+    spec = load_env_spec(builtin_spec_path("linear"))
+
+    class Overshoot(RandomPolicy):
+        def act_batch(self, states, ctx, rngs):
+            return 5.0 * super().act_batch(states, ctx, rngs)
+
+    ds = generate_dataset(spec, Overshoot(spec), 2, spec.max_steps, Rng(79))
+    assert np.all(ds.actions >= spec.action_low) and np.all(ds.actions <= spec.action_high)
+    assert np.any(ds.actions == spec.action_high) or np.any(ds.actions == spec.action_low)
+
+
 def test_jsonl_roundtrip_bitwise(tmp_path):
     ds = _toy_dataset(40, seed=6)
     path = tmp_path / "data.jsonl"

@@ -1,9 +1,9 @@
-"""Lockstep rollouts against the per-episode reference loop.
+"""Lockstep rollouts and dataset generation against per-episode reference loops.
 
-rollout_batch steps every episode of an arm together through one batched
-policy call, correction and env step. The reference below is the loop it
-replaced: one episode at a time, per step policy.act, then correct_action,
-then env_step. Step counts, risk flags, dones and goal flags must agree
+rollout_batch and generate_dataset step every episode together through one
+batched policy call, correction and env step. The references below are the
+loops they replaced: one episode at a time, per step policy.act, then
+correct_action, then env_step. Step counts, risk flags, dones and goal flags must agree
 exactly. States, actions and rewards must agree to ATOL: a network evaluates
 all live rows in one matrix product whose last bits depend on the row count,
 and sensitive stretches of a corrected trajectory amplify that. On the
@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from cdsa.controller import ControlConfig, control_episode, correct_action, train_cdsa
-from cdsa.dataset import generate_dataset
+from cdsa.dataset import Dataset, Transition, generate_dataset
 from cdsa.envs import (
     BcTrainConfig,
     Env,
@@ -72,6 +72,23 @@ def reference_episode(spec, policy, models, cfg, rng) -> RefEpisode:
                       np.array(cols[2]).reshape(-1, spec.action_dim),
                       list(cols[3]), list(cols[4]), list(cols[5]),
                       s, bool(reached and rows))
+
+
+def reference_dataset(spec, policy, episodes, max_steps, rng) -> Dataset:
+    """Dataset generation one episode at a time through Env, as before lockstep."""
+    transitions = []
+    for ep in range(episodes):
+        env = Env(spec, rng.substream(ep))
+        s = env.reset()
+        for _ in range(max_steps):
+            a = policy.act(s, env.context(), env.rng)
+            s2, r, done, _risk = env.step(a)
+            transitions.append(Transition(s.copy(), np.asarray(a, dtype=np.float64).copy(),
+                                          float(r), s2.copy(), bool(done)))
+            s = s2
+            if done:
+                break
+    return Dataset(transitions, spec.state_dim, spec.action_dim)
 
 
 def _close(x, y, exact):
@@ -187,3 +204,30 @@ def test_control_episode_is_a_one_episode_batch(pointmass):
     assert one.reached_goal == batch.reached_goal == stats[0].reached_goal
     assert one.delta_norms == batch.delta_norms
     assert len(one) == stats[0].steps
+
+
+@pytest.mark.parametrize("env,variant,policy", [
+    ("transport", None, "risk-avoiding"),
+    ("transport", None, "direct"),
+    ("transport", None, "random"),
+    ("pointmass", None, "risk-avoiding"),
+    ("linear", None, "random"),
+    ("transport", "goods", "risk-avoiding"),
+    ("transport", "airport", "risk-avoiding"),
+])
+def test_generate_dataset_matches_reference(env, variant, policy):
+    # the three gen-data policies; every one acts in bounds, so the executed
+    # (clipped) actions the lockstep runner stores equal the policy's own
+    spec = load_env_spec(builtin_spec_path(env))
+    if variant:
+        spec = spec.with_variant(variant)
+    pol = {"risk-avoiding": lambda: ScriptedRiskAvoiding(spec, exec_noise=0.2),
+           "direct": lambda: ScriptedDirect(spec),
+           "random": lambda: RandomPolicy(spec)}[policy]()
+    got = generate_dataset(spec, pol, 6, spec.max_steps, Rng(61))
+    want = reference_dataset(spec, pol, 6, spec.max_steps, Rng(61))
+    assert len(got) == len(want) > 6
+    for name in ("states", "actions", "rewards", "next_states", "dones"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert got.norm.equals(want.norm)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from cdsa.controller import train_cdsa
-from cdsa.dataset import generate_dataset
+from cdsa.dataset import Dataset, NormStats, generate_dataset
 from cdsa.envs import (
     BC_HIDDEN_DIMS,
     BC_LEAKY_SLOPE,
@@ -26,7 +26,7 @@ from cdsa.envs import (
     train_bc_policy,
 )
 from cdsa.invdyn import LEAKY_SLOPE as INVDYN_SLOPE
-from cdsa.invdyn import InvDynTrainConfig, invdyn_loss, model_dims
+from cdsa.invdyn import InvDynTrainConfig, invdyn_loss, model_dims, train_invdyn
 from cdsa.neuralcore import (
     AdamState,
     NeuralCoreError,
@@ -36,6 +36,7 @@ from cdsa.neuralcore import (
     _sign_index,
     adam_step,
     mlp_init,
+    zero_like_params,
 )
 from cdsa.scorefield import LEAKY_SLOPE as SCORE_SLOPE
 from cdsa.scorefield import (
@@ -43,6 +44,7 @@ from cdsa.scorefield import (
     ScoreTrainConfig,
     dsm_loss_reparam_given_noise,
     field_dims,
+    train_score_field,
 )
 
 # ---------------------------------------------------------------------------
@@ -175,7 +177,7 @@ def test_loss_and_adam_steps_bitwise_equal_reference(case, buffered):
     net = mlp_init(dims, slope, Rng(5))
     ref = RefNet(dims, slope, Rng(5))
     opt = AdamState.for_params(net)
-    bufs = TrainBuffers(BATCH, [net]) if buffered else None
+    bufs = TrainBuffers(BATCH, net) if buffered else None
     data = Rng(6)
     losses, ref_losses = [], []
     for _ in range(STEPS):
@@ -186,31 +188,6 @@ def test_loss_and_adam_steps_bitwise_equal_reference(case, buffered):
         ref_losses.append(ref_step(ref, ref_fn, (s, a, s2, z), lr))
     assert losses == ref_losses
     assert_same_state(ref, net, opt)
-
-
-def test_buffer_set_shared_by_nets_of_different_shapes():
-    # train_cdsa runs three nets through one set; interleaving must not leak
-    # state from one net's step into the next
-    cases = _loss_cases()
-    nets, refs, opts = {}, {}, {}
-    for seed, name in enumerate(("dsm_action", "invdyn", "dsm_state")):
-        dims, slope = cases[name][:2]
-        nets[name] = mlp_init(dims, slope, Rng(seed))
-        refs[name] = RefNet(dims, slope, Rng(seed))
-        opts[name] = AdamState.for_params(nets[name])
-    bufs = TrainBuffers(BATCH, list(nets.values()))
-    data = Rng(8)
-    for _ in range(20):
-        for name, net in nets.items():
-            _, _, lr, loss_fn, ref_fn = cases[name]
-            # a smaller batch for one net, as with unequal batch sizes
-            rows = BATCH // 2 if name == "invdyn" else BATCH
-            s, a, s2, z = (data.normal(size=(rows, 2)) for _ in range(4))
-            loss, grads = loss_fn(net, s, a, s2, z, bufs)
-            adam_step(opts[name], net, grads, lr, bufs)
-            assert loss == ref_step(refs[name], ref_fn, (s, a, s2, z), lr)
-    for name in nets:
-        assert_same_state(refs[name], nets[name], opts[name])
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +251,31 @@ def test_train_cdsa_and_bc_bitwise_equal_reference(transport_data):
                                                policy.params.weights + policy.params.biases))
 
 
+@pytest.mark.parametrize("train", [
+    lambda d: train_score_field(d, ScoreKind.ACTION, ScoreTrainConfig()),
+    lambda d: train_score_field(d, ScoreKind.STATE, ScoreTrainConfig()),
+    lambda d: train_invdyn(d, InvDynTrainConfig()),
+    lambda d: train_bc_policy(d, BcTrainConfig(), -np.ones(2), np.ones(2)),
+    lambda d: train_cdsa(d, ScoreTrainConfig(), InvDynTrainConfig()),
+], ids=["action_score", "state_score", "invdyn", "bc", "cdsa"])
+def test_trainers_reject_empty_dataset(train):
+    empty = Dataset([], 2, 2, norm=NormStats.identity(2, 2))
+    with pytest.raises(ValueError, match="empty dataset"):
+        train(empty)
+
+
+def test_train_cdsa_checks_both_configs_before_training(transport_data, monkeypatch):
+    _, data = transport_data
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("a model was trained before both configs were checked")
+
+    monkeypatch.setattr("cdsa.controller.train_score_field", no_training)
+    monkeypatch.setattr("cdsa.controller.train_invdyn", no_training)
+    with pytest.raises(ValueError, match="lr must be positive"):
+        train_cdsa(data, ScoreTrainConfig(iterations=1), InvDynTrainConfig(lr=-1.0))
+
+
 # ---------------------------------------------------------------------------
 # Derivative lookup, allocation, buffer bounds
 # ---------------------------------------------------------------------------
@@ -298,7 +300,7 @@ def test_training_step_allocates_no_batch_sized_temporaries():
     # peaked near 2.3 MiB of traced allocation over these steps
     net = mlp_init(model_dims(2, 2), INVDYN_SLOPE, Rng(0))
     opt = AdamState.for_params(net)
-    bufs = TrainBuffers(256, [net])
+    bufs = TrainBuffers(256, net)
     data = Rng(1)
     s, s2, a = (data.normal(size=(256, 2)) for _ in range(3))
 
@@ -321,10 +323,16 @@ def test_training_step_allocates_no_batch_sized_temporaries():
 
 def test_buffer_set_rejects_batches_it_cannot_hold():
     net = mlp_init([3, 8, 2], 0.1, Rng(0))
-    bufs = TrainBuffers(16, [net])
-    x = np.zeros((17, 3))
-    with pytest.raises(NeuralCoreError):
-        bc_loss(net, x, np.zeros((17, 2)), bufs)
+    bufs = TrainBuffers(16, net)
+    for rows in (17, 8):  # a set holds batches of exactly its rows
+        with pytest.raises(NeuralCoreError):
+            bc_loss(net, np.zeros((rows, 3)), np.zeros((rows, 2)), bufs)
     wide = mlp_init([3, 64, 2], 0.1, Rng(1))
     with pytest.raises(NeuralCoreError):
         bc_loss(wide, np.zeros((16, 3)), np.zeros((16, 2)), bufs)
+    # nor an Adam step of another net; the step changes nothing
+    opt = AdamState.for_params(wide)
+    before = wide.flat.copy()
+    with pytest.raises(NeuralCoreError):
+        adam_step(opt, wide, zero_like_params(wide), 1e-3, bufs)
+    assert opt.step_count == 0 and np.array_equal(wide.flat, before)
