@@ -128,6 +128,8 @@ def load_model(path: str):
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"checkpoint {path} is not valid JSON: {exc}") from exc
+    if not isinstance(d, dict):
+        raise CheckpointError(f"checkpoint {path} does not hold a JSON object")
     return model_from_dict(d)
 
 
@@ -166,6 +168,8 @@ def _read_manifest(dirpath: str) -> dict:
         raise CheckpointError(f"cannot read bundle manifest {mpath}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"bundle manifest {mpath} is not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise CheckpointError(f"bundle manifest {mpath} does not hold a JSON object")
     if manifest.get("format") != BUNDLE_FORMAT:
         raise CheckpointError(f"not a bundle manifest (format {manifest.get('format')!r})")
     if manifest.get("version") != VERSION:

@@ -56,7 +56,6 @@ from .scorefield import (
     ScoreTrainConfig,
     dsm_loss_reference,
     dsm_loss_reparam_given_noise,
-    field_dims,
 )
 from .svgplot import render_scene, write_svg
 

@@ -24,6 +24,9 @@ the controller itself never samples.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -31,7 +34,7 @@ import numpy as np
 from .dataset import Dataset, NormStats
 from .envs import EnvSpec, EnvStates, Policy, env_reset, env_step_batch
 from .invdyn import InvDynModel, InvDynTrainConfig, infer_action, train_invdyn
-from .neuralcore import Rng, forward_batch, row_norms
+from .neuralcore import MlpParams, Rng, forward_batch, row_norms, single_blas_thread
 from .scorefield import (
     ScoreField,
     ScoreKind,
@@ -108,24 +111,100 @@ class LangevinConfig:
             raise ControlError(f"steps must be >= 0, got {self.steps}")
 
 
+class _Forked:
+    """fn() run in a forked child process; its pickled outcome comes back over a pipe.
+
+    The child never returns into the caller's stack: it leaves through
+    os._exit whatever happens. Being a fork, it inherits every lock as it
+    was, so fork only where no other thread may hold one that fn needs. Use as a context manager: on exit a child
+    whose result was not read is killed, and the child is always reaped.
+    """
+
+    def __init__(self, fn):
+        self._read, write = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(self._read)
+            os.close(write)
+            raise
+        if self.pid == 0:
+            code = 1
+            try:
+                os.close(self._read)
+                try:
+                    outcome = (True, fn())
+                except BaseException as exc:  # sent to the parent, which raises it
+                    outcome = (False, exc)
+                try:
+                    blob = pickle.dumps(outcome)
+                    pickle.loads(blob)
+                except Exception:  # an exception that does not survive pickling
+                    blob = pickle.dumps((False, RuntimeError(repr(outcome[1]))))
+                with os.fdopen(write, "wb") as fh:
+                    fh.write(blob)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(write)
+        self._status = None
+
+    def __enter__(self) -> "_Forked":
+        return self
+
+    def result(self):
+        """Wait for the child; return fn()'s value or raise the exception it raised."""
+        with os.fdopen(self._read, "rb") as fh:
+            self._read = None
+            blob = fh.read()
+        _, self._status = os.waitpid(self.pid, 0)
+        if not blob:
+            raise RuntimeError(f"child process {self.pid} sent no result "
+                               f"(exit code {os.waitstatus_to_exitcode(self._status)})")
+        ok, value = pickle.loads(blob)
+        if not ok:
+            raise value
+        return value
+
+    def __exit__(self, *exc_info) -> None:
+        if self._read is not None:
+            os.close(self._read)
+        if self._status is None:
+            os.kill(self.pid, signal.SIGKILL)
+            _, self._status = os.waitpid(self.pid, 0)
+
+
+def _train_invdyn_flat(dataset: Dataset, config: InvDynTrainConfig):
+    """train_invdyn's net as (layer_dims, slope, flat buffer) plus its history."""
+    model, history = train_invdyn(dataset, config)
+    net = model.params
+    return (net.layer_dims, net.leaky_slope, net.flat), history
+
+
 def train_cdsa(dataset: Dataset, score_cfg: ScoreTrainConfig,
                invdyn_cfg: InvDynTrainConfig,
                histories_out: dict | None = None) -> CdsaModels:
-    """Train both score fields and the inverse dynamics model, one after another.
+    """Train both score fields and the inverse dynamics model, on two cores.
 
     The three models never interact, so each is trained alone by its own
     trainer: the action field with score_cfg.seed, the state field with
-    score_cfg.seed + 1, the inverse model with invdyn_cfg.seed. Both configs
-    are checked before any training starts. When histories_out is given it is
-    filled with per-step (step, loss) lists under keys action_score,
-    state_score, invdyn.
+    score_cfg.seed + 1, the inverse model with invdyn_cfg.seed. The inverse
+    model trains in a forked child process while this process trains the
+    action field and then the state field; both run BLAS on one thread
+    meanwhile, and the results are bitwise those of training the three one
+    after another. An exception in the child is raised here with its type
+    and message. Both configs are checked before any training starts. When
+    histories_out is given it is filled with per-step (step, loss) lists
+    under keys action_score, state_score, invdyn.
     """
     score_cfg.validate()
     invdyn_cfg.validate()
-    action_score, g_hist = train_score_field(dataset, ScoreKind.ACTION, score_cfg)
-    state_score, h_hist = train_score_field(dataset, ScoreKind.STATE,
-                                            replace(score_cfg, seed=score_cfg.seed + 1))
-    invdyn, i_hist = train_invdyn(dataset, invdyn_cfg)
+    with single_blas_thread(), _Forked(lambda: _train_invdyn_flat(dataset, invdyn_cfg)) as child:
+        action_score, g_hist = train_score_field(dataset, ScoreKind.ACTION, score_cfg)
+        state_score, h_hist = train_score_field(dataset, ScoreKind.STATE,
+                                                replace(score_cfg, seed=score_cfg.seed + 1))
+        (dims, slope, flat), i_hist = child.result()
+    invdyn = InvDynModel(MlpParams.on_buffer(dims, slope, flat), dataset.norm)
     if histories_out is not None:
         histories_out.update(action_score=g_hist, state_score=h_hist, invdyn=i_hist)
     models = CdsaModels(action_score=action_score, state_score=state_score, invdyn=invdyn,

@@ -26,7 +26,7 @@ from __future__ import annotations
 import heapq
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 

@@ -16,11 +16,15 @@ a fixed handful of whole-buffer operations. Every net trains through one
 loop, train_mlp, which passes a TrainBuffers set through the forward pass,
 backward pass and Adam step, so a step at a fixed batch size writes into
 arrays it already owns instead of allocating batch-sized temporaries;
-results are bitwise equal either way.
+results are bitwise equal either way. single_blas_thread pins the loaded
+OpenBLAS to one thread while nets train in parallel processes.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -522,6 +526,60 @@ def train_mlp(layer_dims: list[int], leaky_slope: float, config: TrainConfig, n_
         adam_step(opt, net, grads, config.lr, bufs)
         history.append((step, loss))
     return net, history
+
+
+# ---------------------------------------------------------------------------
+# BLAS threads
+# ---------------------------------------------------------------------------
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) thread-count functions of the loaded OpenBLAS, or None.
+
+    Looked up once per process (about 0.5 ms); numpy, imported above, has
+    loaded its BLAS by the time this first runs.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+    except OSError:
+        return None
+    for path in sorted(libs):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        # system OpenBLAS, and the 64-bit-index build numpy wheels bundle
+        for prefix, suffix in (("openblas", ""), ("scipy_openblas", "64_")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                put.restype, put.argtypes = None, [ctypes.c_int]
+                return get, put
+    return None
+
+
+@contextlib.contextmanager
+def single_blas_thread():
+    """Run the body with the loaded OpenBLAS on one thread; restore its count on exit.
+
+    At this package's sizes a second BLAS thread gains almost nothing, and
+    processes training side by side would fight over the cores with it.
+    Without a loaded OpenBLAS (another BLAS, or no /proc) this does nothing.
+    """
+    threads = _openblas_threads()
+    if threads is None:
+        yield
+        return
+    get, put = threads
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
 
 
 def fd_grads(loss_fn, params: MlpParams, h: float = 1e-6) -> MlpParams:

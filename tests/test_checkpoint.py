@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -134,6 +135,14 @@ def test_load_model_rejects_invalid_json(tmp_path):
         load_model(str(path))
 
 
+@pytest.mark.parametrize("text", ["[]", "3", '"model"', "null"])
+def test_load_model_rejects_json_that_is_not_an_object(tmp_path, text):
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    with pytest.raises(CheckpointError, match=re.escape(f"{path} does not hold a JSON object")):
+        load_model(str(path))
+
+
 def test_load_model_missing_file(tmp_path):
     with pytest.raises(CheckpointError, match="cannot read"):
         load_model(str(tmp_path / "absent.json"))
@@ -219,6 +228,18 @@ def test_bundle_bc_checks_manifest_format_and_version(tmp_path):
 def test_bundle_bc_missing_directory(tmp_path):
     with pytest.raises(CheckpointError, match="manifest"):
         load_bundle_bc(str(tmp_path / "empty"))
+
+
+@pytest.mark.parametrize("load", [load_bundle, load_bundle_bc])
+@pytest.mark.parametrize("text", ["[]", "1.5", "null"])
+def test_bundle_manifest_that_is_not_an_object(tmp_path, load, text):
+    d = str(tmp_path / "bundle")
+    save_bundle(_models(), d, bc=_bc())
+    mpath = os.path.join(d, MANIFEST_FILE)
+    with open(mpath, "w") as fh:
+        fh.write(text)
+    with pytest.raises(CheckpointError, match=re.escape(f"{mpath} does not hold a JSON object")):
+        load(d)
 
 
 def test_norm_digest_tracks_content():

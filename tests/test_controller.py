@@ -9,7 +9,6 @@ from cdsa.controller import (
     ControlConfig,
     ControlError,
     LangevinConfig,
-    Trajectory,
     conditional_score_fn,
     control_episode,
     correct_action,
@@ -21,7 +20,7 @@ from cdsa.controller import (
 from cdsa.dataset import NormStats, generate_dataset
 from cdsa.envs import RandomPolicy, ScriptedDirect, builtin_spec_path, load_env_spec
 from cdsa.invdyn import InvDynModel, InvDynTrainConfig, model_dims, train_invdyn
-from cdsa.neuralcore import MlpParams, Rng, mlp_init
+from cdsa.neuralcore import Rng, mlp_init
 from cdsa.scorefield import ScoreField, ScoreKind, ScoreTrainConfig, field_dims, train_score_field
 
 

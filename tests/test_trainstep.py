@@ -8,6 +8,8 @@ Parameters, Adam moments and loss histories must agree bitwise, with and
 without a buffer set, for every training loss and for the training loops.
 """
 
+import os
+import time
 import tracemalloc
 
 import numpy as np
@@ -33,6 +35,7 @@ from cdsa.neuralcore import (
     Rng,
     TrainBuffers,
     _leaky_deriv,
+    _openblas_threads,
     _sign_index,
     adam_step,
     mlp_init,
@@ -274,6 +277,137 @@ def test_train_cdsa_checks_both_configs_before_training(transport_data, monkeypa
     monkeypatch.setattr("cdsa.controller.train_invdyn", no_training)
     with pytest.raises(ValueError, match="lr must be positive"):
         train_cdsa(data, ScoreTrainConfig(iterations=1), InvDynTrainConfig(lr=-1.0))
+
+
+# ---------------------------------------------------------------------------
+# The forked inverse-dynamics trainer
+# ---------------------------------------------------------------------------
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def small_cdsa(data, hist=None):
+    return train_cdsa(data, ScoreTrainConfig(sigma=0.2, iterations=4, batch_size=16, seed=3),
+                      InvDynTrainConfig(iterations=4, batch_size=16, seed=5), hist)
+
+
+def test_train_cdsa_trains_invdyn_in_a_child_process(transport_data, monkeypatch):
+    _, data = transport_data
+
+    def tagged(dataset, config):
+        model, _ = train_invdyn(dataset, config)
+        return model, [(0, float(os.getpid()))]
+
+    monkeypatch.setattr("cdsa.controller.train_invdyn", tagged)
+    hist: dict = {}
+    small_cdsa(data, hist)
+    assert hist["invdyn"][0][1] != os.getpid()
+    assert len(hist["action_score"]) == len(hist["state_score"]) == 4
+    assert_no_child_left()
+
+
+def test_train_cdsa_invdyn_params_are_views_of_flat(transport_data):
+    _, data = transport_data
+    params = small_cdsa(data).invdyn.params
+    assert params.flat.flags.writeable and params.flat.flags.c_contiguous
+    assert all(np.shares_memory(a, params.flat) for a in params.weights + params.biases)
+    assert_no_child_left()
+
+
+class ChildFailure(Exception):
+    pass
+
+
+@pytest.mark.parametrize("exc", [ValueError("inverse model diverged"),
+                                 ChildFailure("no data for the inverse model"),
+                                 KeyboardInterrupt("stopped")],
+                         ids=["ValueError", "custom", "KeyboardInterrupt"])
+def test_train_cdsa_raises_child_failure_in_parent(transport_data, monkeypatch, exc):
+    _, data = transport_data
+
+    def failing(dataset, config):
+        raise exc
+
+    monkeypatch.setattr("cdsa.controller.train_invdyn", failing)
+    with pytest.raises(type(exc)) as info:
+        small_cdsa(data)
+    assert type(info.value) is type(exc) and str(info.value) == str(exc)
+    assert_no_child_left()
+
+
+def test_train_cdsa_reports_a_child_exception_that_does_not_pickle(transport_data, monkeypatch):
+    _, data = transport_data
+
+    class Local(Exception):  # a local class pickles by name, which fails
+        pass
+
+    class TwoArgs(Exception):  # pickles, but cannot be rebuilt from its message
+        def __init__(self, what, why):
+            super().__init__(f"{what}: {why}")
+
+    def failing(dataset, config):
+        if config.seed == 5:
+            raise Local("unpicklable")
+        raise TwoArgs("inverse model", "unpicklable")
+
+    monkeypatch.setattr("cdsa.controller.train_invdyn", failing)
+    with pytest.raises(RuntimeError, match="Local.*unpicklable"):
+        small_cdsa(data)
+    with pytest.raises(RuntimeError, match="TwoArgs.*inverse model: unpicklable"):
+        train_cdsa(data, ScoreTrainConfig(iterations=1, batch_size=4),
+                   InvDynTrainConfig(iterations=1, batch_size=4, seed=6))
+    assert_no_child_left()
+
+
+def test_train_cdsa_kills_the_child_when_the_parent_fails(transport_data, monkeypatch):
+    _, data = transport_data
+
+    def slow(dataset, config):
+        time.sleep(60)
+
+    def failing(*args, **kwargs):
+        raise ValueError("action field failed")
+
+    monkeypatch.setattr("cdsa.controller.train_invdyn", slow)
+    monkeypatch.setattr("cdsa.controller.train_score_field", failing)
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="action field failed"):
+        small_cdsa(data)
+    assert time.perf_counter() - t0 < 30.0
+    assert_no_child_left()
+
+
+@pytest.mark.skipif(_openblas_threads() is None, reason="no OpenBLAS loaded")
+@pytest.mark.parametrize("fail", [False, True], ids=["success", "failure"])
+def test_train_cdsa_restores_blas_threads(transport_data, monkeypatch, fail):
+    _, data = transport_data
+    get, put = _openblas_threads()
+    original = get()
+    seen = []
+    real = train_score_field
+
+    def recording(*args, **kwargs):
+        seen.append(get())
+        if fail:
+            raise ValueError("score field failed")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr("cdsa.controller.train_score_field", recording)
+    put(2)
+    try:
+        if fail:
+            with pytest.raises(ValueError, match="score field failed"):
+                small_cdsa(data)
+        else:
+            small_cdsa(data)
+        assert get() == 2
+    finally:
+        put(original)
+    assert seen == ([1] if fail else [1, 1])
+    assert_no_child_left()
 
 
 # ---------------------------------------------------------------------------
