@@ -114,8 +114,8 @@ def model_from_dict(d: dict):
 def save_model(model, path: str) -> None:
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(model_to_dict(model), fh)
-            fh.write("\n")
+            # json.dumps runs the C encoder; json.dump would stream through the Python one
+            fh.write(json.dumps(model_to_dict(model)) + "\n")
     except OSError as exc:
         raise CheckpointError(f"cannot write checkpoint {path}: {exc}") from exc
 

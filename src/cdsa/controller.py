@@ -15,7 +15,12 @@ an env-unit action.
 
 Episodes run in lockstep (run_episodes): every time step corrects the actions
 of all running episodes in one batched pass of each network, and
-correct_action / control_episode are the one-row / one-episode cases.
+correct_action / control_episode are the one-row / one-episode cases. A batch
+of at least SPLIT_MIN_EPISODES runs as two halves on two cores, the second in
+a child made by a POSIX fork, as train_cdsa trains the inverse model; below
+that a fork costs more than it saves (see the constant). Each half steps its
+own copy of the policy and of its episodes' rngs, so a policy must not carry
+state from one act_batch call to the next (none does).
 
 A small Langevin sampler over a score function is included as a diagnostic;
 the controller itself never samples.
@@ -33,17 +38,19 @@ import numpy as np
 
 from .dataset import Dataset, NormStats
 from .envs import EnvSpec, EnvStates, Policy, env_reset, env_step_batch
-from .invdyn import InvDynModel, InvDynTrainConfig, infer_action, train_invdyn
+from .invdyn import InvDynModel, InvDynTrainConfig, train_invdyn
 from .neuralcore import MlpParams, Rng, forward_batch, row_norms, single_blas_thread
-from .scorefield import (
-    ScoreField,
-    ScoreKind,
-    ScoreTrainConfig,
-    eval_score,
-    train_score_field,
-)
+from .scorefield import ScoreField, ScoreKind, ScoreTrainConfig, train_score_field
 
 ABLATIONS = ("full", "no_a1", "no_a2", "baseline")
+
+# run_episodes splits a batch of at least this many episodes across two
+# processes. Measured on the eval-pointmass bundle (k1 0.1, k2 0.05, 2 shared
+# vCPUs): a fork round trip costs about 3 ms, and a lockstep step about
+# 0.65 ms plus 13 us per live row, of which a split saves only the per-row
+# part. Split and one-process runs broke even at about 32 episodes; at 2
+# episodes the split ran 1.5x slower, at 100 about 1.2x faster.
+SPLIT_MIN_EPISODES = 32
 
 
 class ControlError(ValueError):
@@ -241,7 +248,9 @@ def _correct_rows(models: CdsaModels, s: np.ndarray, a_o: np.ndarray,
                   cfg: ControlConfig, deltas_out: list | None) -> np.ndarray:
     """The correction rule on (n, d) rows of states and base actions at once.
 
-    Every pass evaluates g, h and I once over all rows. Inputs are trusted:
+    Every pass evaluates g, h and I once over all rows, as eval_score and
+    infer_action would, sharing their normalized inputs (the models share one
+    set of norm stats, so the values are the same bits). Inputs are trusted:
     callers validate models, cfg and dims once per batch. Per pass, an (n,)
     array of per-row action-delta norms is appended to deltas_out when given.
     """
@@ -256,14 +265,16 @@ def _correct_rows(models: CdsaModels, s: np.ndarray, a_o: np.ndarray,
     s_n = norm.normalize_state(s)
     for _ in range(1 + cfg.n_refine):
         delta = np.zeros_like(a_cur)
+        x = np.concatenate([s_n, norm.normalize_action(a_cur)], axis=1)  # input of g and h
         if use_a1:
-            g = eval_score(models.action_score, s, a_cur)
+            g, _ = forward_batch(models.action_score.params, x)
             delta = delta + cfg.k1 * (norm.action_std * g)
         if use_a2:
-            h = eval_score(models.state_score, s, a_cur)
+            h, _ = forward_batch(models.state_score.params, x)
             s_tilde = norm.denormalize_state(s_n + h)
-            a2 = infer_action(models.invdyn, s, s_tilde)
-            delta = delta + cfg.k2 * a2
+            a2, _ = forward_batch(models.invdyn.params,
+                                  np.concatenate([s_n, norm.normalize_state(s_tilde)], axis=1))
+            delta = delta + cfg.k2 * norm.denormalize_action(a2)
         a_new = np.clip(a_cur + delta, low, high)
         if not np.all(np.isfinite(a_new)):
             raise ControlError("non-finite corrected action (diverged model)")
@@ -318,6 +329,13 @@ def run_episodes(spec: EnvSpec, base_policy: Policy, models: CdsaModels | None,
     (EpisodeTotals, trajectories): full step records are kept only for the
     first `record` episodes, the rest keep running totals.
 
+    A batch of SPLIT_MIN_EPISODES or more runs as two halves on two cores:
+    episodes [0, h) here and [h, n) in a forked child, both with BLAS on one
+    thread, joined in episode order. The child advances its own copies of its
+    rngs, so rngs[h:] are left as they were; and the policy must not carry
+    state from one act_batch call to the next, since each half calls its own
+    copy.
+
     A row's arithmetic does not depend on the other rows, except that a
     network evaluates all live rows in one matrix product, whose last bits
     depend on the row count; results match a one-episode-at-a-time run to
@@ -334,6 +352,27 @@ def run_episodes(spec: EnvSpec, base_policy: Policy, models: CdsaModels | None,
         if models.state_dim != spec.state_dim or models.action_dim != spec.action_dim:
             raise ControlError("model dims do not match the env spec")
     budget = spec.max_steps if max_steps is None else max_steps
+
+    def episodes(lo: int, hi: int):
+        return _lockstep(spec, base_policy, models, cfg, rngs[lo:hi], budget, gamma,
+                         max(record - lo, 0))
+
+    n = len(rngs)
+    if n < SPLIT_MIN_EPISODES:
+        return episodes(0, n)
+    h = n // 2
+    with single_blas_thread(), _Forked(lambda: episodes(h, n)) as child:
+        head, head_trajs = episodes(0, h)
+        tail, tail_trajs = child.result()
+    totals = EpisodeTotals(**{k: np.concatenate([v, getattr(tail, k)])
+                              for k, v in vars(head).items()})
+    return totals, head_trajs + tail_trajs
+
+
+def _lockstep(spec: EnvSpec, base_policy: Policy, models: CdsaModels | None,
+              cfg: ControlConfig | None, rngs: list, budget: int, gamma: float,
+              record: int):
+    """run_episodes in this process, on inputs it has checked."""
     n, ds, da = len(rngs), spec.state_dim, spec.action_dim
     st = EnvStates.stack([env_reset(spec, rng) for rng in rngs])
     final = st.take(np.arange(n))  # a copy: rows are stored into it as episodes end

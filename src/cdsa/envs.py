@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 import os
 from dataclasses import dataclass, replace
 
@@ -71,8 +72,9 @@ class Region:
 
     def validate(self) -> None:
         if self.shape == "circle":
-            if self.center is None or self.radius is None or self.radius <= 0:
-                raise EnvError(f"circle region needs center and radius > 0: {self}")
+            if (self.center is None or self.radius is None
+                    or not (math.isfinite(self.radius) and self.radius > 0)):
+                raise EnvError(f"circle region needs center and a finite radius > 0: {self}")
         elif self.shape == "rect":
             if self.rect_min is None or self.rect_max is None:
                 raise EnvError(f"rect region needs min and max: {self}")
@@ -168,18 +170,18 @@ class EnvSpec:
             raise EnvError("only 2-D navigation is supported")
         if not np.all(self.arena_min < self.arena_max):
             raise EnvError("arena_min must be < arena_max elementwise")
-        if self.dt <= 0:
-            raise EnvError(f"dt must be positive, got {self.dt}")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise EnvError(f"dt must be finite and > 0, got {self.dt}")
         if self.max_steps < 1:
             raise EnvError(f"max_steps must be >= 1, got {self.max_steps}")
         if not 0.0 <= self.risk_prob <= 1.0:
             raise EnvError(f"risk_prob must be in [0, 1], got {self.risk_prob}")
-        if self.risk_penalty > 0:
-            raise EnvError("risk_penalty must be <= 0")
-        if self.step_cost < 0:
-            raise EnvError("step_cost must be >= 0")
-        if self.capture_radius <= 0:
-            raise EnvError("capture_radius must be positive")
+        if not (math.isfinite(self.risk_penalty) and self.risk_penalty <= 0):
+            raise EnvError(f"risk_penalty must be finite and <= 0, got {self.risk_penalty}")
+        if not (math.isfinite(self.step_cost) and self.step_cost >= 0):
+            raise EnvError(f"step_cost must be finite and >= 0, got {self.step_cost}")
+        if not (math.isfinite(self.capture_radius) and self.capture_radius > 0):
+            raise EnvError(f"capture_radius must be finite and > 0, got {self.capture_radius}")
         if not np.all(self.action_low < self.action_high):
             raise EnvError("action_low must be < action_high elementwise")
         if not (np.all(self.start_min <= self.start_max)
@@ -286,7 +288,12 @@ def load_env_spec(path: str) -> EnvSpec:
         raise EnvError(f"cannot read env spec {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise EnvError(f"env spec {path} is not valid JSON: {exc}") from exc
-    return EnvSpec.from_dict(d)
+    if not isinstance(d, dict):
+        raise EnvError(f"env spec {path} does not hold a JSON object")
+    try:
+        return EnvSpec.from_dict(d)
+    except (TypeError, ValueError) as exc:  # EnvError is a ValueError
+        raise EnvError(f"env spec {path}: {exc}") from exc
 
 
 def save_env_spec(spec: EnvSpec, path: str) -> None:
@@ -402,7 +409,7 @@ def env_step_batch(spec: EnvSpec, st: EnvStates, actions: np.ndarray, rngs: list
             pos[jump] = spec.landing_point
             airport_used = airport_used | jump
     risk_entered = _risk_occupancy(spec, pos)
-    fired = np.array([rng.random() for rng in rngs]) < spec.risk_prob
+    fired = np.array([rng.gen.random() for rng in rngs]) < spec.risk_prob
     dist = row_norms(pos - spec.goal)
     reward = -spec.step_cost * dist
     penalized = risk_entered & fired

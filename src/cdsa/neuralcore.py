@@ -45,12 +45,14 @@ class Rng:
     Two Rng objects built from the same (seed, key) produce identical
     streams. ``substream(i, j, ...)`` derives an independent child stream;
     parallel consumers (e.g. paired rollout episodes) each get their own.
+    ``gen`` is the numpy Generator behind the stream; batched code that draws
+    one value from each of many streams calls it directly.
     """
 
     def __init__(self, seed: int, key: tuple[int, ...] = ()):
         self.seed = int(seed)
         self.key = tuple(int(k) for k in key)
-        self._gen = np.random.default_rng(
+        self.gen = np.random.default_rng(
             np.random.SeedSequence(entropy=self.seed, spawn_key=self.key)
         )
 
@@ -58,16 +60,16 @@ class Rng:
         return Rng(self.seed, self.key + tuple(key))
 
     def normal(self, size=None) -> np.ndarray:
-        return self._gen.standard_normal(size=size)
+        return self.gen.standard_normal(size=size)
 
     def uniform(self, low: float, high: float, size=None) -> np.ndarray:
-        return self._gen.uniform(low, high, size=size)
+        return self.gen.uniform(low, high, size=size)
 
     def integers(self, n: int, size=None) -> np.ndarray:
-        return self._gen.integers(0, n, size=size)
+        return self.gen.integers(0, n, size=size)
 
     def random(self) -> float:
-        return float(self._gen.random())
+        return float(self.gen.random())
 
     def __repr__(self) -> str:
         return f"Rng(seed={self.seed}, key={self.key})"

@@ -1,5 +1,6 @@
 """Tests for model checkpoints and the three-model bundle directory."""
 
+import io
 import json
 import os
 import re
@@ -87,6 +88,21 @@ def test_bc_roundtrip_bitwise(tmp_path):
     assert back.norm.equals(model.norm)
     assert np.array_equal(back.action_low, model.action_low)
     assert np.array_equal(back.action_high, model.action_high)
+
+
+def test_save_model_writes_the_streaming_encoders_bytes(tmp_path):
+    # save_model encodes with json.dumps; the file must hold exactly what
+    # streaming through json.dump wrote, for every model type
+    bc_size = BehaviorCloned(mlp_init([DS, 128, 128, 128, DA], 0.2, Rng(4)), _norm(),
+                             -np.ones(DA), np.ones(DA))
+    for i, model in enumerate([_score(ScoreKind.ACTION), _score(ScoreKind.STATE), _invdyn(),
+                               _bc(), bc_size]):
+        path = tmp_path / f"m{i}.json"
+        save_model(model, str(path))
+        want = io.StringIO()
+        json.dump(model_to_dict(model), want)
+        want.write("\n")
+        assert path.read_bytes() == want.getvalue().encode("utf-8")
 
 
 def test_model_to_dict_rejects_unknown_type():

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -98,6 +99,58 @@ def test_spec_validation_rejects_bad_fields():
         replace(spec, risk_penalty=5.0).validate()
     with pytest.raises(EnvError):
         replace(spec, action_low=np.array([2.0, 2.0])).validate()
+
+
+def _with(*keys_and_value):
+    """A mutation that sets doc[k0][k1]... to the value and returns the document."""
+    *keys, value = keys_and_value
+
+    def mutate(doc):
+        node = doc
+        for k in keys[:-1]:
+            node = node[k]
+        node[keys[-1]] = value
+        return doc
+    return mutate
+
+
+def _without(key):
+    def mutate(doc):
+        del doc[key]
+        return doc
+    return mutate
+
+
+# each takes a valid spec document and returns a bad one
+SPEC_MUTATIONS = {
+    "dt nan": _with("dt", float("nan")),
+    "dt inf": _with("dt", float("inf")),
+    "dt zero": _with("dt", 0.0),
+    "dt string": _with("dt", "fast"),
+    "dt missing": _without("dt"),
+    "capture_radius nan": _with("goal", "capture_radius", float("nan")),
+    "capture_radius inf": _with("goal", "capture_radius", float("inf")),
+    "step_cost nan": _with("step_cost", float("nan")),
+    "step_cost inf": _with("step_cost", float("inf")),
+    "risk_penalty nan": _with("risk", "penalty", float("nan")),
+    "risk_penalty -inf": _with("risk", "penalty", float("-inf")),
+    "risk_prob nan": _with("risk", "prob", float("nan")),
+    "region radius nan": _with("risk", "regions", 0, "radius", float("nan")),
+    "arena a list": _with("arena", [0.0, 1.0]),
+    "document a list": lambda doc: [doc],
+    "document a number": lambda doc: 3.5,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPEC_MUTATIONS))
+def test_load_env_spec_rejects_bad_fields_naming_the_file(tmp_path, name):
+    with open(builtin_spec_path("pointmass"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(SPEC_MUTATIONS[name](doc)), encoding="utf-8")
+    with pytest.raises(EnvError) as err:
+        load_env_spec(str(path))
+    assert str(path) in str(err.value)
 
 
 def test_spec_rejects_region_outside_arena():
@@ -323,14 +376,16 @@ def _reference_env_step(spec, st, action, rng):
     return EnvState(pos, steps, goods_visited, airport_used, done), reward, done, risk_entered
 
 
-class _CountingRng:
-    def __init__(self, rng):
-        self.rng = rng
+class _CountingGen:
+    """Wraps an Rng's generator and counts the uniforms drawn from it."""
+
+    def __init__(self, gen):
+        self.inner = gen
         self.draws = 0
 
     def random(self):
         self.draws += 1
-        return self.rng.random()
+        return self.inner.random()
 
 
 def _staged_rows(spec):
@@ -355,7 +410,9 @@ def test_batched_step_matches_scalar_rows(variant):
     rows = _staged_rows(spec)
     n = len(rows)
     batch = EnvStates.stack(rows)
-    batch_rngs = [_CountingRng(Rng(61, (i,))) for i in range(n)]
+    batch_rngs = [Rng(61, (i,)) for i in range(n)]
+    for rng in batch_rngs:
+        rng.gen = _CountingGen(rng.gen)
     ref_rngs = [Rng(61, (i,)) for i in range(n)]
     one_rngs = [Rng(61, (i,)) for i in range(n)]
     one_rows = list(rows)
@@ -365,7 +422,7 @@ def test_batched_step_matches_scalar_rows(variant):
         actions = act_rng.uniform(-1.0, 1.0, size=(n, 2))
         actions[:, 0] = np.abs(actions[:, 0])  # drift right, into goods and airport
         batch, r, done, risk = env_step_batch(spec, batch, actions, batch_rngs)
-        assert [c.draws for c in batch_rngs] == [step + 1] * n
+        assert [rng.gen.draws for rng in batch_rngs] == [step + 1] * n
         penalized = penalized or bool(np.any(r <= spec.risk_penalty))
         for i in range(n):
             want, want_r, want_done, want_risk = _reference_env_step(

@@ -12,12 +12,21 @@ trained pointmass bundle the worst deviation over 2,100 sweep episodes was
 runs, the values agree bitwise.
 """
 
+import errno
+import os
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from cdsa.controller import ControlConfig, control_episode, correct_action, train_cdsa
+from cdsa.controller import (
+    SPLIT_MIN_EPISODES,
+    ControlConfig,
+    control_episode,
+    correct_action,
+    run_episodes,
+    train_cdsa,
+)
 from cdsa.dataset import Dataset, Transition, generate_dataset
 from cdsa.envs import (
     BcTrainConfig,
@@ -31,10 +40,11 @@ from cdsa.envs import (
 )
 from cdsa.evaluation import rollout_batch, stats_from_trajectory
 from cdsa.invdyn import InvDynTrainConfig
-from cdsa.neuralcore import Rng
+from cdsa.neuralcore import Rng, _openblas_threads
 from cdsa.scorefield import ScoreTrainConfig
 
 ATOL = 1e-6
+SPLIT_ODD = SPLIT_MIN_EPISODES | 1  # an odd episode count at or above the split minimum
 SWEEP = [(0.1, 0.0), (0.1, 0.02), (0.1, 0.05), (0.3, 0.0), (0.3, 0.02), (0.3, 0.05)]
 
 
@@ -231,3 +241,120 @@ def test_generate_dataset_matches_reference(env, variant, policy):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
     assert got.norm.equals(want.norm)
+
+
+# ---------------------------------------------------------------------------
+# Batches of SPLIT_MIN_EPISODES or more run as two halves, one in a forked child
+# ---------------------------------------------------------------------------
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class HalfFailure(Exception):
+    pass
+
+
+class HalfProbe:
+    """Wraps a policy. In the process that built it, counts calls and records the
+    OpenBLAS thread count; in any other process, raises HalfFailure when told to."""
+
+    def __init__(self, policy, fail_in_child):
+        self.policy, self.fail_in_child = policy, fail_in_child
+        self.pid = os.getpid()
+        self.parent_calls = 0
+        self.blas_threads = []
+
+    def act_batch(self, states, ctx, rngs):
+        if os.getpid() != self.pid:
+            if self.fail_in_child:
+                raise HalfFailure(f"policy failed on {len(rngs)} rows of the child's half")
+        else:
+            self.parent_calls += 1
+            if _openblas_threads() is not None:
+                self.blas_threads.append(_openblas_threads()[0]())
+        return self.policy.act_batch(states, ctx, rngs)
+
+
+def test_split_rollout_matches_reference(pointmass):
+    spec, models, bc = pointmass
+    h = SPLIT_ODD // 2
+    cfg = ControlConfig(0.3, 0.02, spec.action_low, spec.action_high, n_refine=2)
+    # the recorded trajectories run from the parent's half into the child's
+    for m, c in ((None, None), (models, cfg)):
+        stats = assert_matches_reference(spec, bc, m, c, SPLIT_ODD, 9100,
+                                         max_trajectories=h + 3)
+        assert len({s.steps for s in stats}) > 1, "episodes should end at different steps"
+    assert_no_child_left()
+
+
+def test_split_generate_dataset_matches_reference_bitwise():
+    spec = load_env_spec(builtin_spec_path("transport"))
+    pol = ScriptedRiskAvoiding(spec, exec_noise=0.2)
+    got = generate_dataset(spec, pol, SPLIT_ODD, spec.max_steps, Rng(62))
+    want = reference_dataset(spec, pol, SPLIT_ODD, spec.max_steps, Rng(62))
+    assert len(got) == len(want) > SPLIT_ODD
+    for name in ("states", "actions", "rewards", "next_states", "dones"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert_no_child_left()
+
+
+def test_split_child_advances_its_own_rng_copies():
+    spec = load_env_spec(builtin_spec_path("linear"))
+    rngs = [Rng(8).substream(i) for i in range(SPLIT_MIN_EPISODES)]
+    run_episodes(spec, RandomPolicy(spec), None, None, rngs)
+    assert rngs[0].random() != Rng(8).substream(0).random()
+    assert rngs[-1].random() == Rng(8).substream(SPLIT_MIN_EPISODES - 1).random()
+    assert_no_child_left()
+
+
+def test_split_child_failure_raises_in_parent(pointmass):
+    spec, _, bc = pointmass
+    pol = HalfProbe(bc, fail_in_child=True)
+    with pytest.raises(HalfFailure) as info:
+        rollout_batch(spec, pol, None, None, SPLIT_ODD, 5)
+    child_rows = SPLIT_ODD - SPLIT_ODD // 2
+    assert str(info.value) == f"policy failed on {child_rows} rows of the child's half"
+    assert pol.parent_calls > 0  # the parent's half ran
+    assert_no_child_left()
+
+
+@pytest.mark.skipif(_openblas_threads() is None, reason="no OpenBLAS loaded")
+@pytest.mark.parametrize("fail", [False, True], ids=["success", "failure"])
+def test_split_pins_blas_and_restores_it(pointmass, fail):
+    spec, models, bc = pointmass
+    get, put = _openblas_threads()
+    original = get()
+    pol = HalfProbe(bc, fail_in_child=fail)
+    cfg = ControlConfig(0.1, 0.02, spec.action_low, spec.action_high)
+    put(2)
+    try:
+        if fail:
+            with pytest.raises(HalfFailure):
+                rollout_batch(spec, pol, models, cfg, SPLIT_MIN_EPISODES, 6)
+        else:
+            rollout_batch(spec, pol, models, cfg, SPLIT_MIN_EPISODES, 6)
+        assert get() == 2
+    finally:
+        put(original)
+    assert pol.blas_threads and set(pol.blas_threads) == {1}
+    assert_no_child_left()
+
+
+def test_small_batches_stay_in_one_process(pointmass, monkeypatch):
+    spec, models, bc = pointmass
+    cfg = ControlConfig(0.1, 0.05, spec.action_low, spec.action_high)
+
+    def no_fork():
+        raise OSError(errno.EAGAIN, "fork is patched out")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    stats = rollout_batch(spec, bc, models, cfg, SPLIT_MIN_EPISODES - 1, 7)
+    assert len(stats) == SPLIT_MIN_EPISODES - 1
+    control_episode(spec, bc, models, cfg, Rng(7).substream(0))
+    generate_dataset(spec, ScriptedDirect(spec), 2, spec.max_steps, Rng(7))
+    with pytest.raises(OSError, match="fork is patched out"):
+        rollout_batch(spec, bc, models, cfg, SPLIT_MIN_EPISODES, 7)
