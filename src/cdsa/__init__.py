@@ -16,7 +16,7 @@ from .controller import (
     langevin_sample,
     train_cdsa,
 )
-from .dataset import Dataset, NormStats, Transition, generate_dataset, load_dataset, save_dataset
+from .dataset import Dataset, NormStats, generate_dataset, load_dataset, save_dataset
 from .envs import Env, EnvSpec, EnvState, Region, load_env_spec, save_env_spec
 from .evaluation import EpisodeStats, Report, emit_report, rollout_batch, summarize, var_at
 from .invdyn import InvDynModel, InvDynTrainConfig, infer_action, train_invdyn
@@ -29,8 +29,7 @@ __all__ = [
     "CdsaModels", "ControlConfig", "LangevinConfig", "Trajectory",
     "conditional_score_fn", "control_episode", "correct_action",
     "langevin_sample", "train_cdsa",
-    "Dataset", "NormStats", "Transition", "generate_dataset",
-    "load_dataset", "save_dataset",
+    "Dataset", "NormStats", "generate_dataset", "load_dataset", "save_dataset",
     "Env", "EnvSpec", "EnvState", "Region", "load_env_spec", "save_env_spec",
     "EpisodeStats", "Report", "emit_report", "rollout_batch", "summarize", "var_at",
     "InvDynModel", "InvDynTrainConfig", "infer_action", "train_invdyn",

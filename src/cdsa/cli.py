@@ -104,6 +104,9 @@ def _merge_config(args: argparse.Namespace, command: str) -> dict:
             raise ValueError(f"cannot read config file {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ValueError(f"config file {path} is not valid JSON: {exc}") from exc
+        if not isinstance(file_cfg, dict):
+            raise ValueError(f"config file {path} must hold a JSON object, "
+                             f"not {type(file_cfg).__name__}")
         unknown = sorted(set(file_cfg) - set(cfg))
         if unknown:
             raise ValueError(f"config file {path} has unknown keys: {', '.join(unknown)}")

@@ -1,14 +1,18 @@
-"""Offline transition storage, normalization stats, sampling, and file I/O.
+"""Offline dataset: five row-aligned arrays, normalization stats, file I/O.
 
 The dataset is the empirical stand-in for the data distribution the score
-fields are trained on. On-disk format: JSON-lines, one metadata record first,
-then one record per transition (see docs/FORMATS.md).
+fields are trained on. Row i of its states, actions, rewards, next_states
+and dones arrays is transition i, in generation order. On-disk format:
+JSON-lines, one metadata record first, then one record per transition (see
+docs/FORMATS.md); the loader rejects any malformed line with a
+`path:lineno:` prefix.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
@@ -23,15 +27,6 @@ class DatasetError(ValueError):
 
 class DatasetSchemaError(DatasetError):
     pass
-
-
-@dataclass
-class Transition:
-    s: np.ndarray
-    a: np.ndarray
-    r: float
-    s_next: np.ndarray
-    done: bool
 
 
 @dataclass
@@ -86,69 +81,75 @@ class NormStats:
             np.zeros(state_dim), np.ones(state_dim), np.zeros(action_dim), np.ones(action_dim)
         )
 
+    def validate(self, state_dim: int, action_dim: int) -> None:
+        """Each vector has its dim and is finite, and every std is > 0."""
+        for name, dim in (("state_mean", state_dim), ("state_std", state_dim),
+                          ("action_mean", action_dim), ("action_std", action_dim)):
+            v = getattr(self, name)
+            if np.shape(v) != (dim,) or not np.all(np.isfinite(v)):
+                raise DatasetSchemaError(f"norm {name} must be {dim} finite numbers")
+            if name.endswith("std") and not np.all(v > 0):
+                raise DatasetSchemaError(f"norm {name} must be > 0")
+
 
 class Dataset:
-    """Ordered transitions plus dims and normalization stats.
+    """Transitions as five row-aligned arrays plus normalization stats.
 
-    Immutable after construction; also keeps stacked arrays so training loops
-    can index without rebuilding per step.
+    states and next_states are (n, state_dim), actions (n, action_dim) and
+    rewards (n,), all finite float64; dones is (n,) bool. The constructor
+    checks them once and keeps them as given, without copying. norm defaults
+    to the arrays' own stats.
     """
 
-    def __init__(self, transitions: list[Transition], state_dim: int, action_dim: int,
-                 norm: NormStats | None = None):
-        if state_dim < 1 or action_dim < 1:
-            raise DatasetError("state_dim and action_dim must be positive")
-        for i, t in enumerate(transitions):
-            if t.s.shape != (state_dim,) or t.s_next.shape != (state_dim,):
-                raise DatasetSchemaError(f"record {i}: state dim != {state_dim}")
-            if t.a.shape != (action_dim,):
-                raise DatasetSchemaError(f"record {i}: action dim != {action_dim}")
-        self.transitions = transitions
-        self.state_dim = state_dim
-        self.action_dim = action_dim
-        if transitions:
-            self.states = np.stack([t.s for t in transitions])
-            self.actions = np.stack([t.a for t in transitions])
-            self.rewards = np.array([t.r for t in transitions])
-            self.next_states = np.stack([t.s_next for t in transitions])
-            self.dones = np.array([t.done for t in transitions])
-        else:
-            self.states = np.zeros((0, state_dim))
-            self.actions = np.zeros((0, action_dim))
-            self.rewards = np.zeros(0)
-            self.next_states = np.zeros((0, state_dim))
-            self.dones = np.zeros(0, dtype=bool)
-        self.norm = norm if norm is not None else compute_norm_stats_arrays(
-            self.states, self.actions)
+    def __init__(self, states: np.ndarray, actions: np.ndarray, rewards: np.ndarray,
+                 next_states: np.ndarray, dones: np.ndarray, norm: NormStats | None = None):
+        arrays = {"states": states, "actions": actions, "rewards": rewards,
+                  "next_states": next_states, "dones": dones}
+        for name, arr in arrays.items():
+            dtype = np.dtype(bool if name == "dones" else np.float64)
+            if not isinstance(arr, np.ndarray) or arr.dtype != dtype:
+                raise DatasetSchemaError(f"{name} must be a {dtype} array")
+        if states.ndim != 2 or actions.ndim != 2 or min(states.shape[1:] + actions.shape[1:]) < 1:
+            raise DatasetSchemaError("states and actions must be (n, dim) arrays with dim >= 1")
+        n = len(states)
+        shapes = {"actions": (n, actions.shape[1]), "rewards": (n,),
+                  "next_states": states.shape, "dones": (n,)}
+        for name, shape in shapes.items():
+            if arrays[name].shape != shape:
+                raise DatasetSchemaError(f"{name} has shape {arrays[name].shape}, expected {shape}")
+        for name in ("states", "actions", "rewards", "next_states"):
+            if not np.all(np.isfinite(arrays[name])):
+                raise DatasetSchemaError(f"{name} holds a non-finite value")
+        self.states = states
+        self.actions = actions
+        self.rewards = rewards
+        self.next_states = next_states
+        self.dones = dones
+        self.norm = norm if norm is not None else compute_norm_stats(states, actions)
+        self.norm.validate(self.state_dim, self.action_dim)
+
+    @property
+    def state_dim(self) -> int:
+        return self.states.shape[1]
+
+    @property
+    def action_dim(self) -> int:
+        return self.actions.shape[1]
 
     def __len__(self) -> int:
-        return len(self.transitions)
+        return len(self.rewards)
 
 
-def compute_norm_stats_arrays(states: np.ndarray, actions: np.ndarray) -> NormStats:
+def compute_norm_stats(states: np.ndarray, actions: np.ndarray) -> NormStats:
+    """Per-feature mean and population std of states and actions, std floored."""
     if len(states) == 0:
         raise DatasetError("cannot compute normalization stats of an empty dataset")
     return NormStats(
         states.mean(axis=0),
-        np.maximum(states.std(axis=0), STD_FLOOR),  # population std, floored
+        np.maximum(states.std(axis=0), STD_FLOOR),
         actions.mean(axis=0),
         np.maximum(actions.std(axis=0), STD_FLOOR),
     )
-
-
-def compute_norm_stats(dataset: Dataset) -> NormStats:
-    """Per-feature mean and population std of states and actions."""
-    return compute_norm_stats_arrays(dataset.states, dataset.actions)
-
-
-def sample_batch(dataset: Dataset, batch_size: int, rng: Rng) -> list[Transition]:
-    """Uniform sampling with replacement; deterministic given rng state."""
-    if len(dataset) == 0:
-        raise DatasetError("cannot sample from an empty dataset")
-    if batch_size < 1:
-        raise DatasetError(f"batch_size must be >= 1, got {batch_size}")
-    idx = rng.integers(len(dataset), size=batch_size)
-    return [dataset.transitions[i] for i in idx]
 
 
 def generate_dataset(env_spec, policy, episodes: int, max_steps: int, rng: Rng,
@@ -164,17 +165,17 @@ def generate_dataset(env_spec, policy, episodes: int, max_steps: int, rng: Rng,
 
     if episodes < 1:
         raise DatasetError(f"episodes must be >= 1, got {episodes}")
-    _, trajectories = run_episodes(env_spec, policy, None, None,
-                                   [rng.substream(ep) for ep in range(episodes)], max_steps,
-                                   record=episodes)
-    transitions: list[Transition] = []
-    for traj in trajectories:
-        next_states = np.concatenate([traj.states[1:], traj.final_state[None, :]])
-        transitions.extend(
-            Transition(s, a, float(r), s2, bool(done))
-            for s, a, r, s2, done in zip(traj.states, traj.actions, traj.rewards,
-                                         next_states, traj.dones))
-    return Dataset(transitions, env_spec.state_dim, env_spec.action_dim, norm=norm)
+    if max_steps < 1:
+        raise DatasetError(f"max_steps must be >= 1, got {max_steps}")
+    _, trajs = run_episodes(env_spec, policy, None, None,
+                            [rng.substream(ep) for ep in range(episodes)], max_steps,
+                            record=episodes)
+    next_states = [np.concatenate([t.states[1:], t.final_state[None, :]]) for t in trajs]
+    return Dataset(np.concatenate([t.states for t in trajs]),
+                   np.concatenate([t.actions for t in trajs]),
+                   np.concatenate([t.rewards for t in trajs]),
+                   np.concatenate(next_states),
+                   np.concatenate([t.dones for t in trajs]), norm=norm)
 
 
 # ---------------------------------------------------------------------------
@@ -186,56 +187,102 @@ _VERSION = 1
 
 
 def save_dataset(dataset: Dataset, path) -> None:
+    meta = {
+        "format": _FORMAT,
+        "version": _VERSION,
+        "state_dim": dataset.state_dim,
+        "action_dim": dataset.action_dim,
+        "norm": dataset.norm.to_dict(),
+    }
+    rows = zip(dataset.states.tolist(), dataset.actions.tolist(), dataset.rewards.tolist(),
+               dataset.next_states.tolist(), dataset.dones.tolist())
     with open(path, "w") as f:
-        meta = {
-            "format": _FORMAT,
-            "version": _VERSION,
-            "state_dim": dataset.state_dim,
-            "action_dim": dataset.action_dim,
-            "norm": dataset.norm.to_dict(),
-        }
         f.write(json.dumps(meta) + "\n")
-        for t in dataset.transitions:
-            rec = {
-                "s": t.s.tolist(),
-                "a": t.a.tolist(),
-                "r": t.r,
-                "s2": t.s_next.tolist(),
-                "done": t.done,
-            }
-            f.write(json.dumps(rec) + "\n")
+        f.writelines(json.dumps({"s": s, "a": a, "r": r, "s2": s2, "done": done}) + "\n"
+                     for s, a, r, s2, done in rows)
+
+
+# every JSON number is read as a float, so one type check covers ints too
+_DECODER = json.JSONDecoder(parse_int=float)
+
+
+def _parse(line: str, where: str, what: str) -> dict:
+    try:
+        obj = _DECODER.decode(line)
+    except (json.JSONDecodeError, RecursionError) as e:
+        raise DatasetError(f"{where}: malformed {what}: {e}") from e
+    if type(obj) is not dict:
+        raise DatasetSchemaError(f"{where}: {what} must be a JSON object")
+    return obj
+
+
+def _is_vector(value, dim: int) -> bool:
+    """value is a list of dim finite numbers."""
+    return (type(value) is list and len(value) == dim
+            and all(type(x) is float and isfinite(x) for x in value))
+
+
+def _whole(value) -> bool:
+    return type(value) is float and value.is_integer()
+
+
+def _read_metadata(line: str, where: str) -> tuple[int, int, NormStats]:
+    meta = _parse(line, where, "metadata record")
+    if meta.get("format") != _FORMAT:
+        raise DatasetSchemaError(f"{where}: not a {_FORMAT} file")
+    if not (_whole(meta.get("version")) and meta["version"] == _VERSION):
+        raise DatasetSchemaError(f"{where}: version must be {_VERSION}")
+    dims = [meta.get("state_dim"), meta.get("action_dim")]
+    if not all(_whole(d) and d >= 1 for d in dims):
+        raise DatasetSchemaError(f"{where}: state_dim and action_dim must be integers >= 1")
+    state_dim, action_dim = map(int, dims)
+    norm = meta.get("norm")
+    norm_dims = {"state_mean": state_dim, "state_std": state_dim,
+                 "action_mean": action_dim, "action_std": action_dim}
+    if type(norm) is not dict or not all(_is_vector(norm.get(k), d) for k, d in norm_dims.items()):
+        raise DatasetSchemaError(f"{where}: norm must hold {', '.join(norm_dims)} as lists of "
+                                 f"finite numbers of the declared dims")
+    if min(norm["state_std"] + norm["action_std"]) <= 0:
+        raise DatasetSchemaError(f"{where}: every std in norm must be > 0")
+    return state_dim, action_dim, NormStats.from_dict(norm)
+
+
+def _record_problem(rec: dict, state_dim: int, action_dim: int) -> str | None:
+    """What is wrong with one transition record, or None."""
+    for key, dim in (("s", state_dim), ("a", action_dim), ("s2", state_dim)):
+        if not _is_vector(rec.get(key), dim):
+            return f"{key!r} must be a list of {dim} finite numbers"
+    r = rec.get("r")
+    if type(r) is not float or not isfinite(r):
+        return "'r' must be a finite number"
+    if type(rec.get("done")) is not bool:
+        return "'done' must be true or false"
+    return None
 
 
 def load_dataset(path) -> Dataset:
-    with open(path) as f:
-        lines = f.read().splitlines()
-    if not lines or not any(line.strip() for line in lines):
+    with open(path, encoding="utf-8") as f:
+        try:
+            lines = f.read().splitlines()
+        except UnicodeDecodeError as e:
+            raise DatasetError(f"{path}: not UTF-8 text: {e}") from e
+    if not any(line.strip() for line in lines):
         raise DatasetError(f"{path}: no records")
-    try:
-        meta = json.loads(lines[0])
-    except json.JSONDecodeError as e:
-        raise DatasetError(f"{path}:1: malformed metadata record: {e}") from e
-    if meta.get("format") != _FORMAT:
-        raise DatasetSchemaError(f"{path}:1: not a {_FORMAT} file")
-    state_dim = int(meta["state_dim"])
-    action_dim = int(meta["action_dim"])
-    norm = NormStats.from_dict(meta["norm"])
-    transitions = []
+    state_dim, action_dim, norm = _read_metadata(lines[0], f"{path}:1")
+    records = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise DatasetError(f"{path}:{lineno}: malformed record: {e}") from e
-        s = np.asarray(rec["s"], dtype=np.float64)
-        a = np.asarray(rec["a"], dtype=np.float64)
-        s2 = np.asarray(rec["s2"], dtype=np.float64)
-        if s.shape != (state_dim,) or s2.shape != (state_dim,):
-            raise DatasetSchemaError(f"{path}:{lineno}: state length != {state_dim}")
-        if a.shape != (action_dim,):
-            raise DatasetSchemaError(f"{path}:{lineno}: action length != {action_dim}")
-        transitions.append(Transition(s, a, float(rec["r"]), s2, bool(rec["done"])))
-    if not transitions:
+        rec = _parse(line, f"{path}:{lineno}", "record")
+        problem = _record_problem(rec, state_dim, action_dim)
+        if problem:
+            raise DatasetSchemaError(f"{path}:{lineno}: {problem}")
+        records.append(rec)
+    if not records:
         raise DatasetError(f"{path}: no records")
-    return Dataset(transitions, state_dim, action_dim, norm=norm)
+
+    def column(key: str, dtype=np.float64) -> np.ndarray:
+        return np.array([rec[key] for rec in records], dtype=dtype)
+
+    return Dataset(column("s"), column("a"), column("r"), column("s2"), column("done", bool),
+                   norm=norm)

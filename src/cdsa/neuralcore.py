@@ -391,28 +391,6 @@ def mse_loss(net: MlpParams, x: np.ndarray, target: np.ndarray,
     return loss, grads
 
 
-def mlp_forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
-    """Evaluate the network on one input vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (params.in_dim,):
-        raise NeuralCoreError(f"expected input of length {params.in_dim}, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise NeuralCoreError("non-finite input")
-    out, _ = forward_batch(params, x[None, :])
-    return out[0]
-
-
-def mlp_backward(params: MlpParams, x: np.ndarray, out_grad: np.ndarray):
-    """Gradients of out_grad . output w.r.t. every parameter and the input."""
-    x = np.asarray(x, dtype=np.float64)
-    out_grad = np.asarray(out_grad, dtype=np.float64)
-    if out_grad.shape != (params.out_dim,):
-        raise NeuralCoreError(f"expected out_grad of length {params.out_dim}, got {out_grad.shape}")
-    _, cache = forward_batch(params, x[None, :])
-    grads, gin = backward_batch(params, cache, out_grad[None, :])
-    return grads, gin[0]
-
-
 # ---------------------------------------------------------------------------
 # Adam
 # ---------------------------------------------------------------------------

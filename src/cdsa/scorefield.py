@@ -25,8 +25,6 @@ import numpy as np
 from .dataset import Dataset, NormStats
 from .neuralcore import (
     MlpParams,
-    NeuralCoreError,
-    Rng,
     TrainBuffers,
     TrainConfig,
     backward_batch,
@@ -77,43 +75,6 @@ def field_dims(kind: ScoreKind, state_dim: int, action_dim: int) -> list[int]:
     return [state_dim + action_dim] + HIDDEN_DIMS + [out]
 
 
-def perturb_action(x: tuple[np.ndarray, np.ndarray], sigma: float, rng: Rng):
-    """Gaussian-perturb the action half of one (s, a) pair.
-
-    Returns ((s, a + sigma*z), z); the state is untouched and z is the
-    standard-normal draw the reparameterized loss needs.
-    """
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    s, a = x
-    a = np.asarray(a, dtype=np.float64)
-    z = rng.normal(size=a.shape)
-    return (np.asarray(s, dtype=np.float64), a + sigma * z), z
-
-
-def perturb_state(x: tuple[np.ndarray, np.ndarray], sigma: float, rng: Rng):
-    """State-side counterpart of perturb_action: (s + sigma*z, a), z."""
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    s, a = x
-    s = np.asarray(s, dtype=np.float64)
-    z = rng.normal(size=s.shape)
-    return (s + sigma * z, np.asarray(a, dtype=np.float64)), z
-
-
-def _split_dims(net: MlpParams, kind: ScoreKind) -> tuple[int, int]:
-    """(state_dim, action_dim) implied by the net shape and field kind."""
-    if kind is ScoreKind.ACTION:
-        action_dim = net.out_dim
-        state_dim = net.in_dim - action_dim
-    else:
-        state_dim = net.out_dim
-        action_dim = net.in_dim - state_dim
-    if state_dim < 1 or action_dim < 1:
-        raise NeuralCoreError(f"net dims {net.layer_dims} inconsistent with {kind}")
-    return state_dim, action_dim
-
-
 def dsm_loss_reparam_given_noise(net: MlpParams, states: np.ndarray, actions: np.ndarray,
                                  sigma: float, z: np.ndarray, kind: ScoreKind,
                                  bufs: TrainBuffers | None = None):
@@ -141,17 +102,6 @@ def dsm_loss_reparam_given_noise(net: MlpParams, states: np.ndarray, actions: np
     resid /= n
     grads, _ = backward_batch(net, cache, resid, bufs)
     return loss, grads
-
-
-def dsm_loss_reparam(net: MlpParams, batch, sigma: float, rng: Rng, kind: ScoreKind):
-    """Draw one noise vector per sample and evaluate the training loss.
-
-    `batch` is (states, actions) in normalized coordinates.
-    """
-    states, actions = batch
-    dim = actions.shape[1] if kind is ScoreKind.ACTION else states.shape[1]
-    z = rng.normal(size=(len(states), dim))
-    return dsm_loss_reparam_given_noise(net, states, actions, sigma, z, kind)
 
 
 def dsm_loss_reference(net: MlpParams, batch_with_noise, sigma: float,

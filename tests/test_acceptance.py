@@ -13,7 +13,7 @@ import numpy as np
 
 from cdsa.controller import (ControlConfig, LangevinConfig, control_episode,
                              langevin_sample, train_cdsa)
-from cdsa.dataset import Dataset, Transition, generate_dataset
+from cdsa.dataset import Dataset, generate_dataset
 from cdsa.envs import (BcTrainConfig, RandomPolicy, ScriptedDirect,
                        ScriptedRiskAvoiding, builtin_spec_path, load_env_spec,
                        train_bc_policy)
@@ -129,11 +129,9 @@ def _score_recovery(kind: ScoreKind, sigma: float, n: int):
     other = np.asarray(rng.uniform(-1, 1, size=(n, 2)))
     comps = (np.asarray(rng.uniform(0, 1, size=n)) > MIX_W[0]).astype(int)
     mix = MIX_MU[comps] + MIX_TAU[comps] * np.asarray(rng.normal(size=(n, 2)))
-    if kind is ScoreKind.ACTION:
-        trans = [Transition(other[i], mix[i], 0.0, other[i], False) for i in range(n)]
-    else:
-        trans = [Transition(mix[i], other[i], 0.0, mix[i], False) for i in range(n)]
-    field, _ = train_score_field(Dataset(trans, 2, 2), kind,
+    states, actions = (other, mix) if kind is ScoreKind.ACTION else (mix, other)
+    data = Dataset(states, actions, np.zeros(n), states, np.zeros(n, dtype=bool))
+    field, _ = train_score_field(data, kind,
                                  ScoreTrainConfig(sigma=sigma, seed=5))
 
     ev = Rng(999)

@@ -111,6 +111,38 @@ def test_config_file_unknown_key_exits_1(tmp_path, capsys):
     assert "unknown keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("document", ["5", "[1, 2]"])
+def test_config_file_not_an_object_exits_1(tmp_path, capsys, document):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(document)
+    rc = main(["verify", "--config", str(cfg)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(cfg) in err and "JSON object" in err
+
+
+@pytest.mark.parametrize("line, mutate", [
+    (1, lambda rec: [rec]),
+    (2, lambda rec: {k: v for k, v in rec.items() if k != "s"}),
+    (2, lambda rec: {**rec, "r": "x"}),
+    (3, lambda rec: {**rec, "a": [float("nan")] * len(rec["a"])}),
+], ids=["metadata-list", "record-without-s", "string-reward", "nan-action"])
+def test_train_on_malformed_dataset_exits_1_with_one_line(tmp_path, capsys, line, mutate):
+    rc, data = _gen(tmp_path)
+    assert rc == 0
+    with open(data) as fh:
+        lines = fh.read().splitlines()
+    lines[line - 1] = json.dumps(mutate(json.loads(lines[line - 1])))
+    with open(data, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    capsys.readouterr()
+    rc, bundle = _train(tmp_path, data)
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {data}:{line}: ")
+    assert not os.path.exists(bundle)
+
+
 def test_train_eval_plot_pipeline(tmp_path):
     rc, data = _gen(tmp_path)
     assert rc == 0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cdsa.dataset import Dataset, Transition, generate_dataset
+from cdsa.dataset import Dataset, generate_dataset
 from cdsa.envs import RandomPolicy, builtin_spec_path, load_env_spec
 from cdsa.invdyn import (
     InvDynTrainConfig,
@@ -77,9 +77,10 @@ def test_infer_action_normalization_mapping():
     # zero net always predicts the normalized-action origin, which maps back
     # to the dataset action mean
     rng = np.random.default_rng(11)
-    trans = [Transition(rng.normal(size=2), rng.normal(size=2) + 3.0, 0.0,
-                        rng.normal(size=2), False) for _ in range(40)]
-    data = Dataset(trans, 2, 2)
+    rows = [(rng.normal(size=2), rng.normal(size=2) + 3.0, rng.normal(size=2))
+            for _ in range(40)]
+    s, a, s2 = (np.array(col) for col in zip(*rows))
+    data = Dataset(s, a, np.zeros(40), s2, np.zeros(40, dtype=bool))
     model, _ = train_invdyn(data, InvDynTrainConfig(iterations=0, seed=0))
     for w in model.params.weights:
         w[:] = 0.0
@@ -89,9 +90,9 @@ def test_infer_action_normalization_mapping():
 
 def test_infer_action_accepts_row_batches():
     rng = np.random.default_rng(12)
-    trans = [Transition(rng.normal(size=2), rng.normal(size=2), 0.0,
-                        rng.normal(size=2), False) for _ in range(40)]
-    model, _ = train_invdyn(Dataset(trans, 2, 2),
+    rows = [(rng.normal(size=2), rng.normal(size=2), rng.normal(size=2)) for _ in range(40)]
+    s, a, s2 = (np.array(col) for col in zip(*rows))
+    model, _ = train_invdyn(Dataset(s, a, np.zeros(40), s2, np.zeros(40, dtype=bool)),
                             InvDynTrainConfig(iterations=5, batch_size=8, seed=1))
     s, s2 = rng.normal(size=(7, 2)), rng.normal(size=(7, 2))
     out = infer_action(model, s, s2)

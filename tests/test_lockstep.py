@@ -27,7 +27,7 @@ from cdsa.controller import (
     run_episodes,
     train_cdsa,
 )
-from cdsa.dataset import Dataset, Transition, generate_dataset
+from cdsa.dataset import Dataset, generate_dataset
 from cdsa.envs import (
     BcTrainConfig,
     Env,
@@ -86,19 +86,19 @@ def reference_episode(spec, policy, models, cfg, rng) -> RefEpisode:
 
 def reference_dataset(spec, policy, episodes, max_steps, rng) -> Dataset:
     """Dataset generation one episode at a time through Env, as before lockstep."""
-    transitions = []
+    rows = []
     for ep in range(episodes):
         env = Env(spec, rng.substream(ep))
         s = env.reset()
         for _ in range(max_steps):
             a = policy.act(s, env.context(), env.rng)
             s2, r, done, _risk = env.step(a)
-            transitions.append(Transition(s.copy(), np.asarray(a, dtype=np.float64).copy(),
-                                          float(r), s2.copy(), bool(done)))
+            rows.append((s.copy(), np.asarray(a, dtype=np.float64).copy(),
+                         float(r), s2.copy(), bool(done)))
             s = s2
             if done:
                 break
-    return Dataset(transitions, spec.state_dim, spec.action_dim)
+    return Dataset(*(np.array(col) for col in zip(*rows)))
 
 
 def _close(x, y, exact):

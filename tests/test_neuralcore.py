@@ -11,8 +11,6 @@ from cdsa.neuralcore import (
     backward_batch,
     fd_grads,
     forward_batch,
-    mlp_backward,
-    mlp_forward,
     mlp_init,
     param_count,
     row_norms,
@@ -64,7 +62,9 @@ def test_forward_shape_validation():
     with pytest.raises(NeuralCoreError):
         forward_batch(p, np.zeros((5, 7)))
     with pytest.raises(NeuralCoreError):
-        mlp_forward(p, np.zeros(7))
+        forward_batch(p, np.zeros((1, 7)))
+    with pytest.raises(NeuralCoreError):
+        forward_batch(p, np.zeros(3))  # one row must still be a (1, in_dim) matrix
 
 
 def test_leaky_relu_slope_applied():
@@ -72,8 +72,9 @@ def test_leaky_relu_slope_applied():
     slope = 0.25
     p = MlpParams([1, 1, 1], [np.array([[1.0]]), np.array([[1.0]])],
                   [np.zeros(1), np.zeros(1)], slope)
-    assert mlp_forward(p, np.array([2.0]))[0] == 2.0
-    assert mlp_forward(p, np.array([-2.0]))[0] == -2.0 * slope
+    out, _ = forward_batch(p, np.array([[2.0], [-2.0]]))
+    assert out[0, 0] == 2.0
+    assert out[1, 0] == -2.0 * slope
 
 
 @pytest.mark.parametrize("slope", [0.1, 0.2])
@@ -91,14 +92,6 @@ def test_row_norms_match_linalg_norm_per_row():
     assert np.array_equal(row_norms(x), want)
     assert np.array_equal(row_norms(x[:1]), want[:1])
     assert row_norms(np.zeros((0, 2))).shape == (0,)
-
-
-def test_single_vector_matches_batch():
-    p = mlp_init([3, 8, 2], 0.1, Rng(4))
-    x = Rng(5).normal(size=3)
-    single = mlp_forward(p, x)
-    batched, _ = forward_batch(p, x[None, :])
-    assert np.array_equal(single, batched[0])
 
 
 def _quadratic_loss(p: MlpParams, x: np.ndarray, y: np.ndarray):
@@ -131,16 +124,6 @@ def test_backward_input_gradient_linear_net():
     out_grad = np.array([[1.0, 1.0]])
     _, x_grad = backward_batch(p, cache, out_grad)
     assert np.allclose(x_grad, out_grad @ w)
-
-
-def test_mlp_backward_vector_form():
-    p = mlp_init([3, 5, 2], 0.1, Rng(9))
-    x = np.asarray(Rng(10).normal(size=3))
-    g_vec, xg_vec = mlp_backward(p, x, np.ones(2))
-    _, cache = forward_batch(p, x[None, :])
-    g_b, xg_b = backward_batch(p, cache, np.ones((1, 2)))
-    assert all(np.array_equal(a, b) for a, b in zip(g_vec.weights, g_b.weights))
-    assert np.array_equal(xg_vec, xg_b[0])
 
 
 def test_adam_first_step_exact():

@@ -1,19 +1,16 @@
 import numpy as np
 import pytest
 
-from cdsa.dataset import Dataset, NormStats, Transition
+from cdsa.dataset import Dataset, NormStats
 from cdsa.neuralcore import MlpParams, Rng, mlp_init
 from cdsa.scorefield import (
     ScoreField,
     ScoreKind,
     ScoreTrainConfig,
     dsm_loss_reference,
-    dsm_loss_reparam,
     dsm_loss_reparam_given_noise,
     eval_score,
     field_dims,
-    perturb_action,
-    perturb_state,
     train_score_field,
 )
 
@@ -31,23 +28,49 @@ def test_field_dims_table():
     assert field_dims(ScoreKind.STATE, 3, 2) == [5, 32, 128, 32, 3]
 
 
+def _selector_net(in_dim, cols):
+    """One linear layer whose output j is input coordinate cols[j]."""
+    w = np.zeros((len(cols), in_dim))
+    w[np.arange(len(cols)), cols] = 1.0
+    return MlpParams([in_dim, len(cols)], [w], [np.zeros(len(cols))], 0.1)
+
+
+def _loss_seen_through(cols, s, a, sigma, z, kind):
+    """The denoising loss of a net that reads back input columns `cols`."""
+    loss, _ = dsm_loss_reparam_given_noise(_selector_net(s.shape[1] + a.shape[1], cols),
+                                           s, a, sigma, z, kind)
+    return loss
+
+
+def _expected_loss(seen, sigma, z):
+    return 0.5 * float(np.sum((seen + z / sigma) ** 2)) / len(z)
+
+
 def test_perturb_action_touches_only_actions():
+    # the action-field loss feeds the net (s, a + sigma*z): read back, the
+    # state columns are clean and the action columns are moved by sigma*z
     rng = Rng(5)
     s = np.asarray(rng.normal(size=(10, 2)))
     a = np.asarray(rng.normal(size=(10, 2)))
-    (s2, a2), z = perturb_action((s, a), 0.1, Rng(6))
-    assert np.array_equal(s2, s)
-    assert np.allclose(a2, a + 0.1 * z)
-    assert not np.array_equal(a2, a)
+    z = np.asarray(Rng(6).normal(size=(10, 2)))
+    kind = ScoreKind.ACTION
+    assert _loss_seen_through([0, 1], s, a, 0.1, z, kind) == pytest.approx(
+        _expected_loss(s, 0.1, z), rel=1e-12)
+    assert _loss_seen_through([2, 3], s, a, 0.1, z, kind) == pytest.approx(
+        _expected_loss(a + 0.1 * z, 0.1, z), rel=1e-12)
+    assert _expected_loss(a + 0.1 * z, 0.1, z) != pytest.approx(_expected_loss(a, 0.1, z))
 
 
 def test_perturb_state_touches_only_states():
     rng = Rng(7)
     s = np.asarray(rng.normal(size=(10, 3)))
     a = np.asarray(rng.normal(size=(10, 2)))
-    (s2, a2), z = perturb_state((s, a), 0.2, Rng(8))
-    assert np.array_equal(a2, a)
-    assert np.allclose(s2, s + 0.2 * z)
+    z = np.asarray(Rng(8).normal(size=(10, 3)))
+    kind = ScoreKind.STATE
+    assert _loss_seen_through([0, 1, 2], s, a, 0.2, z, kind) == pytest.approx(
+        _expected_loss(s + 0.2 * z, 0.2, z), rel=1e-12)
+    assert _loss_seen_through([3, 4, 3], s, a, 0.2, z, kind) == pytest.approx(
+        _expected_loss(a[:, [0, 1, 0]], 0.2, z), rel=1e-12)
 
 
 def test_zero_net_forced_noise_loss_value():
@@ -93,23 +116,13 @@ def test_loss_forms_agree_on_random_nets():
             assert abs(loss - ref) <= 1e-10 * (1.0 + abs(loss))
 
 
-def test_reparam_draws_noise_deterministically():
-    net = mlp_init(field_dims(ScoreKind.ACTION, 2, 2), 0.1, Rng(1))
-    s = np.asarray(Rng(2).normal(size=(8, 2)))
-    a = np.asarray(Rng(3).normal(size=(8, 2)))
-    l1, _ = dsm_loss_reparam(net, (s, a), 0.1, Rng(42), ScoreKind.ACTION)
-    l2, _ = dsm_loss_reparam(net, (s, a), 0.1, Rng(42), ScoreKind.ACTION)
-    assert l1 == l2
-
-
 def _line_dataset(n=2000, seed=0):
     # actions concentrated on a 1-D Gaussian ridge; states uniform
     rng = Rng(seed)
     s = np.asarray(rng.uniform(-1, 1, size=(n, 2)))
     a = np.column_stack([np.asarray(rng.normal(size=n)) * 0.3,
                          np.asarray(rng.normal(size=n)) * 0.3])
-    trans = [Transition(s[i], a[i], 0.0, s[i], False) for i in range(n)]
-    return Dataset(trans, 2, 2)
+    return Dataset(s, a, np.zeros(n), s, np.zeros(n, dtype=bool))
 
 
 def test_train_score_field_smoke():

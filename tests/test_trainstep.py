@@ -262,7 +262,8 @@ def test_train_cdsa_and_bc_bitwise_equal_reference(transport_data):
     lambda d: train_cdsa(d, ScoreTrainConfig(), InvDynTrainConfig()),
 ], ids=["action_score", "state_score", "invdyn", "bc", "cdsa"])
 def test_trainers_reject_empty_dataset(train):
-    empty = Dataset([], 2, 2, norm=NormStats.identity(2, 2))
+    empty = Dataset(np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0), np.zeros((0, 2)),
+                    np.zeros(0, dtype=bool), norm=NormStats.identity(2, 2))
     with pytest.raises(ValueError, match="empty dataset"):
         train(empty)
 
