@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 
 import numpy as np
@@ -47,18 +48,71 @@ def _params_to_dict(params: MlpParams) -> dict:
     }
 
 
-def _params_from_dict(d: dict) -> MlpParams:
-    dims = [int(v) for v in d["dims"]]
-    weights = [np.asarray(layer["w"], dtype=np.float64) for layer in d["layers"]]
-    biases = [np.asarray(layer["b"], dtype=np.float64) for layer in d["layers"]]
-    if len(weights) != len(dims) - 1:
-        raise CheckpointError(f"{len(weights)} layers do not match dims {dims}")
-    for i, (w, b) in enumerate(zip(weights, biases)):
+def _field(obj, key: str, where: str = ""):
+    """obj[key]; where names obj (empty: the document) when obj is no object or lacks key."""
+    if not isinstance(obj, dict):
+        raise CheckpointError(f"{where} is not a JSON object")
+    if key not in obj:
+        raise CheckpointError(f"model checkpoint missing field {key!r}"
+                              + (f" in {where}" if where else ""))
+    return obj[key]
+
+
+def _number(v, where: str) -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        raise CheckpointError(f"{where} must be a finite number, got {v!r}")
+    return float(v)
+
+
+def _array(v, shape: tuple, where: str) -> np.ndarray:
+    """v as a float64 array of finite numbers, of this shape (None: any length)."""
+    try:
+        arr = np.array(v)
+    except ValueError:  # ragged nesting
+        arr = None
+    if (arr is None or arr.dtype.kind not in "if" or arr.ndim != len(shape)
+            or any(n is not None and n != m for n, m in zip(shape, arr.shape))):
+        raise CheckpointError(f"{where} must be an array of shape {shape} of numbers")
+    arr = arr.astype(np.float64, copy=False)
+    if not np.isfinite(arr).all():
+        raise CheckpointError(f"{where} holds a non-finite number")
+    return arr
+
+
+def _params_from_dict(d) -> MlpParams:
+    dims = _field(d, "dims", "arch")
+    if (not isinstance(dims, list) or len(dims) < 2
+            or any(isinstance(v, bool) or not isinstance(v, int) or v < 1 for v in dims)):
+        raise CheckpointError(f"arch.dims must be a list of two or more integers >= 1, "
+                              f"got {dims!r}")
+    slope = _number(_field(d, "slope", "arch"), "arch.slope")
+    if not 0.0 < slope < 1.0:
+        raise CheckpointError(f"arch.slope must be in (0, 1), got {slope}")
+    layers = _field(d, "layers", "arch")
+    if not isinstance(layers, list) or len(layers) != len(dims) - 1:
+        raise CheckpointError(f"arch.layers must be a list of one layer per pair of "
+                              f"dims {dims}")
+    weights, biases = [], []
+    for i, layer in enumerate(layers):
+        where = f"arch.layers[{i}]"
+        w = _array(_field(layer, "w", where), (None, None), f"{where}.w")
+        b = _array(_field(layer, "b", where), (None,), f"{where}.b")
         if w.shape != (dims[i + 1], dims[i]) or b.shape != (dims[i + 1],):
             raise CheckpointError(f"layer {i} shapes do not match dims {dims}")
+        weights.append(w)
+        biases.append(b)
     # the constructor packs the layers into the params' one flat buffer
-    return MlpParams(layer_dims=dims, weights=weights, biases=biases,
-                     leaky_slope=float(d["slope"]))
+    return MlpParams(layer_dims=dims, weights=weights, biases=biases, leaky_slope=slope)
+
+
+def _norm_from_dict(d) -> NormStats:
+    norm = NormStats(*(_array(_field(d, key, "norm"), (None,), f"norm.{key}")
+                       for key in ("state_mean", "state_std", "action_mean", "action_std")))
+    try:
+        norm.validate(len(norm.state_mean), len(norm.action_mean))
+    except ValueError as exc:
+        raise CheckpointError(str(exc)) from None
+    return norm
 
 
 def norm_digest(norm: NormStats) -> str:
@@ -88,27 +142,45 @@ def model_to_dict(model) -> dict:
     return d
 
 
+# (input dim, output dim) of each model kind's net, given (state dim, action dim)
+_KIND_DIMS = {
+    ScoreKind.ACTION.value: lambda ds, da: (ds + da, da),
+    ScoreKind.STATE.value: lambda ds, da: (ds + da, ds),
+    "invdyn": lambda ds, da: (2 * ds, da),
+    "bc": lambda ds, da: (ds, da),
+}
+
+
 def model_from_dict(d: dict):
+    """The model a checkpoint dict describes, after checking every field of it."""
     if d.get("format") != MODEL_FORMAT:
         raise CheckpointError(f"not a model checkpoint (format {d.get('format')!r})")
-    if d.get("version") != VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {d.get('version')!r}")
+    version = d.get("version")
+    if isinstance(version, bool) or version != VERSION:
+        raise CheckpointError(f"unsupported checkpoint version {version!r}")
     kind = d.get("kind")
-    try:
-        params = _params_from_dict(d["arch"])
-        norm = NormStats.from_dict(d["norm"])
-        if kind in (ScoreKind.ACTION.value, ScoreKind.STATE.value):
-            skind = ScoreKind.ACTION if kind == ScoreKind.ACTION.value else ScoreKind.STATE
-            return ScoreField(params, skind, float(d["sigma"]), norm)
-        if kind == "invdyn":
-            return InvDynModel(params, norm)
-        if kind == "bc":
-            return BehaviorCloned(params, norm,
-                                  np.asarray(d["bounds"]["low"], dtype=np.float64),
-                                  np.asarray(d["bounds"]["high"], dtype=np.float64))
-    except KeyError as exc:
-        raise CheckpointError(f"model checkpoint missing field {exc}") from exc
-    raise CheckpointError(f"unknown model kind {kind!r}")
+    if not isinstance(kind, str) or kind not in _KIND_DIMS:
+        raise CheckpointError(f"unknown model kind {kind!r}")
+    params = _params_from_dict(_field(d, "arch"))
+    norm = _norm_from_dict(_field(d, "norm"))
+    ds, da = len(norm.state_mean), len(norm.action_mean)
+    if (params.in_dim, params.out_dim) != _KIND_DIMS[kind](ds, da):
+        raise CheckpointError(f"arch.dims {params.layer_dims} do not fit a {kind} model of "
+                              f"state dim {ds} and action dim {da}")
+    if kind == "invdyn":
+        return InvDynModel(params, norm)
+    if kind == "bc":
+        bounds = _field(d, "bounds")
+        low = _array(_field(bounds, "low", "bounds"), (da,), "bounds.low")
+        high = _array(_field(bounds, "high", "bounds"), (da,), "bounds.high")
+        if not np.all(low < high):
+            raise CheckpointError("bounds.low must be < bounds.high elementwise")
+        return BehaviorCloned(params, norm, low, high)
+    sigma = _number(_field(d, "sigma"), "sigma")
+    if sigma <= 0.0:
+        raise CheckpointError(f"sigma must be > 0, got {sigma}")
+    skind = ScoreKind.ACTION if kind == ScoreKind.ACTION.value else ScoreKind.STATE
+    return ScoreField(params, skind, sigma, norm)
 
 
 def save_model(model, path: str) -> None:
@@ -130,7 +202,10 @@ def load_model(path: str):
         raise CheckpointError(f"checkpoint {path} is not valid JSON: {exc}") from exc
     if not isinstance(d, dict):
         raise CheckpointError(f"checkpoint {path} does not hold a JSON object")
-    return model_from_dict(d)
+    try:
+        return model_from_dict(d)
+    except CheckpointError as exc:
+        raise CheckpointError(f"checkpoint {path}: {exc}") from None
 
 
 def save_bundle(models: CdsaModels, dirpath: str, bc: BehaviorCloned | None = None) -> None:
@@ -171,9 +246,13 @@ def _read_manifest(dirpath: str) -> dict:
     if not isinstance(manifest, dict):
         raise CheckpointError(f"bundle manifest {mpath} does not hold a JSON object")
     if manifest.get("format") != BUNDLE_FORMAT:
-        raise CheckpointError(f"not a bundle manifest (format {manifest.get('format')!r})")
+        raise CheckpointError(f"{mpath}: not a bundle manifest "
+                              f"(format {manifest.get('format')!r})")
     if manifest.get("version") != VERSION:
-        raise CheckpointError(f"unsupported bundle version {manifest.get('version')!r}")
+        raise CheckpointError(f"{mpath}: unsupported bundle version {manifest.get('version')!r}")
+    files = manifest.get("files", {})
+    if not isinstance(files, dict) or not all(isinstance(v, str) for v in files.values()):
+        raise CheckpointError(f"{mpath}: files must be an object of file names")
     return manifest
 
 

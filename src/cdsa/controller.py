@@ -14,8 +14,11 @@ to env units through the action std, and the inverse-dynamics term is already
 an env-unit action.
 
 Episodes run in lockstep (run_episodes): every time step corrects the actions
-of all running episodes in one batched pass of each network, and
-correct_action / control_episode are the one-row / one-episode cases. A batch
+of all running episodes at once, and correct_action / control_episode are the
+one-row / one-episode cases. The networks run on InferenceNet snapshots taken
+once per batch (before any fork): g and h as one stacked pass, since both
+read [s_n, a_n], then I; so a pass makes two network calls, and a write into
+the params is seen by the next batch, not by one already running. A batch
 of at least SPLIT_MIN_EPISODES runs as two halves on two cores, the second in
 a child made by a POSIX fork, as train_cdsa trains the inverse model; below
 that a fork costs more than it saves (see the constant). Each half steps its
@@ -39,17 +42,29 @@ import numpy as np
 from .dataset import Dataset, NormStats
 from .envs import EnvSpec, EnvStates, Policy, env_reset, env_step_batch
 from .invdyn import InvDynModel, InvDynTrainConfig, train_invdyn
-from .neuralcore import MlpParams, Rng, forward_batch, row_norms, single_blas_thread
+from .neuralcore import (
+    InferenceNet,
+    MlpParams,
+    Rng,
+    forward_batch,
+    row_norms,
+    single_blas_thread,
+)
 from .scorefield import ScoreField, ScoreKind, ScoreTrainConfig, train_score_field
 
 ABLATIONS = ("full", "no_a1", "no_a2", "baseline")
 
 # run_episodes splits a batch of at least this many episodes across two
-# processes. Measured on the eval-pointmass bundle (k1 0.1, k2 0.05, 2 shared
-# vCPUs): a fork round trip costs about 3 ms, and a lockstep step about
-# 0.65 ms plus 13 us per live row, of which a split saves only the per-row
-# part. Split and one-process runs broke even at about 32 episodes; at 2
-# episodes the split ran 1.5x slower, at 100 about 1.2x faster.
+# processes. Measured on 2 shared vCPUs, split against one-process runs on
+# paired seeds: a fork round trip costs about 3 ms, and a lockstep step of
+# the eval-pointmass bundle (k1 0.1, k2 0.05) about 0.4 ms plus 15 us per
+# live row, of which a split saves only the per-row part. Those corrected
+# rollouts broke even at about 48 episodes (split 1.15-1.6x slower at 2
+# episodes, a median 1.06x at 32 and 1.10x at 40 over six runs, about 1.2x
+# faster at 100), while planner dataset generation, which costs more per row,
+# ran 1.1-1.4x faster split at 40 episodes. So the minimum stays at 32: from
+# 32 to 48 episodes a corrected rollout runs about 5-10 % slower split, and
+# dataset generation gains more.
 SPLIT_MIN_EPISODES = 32
 
 
@@ -74,6 +89,10 @@ class CdsaModels:
                 raise ControlError("all models must share one set of norm stats")
         if not self.norm.equals(self.action_score.norm):
             raise ControlError("all models must share one set of norm stats")
+        g, h = self.action_score.params, self.state_score.params
+        if g.layer_dims[:-1] != h.layer_dims[:-1] or g.leaky_slope != h.leaky_slope:
+            raise ControlError("the action and state fields must share input dims, hidden "
+                               "dims and slope (rollouts evaluate them as one stack)")
 
     @property
     def state_dim(self) -> int:
@@ -238,21 +257,30 @@ def correct_action(models: CdsaModels, s: np.ndarray, a_o: np.ndarray,
             f"expected state dim {models.state_dim} and action dim "
             f"{models.action_dim}, got {s.shape} and {a_o.shape}")
     passes: list | None = None if deltas_out is None else []
-    a = _correct_rows(models, s[None, :], a_o[None, :], cfg, passes)[0]
+    a = _correct_rows(models, _inference_nets(models), s[None, :], a_o[None, :], cfg,
+                      passes)[0]
     if deltas_out is not None:
         deltas_out.extend(float(d[0]) for d in passes)
     return a
 
 
-def _correct_rows(models: CdsaModels, s: np.ndarray, a_o: np.ndarray,
-                  cfg: ControlConfig, deltas_out: list | None) -> np.ndarray:
+def _inference_nets(models: CdsaModels) -> tuple[InferenceNet, InferenceNet]:
+    """The snapshots rollouts evaluate: g and h stacked, as both read [s_n, a_n], and I."""
+    return (InferenceNet(models.action_score.params, models.state_score.params),
+            InferenceNet(models.invdyn.params))
+
+
+def _correct_rows(models: CdsaModels, nets: tuple[InferenceNet, InferenceNet],
+                  s: np.ndarray, a_o: np.ndarray, cfg: ControlConfig,
+                  deltas_out: list | None) -> np.ndarray:
     """The correction rule on (n, d) rows of states and base actions at once.
 
-    Every pass evaluates g, h and I once over all rows, as eval_score and
-    infer_action would, sharing their normalized inputs (the models share one
-    set of norm stats, so the values are the same bits). Inputs are trusted:
-    callers validate models, cfg and dims once per batch. Per pass, an (n,)
-    array of per-row action-delta norms is appended to deltas_out when given.
+    nets are _inference_nets(models). Every pass makes one call of the g|h
+    stack over all rows and, when the k2 term is on, one of I; their values
+    match eval_score and infer_action on the models' params to float
+    tolerance, not bitwise (InferenceNet). Inputs are trusted: callers
+    validate models, cfg and dims once per batch. Per pass, an (n,) array of
+    per-row action-delta norms is appended to deltas_out when given.
     """
     low = np.asarray(cfg.action_low, dtype=np.float64)
     high = np.asarray(cfg.action_high, dtype=np.float64)
@@ -261,18 +289,18 @@ def _correct_rows(models: CdsaModels, s: np.ndarray, a_o: np.ndarray,
     a_cur = np.clip(a_o, low, high)
     if not (use_a1 or use_a2):
         return a_cur
+    gh, inv = nets
     norm = models.norm
+    ds, da = s.shape[1], a_cur.shape[1]
     s_n = norm.normalize_state(s)
     for _ in range(1 + cfg.n_refine):
         delta = np.zeros_like(a_cur)
-        x = np.concatenate([s_n, norm.normalize_action(a_cur)], axis=1)  # input of g and h
+        out, _ = forward_batch(gh, np.concatenate([s_n, norm.normalize_action(a_cur)], axis=1))
         if use_a1:
-            g, _ = forward_batch(models.action_score.params, x)
-            delta = delta + cfg.k1 * (norm.action_std * g)
+            delta = delta + cfg.k1 * (norm.action_std * out[0, :, :da])
         if use_a2:
-            h, _ = forward_batch(models.state_score.params, x)
-            s_tilde = norm.denormalize_state(s_n + h)
-            a2, _ = forward_batch(models.invdyn.params,
+            s_tilde = norm.denormalize_state(s_n + out[1, :, :ds])
+            a2, _ = forward_batch(inv,
                                   np.concatenate([s_n, norm.normalize_state(s_tilde)], axis=1))
             delta = delta + cfg.k2 * norm.denormalize_action(a2)
         a_new = np.clip(a_cur + delta, low, high)
@@ -352,9 +380,11 @@ def run_episodes(spec: EnvSpec, base_policy: Policy, models: CdsaModels | None,
         if models.state_dim != spec.state_dim or models.action_dim != spec.action_dim:
             raise ControlError("model dims do not match the env spec")
     budget = spec.max_steps if max_steps is None else max_steps
+    # built before the fork, so a child shares them copy-on-write
+    nets = None if models is None else _inference_nets(models)
 
     def episodes(lo: int, hi: int):
-        return _lockstep(spec, base_policy, models, cfg, rngs[lo:hi], budget, gamma,
+        return _lockstep(spec, base_policy, models, nets, cfg, rngs[lo:hi], budget, gamma,
                          max(record - lo, 0))
 
     n = len(rngs)
@@ -370,9 +400,9 @@ def run_episodes(spec: EnvSpec, base_policy: Policy, models: CdsaModels | None,
 
 
 def _lockstep(spec: EnvSpec, base_policy: Policy, models: CdsaModels | None,
-              cfg: ControlConfig | None, rngs: list, budget: int, gamma: float,
-              record: int):
-    """run_episodes in this process, on inputs it has checked."""
+              nets: tuple | None, cfg: ControlConfig | None, rngs: list, budget: int,
+              gamma: float, record: int):
+    """run_episodes in this process, on inputs it has checked; nets are the models' snapshots."""
     n, ds, da = len(rngs), spec.state_dim, spec.action_dim
     st = EnvStates.stack([env_reset(spec, rng) for rng in rngs])
     final = st.take(np.arange(n))  # a copy: rows are stored into it as episodes end
@@ -392,7 +422,7 @@ def _lockstep(spec: EnvSpec, base_policy: Policy, models: CdsaModels | None,
         a_o = np.clip(a_o, spec.action_low, spec.action_high)
         k = int(np.searchsorted(ids, record))  # ids ascend: recorded rows lead
         passes: list | None = [] if k else None
-        a = a_o if models is None else _correct_rows(models, st.s, a_o, cfg, passes)
+        a = a_o if models is None else _correct_rows(models, nets, st.s, a_o, cfg, passes)
         st_next, r, done, risk = env_step_batch(spec, st, a, live_rngs)
         returns[ids] += r
         discounted[ids] += r * gamma ** t

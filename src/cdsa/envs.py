@@ -33,6 +33,7 @@ import numpy as np
 
 from .dataset import Dataset, NormStats
 from .neuralcore import (
+    InferenceNet,
     MlpParams,
     Rng,
     TrainBuffers,
@@ -675,7 +676,11 @@ class ScriptedRiskAvoiding(Policy):
 
 
 class BehaviorCloned(Policy):
-    """Deterministic MLP regression policy in normalized coordinates."""
+    """Deterministic MLP regression policy in normalized coordinates.
+
+    It acts on an InferenceNet snapshot of params taken when it is built, so
+    it acts on the params it was built with; checkpoints save params.
+    """
 
     kind = "bc"
 
@@ -685,11 +690,12 @@ class BehaviorCloned(Policy):
         self.norm = norm
         self.action_low = np.asarray(action_low, dtype=np.float64)
         self.action_high = np.asarray(action_high, dtype=np.float64)
+        self._net = InferenceNet(params)
 
     act = Policy.act
 
     def act_batch(self, states: np.ndarray, ctx: EnvStates | None, rngs: list) -> np.ndarray:
-        out, _ = forward_batch(self.params, self.norm.normalize_state(states))
+        out, _ = forward_batch(self._net, self.norm.normalize_state(states))
         return np.clip(self.norm.denormalize_action(out), self.action_low, self.action_high)
 
 

@@ -18,6 +18,12 @@ backward pass and Adam step, so a step at a fixed batch size writes into
 arrays it already owns instead of allocating batch-sized temporaries;
 results are bitwise equal either way. single_blas_thread pins the loaded
 OpenBLAS to one thread while nets train in parallel processes.
+
+Rollouts run on InferenceNet snapshots instead: weights transposed once into
+contiguous (fan_in, fan_out) arrays, and nets that read the same input
+stacked into one pass, so the 1-100 row products of a lockstep step cost
+less. forward_batch runs both, so one entry point serves (and traces) every
+network call; snapshot values match the training layout to float tolerance.
 """
 
 from __future__ import annotations
@@ -289,17 +295,75 @@ def _leaky_deriv(signs: np.ndarray, lut: np.ndarray, out: np.ndarray | None = No
     return np.take(lut, signs, out=out, mode="clip")
 
 
-def forward_batch(params: MlpParams, x: np.ndarray, bufs: TrainBuffers | None = None):
+class InferenceNet:
+    """Inference snapshot of one net, or of several nets that read the same input.
+
+    Built from MlpParams that agree in every layer dim but the output and in
+    slope. Each layer's weights are transposed once into a contiguous
+    (k, fan_in, fan_out) stack, (fan_in, fan_out) for a single net, so every
+    product runs on operands already in the layout BLAS reads best, and k nets
+    cost one product per layer. A narrower output layer is padded with zero
+    columns. forward_batch on it gives (n, out_dim) rows for one net and a
+    (k, n, widest out_dim) stack for several; net j's output is
+    out[j, :, :out_dims[j]].
+
+    A snapshot: writes into the params after it is built are not seen.
+    Values match forward_batch on the params to float tolerance, not
+    bitwise, since BLAS rounds the two layouts differently.
+    """
+
+    def __init__(self, *params: MlpParams):
+        if not params:
+            raise NeuralCoreError("InferenceNet needs at least one net")
+        first = params[0]
+        for p in params[1:]:
+            if p.layer_dims[:-1] != first.layer_dims[:-1] or p.leaky_slope != first.leaky_slope:
+                raise NeuralCoreError(
+                    f"nets of dims {first.layer_dims} and {p.layer_dims}, slopes "
+                    f"{first.leaky_slope} and {p.leaky_slope} cannot share one stack")
+        self.in_dim = first.in_dim
+        self.out_dims = [p.out_dim for p in params]
+        self.leaky_slope = first.leaky_slope
+        dims = first.layer_dims[:-1] + [max(self.out_dims)]
+        self.weights, self.biases = [], []
+        for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
+            w = np.zeros((len(params), fan_in, fan_out))
+            b = np.zeros((len(params), 1, fan_out))
+            for j, p in enumerate(params):
+                w[j, :, :p.layer_dims[i + 1]] = p.weights[i].T
+                b[j, 0, :p.layer_dims[i + 1]] = p.biases[i]
+            if len(params) == 1:
+                w, b = w[0], b[0, 0]
+            self.weights.append(w)
+            self.biases.append(b)
+
+    def _forward(self, x: np.ndarray) -> np.ndarray:
+        h = x
+        last = len(self.weights) - 1
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            h = np.matmul(h, w)
+            h += b
+            if i < last:
+                h = _leaky(h, self.leaky_slope)
+        return h
+
+
+def forward_batch(params: MlpParams | InferenceNet, x: np.ndarray,
+                  bufs: TrainBuffers | None = None):
     """Forward pass on a (batch, in_dim) matrix.
 
     Returns (output, cache) for backward_batch. Without bufs every array is
     fresh and the cache holds layer inputs and hidden pre-activations. With
     a TrainBuffers set (training), the output, activations and the sign
-    index of every pre-activation are written into the set instead.
+    index of every pre-activation are written into the set instead. On an
+    InferenceNet (rollouts) it returns (output, None): nothing is kept for a
+    backward pass.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.in_dim:
         raise NeuralCoreError(f"expected input shape (batch, {params.in_dim}), got {x.shape}")
+    if isinstance(params, InferenceNet):
+        return params._forward(x), None
     if bufs is not None:
         return _forward_into(params, x, bufs.fit(params, len(x)))
     inputs = [x]

@@ -13,7 +13,17 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from cdsa import checkpoint, dataset, envs, evaluation, invdyn, neuralcore, scorefield, svgplot
+from cdsa import (
+    checkpoint,
+    controller,
+    dataset,
+    envs,
+    evaluation,
+    invdyn,
+    neuralcore,
+    scorefield,
+    svgplot,
+)
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "cdsabench" / "tracer.py"
 # install looks each traced function up in its module, so all must be loaded
@@ -79,3 +89,30 @@ def test_traced_dataset_length_is_the_row_count():
                                     neuralcore.Rng(3))
     assert "__len__" in dataset.Dataset.__dict__
     assert len(data) == len(data.states) > 2
+
+
+def test_tracer_counts_the_rollout_network_calls(monkeypatch):
+    # rollouts evaluate inference snapshots, still through neuralcore.forward_batch:
+    # per lockstep step one BC call, then one g|h call and one I call per pass
+    spec = envs.load_env_spec(envs.builtin_spec_path("linear"))
+    data = dataset.generate_dataset(spec, envs.RandomPolicy(spec), 8, spec.max_steps,
+                                    neuralcore.Rng(3))
+    models = controller.train_cdsa(
+        data, scorefield.ScoreTrainConfig(sigma=0.2, iterations=20, batch_size=16, seed=5),
+        invdyn.InvDynTrainConfig(iterations=20, batch_size=16, seed=7))
+    bc, _ = envs.train_bc_policy(data, envs.BcTrainConfig(iterations=20, batch_size=16, seed=9),
+                                 spec.action_low, spec.action_high)
+    cfg = controller.ControlConfig(0.2, 0.1, spec.action_low, spec.action_high, n_refine=1)
+    episodes = controller.SPLIT_MIN_EPISODES // 4  # one process: the tracer sees every call
+    tracer = _load_tracer(monkeypatch)
+    tr = tracer.Tracer()
+    tracer.install(tr)
+    try:
+        stats = evaluation.rollout_batch(spec, bc, models, cfg, episodes, 11)
+    finally:
+        tr.uninstall()
+    per_step = 1 + 2 * (1 + cfg.n_refine)
+    steps = [s.steps for s in stats]
+    calls = tr.span_stats()["neuralcore.forward_batch"]["all_calls"]
+    assert calls == per_step * max(steps) > 0
+    assert tr.all_counts[("neuralcore.forward_batch", "rows_per_call")] == per_step * sum(steps)

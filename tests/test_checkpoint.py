@@ -222,6 +222,20 @@ def test_bundle_manifest_validation(tmp_path):
             load_bundle(d)
 
 
+@pytest.mark.parametrize("files", [["action_score.json"], "action_score.json",
+                                   {**BUNDLE_FILES, "invdyn": 3}])
+def test_bundle_manifest_files_must_name_files(tmp_path, files):
+    d = str(tmp_path / "bundle")
+    save_bundle(_models(), d)
+    mpath = os.path.join(d, MANIFEST_FILE)
+    with open(mpath) as fh:
+        manifest = json.load(fh)
+    with open(mpath, "w") as fh:
+        json.dump({**manifest, "files": files}, fh)
+    with pytest.raises(CheckpointError, match=re.escape(f"{mpath}: files must be")):
+        load_bundle(d)
+
+
 def test_bundle_missing_manifest(tmp_path):
     with pytest.raises(CheckpointError, match="manifest"):
         load_bundle(str(tmp_path / "empty"))
@@ -262,3 +276,92 @@ def test_norm_digest_tracks_content():
     n1, n2 = _norm(0), _norm(9)
     assert norm_digest(n1) == norm_digest(_norm(0))
     assert norm_digest(n1) != norm_digest(n2)
+
+
+# ---------------------------------------------------------------------------
+# Every field of every model kind, mutated: each must fail naming the file
+# ---------------------------------------------------------------------------
+
+
+def _small(dims):
+    return mlp_init(dims, 0.2, Rng(4))
+
+
+# every kind with a net of one small hidden layer: a checkpoint may hold any hidden dims
+MODEL_KINDS = {
+    "action_score": lambda: ScoreField(_small([DS + DA, 3, DA]), ScoreKind.ACTION, 0.2, _norm()),
+    "state_score": lambda: ScoreField(_small([DS + DA, 3, DS]), ScoreKind.STATE, 0.2, _norm()),
+    "invdyn": lambda: InvDynModel(_small([2 * DS, 3, DA]), _norm()),
+    "bc": lambda: BehaviorCloned(_small([DS, 3, DA]), _norm(), -np.ones(DA), np.ones(DA)),
+}
+BAD_NUMBERS = (float("nan"), float("inf"), float("-inf"), "x", "0.5")
+
+
+def _fields(node, path=()):
+    """(path, value) of every field below node; a list contributes its first entry."""
+    entries = node.items() if isinstance(node, dict) else enumerate(node[:1])
+    for key, val in entries:
+        yield path + (key,), val
+        if isinstance(val, (dict, list)):
+            yield from _fields(val, path + (key,))
+
+
+def _mutated(doc, path, value=None, delete=False):
+    out = json.loads(json.dumps(doc))
+    parent = out
+    for key in path[:-1]:
+        parent = parent[key]
+    if delete:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return out
+
+
+def _mutations(doc):
+    """(label, document): each field deleted and wrapped in a list, each number
+    replaced by NaN, +-inf and two strings, plus wrongly typed dims and bad bounds."""
+    for path, val in _fields(doc):
+        label = ".".join(map(str, path))
+        yield f"delete {label}", _mutated(doc, path, delete=True)
+        yield f"wrap {label}", _mutated(doc, path, [val])
+        if isinstance(val, (int, float)) and not isinstance(val, bool):
+            for bad in BAD_NUMBERS:
+                yield f"{label}={bad!r}", _mutated(doc, path, bad)
+    dims = doc["arch"]["dims"]
+    yield "dims int", _mutated(doc, ("arch", "dims"), dims[0])
+    yield "dims strings", _mutated(doc, ("arch", "dims"), [str(v) for v in dims])
+    yield "layers object", _mutated(doc, ("arch", "layers"), doc["arch"]["layers"][0])
+    yield "slope 0", _mutated(doc, ("arch", "slope"), 0.0)
+    yield "slope 1.5", _mutated(doc, ("arch", "slope"), 1.5)
+    yield "norm std 0", _mutated(doc, ("norm", "state_std", 0), 0.0)
+    yield "norm dims off", _mutated(doc, ("norm", "state_mean"), [0.0] * (DS + 1))
+    if "sigma" in doc:
+        yield "sigma 0", _mutated(doc, ("sigma",), 0.0)
+    if "bounds" in doc:
+        low, high = doc["bounds"]["low"], doc["bounds"]["high"]
+        yield "bounds low > high", _mutated(doc, ("bounds",), {"low": high, "high": low})
+        yield "bounds low == high", _mutated(doc, ("bounds",), {"low": low, "high": low})
+
+
+@pytest.mark.parametrize("kind", sorted(MODEL_KINDS))
+def test_load_model_rejects_every_mutated_field_naming_the_file(tmp_path, kind):
+    doc = model_to_dict(MODEL_KINDS[kind]())
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(doc))
+    assert _params_equal(load_model(str(path)).params, MODEL_KINDS[kind]().params)
+    misses = []
+    cases = list(_mutations(doc))
+    for label, bad in cases:
+        path.write_text(json.dumps(bad))
+        try:
+            load_model(str(path))
+        except CheckpointError as exc:
+            if str(path) not in str(exc):
+                misses.append(f"{label}: message does not name the file: {exc}")
+        except Exception as exc:  # noqa: BLE001 - every other type is a miss
+            misses.append(f"{label}: {type(exc).__name__}: {exc}")
+        else:
+            misses.append(f"{label}: loaded")
+    assert len(cases) > 60
+    assert not misses, "\n".join(misses)

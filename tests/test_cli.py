@@ -244,6 +244,27 @@ def test_eval_bc_policy_needs_bundle_bc(tmp_path, capsys):
     assert "behavior-cloned" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mutate", [
+    lambda d: d["arch"]["layers"][0]["w"][0].__setitem__(0, float("nan")),
+    lambda d: d["arch"].__setitem__("layers", {}),
+    lambda d: d["norm"].__setitem__("state_std", "wide"),
+], ids=["nan-weight", "layers-object", "string-std"])
+def test_eval_on_malformed_checkpoint_exits_1_with_one_line(tmp_path, capsys, mutate):
+    rc, data = _gen(tmp_path)
+    rc, bundle = _train(tmp_path, data)
+    path = os.path.join(bundle, "invdyn.json")
+    doc = _read_json(path)
+    mutate(doc)
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    capsys.readouterr()
+    rc = main(["eval", "--env", "linear", "--bundle", bundle, "--outdir", str(tmp_path / "rep"),
+               "--policy", "direct", "--episodes", "1"])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: checkpoint {path}: ")
+
+
 def test_verify_all_checks_pass(capsys):
     rc = main(["verify", "--seed", "0"])
     out = capsys.readouterr().out

@@ -9,6 +9,8 @@ from cdsa.controller import (
     ControlConfig,
     ControlError,
     LangevinConfig,
+    _correct_rows,
+    _inference_nets,
     conditional_score_fn,
     control_episode,
     correct_action,
@@ -19,9 +21,16 @@ from cdsa.controller import (
 )
 from cdsa.dataset import NormStats, generate_dataset
 from cdsa.envs import RandomPolicy, ScriptedDirect, builtin_spec_path, load_env_spec
-from cdsa.invdyn import InvDynModel, InvDynTrainConfig, model_dims, train_invdyn
+from cdsa.invdyn import InvDynModel, InvDynTrainConfig, infer_action, model_dims, train_invdyn
 from cdsa.neuralcore import Rng, mlp_init
-from cdsa.scorefield import ScoreField, ScoreKind, ScoreTrainConfig, field_dims, train_score_field
+from cdsa.scorefield import (
+    ScoreField,
+    ScoreKind,
+    ScoreTrainConfig,
+    eval_score,
+    field_dims,
+    train_score_field,
+)
 
 
 def _const_net(dims, value, slope):
@@ -129,6 +138,35 @@ def test_ablation_algebra_bitwise():
         assert np.array_equal(full_k1z, noa1)
 
 
+def _reference_correction(models, s, a_o, cfg):
+    """The correction rule on one row through eval_score and infer_action."""
+    norm = models.norm
+    a = np.clip(a_o, cfg.action_low, cfg.action_high)
+    for _ in range(1 + cfg.n_refine):
+        g = eval_score(models.action_score, s, a)
+        h = eval_score(models.state_score, s, a)
+        s_tilde = norm.denormalize_state(norm.normalize_state(s) + h)
+        a = np.clip(a + cfg.k1 * (norm.action_std * g)
+                    + cfg.k2 * infer_action(models.invdyn, s, s_tilde),
+                    cfg.action_low, cfg.action_high)
+    return a
+
+
+@pytest.mark.parametrize("k1,k2", [(0.3, 0.0), (0.0, 0.4), (0.3, 0.4)])
+def test_batched_correction_matches_the_rule_on_the_models(k1, k2):
+    # rollouts correct on inference snapshots (g and h stacked); values must
+    # match the rule evaluated on the models' own params to float tolerance
+    _, _, models = _trained_models()
+    rng = Rng(12)
+    s = rng.uniform(-2, 2, size=(40, 2))
+    a_o = rng.uniform(-1, 1, size=(40, 2))
+    cfg = _wide_cfg(k1=k1, k2=k2, n_refine=2)
+    got = _correct_rows(models, _inference_nets(models), s, a_o, cfg, None)
+    want = np.array([_reference_correction(models, s[i], a_o[i], cfg) for i in range(40)])
+    assert not np.allclose(got, a_o, rtol=0, atol=1e-3)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+
+
 def test_rejects_unknown_ablation():
     with pytest.raises(ValueError):
         _wide_cfg(ablation="bogus").validate()
@@ -144,6 +182,18 @@ def test_models_norm_consistency_enforced():
                      norm=models.norm)
     with pytest.raises(ControlError):
         bad.validate()
+
+
+def test_models_fields_must_stack():
+    # rollouts evaluate g and h as one stack, so they share all dims but the output
+    models = _stub_models()
+    wider = ScoreField(params=_const_net([4, 32, 64, 32, 2], np.zeros(2), 0.1),
+                       kind=ScoreKind.STATE, sigma=0.1, norm=models.norm)
+    steeper = ScoreField(params=_const_net(field_dims(ScoreKind.STATE, 2, 2), np.zeros(2), 0.2),
+                         kind=ScoreKind.STATE, sigma=0.1, norm=models.norm)
+    for state in (wider, steeper):
+        with pytest.raises(ControlError, match="stack"):
+            replace(models, state_score=state).validate()
 
 
 def test_non_finite_correction_raises():

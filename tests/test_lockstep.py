@@ -14,7 +14,7 @@ runs, the values agree bitwise.
 
 import errno
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -22,6 +22,7 @@ import pytest
 from cdsa.controller import (
     SPLIT_MIN_EPISODES,
     ControlConfig,
+    ControlError,
     control_episode,
     correct_action,
     run_episodes,
@@ -30,6 +31,7 @@ from cdsa.controller import (
 from cdsa.dataset import Dataset, generate_dataset
 from cdsa.envs import (
     BcTrainConfig,
+    BehaviorCloned,
     Env,
     RandomPolicy,
     ScriptedDirect,
@@ -40,7 +42,7 @@ from cdsa.envs import (
 )
 from cdsa.evaluation import rollout_batch, stats_from_trajectory
 from cdsa.invdyn import InvDynTrainConfig
-from cdsa.neuralcore import Rng, _openblas_threads
+from cdsa.neuralcore import Rng, _openblas_threads, forward_batch
 from cdsa.scorefield import ScoreTrainConfig
 
 ATOL = 1e-6
@@ -214,6 +216,42 @@ def test_control_episode_is_a_one_episode_batch(pointmass):
     assert one.reached_goal == batch.reached_goal == stats[0].reached_goal
     assert one.delta_norms == batch.delta_norms
     assert len(one) == stats[0].steps
+
+
+def test_batch_sees_writes_into_params_made_before_it(pointmass):
+    # rollouts run on snapshots taken when the batch starts, so a write into
+    # g's params between two batches reaches the second one
+    spec, models, bc = pointmass
+    g = models.action_score.params.copy()
+    mine = replace(models, action_score=replace(models.action_score, params=g))
+    cfg = ControlConfig(0.3, 0.02, spec.action_low, spec.action_high)
+    before: list = []
+    rollout_batch(spec, bc, mine, cfg, 4, 9200, 1.0, before, 4)
+    g.biases[-1][:] += 0.5
+    after: list = []
+    rollout_batch(spec, bc, mine, cfg, 4, 9200, 1.0, after, 4)
+    assert not np.allclose(before[0].actions[0], after[0].actions[0], rtol=0, atol=1e-3)
+    assert_matches_reference(spec, bc, mine, cfg, 4, 9200)
+    g.biases[-1][0] = np.nan
+    for episodes in (4, SPLIT_MIN_EPISODES):
+        with pytest.raises(ControlError, match="non-finite"):
+            rollout_batch(spec, bc, mine, cfg, episodes, 9200)
+    assert_no_child_left()
+
+
+def test_behavior_cloned_acts_on_the_params_it_was_built_with(pointmass):
+    spec, _, bc = pointmass
+    params = bc.params.copy()
+    pol = BehaviorCloned(params, bc.norm, bc.action_low, bc.action_high)
+    states = Rng(5).normal(size=(9, spec.state_dim)) * 3.0
+    acted = pol.act_batch(states, None, [])
+    out, _ = forward_batch(params, bc.norm.normalize_state(states))
+    want = np.clip(bc.norm.denormalize_action(out), bc.action_low, bc.action_high)
+    np.testing.assert_allclose(acted, want, rtol=0, atol=1e-12)
+    params.flat[:] = np.nan
+    assert np.array_equal(pol.act_batch(states, None, []), acted)
+    rebuilt = BehaviorCloned(params, bc.norm, bc.action_low, bc.action_high)
+    assert np.isnan(rebuilt.act_batch(states, None, [])).all()
 
 
 @pytest.mark.parametrize("env,variant,policy", [

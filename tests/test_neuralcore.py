@@ -3,6 +3,7 @@ import pytest
 
 from cdsa.neuralcore import (
     AdamState,
+    InferenceNet,
     MlpParams,
     NeuralCoreError,
     Rng,
@@ -218,3 +219,77 @@ def test_params_constructor_checks_shapes_against_dims():
         MlpParams([2, 3], [np.zeros((2, 3))], [np.zeros(3)], 0.1)
     with pytest.raises(NeuralCoreError):
         MlpParams([2, 3, 1], [np.zeros((3, 2))], [np.zeros(3)], 0.1)
+
+
+# the four nets of a pointmass bundle: action field, state field, inverse model, BC
+BUNDLE_SHAPES = {"action_score": ([4, 32, 128, 32, 2], 0.1),
+                 "state_score": ([4, 32, 128, 32, 2], 0.1),
+                 "invdyn": ([4, 128, 128, 128, 2], 0.2),
+                 "bc": ([2, 128, 128, 128, 2], 0.2)}
+
+
+def _random_net(dims, slope, seed):
+    """A net with initialized weights and nonzero biases."""
+    rng = Rng(seed)
+    p = mlp_init(dims, slope, rng)
+    for b in p.biases:
+        b[:] = rng.normal(size=b.shape)
+    return p
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLE_SHAPES))
+def test_inference_net_matches_forward_batch(name):
+    dims, slope = BUNDLE_SHAPES[name]
+    p = _random_net(dims, slope, 71)
+    snap = InferenceNet(p)
+    xs = Rng(72).normal(size=(128, dims[0])) * 2.0
+    for n in range(1, 129):
+        got, cache = forward_batch(snap, xs[:n])
+        want, _ = forward_batch(p, xs[:n])
+        assert cache is None and got.shape == want.shape == (n, dims[-1])
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("ds,da", [(2, 2), (3, 2), (2, 5)])
+def test_stacked_nets_equal_each_net_run_alone(ds, da):
+    # g and h read the same [s, a] input; the narrower output layer is zero-padded
+    g = _random_net([ds + da, 32, 128, 32, da], 0.1, 73)
+    h = _random_net([ds + da, 32, 128, 32, ds], 0.1, 74)
+    stack = InferenceNet(g, h)
+    assert stack.out_dims == [da, ds]
+    for n in (1, 2, 7, 26, 64, 128):
+        x = Rng(75 + n).normal(size=(n, ds + da))
+        out, _ = forward_batch(stack, x)
+        assert out.shape == (2, n, max(ds, da))
+        for j, (net, width) in enumerate(((g, da), (h, ds))):
+            alone, _ = forward_batch(InferenceNet(net), x)
+            want, _ = forward_batch(net, x)
+            np.testing.assert_allclose(out[j, :, :width], alone, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(out[j, :, :width], want, rtol=0, atol=1e-12)
+            assert np.all(out[j, :, width:] == 0.0)
+
+
+def test_inference_net_is_a_snapshot_in_a_contiguous_layout():
+    p = _random_net([3, 5, 4], 0.1, 76)
+    snap = InferenceNet(p)
+    x = Rng(77).normal(size=(6, 3))
+    before, _ = forward_batch(snap, x)
+    assert all(w.flags.c_contiguous and w.shape == (fi, fo)
+               for w, fi, fo in zip(snap.weights, [3, 5], [5, 4]))
+    assert not any(np.shares_memory(w, p.flat) for w in snap.weights + snap.biases)
+    p.flat[:] = 0.0
+    assert np.array_equal(forward_batch(snap, x)[0], before)
+    assert np.array_equal(forward_batch(InferenceNet(p), x)[0], np.zeros((6, 4)))
+
+
+def test_inference_net_checks_input_shape_and_stack_dims():
+    snap = InferenceNet(mlp_init([3, 4, 2], 0.1, Rng(2)))
+    for bad in (np.zeros((5, 7)), np.zeros((1, 2)), np.zeros(3)):
+        with pytest.raises(NeuralCoreError):
+            forward_batch(snap, bad)
+    with pytest.raises(NeuralCoreError):
+        InferenceNet()
+    with pytest.raises(NeuralCoreError, match="one stack"):
+        InferenceNet(mlp_init([3, 4, 2], 0.1, Rng(2)), mlp_init([3, 5, 2], 0.1, Rng(3)))
+    with pytest.raises(NeuralCoreError, match="one stack"):
+        InferenceNet(mlp_init([3, 4, 2], 0.1, Rng(2)), mlp_init([3, 4, 2], 0.2, Rng(3)))
