@@ -51,6 +51,7 @@ from .neuralcore import (
     mlp_init,
     zero_like_params,
 )
+from .readers import Fields, parse_field, read_json
 from .scorefield import (
     ScoreKind,
     ScoreTrainConfig,
@@ -93,24 +94,44 @@ def _seed_fallback() -> int:
         raise ValueError(f"CDSA_SEED must be an integer, got {raw!r}") from exc
 
 
+def _number(text: str) -> float:
+    """argparse type of every float flag: a finite number."""
+    return parse_field(text, float, argparse.ArgumentTypeError, "the value")
+
+
+def _config_value(doc: Fields, key: str, action: argparse.Action, default):
+    """The config file's value of key, typed as the key's flag types it; null
+    stands for the default only where that is None."""
+    kw = {"default": None} if default is None else {}
+    if action.nargs == 0:  # store_const, whose default is never None
+        return bool(doc.array(key, (), bool))
+    if action.choices:
+        return doc.string(key, action.choices, **kw)
+    if action.type is int:
+        return doc.integer(key, **kw)
+    if action.type is _number:
+        return doc.number(key, **kw)
+    try:
+        return doc.string(key, **kw)
+    except ValueError:  # a number stands for its text, as one entry of a comma list
+        return str(doc.number(key, **kw))
+
+
 def _merge_config(args: argparse.Namespace, command: str) -> dict:
     cfg = dict(DEFAULTS[command])
     path = getattr(args, "config", None)
     if path:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                file_cfg = json.load(fh)
-        except OSError as exc:
-            raise ValueError(f"cannot read config file {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"config file {path} is not valid JSON: {exc}") from exc
-        if not isinstance(file_cfg, dict):
-            raise ValueError(f"config file {path} must hold a JSON object, "
-                             f"not {type(file_cfg).__name__}")
+        file_cfg = read_json(path, ValueError, "config file")
         unknown = sorted(set(file_cfg) - set(cfg))
         if unknown:
             raise ValueError(f"config file {path} has unknown keys: {', '.join(unknown)}")
-        cfg.update(file_cfg)
+        actions = {action.dest: action for action in args.parser._actions}
+        doc = Fields(file_cfg, ValueError)
+        try:
+            cfg.update({key: _config_value(doc, key, actions[key], cfg[key])
+                        for key in file_cfg})
+        except ValueError as exc:
+            raise ValueError(f"config file {path}: {exc}") from None
     for key in cfg:
         val = getattr(args, key, None)
         if val is not None:
@@ -146,9 +167,8 @@ def _make_policy(spec: EnvSpec, name: str, cfg: dict, bundle: str | None = None)
     if name == "direct":
         return ScriptedDirect(spec)
     if name == "risk-avoiding":
-        return ScriptedRiskAvoiding(spec, grid_n=int(cfg.get("grid_n", 40)),
-                                    inflation=float(cfg.get("inflation", 0.08)),
-                                    exec_noise=float(cfg.get("exec_noise", 0.0)))
+        return ScriptedRiskAvoiding(spec, grid_n=cfg["grid_n"], inflation=cfg["inflation"],
+                                    exec_noise=cfg["exec_noise"])
     if name == "random":
         return RandomPolicy(spec)
     if name == "bc":
@@ -158,9 +178,9 @@ def _make_policy(spec: EnvSpec, name: str, cfg: dict, bundle: str | None = None)
     raise ValueError(f"unknown policy {name!r}")
 
 
-def _float_list(raw, flag: str) -> list:
+def _float_list(raw: str, flag: str) -> list:
     try:
-        return [float(v) for v in str(raw).split(",") if str(v).strip() != ""]
+        return [float(v) for v in raw.split(",") if v.strip() != ""]
     except ValueError as exc:
         raise ValueError(f"{flag} must be a comma-separated list of numbers") from exc
 
@@ -178,12 +198,12 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
         raise ValueError(f"--policy must be one of {GEN_POLICIES}")
     spec = _resolve_spec(args.env, cfg["variant"])
     if cfg["max_steps"] is not None:
-        spec = replace(spec, max_steps=int(cfg["max_steps"]))
+        spec = replace(spec, max_steps=cfg["max_steps"])
         spec.validate()
     policy = _make_policy(spec, cfg["policy"], cfg)
     _guard_overwrite(args.out, args.force)
-    rng = Rng(int(cfg["seed"]))
-    dataset = generate_dataset(spec, policy, int(cfg["episodes"]), spec.max_steps, rng)
+    rng = Rng(cfg["seed"])
+    dataset = generate_dataset(spec, policy, cfg["episodes"], spec.max_steps, rng)
     save_dataset(dataset, args.out)
     occ = float(np.mean([in_risk_region(spec, s2) for s2 in dataset.next_states]))
     print(f"wrote {len(dataset)} transitions to {args.out}")
@@ -196,13 +216,12 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = _merge_config(args, "train")
     dataset = load_dataset(args.data)
-    score_iters = int(cfg["iters"] if cfg["score_iters"] is None else cfg["score_iters"])
-    invdyn_iters = int(cfg["iters"] if cfg["invdyn_iters"] is None else cfg["invdyn_iters"])
-    score_cfg = ScoreTrainConfig(sigma=float(cfg["sigma"]), iterations=score_iters,
-                                 batch_size=int(cfg["batch"]), lr=float(cfg["score_lr"]),
-                                 seed=int(cfg["seed"]))
-    invdyn_cfg = InvDynTrainConfig(iterations=invdyn_iters, batch_size=int(cfg["batch"]),
-                                   lr=float(cfg["invdyn_lr"]), seed=int(cfg["seed"]))
+    score_iters = cfg["iters"] if cfg["score_iters"] is None else cfg["score_iters"]
+    invdyn_iters = cfg["iters"] if cfg["invdyn_iters"] is None else cfg["invdyn_iters"]
+    score_cfg = ScoreTrainConfig(sigma=cfg["sigma"], iterations=score_iters,
+                                 batch_size=cfg["batch"], lr=cfg["score_lr"], seed=cfg["seed"])
+    invdyn_cfg = InvDynTrainConfig(iterations=invdyn_iters, batch_size=cfg["batch"],
+                                   lr=cfg["invdyn_lr"], seed=cfg["seed"])
     score_cfg.validate()
     invdyn_cfg.validate()
     bc_spec = None
@@ -210,9 +229,9 @@ def cmd_train(args: argparse.Namespace) -> int:
         if not cfg["env"]:
             raise ValueError("--env is required with --bc (action bounds come from the env spec)")
         bc_spec = _resolve_spec(cfg["env"], cfg["variant"])
-        bc_iters = int(cfg["iters"] if cfg["bc_iters"] is None else cfg["bc_iters"])
-        bc_cfg = BcTrainConfig(iterations=bc_iters, batch_size=int(cfg["batch"]),
-                               lr=float(cfg["bc_lr"]), seed=int(cfg["seed"]))
+        bc_iters = cfg["iters"] if cfg["bc_iters"] is None else cfg["bc_iters"]
+        bc_cfg = BcTrainConfig(iterations=bc_iters, batch_size=cfg["batch"],
+                               lr=cfg["bc_lr"], seed=cfg["seed"])
         bc_cfg.validate()
     _guard_overwrite(os.path.join(args.out, checkpoint.MANIFEST_FILE), args.force)
     if score_iters == 0 or invdyn_iters == 0:
@@ -244,14 +263,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
     k1s = _float_list(cfg["k1"], "--k1")
     k2s = _float_list(cfg["k2"], "--k2")
     grid = _float_list(cfg["percentiles"], "--percentiles")
-    ablations = [a.strip() for a in str(cfg["ablation"]).split(",") if a.strip()]
+    ablations = [a.strip() for a in cfg["ablation"].split(",") if a.strip()]
     for ab in ablations:
         if ab not in ABLATIONS:
             raise ValueError(f"ablation must be one of {ABLATIONS}, got {ab!r}")
-    episodes = int(cfg["episodes"])
-    base_seed = int(cfg["seed"])
-    gamma = float(cfg["gamma"])
-    n_traj = int(cfg["traj"])
+    episodes = cfg["episodes"]
+    base_seed = cfg["seed"]
+    gamma = cfg["gamma"]
+    n_traj = cfg["traj"]
     combos = [(ab, k1, k2) for ab in ablations for k1 in k1s for k2 in k2s]
     outdir = args.outdir
     os.makedirs(outdir, exist_ok=True)
@@ -271,11 +290,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
     for ab, k1, k2 in combos:
         ctl = ControlConfig(k1=k1, k2=k2, action_low=spec.action_low,
                             action_high=spec.action_high,
-                            n_refine=int(cfg["n_refine"]), ablation=ab)
+                            n_refine=cfg["n_refine"], ablation=ab)
         traj_c: list = []
         stats_c = rollout_batch(spec, policy, models, ctl, episodes, base_seed,
                                 gamma, traj_c, n_traj)
-        echo = {"ablation": ab, "k1": k1, "k2": k2, "n_refine": int(cfg["n_refine"]),
+        echo = {"ablation": ab, "k1": k1, "k2": k2, "n_refine": cfg["n_refine"],
                 "episodes": episodes, "base_seed": base_seed, "gamma": gamma,
                 "env": spec.name, "variant": spec.variant, "policy": cfg["policy"]}
         report = summarize(stats_b, stats_c, grid, echo, spec,
@@ -312,7 +331,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
         if loaded:
             trajectories[arm] = loaded
     _guard_overwrite(args.out, args.force)
-    svg = render_scene(spec, trajectories, quiver_fn, int(cfg["grid_n"]))
+    svg = render_scene(spec, trajectories, quiver_fn, cfg["grid_n"])
     write_svg(svg, args.out)
     print(f"wrote {args.out}")
     _write_echo(cfg, {"command": "plot", "env": args.env, "out": args.out,
@@ -363,14 +382,21 @@ def _check_gradients(seed: int) -> None:
     net = mlp_init([4, 16, 12, 2], 0.1, rng)
     _, grads = dsm_loss_reparam_given_noise(net, states, actions, sigma, z,
                                             ScoreKind.ACTION)
-    fd = fd_grads(lambda p: dsm_loss_reparam_given_noise(
-        p, states, actions, sigma, z, ScoreKind.ACTION)[0], net)
+    # the finite-difference targets are forward-only forms of the same losses
+    fd = fd_grads(lambda p: dsm_loss_reference(
+        p, (states, actions, actions + sigma * z), sigma, ScoreKind.ACTION), net)
     err = _max_rel_err(grads, fd)
     assert err <= 1e-5, f"action-score gradient error {err}"
 
     net = mlp_init([4, 16, 12, 2], 0.2, rng)
     _, grads = invdyn_loss(net, states, nxt, actions)
-    fd = fd_grads(lambda p: invdyn_loss(p, states, nxt, actions)[0], net)
+    x = np.hstack([states, nxt])
+
+    def squared_error(p) -> float:
+        resid = forward_batch(p, x)[0] - actions
+        return float(np.sum(resid * resid)) / len(resid)
+
+    fd = fd_grads(squared_error, net)
     err = _max_rel_err(grads, fd)
     assert err <= 1e-5, f"inverse-dynamics gradient error {err}"
 
@@ -414,7 +440,7 @@ def _check_langevin_noop(seed: int) -> None:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg = _merge_config(args, "verify")
-    seed = int(cfg["seed"])
+    seed = cfg["seed"]
     checks = [
         ("loss-form identity", _check_loss_identity),
         ("gradient exactness vs finite differences", _check_gradients),
@@ -453,40 +479,40 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="seed (default CDSA_SEED or 0)")
     p.add_argument("--variant", choices=("pathfinding", "goods", "airport"),
                    help="task variant override")
-    p.add_argument("--exec-noise", dest="exec_noise", type=float,
+    p.add_argument("--exec-noise", dest="exec_noise", type=_number,
                    help="gaussian action noise for risk-avoiding (default 0.2)")
     p.add_argument("--grid-n", dest="grid_n", type=int, help="planner grid size (default 40)")
-    p.add_argument("--inflation", type=float, help="planner obstacle margin (default 0.08)")
+    p.add_argument("--inflation", type=_number, help="planner obstacle margin (default 0.08)")
     p.add_argument("--max-steps", dest="max_steps", type=int, help="episode step override")
     p.add_argument("--config", help="JSON config file; flags win")
     p.add_argument("--force", action="store_true", help="overwrite existing outputs")
-    p.set_defaults(fn=cmd_gen_data)
+    p.set_defaults(fn=cmd_gen_data, parser=p)
 
     p = sub.add_parser("train", help="train score fields and inverse dynamics")
     p.add_argument("--data", required=True, help="dataset path")
     p.add_argument("--out", required=True, help="bundle directory to create")
-    p.add_argument("--sigma", type=float, help="perturbation scale (default 0.1)")
+    p.add_argument("--sigma", type=_number, help="perturbation scale (default 0.1)")
     p.add_argument("--iters", type=int, help="iterations for every model (default 10000)")
     p.add_argument("--score-iters", dest="score_iters", type=int,
                    help="score-field iteration override")
     p.add_argument("--invdyn-iters", dest="invdyn_iters", type=int,
                    help="inverse-dynamics iteration override")
-    p.add_argument("--score-lr", dest="score_lr", type=float,
+    p.add_argument("--score-lr", dest="score_lr", type=_number,
                    help="score-field learning rate (default 3e-4)")
-    p.add_argument("--invdyn-lr", dest="invdyn_lr", type=float,
+    p.add_argument("--invdyn-lr", dest="invdyn_lr", type=_number,
                    help="inverse-dynamics learning rate (default 1e-3)")
     p.add_argument("--batch", type=int, help="batch size (default 256)")
     p.add_argument("--seed", type=int, help="seed (default CDSA_SEED or 0)")
     p.add_argument("--bc", action="store_const", const=True,
                    help="also behavior-clone the dataset policy")
     p.add_argument("--bc-iters", dest="bc_iters", type=int, help="bc iteration override")
-    p.add_argument("--bc-lr", dest="bc_lr", type=float, help="bc learning rate (default 1e-3)")
+    p.add_argument("--bc-lr", dest="bc_lr", type=_number, help="bc learning rate (default 1e-3)")
     p.add_argument("--env", help="env spec (required with --bc, for action bounds)")
     p.add_argument("--variant", choices=("pathfinding", "goods", "airport"),
                    help="task variant override")
     p.add_argument("--config", help="JSON config file; flags win")
     p.add_argument("--force", action="store_true", help="overwrite existing outputs")
-    p.set_defaults(fn=cmd_train)
+    p.set_defaults(fn=cmd_train, parser=p)
 
     p = sub.add_parser("eval", help="paired baseline/corrected rollouts and reports")
     p.add_argument("--env", required=True, help="env spec path or builtin name")
@@ -501,17 +527,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-refine", dest="n_refine", type=int,
                    help="extra correction passes (default 1)")
     p.add_argument("--percentiles", help="VaR grid (default 5,10,25,50,75,100)")
-    p.add_argument("--gamma", type=float, help="discount for reported returns (default 1)")
+    p.add_argument("--gamma", type=_number, help="discount for reported returns (default 1)")
     p.add_argument("--traj", type=int, help="trajectories per arm kept for the SVG (default 10)")
     p.add_argument("--variant", choices=("pathfinding", "goods", "airport"),
                    help="task variant override")
-    p.add_argument("--exec-noise", dest="exec_noise", type=float,
+    p.add_argument("--exec-noise", dest="exec_noise", type=_number,
                    help="scripted-policy action noise (default 0)")
     p.add_argument("--grid-n", dest="grid_n", type=int, help="planner grid size (default 40)")
-    p.add_argument("--inflation", type=float, help="planner obstacle margin (default 0.08)")
+    p.add_argument("--inflation", type=_number, help="planner obstacle margin (default 0.08)")
     p.add_argument("--config", help="JSON config file; flags win")
     p.add_argument("--force", action="store_true", help="overwrite existing outputs")
-    p.set_defaults(fn=cmd_eval)
+    p.set_defaults(fn=cmd_eval, parser=p)
 
     p = sub.add_parser("plot", help="render arena, trajectories, and a score quiver")
     p.add_argument("--env", required=True, help="env spec path or builtin name")
@@ -526,12 +552,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="task variant override")
     p.add_argument("--config", help="JSON config file; flags win")
     p.add_argument("--force", action="store_true", help="overwrite existing outputs")
-    p.set_defaults(fn=cmd_plot)
+    p.set_defaults(fn=cmd_plot, parser=p)
 
     p = sub.add_parser("verify", help="run the built-in oracle suite")
     p.add_argument("--seed", type=int, help="seed (default CDSA_SEED or 0)")
     p.add_argument("--config", help="JSON config file; flags win")
-    p.set_defaults(fn=cmd_verify)
+    p.set_defaults(fn=cmd_verify, parser=p)
 
     return parser
 

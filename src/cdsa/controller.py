@@ -50,6 +50,7 @@ from .neuralcore import (
     row_norms,
     single_blas_thread,
 )
+from .readers import parse_field, read_csv
 from .scorefield import ScoreField, ScoreKind, ScoreTrainConfig, train_score_field
 
 ABLATIONS = ("full", "no_a1", "no_a2", "baseline")
@@ -478,17 +479,17 @@ def control_episode(spec: EnvSpec, base_policy: Policy, models: CdsaModels | Non
     return trajectories[0]
 
 
+def _trajectory_header(ds: int, da: int) -> list[str]:
+    return (["step"] + [f"s{i}" for i in range(ds)] + [f"a_o{i}" for i in range(da)]
+            + [f"a{i}" for i in range(da)] + ["r", "risk_flag", "done"])
+
+
 def save_trajectory_csv(traj: Trajectory, path: str) -> None:
     """Write step, s..., a_o..., a..., r, risk_flag, done rows."""
     ds = traj.states.shape[1] if len(traj) else len(traj.final_state)
     da = traj.actions.shape[1] if len(traj) else 0
-    cols = (["step"]
-            + [f"s{i}" for i in range(ds)]
-            + [f"a_o{i}" for i in range(da)]
-            + [f"a{i}" for i in range(da)]
-            + ["r", "risk_flag", "done"])
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(cols) + "\n")
+        fh.write(",".join(_trajectory_header(ds, da)) + "\n")
         for t in range(len(traj)):
             row = ([str(t)]
                    + [f"{v:.17g}" for v in traj.states[t]]
@@ -501,14 +502,16 @@ def save_trajectory_csv(traj: Trajectory, path: str) -> None:
 
 
 def load_trajectory_csv(path: str) -> Trajectory:
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
+    """The step rows save_trajectory_csv wrote; ControlError names path:lineno otherwise."""
+    header, rows = read_csv(path, ControlError)
     ds = sum(1 for c in header if c.startswith("s") and c != "step")
     da = sum(1 for c in header if c.startswith("a_o"))
-    vals = np.array([[float(v) for v in row] for row in rows], dtype=np.float64)
-    if len(vals) == 0:
-        vals = vals.reshape(0, len(header))
+    if header != _trajectory_header(ds, da):
+        raise ControlError(f"{path}:1: not a trajectory CSV header: {','.join(header)!r}")
+    kinds = [int] + [float] * (ds + 2 * da + 1) + [bool, bool]
+    vals = np.array([[parse_field(text, kind, ControlError, f"{where}: {col}")
+                      for text, kind, col in zip(fields, kinds, header)]
+                     for where, fields in rows], dtype=np.float64).reshape(-1, len(header))
     states = vals[:, 1:1 + ds]
     a_o = vals[:, 1 + ds:1 + ds + da]
     a = vals[:, 1 + ds + da:1 + ds + 2 * da]

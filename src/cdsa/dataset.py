@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import isfinite
 
 import numpy as np
 
 from .neuralcore import Rng
+from .readers import Fields, decode, read_text
 
 STD_FLOOR = 1e-6
 
@@ -68,12 +68,7 @@ class NormStats:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NormStats":
-        return cls(
-            np.asarray(d["state_mean"], dtype=np.float64),
-            np.asarray(d["state_std"], dtype=np.float64),
-            np.asarray(d["action_mean"], dtype=np.float64),
-            np.asarray(d["action_std"], dtype=np.float64),
-        )
+        return read_norm(Fields(d, DatasetSchemaError))
 
     @classmethod
     def identity(cls, state_dim: int, action_dim: int) -> "NormStats":
@@ -202,87 +197,56 @@ def save_dataset(dataset: Dataset, path) -> None:
                      for s, a, r, s2, done in rows)
 
 
-# every JSON number is read as a float, so one type check covers ints too
-_DECODER = json.JSONDecoder(parse_int=float)
+def read_norm(f: Fields, state_dim: int | None = None,
+              action_dim: int | None = None) -> NormStats:
+    """The norm stats object f holds: four vectors of finite numbers of the
+    given dims (None: any, state and action vectors alike), every std > 0."""
+    norm = NormStats(*(f.array(key, (dim,)) for key, dim in (
+        ("state_mean", state_dim), ("state_std", state_dim),
+        ("action_mean", action_dim), ("action_std", action_dim))))
+    norm.validate(len(norm.state_mean), len(norm.action_mean))
+    return norm
 
 
-def _parse(line: str, where: str, what: str) -> dict:
-    try:
-        obj = _DECODER.decode(line)
-    except (json.JSONDecodeError, RecursionError) as e:
-        raise DatasetError(f"{where}: malformed {what}: {e}") from e
-    if type(obj) is not dict:
-        raise DatasetSchemaError(f"{where}: {what} must be a JSON object")
-    return obj
-
-
-def _is_vector(value, dim: int) -> bool:
-    """value is a list of dim finite numbers."""
-    return (type(value) is list and len(value) == dim
-            and all(type(x) is float and isfinite(x) for x in value))
-
-
-def _whole(value) -> bool:
-    return type(value) is float and value.is_integer()
-
-
-def _read_metadata(line: str, where: str) -> tuple[int, int, NormStats]:
-    meta = _parse(line, where, "metadata record")
-    if meta.get("format") != _FORMAT:
-        raise DatasetSchemaError(f"{where}: not a {_FORMAT} file")
-    if not (_whole(meta.get("version")) and meta["version"] == _VERSION):
-        raise DatasetSchemaError(f"{where}: version must be {_VERSION}")
-    dims = [meta.get("state_dim"), meta.get("action_dim")]
-    if not all(_whole(d) and d >= 1 for d in dims):
-        raise DatasetSchemaError(f"{where}: state_dim and action_dim must be integers >= 1")
-    state_dim, action_dim = map(int, dims)
-    norm = meta.get("norm")
-    norm_dims = {"state_mean": state_dim, "state_std": state_dim,
-                 "action_mean": action_dim, "action_std": action_dim}
-    if type(norm) is not dict or not all(_is_vector(norm.get(k), d) for k, d in norm_dims.items()):
-        raise DatasetSchemaError(f"{where}: norm must hold {', '.join(norm_dims)} as lists of "
-                                 f"finite numbers of the declared dims")
-    if min(norm["state_std"] + norm["action_std"]) <= 0:
-        raise DatasetSchemaError(f"{where}: every std in norm must be > 0")
-    return state_dim, action_dim, NormStats.from_dict(norm)
-
-
-def _record_problem(rec: dict, state_dim: int, action_dim: int) -> str | None:
-    """What is wrong with one transition record, or None."""
-    for key, dim in (("s", state_dim), ("a", action_dim), ("s2", state_dim)):
-        if not _is_vector(rec.get(key), dim):
-            return f"{key!r} must be a list of {dim} finite numbers"
-    r = rec.get("r")
-    if type(r) is not float or not isfinite(r):
-        return "'r' must be a finite number"
-    if type(rec.get("done")) is not bool:
-        return "'done' must be true or false"
-    return None
+def _read_metadata(line: str) -> tuple[int, int, NormStats]:
+    f = Fields(decode(line, DatasetSchemaError, "metadata record"), DatasetSchemaError)
+    f.header(_FORMAT, _VERSION)
+    state_dim, action_dim = f.integer("state_dim"), f.integer("action_dim")
+    if min(state_dim, action_dim) < 1:
+        raise DatasetSchemaError("state_dim and action_dim must be integers >= 1")
+    return state_dim, action_dim, read_norm(f.object("norm"), state_dim, action_dim)
 
 
 def load_dataset(path) -> Dataset:
-    with open(path, encoding="utf-8") as f:
-        try:
-            lines = f.read().splitlines()
-        except UnicodeDecodeError as e:
-            raise DatasetError(f"{path}: not UTF-8 text: {e}") from e
+    lines = read_text(path, DatasetError, str(path)).splitlines()
     if not any(line.strip() for line in lines):
         raise DatasetError(f"{path}: no records")
-    state_dim, action_dim, norm = _read_metadata(lines[0], f"{path}:1")
-    records = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        rec = _parse(line, f"{path}:{lineno}", "record")
-        problem = _record_problem(rec, state_dim, action_dim)
-        if problem:
-            raise DatasetSchemaError(f"{path}:{lineno}: {problem}")
-        records.append(rec)
+    try:
+        state_dim, action_dim, norm = _read_metadata(lines[0])
+    except DatasetError as exc:
+        raise type(exc)(f"{path}:1: {exc}") from None
+    records = [decode(line, DatasetSchemaError, f"{path}:{n}: record")
+               for n, line in enumerate(lines[1:], start=2) if line.strip()]
     if not records:
         raise DatasetError(f"{path}: no records")
+    shapes = {"s": (state_dim,), "a": (action_dim,), "r": (), "s2": (state_dim,), "done": ()}
 
-    def column(key: str, dtype=np.float64) -> np.ndarray:
-        return np.array([rec[key] for rec in records], dtype=dtype)
+    def read(obj: dict, key: str, rows: tuple = ()) -> np.ndarray:
+        return Fields(obj, DatasetSchemaError).array(key, rows + shapes[key],
+                                                     bool if key == "done" else float)
 
-    return Dataset(column("s"), column("a"), column("r"), column("s2"), column("done", bool),
-                   norm=norm)
+    # each field of all records as one array; only when that fails are the
+    # records read one by one, to name the first bad line
+    try:
+        arrays = [read({key: [rec.get(key) for rec in records]}, key, (len(records),))
+                  for key in shapes]
+    except DatasetSchemaError:
+        linenos = (n for n, line in enumerate(lines[1:], start=2) if line.strip())
+        for lineno, rec in zip(linenos, records):
+            try:
+                for key in shapes:
+                    read(rec, key)
+            except DatasetSchemaError as exc:
+                raise DatasetSchemaError(f"{path}:{lineno}: {exc}") from None
+        raise
+    return Dataset(*arrays, norm=norm)

@@ -43,6 +43,7 @@ from .neuralcore import (
     row_norms,
     train_mlp,
 )
+from .readers import Fields, read_json
 
 ENV_KINDS = ("risky_pointmass", "risky_transport", "linear_point")
 VARIANTS = ("pathfinding", "goods", "airport")
@@ -122,19 +123,22 @@ class Region:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Region":
-        shape = d.get("shape")
-        if shape == "circle":
-            reg = cls(shape="circle", label=d.get("label", ""),
-                      center=np.asarray(d["center"], dtype=np.float64),
-                      radius=float(d["radius"]))
-        elif shape == "rect":
-            reg = cls(shape="rect", label=d.get("label", ""),
-                      rect_min=np.asarray(d["min"], dtype=np.float64),
-                      rect_max=np.asarray(d["max"], dtype=np.float64))
-        else:
-            raise EnvError(f"unknown region shape {shape!r}")
-        reg.validate()
-        return reg
+        return _read_region(Fields(d, EnvError))
+
+
+def _read_region(f: Fields | None) -> Region | None:
+    if f is None:
+        return None
+    shape = f.string("shape", ("circle", "rect"))
+    label = f.string("label", default="")
+    if shape == "circle":
+        reg = Region(shape=shape, label=label, center=f.array("center", (2,)),
+                     radius=f.number("radius"))
+    else:
+        reg = Region(shape=shape, label=label, rect_min=f.array("min", (2,)),
+                     rect_max=f.array("max", (2,)))
+    reg.validate()
+    return reg
 
 
 @dataclass
@@ -243,58 +247,46 @@ class EnvSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EnvSpec":
-        if d.get("format") != SPEC_FORMAT:
-            raise EnvError(f"not an env spec file (format {d.get('format')!r})")
-        if d.get("version") != SPEC_VERSION:
-            raise EnvError(f"unsupported env spec version {d.get('version')!r}")
-        try:
-            spec = cls(
-                kind=d["kind"],
-                name=d.get("name", d["kind"]),
-                state_dim=int(d["state_dim"]),
-                action_dim=int(d["action_dim"]),
-                arena_min=np.asarray(d["arena"]["min"], dtype=np.float64),
-                arena_max=np.asarray(d["arena"]["max"], dtype=np.float64),
-                dt=float(d["dt"]),
-                start_min=np.asarray(d["start"]["min"], dtype=np.float64),
-                start_max=np.asarray(d["start"]["max"], dtype=np.float64),
-                goal=np.asarray(d["goal"]["position"], dtype=np.float64),
-                capture_radius=float(d["goal"]["capture_radius"]),
-                risk_regions=[Region.from_dict(r) for r in d["risk"]["regions"]],
-                risk_penalty=float(d["risk"]["penalty"]),
-                risk_prob=float(d["risk"]["prob"]),
-                step_cost=float(d["step_cost"]),
-                max_steps=int(d["max_steps"]),
-                action_low=np.asarray(d["action_bounds"]["low"], dtype=np.float64),
-                action_high=np.asarray(d["action_bounds"]["high"], dtype=np.float64),
-                variant=d.get("variant", "pathfinding"),
-                goods_region=(Region.from_dict(d["goods_region"])
-                              if d.get("goods_region") else None),
-                airport_region=(Region.from_dict(d["airport_region"])
-                                if d.get("airport_region") else None),
-                landing_point=(np.asarray(d["landing_point"], dtype=np.float64)
-                               if d.get("landing_point") is not None else None),
-            )
-        except KeyError as exc:
-            raise EnvError(f"env spec missing field {exc}") from exc
+        f = Fields(d, EnvError)
+        f.header(SPEC_FORMAT, SPEC_VERSION)
+        kind = f.string("kind", ENV_KINDS)
+        ds, da = f.integer("state_dim"), f.integer("action_dim")
+        arena, start, goal = f.object("arena"), f.object("start"), f.object("goal")
+        risk, bounds = f.object("risk"), f.object("action_bounds")
+        spec = cls(
+            kind=kind,
+            name=f.string("name", default=kind),
+            state_dim=ds,
+            action_dim=da,
+            arena_min=arena.array("min", (ds,)),
+            arena_max=arena.array("max", (ds,)),
+            dt=f.number("dt"),
+            start_min=start.array("min", (ds,)),
+            start_max=start.array("max", (ds,)),
+            goal=goal.array("position", (ds,)),
+            capture_radius=goal.number("capture_radius"),
+            risk_regions=[_read_region(r) for r in risk.objects("regions")],
+            risk_penalty=risk.number("penalty"),
+            risk_prob=risk.number("prob"),
+            step_cost=f.number("step_cost"),
+            max_steps=f.integer("max_steps"),
+            action_low=bounds.array("low", (da,)),
+            action_high=bounds.array("high", (da,)),
+            variant=f.string("variant", VARIANTS, default="pathfinding"),
+            goods_region=_read_region(f.object("goods_region", None)),
+            airport_region=_read_region(f.object("airport_region", None)),
+            landing_point=f.array("landing_point", (ds,), default=None),
+        )
         spec.validate()
         return spec
 
 
 def load_env_spec(path: str) -> EnvSpec:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            d = json.load(fh)
-    except OSError as exc:
-        raise EnvError(f"cannot read env spec {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise EnvError(f"env spec {path} is not valid JSON: {exc}") from exc
-    if not isinstance(d, dict):
-        raise EnvError(f"env spec {path} does not hold a JSON object")
+    d = read_json(path, EnvError, "env spec")
     try:
         return EnvSpec.from_dict(d)
-    except (TypeError, ValueError) as exc:  # EnvError is a ValueError
-        raise EnvError(f"env spec {path}: {exc}") from exc
+    except EnvError as exc:
+        raise EnvError(f"env spec {path}: {exc}") from None
 
 
 def save_env_spec(spec: EnvSpec, path: str) -> None:

@@ -29,6 +29,7 @@ import numpy as np
 from .controller import CdsaModels, ControlConfig, Trajectory, run_episodes
 from .envs import EnvSpec, Policy
 from .neuralcore import Rng
+from .readers import parse_field, read_csv
 from . import svgplot
 
 
@@ -215,23 +216,15 @@ def load_report_csv(path: str) -> dict:
     """Parse an emitted report CSV into {(metric, arm, percentile): value}.
 
     Numeric values come back as floats (17 significant digits round-trip
-    float64 exactly); config and warning rows stay strings.
+    float64 exactly); config and warning rows stay strings. EvalError
+    names path:lineno of a line that is not a report row.
     """
+    header, rows = read_csv(path, EvalError)
+    if header != ["metric", "arm", "percentile", "value"]:
+        raise EvalError(f"{path}:1: unexpected report CSV header: {','.join(header)!r}")
     out = {}
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "metric,arm,percentile,value":
-            raise EvalError(f"unexpected report CSV header: {header!r}")
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            metric, arm, pct, value = line.split(",", 3)
-            key = (metric, arm, pct)
-            if metric in ("config", "warning"):
-                out[key] = value
-            elif metric == "episodes":
-                out[key] = int(value)
-            else:
-                out[key] = float(value)
+    for where, (metric, arm, pct, value) in rows:
+        kind = (str if metric in ("config", "warning")
+                else int if metric == "episodes" else float)
+        out[(metric, arm, pct)] = parse_field(value, kind, EvalError, f"{where}: value")
     return out

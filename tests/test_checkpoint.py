@@ -18,6 +18,7 @@ from cdsa.envs import BehaviorCloned
 from cdsa.invdyn import InvDynModel, model_dims
 from cdsa.neuralcore import Rng, mlp_init
 from cdsa.scorefield import ScoreField, ScoreKind, field_dims
+from helpers import missed, mutated, mutations
 
 DS, DA = 2, 2
 
@@ -214,7 +215,12 @@ def test_bundle_manifest_validation(tmp_path):
 
     for patch, msg in (({"format": "zip"}, "format"),
                        ({"version": 7}, "version"),
-                       ({"files": {}}, "lists no")):
+                       ({"version": True}, "version"),
+                       ({"files": {}}, "lists no"),
+                       ({"state_dim": 3}, "state dim"),
+                       ({"action_dim": "two"}, "action_dim"),
+                       ({"sigma": "x"}, "sigma"),
+                       ({"sigma": manifest["sigma"] * 2}, "sigma")):
         bad = {**manifest, **patch}
         with open(mpath, "w") as fh:
             json.dump(bad, fh)
@@ -234,6 +240,24 @@ def test_bundle_manifest_files_must_name_files(tmp_path, files):
         json.dump({**manifest, "files": files}, fh)
     with pytest.raises(CheckpointError, match=re.escape(f"{mpath}: files must be")):
         load_bundle(d)
+
+
+@pytest.mark.parametrize("load, optional", [
+    (load_bundle, {"files.bc"}),
+    (load_bundle_bc, {f"files.{key}" for key in BUNDLE_FILES}),
+])
+def test_bundle_manifest_rejects_every_mutated_field(tmp_path, load, optional):
+    d = tmp_path / "bundle"
+    save_bundle(_models(), str(d), bc=_bc())
+    mpath = d / MANIFEST_FILE
+    doc = json.loads(mpath.read_text())
+    cases = list(mutations(doc, optional))
+    if load is load_bundle:  # the three models' dims and sigma are checked against it
+        cases += [("state_dim 3", mutated(doc, ("state_dim",), 3)),
+                  ("action_dim 1", mutated(doc, ("action_dim",), 1)),
+                  ("sigma doubled", mutated(doc, ("sigma",), 2 * doc["sigma"]))]
+    misses = missed(cases, mpath, lambda: load(str(d)), CheckpointError, expect=str(d))
+    assert not misses, "\n".join(misses)
 
 
 def test_bundle_missing_manifest(tmp_path):
@@ -294,54 +318,25 @@ MODEL_KINDS = {
     "invdyn": lambda: InvDynModel(_small([2 * DS, 3, DA]), _norm()),
     "bc": lambda: BehaviorCloned(_small([DS, 3, DA]), _norm(), -np.ones(DA), np.ones(DA)),
 }
-BAD_NUMBERS = (float("nan"), float("inf"), float("-inf"), "x", "0.5")
-
-
-def _fields(node, path=()):
-    """(path, value) of every field below node; a list contributes its first entry."""
-    entries = node.items() if isinstance(node, dict) else enumerate(node[:1])
-    for key, val in entries:
-        yield path + (key,), val
-        if isinstance(val, (dict, list)):
-            yield from _fields(val, path + (key,))
-
-
-def _mutated(doc, path, value=None, delete=False):
-    out = json.loads(json.dumps(doc))
-    parent = out
-    for key in path[:-1]:
-        parent = parent[key]
-    if delete:
-        del parent[path[-1]]
-    else:
-        parent[path[-1]] = value
-    return out
 
 
 def _mutations(doc):
-    """(label, document): each field deleted and wrapped in a list, each number
-    replaced by NaN, +-inf and two strings, plus wrongly typed dims and bad bounds."""
-    for path, val in _fields(doc):
-        label = ".".join(map(str, path))
-        yield f"delete {label}", _mutated(doc, path, delete=True)
-        yield f"wrap {label}", _mutated(doc, path, [val])
-        if isinstance(val, (int, float)) and not isinstance(val, bool):
-            for bad in BAD_NUMBERS:
-                yield f"{label}={bad!r}", _mutated(doc, path, bad)
+    """The shared field mutations plus wrongly typed dims and bad bounds."""
+    yield from mutations(doc)
     dims = doc["arch"]["dims"]
-    yield "dims int", _mutated(doc, ("arch", "dims"), dims[0])
-    yield "dims strings", _mutated(doc, ("arch", "dims"), [str(v) for v in dims])
-    yield "layers object", _mutated(doc, ("arch", "layers"), doc["arch"]["layers"][0])
-    yield "slope 0", _mutated(doc, ("arch", "slope"), 0.0)
-    yield "slope 1.5", _mutated(doc, ("arch", "slope"), 1.5)
-    yield "norm std 0", _mutated(doc, ("norm", "state_std", 0), 0.0)
-    yield "norm dims off", _mutated(doc, ("norm", "state_mean"), [0.0] * (DS + 1))
+    yield "dims int", mutated(doc, ("arch", "dims"), dims[0])
+    yield "dims strings", mutated(doc, ("arch", "dims"), [str(v) for v in dims])
+    yield "layers object", mutated(doc, ("arch", "layers"), doc["arch"]["layers"][0])
+    yield "slope 0", mutated(doc, ("arch", "slope"), 0.0)
+    yield "slope 1.5", mutated(doc, ("arch", "slope"), 1.5)
+    yield "norm std 0", mutated(doc, ("norm", "state_std", 0), 0.0)
+    yield "norm dims off", mutated(doc, ("norm", "state_mean"), [0.0] * (DS + 1))
     if "sigma" in doc:
-        yield "sigma 0", _mutated(doc, ("sigma",), 0.0)
+        yield "sigma 0", mutated(doc, ("sigma",), 0.0)
     if "bounds" in doc:
         low, high = doc["bounds"]["low"], doc["bounds"]["high"]
-        yield "bounds low > high", _mutated(doc, ("bounds",), {"low": high, "high": low})
-        yield "bounds low == high", _mutated(doc, ("bounds",), {"low": low, "high": low})
+        yield "bounds low > high", mutated(doc, ("bounds",), {"low": high, "high": low})
+        yield "bounds low == high", mutated(doc, ("bounds",), {"low": low, "high": low})
 
 
 @pytest.mark.parametrize("kind", sorted(MODEL_KINDS))
@@ -350,18 +345,7 @@ def test_load_model_rejects_every_mutated_field_naming_the_file(tmp_path, kind):
     path = tmp_path / f"{kind}.json"
     path.write_text(json.dumps(doc))
     assert _params_equal(load_model(str(path)).params, MODEL_KINDS[kind]().params)
-    misses = []
     cases = list(_mutations(doc))
-    for label, bad in cases:
-        path.write_text(json.dumps(bad))
-        try:
-            load_model(str(path))
-        except CheckpointError as exc:
-            if str(path) not in str(exc):
-                misses.append(f"{label}: message does not name the file: {exc}")
-        except Exception as exc:  # noqa: BLE001 - every other type is a miss
-            misses.append(f"{label}: {type(exc).__name__}: {exc}")
-        else:
-            misses.append(f"{label}: loaded")
     assert len(cases) > 60
+    misses = missed(cases, path, lambda: load_model(str(path)), CheckpointError)
     assert not misses, "\n".join(misses)

@@ -7,9 +7,10 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from cdsa import checkpoint
-from cdsa.cli import main
+from cdsa.cli import DEFAULTS, _merge_config, build_parser, main
 from cdsa.dataset import load_dataset
 from cdsa.evaluation import load_report_csv
+from helpers import missed, mutations
 
 
 def _read_json(path):
@@ -119,6 +120,64 @@ def test_config_file_not_an_object_exits_1(tmp_path, capsys, document):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(cfg) in err and "JSON object" in err
+
+
+# the flags each subcommand requires; the config is read before any of them is used
+REQUIRED = {"gen-data": ["--env", "linear", "--out", "d.jsonl"],
+            "train": ["--data", "d.jsonl", "--out", "b"],
+            "eval": ["--env", "linear", "--bundle", "b", "--outdir", "r"],
+            "plot": ["--env", "linear", "--out", "s.svg"],
+            "verify": []}
+
+
+def _config(command, path):
+    args = build_parser().parse_args([command, *REQUIRED[command], "--config", str(path)])
+    return _merge_config(args, command)
+
+
+@pytest.mark.parametrize("command", sorted(DEFAULTS))
+def test_config_file_rejects_every_mutated_value(tmp_path, command):
+    doc = {key: value for key, value in DEFAULTS[command].items() if value is not None}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    cfg = _config(command, path)
+    assert {key: cfg[key] for key in doc} == doc
+    cases = list(mutations(doc, optional=set(doc)))  # a config may leave out any key
+    misses = missed(cases, path, lambda: _config(command, path), ValueError)
+    assert not misses, "\n".join(misses)
+
+
+def test_config_file_values_are_typed_as_their_flags(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"k1": 0.5, "k2": "0,1", "seed": None, "variant": None,
+                                "episodes": 3, "gamma": 1, "policy": "direct"}))
+    cfg = _config("eval", path)
+    assert cfg["k1"] == "0.5" and cfg["k2"] == "0,1" and cfg["variant"] is None
+    assert cfg["episodes"] == 3 and cfg["gamma"] == 1.0 and isinstance(cfg["gamma"], float)
+    path.write_text(json.dumps({"bc": True, "env": "linear", "iters": 4}))
+    assert _config("train", path)["bc"] is True
+
+
+@pytest.mark.parametrize("doc", [
+    {"episodes": [3]}, {"episodes": None}, {"episodes": "abc"}, {"episodes": 2.5},
+    {"episodes": True}, {"episodes": 1e999}, {"exec_noise": "nan"}, {"policy": "bc"},
+], ids=lambda d: json.dumps(d))
+def test_bad_config_value_exits_1_with_one_line(tmp_path, capsys, doc):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    out = str(tmp_path / "d.jsonl")
+    rc = main(["gen-data", "--env", "linear", "--out", out, "--config", str(path)])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: config file {path}: ")
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "x"])
+def test_float_flags_reject_non_finite_values(value):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen-data", "--env", "linear", "--out", "d.jsonl", "--exec-noise", value])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("line, mutate", [

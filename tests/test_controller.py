@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -21,16 +22,16 @@ from cdsa.controller import (
 )
 from cdsa.dataset import NormStats, generate_dataset
 from cdsa.envs import RandomPolicy, ScriptedDirect, builtin_spec_path, load_env_spec
-from cdsa.invdyn import InvDynModel, InvDynTrainConfig, infer_action, model_dims, train_invdyn
+from cdsa.invdyn import InvDynModel, InvDynTrainConfig, model_dims, train_invdyn
 from cdsa.neuralcore import Rng, mlp_init
 from cdsa.scorefield import (
     ScoreField,
     ScoreKind,
     ScoreTrainConfig,
-    eval_score,
     field_dims,
     train_score_field,
 )
+from helpers import reference_correction
 
 
 def _const_net(dims, value, slope):
@@ -138,20 +139,6 @@ def test_ablation_algebra_bitwise():
         assert np.array_equal(full_k1z, noa1)
 
 
-def _reference_correction(models, s, a_o, cfg):
-    """The correction rule on one row through eval_score and infer_action."""
-    norm = models.norm
-    a = np.clip(a_o, cfg.action_low, cfg.action_high)
-    for _ in range(1 + cfg.n_refine):
-        g = eval_score(models.action_score, s, a)
-        h = eval_score(models.state_score, s, a)
-        s_tilde = norm.denormalize_state(norm.normalize_state(s) + h)
-        a = np.clip(a + cfg.k1 * (norm.action_std * g)
-                    + cfg.k2 * infer_action(models.invdyn, s, s_tilde),
-                    cfg.action_low, cfg.action_high)
-    return a
-
-
 @pytest.mark.parametrize("k1,k2", [(0.3, 0.0), (0.0, 0.4), (0.3, 0.4)])
 def test_batched_correction_matches_the_rule_on_the_models(k1, k2):
     # rollouts correct on inference snapshots (g and h stacked); values must
@@ -162,7 +149,7 @@ def test_batched_correction_matches_the_rule_on_the_models(k1, k2):
     a_o = rng.uniform(-1, 1, size=(40, 2))
     cfg = _wide_cfg(k1=k1, k2=k2, n_refine=2)
     got = _correct_rows(models, _inference_nets(models), s, a_o, cfg, None)
-    want = np.array([_reference_correction(models, s[i], a_o[i], cfg) for i in range(40)])
+    want = np.array([reference_correction(models, s[i], a_o[i], cfg) for i in range(40)])
     assert not np.allclose(got, a_o, rtol=0, atol=1e-3)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
@@ -286,6 +273,34 @@ def test_trajectory_csv_roundtrip(tmp_path):
     # pre-step state and reached_goal resets, both documented as lossy
     assert np.array_equal(back.final_state, traj.states[-1])
     assert back.reached_goal is False
+
+
+# (name, line, column, text): one damaged field of a saved trajectory CSV
+TRAJECTORY_CSV_MUTATIONS = [
+    ("state nan", 3, 1, "nan"), ("state inf", 3, 2, "inf"), ("action string", 4, 3, "x"),
+    ("reward -inf", 2, 7, "-inf"), ("risk flag 2", 3, 8, "2"), ("done 0.5", 3, 9, "0.5"),
+    ("step 1.5", 3, 0, "1.5"), ("short row", 3, 9, None), ("extra field", 3, 9, "0,1"),
+    ("foreign header", 1, 1, "x0"), ("header without done", 1, 9, None),
+]
+
+
+@pytest.mark.parametrize("line, col, text", [m[1:] for m in TRAJECTORY_CSV_MUTATIONS],
+                         ids=[m[0] for m in TRAJECTORY_CSV_MUTATIONS])
+def test_trajectory_csv_rejects_damaged_fields_naming_the_line(tmp_path, line, col, text):
+    spec, _, _ = _trained_models(iterations=0)
+    path = tmp_path / "traj.csv"
+    save_trajectory_csv(control_episode(spec, ScriptedDirect(spec), None, None, Rng(13)),
+                        str(path))
+    lines = path.read_text().splitlines()
+    fields = lines[line - 1].split(",")
+    if text is None:
+        del fields[col]
+    else:
+        fields[col] = text
+    lines[line - 1] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ControlError, match=f"^{re.escape(str(path))}:{line}: "):
+        load_trajectory_csv(str(path))
 
 
 class _ZeroNoise:

@@ -18,6 +18,7 @@ from cdsa.dataset import (
 )
 from cdsa.envs import RandomPolicy, ScriptedRiskAvoiding, builtin_spec_path, load_env_spec
 from cdsa.neuralcore import Rng
+from helpers import missed, mutations
 
 
 def _toy_dataset(n=50, seed=0):
@@ -414,3 +415,18 @@ def test_load_rejects_mutated_field(tmp_path, valid_lines, line, mutate):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(DatasetError, match=f"^{re.escape(str(path))}:{line}: "):
         load_dataset(path)
+
+
+@pytest.mark.parametrize("line", [1, RECORD_LINE])
+def test_load_rejects_every_generated_mutation(tmp_path, valid_lines, line):
+    path = tmp_path / "data.jsonl"
+
+    def write(doc):
+        lines = list(valid_lines)
+        lines[line - 1] = json.dumps(doc)
+        return "\n".join(lines) + "\n"
+
+    cases = list(mutations(json.loads(valid_lines[line - 1])))
+    misses = missed(cases, path, lambda: load_dataset(path), DatasetError,
+                    expect=f"{path}:{line}: ", write=write)
+    assert not misses, "\n".join(misses)

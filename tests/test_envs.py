@@ -26,6 +26,7 @@ from cdsa.envs import (
     train_bc_policy,
 )
 from cdsa.neuralcore import Rng
+from helpers import missed, mutated, mutations
 
 
 def _pointmass():
@@ -151,6 +152,30 @@ def test_load_env_spec_rejects_bad_fields_naming_the_file(tmp_path, name):
     with pytest.raises(EnvError) as err:
         load_env_spec(str(path))
     assert str(path) in str(err.value)
+
+
+# fields a spec may leave out: each has a default, or is one of several regions
+SPEC_OPTIONAL = {"name", "variant", "goods_region", "airport_region", "landing_point",
+                 "risk.regions.0", "risk.regions.0.label", "goods_region.label",
+                 "airport_region.label"}
+
+
+@pytest.mark.parametrize("name", ["pointmass", "transport"])
+def test_load_env_spec_rejects_every_mutated_field(tmp_path, name):
+    with open(builtin_spec_path(name), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    path = tmp_path / "spec.json"
+    cases = list(mutations(doc, SPEC_OPTIONAL))
+    cases += [("state_dim 2.9", mutated(doc, ("state_dim",), 2.9)),
+              ("dt true", mutated(doc, ("dt",), True)),
+              ("dt numeric string", mutated(doc, ("dt",), "0.1")),
+              ("version true", mutated(doc, ("version",), True)),
+              ("name a list", mutated(doc, ("name",), [1])),
+              ("unknown variant", mutated(doc, ("variant",), "sailing")),
+              ("unknown region shape", mutated(doc, ("risk", "regions", 0, "shape"), "blob"))]
+    misses = missed(cases, path, lambda: load_env_spec(str(path)), EnvError)
+    assert len(cases) > 100
+    assert not misses, "\n".join(misses)
 
 
 def test_spec_rejects_region_outside_arena():

@@ -1,5 +1,7 @@
 """Tests for paired-seed rollouts, VaR statistics, and report emission."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -207,4 +209,27 @@ def test_load_report_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("metric,arm,value\n")
     with pytest.raises(EvalError, match="header"):
+        load_report_csv(str(path))
+
+
+# (name, line, text): line replaced in a report CSV whose line 2 is a config row
+# and line 3 the baseline episodes row
+REPORT_CSV_MUTATIONS = [
+    ("float nan", 4, "mean_return,baseline,,nan"), ("float string", 4, "mean_return,baseline,,x"),
+    ("float inf", 5, "std_return,baseline,,inf"), ("episodes 2.5", 3, "episodes,baseline,,2.5"),
+    ("episodes empty", 3, "episodes,baseline,,"), ("short row", 4, "mean_return,baseline,1.0"),
+    ("one field", 4, "mean_return"), ("header", 1, "metric,arm,value"),
+]
+
+
+@pytest.mark.parametrize("line, text", [m[1:] for m in REPORT_CSV_MUTATIONS],
+                         ids=[m[0] for m in REPORT_CSV_MUTATIONS])
+def test_report_csv_rejects_damaged_lines_naming_the_line(tmp_path, line, text):
+    path = tmp_path / "report.csv"
+    emit_report(summarize([_stats(1.0)] * 2, [_stats(2.0)] * 2, [50], {"k1": "0.3"}), str(path))
+    lines = path.read_text().splitlines()
+    assert lines[1].startswith("config,") and lines[2].startswith("episodes,baseline,")
+    lines[line - 1] = text
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(EvalError, match=f"^{re.escape(str(path))}:{line}: "):
         load_report_csv(str(path))

@@ -2,8 +2,10 @@
 
 rollout_batch and generate_dataset step every episode together through one
 batched policy call, correction and env step. The references below are the
-loops they replaced: one episode at a time, per step policy.act, then
-correct_action, then env_step. Step counts, risk flags, dones and goal flags must agree
+loops they replaced: one episode at a time, per step policy.act, then the
+correction rule written out through eval_score and infer_action
+(helpers.reference_correction, not the batched rule under test), then
+env_step. Step counts, risk flags, dones and goal flags must agree
 exactly. States, actions and rewards must agree to ATOL: a network evaluates
 all live rows in one matrix product whose last bits depend on the row count,
 and sensitive stretches of a corrected trajectory amplify that. On the
@@ -24,7 +26,6 @@ from cdsa.controller import (
     ControlConfig,
     ControlError,
     control_episode,
-    correct_action,
     run_episodes,
     train_cdsa,
 )
@@ -44,6 +45,7 @@ from cdsa.evaluation import rollout_batch, stats_from_trajectory
 from cdsa.invdyn import InvDynTrainConfig
 from cdsa.neuralcore import Rng, _openblas_threads, forward_batch
 from cdsa.scorefield import ScoreTrainConfig
+from helpers import reference_correction
 
 ATOL = 1e-6
 SPLIT_ODD = SPLIT_MIN_EPISODES | 1  # an odd episode count at or above the split minimum
@@ -63,13 +65,13 @@ class RefEpisode:
 
 
 def reference_episode(spec, policy, models, cfg, rng) -> RefEpisode:
-    """One episode, one step at a time: policy.act, correct_action, env_step."""
+    """One episode, one step at a time: policy.act, reference_correction, env_step."""
     env = Env(spec, rng)
     s = env.reset()
     rows = []
     for _ in range(spec.max_steps):
         a_o = np.clip(policy.act(s, env.context(), env.rng), spec.action_low, spec.action_high)
-        a = a_o if models is None else correct_action(models, s, a_o, cfg)
+        a = a_o if models is None else reference_correction(models, s, a_o, cfg)
         s2, r, done, risk = env.step(a)
         rows.append((s, a_o, a, r, risk, done))
         s = s2
