@@ -36,8 +36,8 @@ from .envs import (
     ScriptedDirect,
     ScriptedRiskAvoiding,
     builtin_spec_path,
-    in_risk_region,
     load_env_spec,
+    risk_occupancy,
     train_bc_policy,
 )
 from .evaluation import emit_report, rollout_batch, summarize, var_at
@@ -45,6 +45,7 @@ from .invdyn import InvDynTrainConfig, invdyn_loss, model_dims
 from .neuralcore import (
     AdamState,
     Rng,
+    TrainBuffers,
     adam_step,
     fd_grads,
     forward_batch,
@@ -179,10 +180,9 @@ def _make_policy(spec: EnvSpec, name: str, cfg: dict, bundle: str | None = None)
 
 
 def _float_list(raw: str, flag: str) -> list:
-    try:
-        return [float(v) for v in raw.split(",") if v.strip() != ""]
-    except ValueError as exc:
-        raise ValueError(f"{flag} must be a comma-separated list of numbers") from exc
+    """The finite numbers of a comma-separated flag value."""
+    return [parse_field(v.strip(), float, ValueError, f"each {flag} entry")
+            for v in raw.split(",") if v.strip()]
 
 
 def _save_loss_csv(history, path: str) -> None:
@@ -205,7 +205,7 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
     rng = Rng(cfg["seed"])
     dataset = generate_dataset(spec, policy, cfg["episodes"], spec.max_steps, rng)
     save_dataset(dataset, args.out)
-    occ = float(np.mean([in_risk_region(spec, s2) for s2 in dataset.next_states]))
+    occ = float(np.mean(risk_occupancy(spec, dataset.next_states)))
     print(f"wrote {len(dataset)} transitions to {args.out}")
     print(f"risk occupancy of visited states: {occ:.4f}")
     _write_echo(cfg, {"command": "gen-data", "env": args.env, "out": args.out},
@@ -348,7 +348,7 @@ def _check_loss_identity(seed: int) -> None:
         actions = rng.normal(size=(64, 2))
         z = rng.normal(size=(64, 2))
         loss_a, _ = dsm_loss_reparam_given_noise(net, states, actions, sigma, z,
-                                                 ScoreKind.ACTION)
+                                                 ScoreKind.ACTION, TrainBuffers(64, net))
         ref = dsm_loss_reference(net, (states, actions, actions + sigma * z),
                                  sigma, ScoreKind.ACTION)
         bound = 1e-10 * (1.0 + abs(loss_a))
@@ -381,22 +381,19 @@ def _check_gradients(seed: int) -> None:
 
     net = mlp_init([4, 16, 12, 2], 0.1, rng)
     _, grads = dsm_loss_reparam_given_noise(net, states, actions, sigma, z,
-                                            ScoreKind.ACTION)
-    # the finite-difference targets are forward-only forms of the same losses
-    fd = fd_grads(lambda p: dsm_loss_reference(
-        p, (states, actions, actions + sigma * z), sigma, ScoreKind.ACTION), net)
+                                            ScoreKind.ACTION, TrainBuffers(8, net))
+    # fd targets: the same losses of the net's output, the denoising one in analytic form
+    pert = actions + sigma * z
+    target = -(pert - actions) / sigma**2
+    fd = fd_grads(net, np.hstack([states, pert]),
+                  lambda out: 0.5 * np.sum((out - target) ** 2, axis=(1, 2)) / len(target))
     err = _max_rel_err(grads, fd)
     assert err <= 1e-5, f"action-score gradient error {err}"
 
     net = mlp_init([4, 16, 12, 2], 0.2, rng)
-    _, grads = invdyn_loss(net, states, nxt, actions)
-    x = np.hstack([states, nxt])
-
-    def squared_error(p) -> float:
-        resid = forward_batch(p, x)[0] - actions
-        return float(np.sum(resid * resid)) / len(resid)
-
-    fd = fd_grads(squared_error, net)
+    _, grads = invdyn_loss(net, states, nxt, actions, TrainBuffers(8, net))
+    fd = fd_grads(net, np.hstack([states, nxt]),
+                  lambda out: np.sum((out - actions) ** 2, axis=(1, 2)) / len(actions))
     err = _max_rel_err(grads, fd)
     assert err <= 1e-5, f"inverse-dynamics gradient error {err}"
 
@@ -405,7 +402,7 @@ def _check_invdyn_example(seed: int) -> None:
     rng = Rng(seed)
     net = zero_like_params(mlp_init(model_dims(2, 2), 0.2, rng))
     loss, _ = invdyn_loss(net, np.zeros((1, 2)), np.zeros((1, 2)),
-                          np.array([[0.3, -0.4]]))
+                          np.array([[0.3, -0.4]]), TrainBuffers(1, net))
     assert abs(loss - 0.25) < 1e-12, f"zero-net loss {loss} != 0.25"
 
 
@@ -416,7 +413,7 @@ def _check_adam_example(seed: int) -> None:
     grads = zero_like_params(net)
     grads.weights[0][:] = 0.5
     opt = AdamState.for_params(net)
-    adam_step(opt, net, grads, 0.1)
+    adam_step(opt, net, grads, 0.1, TrainBuffers(1, net))
     expected = -0.1 * 0.5 / (0.5 + 1e-8)
     got = float(net.weights[0][0, 0])
     assert abs(got - expected) < 1e-12, f"first Adam step {got} != {expected}"

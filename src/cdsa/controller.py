@@ -114,8 +114,8 @@ class ControlConfig:
     ablation: str = "full"
 
     def validate(self) -> None:
-        if self.k1 < 0 or self.k2 < 0:
-            raise ControlError(f"k1 and k2 must be >= 0, got {self.k1}, {self.k2}")
+        if not (0 <= self.k1 < math.inf and 0 <= self.k2 < math.inf):
+            raise ControlError(f"k1 and k2 must be finite and >= 0, got {self.k1}, {self.k2}")
         if self.n_refine < 0:
             raise ControlError(f"n_refine must be >= 0, got {self.n_refine}")
         if self.ablation not in ABLATIONS:

@@ -85,9 +85,6 @@ class Region:
         else:
             raise EnvError(f"unknown region shape {self.shape!r}")
 
-    def contains(self, p: np.ndarray) -> bool:
-        return bool(self.contains_many(np.asarray(p, dtype=np.float64)[None, :])[0])
-
     def contains_many(self, pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=np.float64)
         if self.shape == "circle":
@@ -304,11 +301,7 @@ def builtin_spec_path(name: str) -> str:
     return path
 
 
-def in_risk_region(spec: EnvSpec, p: np.ndarray) -> bool:
-    return bool(_risk_occupancy(spec, np.asarray(p, dtype=np.float64)[None, :])[0])
-
-
-def _risk_occupancy(spec: EnvSpec, pts: np.ndarray) -> np.ndarray:
+def risk_occupancy(spec: EnvSpec, pts: np.ndarray) -> np.ndarray:
     """Per-row flag: does the (n, 2) point lie inside any risk region."""
     hit = np.zeros(len(pts), dtype=bool)
     for reg in spec.risk_regions:
@@ -401,7 +394,7 @@ def env_step_batch(spec: EnvSpec, st: EnvStates, actions: np.ndarray, rngs: list
         if jump.any():
             pos[jump] = spec.landing_point
             airport_used = airport_used | jump
-    risk_entered = _risk_occupancy(spec, pos)
+    risk_entered = risk_occupancy(spec, pos)
     fired = np.array([rng.gen.random() for rng in rngs]) < spec.risk_prob
     dist = row_norms(pos - spec.goal)
     reward = -spec.step_cost * dist
@@ -698,9 +691,8 @@ BC_LEAKY_SLOPE = 0.2
 BcTrainConfig = TrainConfig
 
 
-def bc_loss(net: MlpParams, states: np.ndarray, actions: np.ndarray,
-            bufs: TrainBuffers | None = None):
-    """Mean squared error of predicted vs dataset actions, with gradients."""
+def bc_loss(net: MlpParams, states: np.ndarray, actions: np.ndarray, bufs: TrainBuffers):
+    """Mean squared error of predicted vs dataset actions, with gradients, in the set."""
     return mse_loss(net, states, actions, bufs)
 
 

@@ -48,18 +48,17 @@ def model_dims(state_dim: int, action_dim: int) -> list[int]:
 
 
 def invdyn_loss(net: MlpParams, states: np.ndarray, next_states: np.ndarray,
-                actions: np.ndarray, bufs: TrainBuffers | None = None):
+                actions: np.ndarray, bufs: TrainBuffers):
     """Mean squared action-recovery error with exact gradients.
 
     loss = mean over the batch of ||net(s, s_next) - a||^2, summed over
     action coordinates. Zero net and a single action (0.3, -0.4) give 0.25.
-    With bufs the step runs in that training buffer set.
+    The step runs in the training buffer set.
     """
     states = np.asarray(states, dtype=np.float64)
     next_states = np.asarray(next_states, dtype=np.float64)
     actions = np.asarray(actions, dtype=np.float64)
-    x = np.concatenate([states, next_states], axis=1,
-                       out=None if bufs is None else bufs.fit(net, len(states)).x)
+    x = np.concatenate([states, next_states], axis=1, out=bufs.fit(net, len(states)).x)
     return mse_loss(net, x, actions, bufs)
 
 

@@ -15,15 +15,18 @@ Each network's parameters live in one flat buffer, and Adam updates it with
 a fixed handful of whole-buffer operations. Every net trains through one
 loop, train_mlp, which passes a TrainBuffers set through the forward pass,
 backward pass and Adam step, so a step at a fixed batch size writes into
-arrays it already owns instead of allocating batch-sized temporaries;
-results are bitwise equal either way. single_blas_thread pins the loaded
-OpenBLAS to one thread while nets train in parallel processes.
+arrays it already owns instead of allocating batch-sized temporaries. The
+losses, backward_batch and adam_step run only in such a set: there is one
+training-step path. single_blas_thread pins the loaded OpenBLAS to one
+thread while nets train in parallel processes.
 
 Rollouts run on InferenceNet snapshots instead: weights transposed once into
 contiguous (fan_in, fan_out) arrays, and nets that read the same input
 stacked into one pass, so the 1-100 row products of a lockstep step cost
-less. forward_batch runs both, so one entry point serves (and traces) every
-network call; snapshot values match the training layout to float tolerance.
+less. forward_batch runs both, and plain inference on live params, so one
+entry point serves (and traces) every network call; snapshot values match
+the training layout to float tolerance. fd_grads, the finite-difference
+oracle of the tests, uses forward arithmetic alone.
 """
 
 from __future__ import annotations
@@ -279,14 +282,12 @@ def _leaky(z: np.ndarray, slope: float) -> np.ndarray:
     return np.maximum(z, out, out=out)
 
 
-def _sign_index(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """1 where z >= 0 (signed zeros included), else 0 (NaN included), as intp."""
-    if out is None:
-        out = np.empty(z.shape, dtype=np.intp)
+def _sign_index(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """1 where z >= 0 (signed zeros included), else 0 (NaN included), into intp out."""
     return np.greater_equal(z, 0.0, out=out)
 
 
-def _leaky_deriv(signs: np.ndarray, lut: np.ndarray, out: np.ndarray | None = None):
+def _leaky_deriv(signs: np.ndarray, lut: np.ndarray, out: np.ndarray) -> np.ndarray:
     # derivative at exactly 0 is 1 by convention. Looking up lut = [slope, 1]
     # at the sign index equals np.where(z >= 0.0, 1.0, slope) bitwise at a
     # fraction of its cost; the index must already be intp (take converts
@@ -350,14 +351,13 @@ class InferenceNet:
 
 def forward_batch(params: MlpParams | InferenceNet, x: np.ndarray,
                   bufs: TrainBuffers | None = None):
-    """Forward pass on a (batch, in_dim) matrix.
+    """Forward pass on a (batch, in_dim) matrix; returns (output, cache).
 
-    Returns (output, cache) for backward_batch. Without bufs every array is
-    fresh and the cache holds layer inputs and hidden pre-activations. With
-    a TrainBuffers set (training), the output, activations and the sign
-    index of every pre-activation are written into the set instead. On an
-    InferenceNet (rollouts) it returns (output, None): nothing is kept for a
-    backward pass.
+    With a TrainBuffers set (training) the output, activations and the sign
+    index of every pre-activation are written into the set, and the cache,
+    the layer inputs, is what backward_batch reads in that set. Without one
+    (inference on live params or on an InferenceNet snapshot) the arrays are
+    fresh and the cache is None: nothing is kept for a backward pass.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.in_dim:
@@ -366,23 +366,16 @@ def forward_batch(params: MlpParams | InferenceNet, x: np.ndarray,
         return params._forward(x), None
     if bufs is not None:
         return _forward_into(params, x, bufs.fit(params, len(x)))
-    inputs = [x]
-    preacts = []
     h = x
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         # np.dot reaches the same BLAS gemm as `@` (bitwise equal) with less
-        # per-call overhead, which dominates at the small batches inference
-        # and finite differences use
-        z = np.dot(h, w.T)
-        z += b
+        # per-call overhead, which dominates at the small batches inference uses
+        h = np.dot(h, w.T)
+        h += b
         if i < last:
-            preacts.append(z)
-            h = _leaky(z, params.leaky_slope)
-            inputs.append(h)
-        else:
-            h = z
-    return h, (inputs, preacts)
+            h = _leaky(h, params.leaky_slope)
+    return h, None
 
 
 def _forward_into(params: MlpParams, x: np.ndarray, v: TrainBuffers):
@@ -398,66 +391,54 @@ def _forward_into(params: MlpParams, x: np.ndarray, v: TrainBuffers):
             h = np.multiply(z, params.leaky_slope, out=v.acts[i])
             np.maximum(z, h, out=h)
             inputs.append(h)
-    return z, (inputs, v.signs)
+    return z, inputs
 
 
-def backward_batch(params: MlpParams, cache, out_grad: np.ndarray,
-                   bufs: TrainBuffers | None = None):
+def backward_batch(params: MlpParams, inputs, out_grad: np.ndarray, bufs: TrainBuffers):
     """Reverse-mode gradients given d(loss)/d(output) rows.
 
-    Returns (param_grads, input_grad); param grads are summed over the batch
-    (callers fold any 1/B into out_grad) and share the params' flat layout.
-    bufs must be the set the forward pass used, or None for both. With a
-    set, the gradients are written into it and the input gradient, which
-    training never needs, is skipped: input_grad is None.
+    inputs (the cache) and bufs are those of the forward pass that ran in the
+    set. Returns the set's grads: summed over the batch (callers fold any
+    1/B into out_grad), in the params' flat layout.
     """
-    # hidden pre-activations, or with bufs their sign indices
-    inputs, hidden = cache
     g = np.asarray(out_grad, dtype=np.float64)
     if g.shape != (inputs[0].shape[0], params.out_dim):
         raise NeuralCoreError(
             f"expected out_grad shape {(inputs[0].shape[0], params.out_dim)}, got {g.shape}"
         )
-    last = len(params.weights) - 1
-    if bufs is None:
-        grads = MlpParams.on_buffer(params.layer_dims, params.leaky_slope,
-                                    np.empty_like(params.flat))
-        signs = [_sign_index(z) for z in hidden]
-        lut = np.array([params.leaky_slope, 1.0])
-        back = deriv = {}
-    else:
-        v = bufs.fit(params, len(g))
-        grads, signs, lut, back, deriv = v.grads, hidden, v.lut, v.back, v.deriv
-    for i in range(last, -1, -1):
-        np.dot(g.T, inputs[i], out=grads.weights[i])
-        np.sum(g, axis=0, out=grads.biases[i])
-        if i > 0 or bufs is None:
-            g = np.dot(g, params.weights[i], out=back.get(i))
+    v = bufs.fit(params, len(g))
+    for i in range(len(params.weights) - 1, -1, -1):
+        np.dot(g.T, inputs[i], out=v.grads.weights[i])
+        np.sum(g, axis=0, out=v.grads.biases[i])
         if i > 0:
-            g *= _leaky_deriv(signs[i - 1], lut, out=deriv.get(i))
-    return grads, (g if bufs is None else None)
+            g = np.dot(g, params.weights[i], out=v.back[i])
+            g *= _leaky_deriv(v.signs[i - 1], v.lut, out=v.deriv[i])
+    return v.grads
 
 
-def mse_loss(net: MlpParams, x: np.ndarray, target: np.ndarray,
-             bufs: TrainBuffers | None = None):
+def mse_loss(net: MlpParams, x: np.ndarray, target: np.ndarray, bufs: TrainBuffers):
     """Mean squared regression error of net(x) against target rows, with gradients.
 
     loss = mean over the batch of ||net(x) - target||^2, summed over output
-    coordinates. Returns (loss, grads); with bufs the step runs in the set.
+    coordinates. Returns (loss, grads); the step runs in the set.
     """
     out, cache = forward_batch(net, x, bufs)
     n = len(out)
-    resid = np.subtract(out, target, out=None if bufs is None else bufs.fit(net, n).head)
+    resid = np.subtract(out, target, out=bufs.head)
     loss = float(np.sum(np.multiply(resid, resid, out=out))) / n
     resid *= 2.0
     resid /= n
-    grads, _ = backward_batch(net, cache, resid, bufs)
-    return loss, grads
+    return loss, backward_batch(net, cache, resid, bufs)
 
 
 # ---------------------------------------------------------------------------
 # Adam
 # ---------------------------------------------------------------------------
+
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 
 @dataclass
@@ -467,23 +448,20 @@ class AdamState:
     first_moment: MlpParams
     second_moment: MlpParams
     step_count: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
     @classmethod
-    def for_params(cls, params: MlpParams, **kw) -> "AdamState":
-        return cls(zero_like_params(params), zero_like_params(params), **kw)
+    def for_params(cls, params: MlpParams) -> "AdamState":
+        return cls(zero_like_params(params), zero_like_params(params))
 
 
 def adam_step(state: AdamState, params: MlpParams, grads: MlpParams, lr: float,
-              bufs: TrainBuffers | None = None) -> None:
+              bufs: TrainBuffers) -> None:
     """One in-place bias-corrected Adam update (epsilon added after the sqrt).
 
     Every input is checked before anything changes, so a rejected step
     leaves params, moments and step_count as they were. The update runs on
     the flat buffers, in the per-array form's operation order, so results
-    are bitwise equal to it; with bufs its temporaries are scratch of the set.
+    are bitwise equal to it; its temporaries are scratch of the set.
     """
     if lr <= 0.0:
         raise NeuralCoreError(f"lr must be positive, got {lr}")
@@ -495,14 +473,11 @@ def adam_step(state: AdamState, params: MlpParams, grads: MlpParams, lr: float,
     g = grads.flat
     if not np.isfinite(g).all():
         raise NeuralCoreError("non-finite gradient entries")
-    if bufs is None:
-        s1, s2 = np.empty_like(g), np.empty_like(g)
-    else:
-        # an Adam step has no rows; check only that the set is this net's
-        s1, s2 = bufs.fit(params, bufs.rows).adam
+    # an Adam step has no rows; check only that the set is this net's
+    s1, s2 = bufs.fit(params, bufs.rows).adam
     state.step_count += 1
     t = state.step_count
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1**t
     c2 = 1.0 - b2**t
     m, v, p = state.first_moment.flat, state.second_moment.flat, params.flat
@@ -517,7 +492,7 @@ def adam_step(state: AdamState, params: MlpParams, grads: MlpParams, lr: float,
     # p -= lr*(m/c1) / (sqrt(v/c2) + eps)
     np.divide(v, c2, out=s1)
     np.sqrt(s1, out=s1)
-    s1 += state.epsilon
+    s1 += ADAM_EPSILON
     np.divide(m, c1, out=s2)
     s2 *= lr
     s2 /= s1
@@ -626,24 +601,51 @@ def single_blas_thread():
         put(before)
 
 
-def fd_grads(loss_fn, params: MlpParams, h: float = 1e-6) -> MlpParams:
-    """Central finite-difference gradients of a scalar loss over every parameter.
+def fd_grads(net: MlpParams, x: np.ndarray, loss_of_output, h: float = 1e-6) -> MlpParams:
+    """Central finite-difference gradients of a loss of net's output on input x.
 
-    loss_fn takes an MlpParams and returns a float; only forward evaluations
-    are used, so this is an oracle independent of backward_batch.
+    loss_of_output maps a (P, rows, out_dim) stack of outputs to their P
+    losses. Moving a parameter of layer l by +-h moves one column c of that
+    layer's pre-activation alone, so every layer's values are computed once,
+    and chunks of moves, stacked as (P, rows, width), enter the next layer as
+    column c's change times column c of its weights and run through the rest.
+    Forward arithmetic alone: an oracle independent of backward_batch.
     """
-    grads = zero_like_params(params)
-    work = params.copy()
-    for arrays in ("weights", "biases"):
-        for arr, garr in zip(getattr(work, arrays), getattr(grads, arrays)):
-            flat = arr.reshape(-1)
-            gflat = garr.reshape(-1)
-            for k in range(flat.size):
-                orig = flat[k]
-                flat[k] = orig + h
-                up = loss_fn(work)
-                flat[k] = orig - h
-                down = loss_fn(work)
-                flat[k] = orig
-                gflat[k] = (up - down) / (2.0 * h)
+    x = np.asarray(x, dtype=np.float64)
+    last = len(net.weights) - 1
+    inputs, preacts = [x], []
+    for w, b in zip(net.weights, net.biases):
+        preacts.append(np.dot(inputs[-1], w.T) + b)
+        inputs.append(_leaky(preacts[-1], net.leaky_slope))
+    chunk = max(1, (1 << 16) // (len(x) * max(net.layer_dims)))  # 2**16 floats per stack
+    grads = zero_like_params(net)
+    for l, (w, b) in enumerate(zip(net.weights, net.biases)):
+        theta = np.concatenate([w.ravel(), b])
+        steps = np.concatenate([(theta + h) - theta, (theta - h) - theta])
+        # weight (i, j) moves column i by its step times input column j; bias i by its step
+        col = np.tile(np.concatenate([np.repeat(np.arange(len(b)), w.shape[1]),
+                                      np.arange(len(b))]), 2)
+        unit = np.tile(np.concatenate([np.tile(inputs[l].T, (len(b), 1)),
+                                       np.ones((len(b), len(x)))]), (2, 1))
+        # moved column c adds its change (after the activation) times row c of rows_of
+        if l < last:
+            base, rows_of, unmoved = preacts[l + 1], net.weights[l + 1].T, inputs[l + 1].T
+        else:
+            base, rows_of, unmoved = preacts[l], np.eye(len(b)), preacts[l].T
+        losses = np.empty(len(steps))
+        for k in range(0, len(steps), chunk):
+            c = col[k:k + chunk]
+            moved = preacts[l].T[c] + steps[k:k + chunk, None] * unit[k:k + chunk]
+            if l < last:
+                moved = _leaky(moved, net.leaky_slope)
+            moved -= unmoved[c]
+            z = base + moved[:, :, None] * rows_of[c][:, None, :]
+            for m in range(l + 2, last + 1):
+                a = _leaky(z, net.leaky_slope)
+                z = np.dot(a.reshape(-1, a.shape[-1]), net.weights[m].T).reshape(len(c), len(x), -1)
+                z += net.biases[m]
+            losses[k:k + len(c)] = loss_of_output(z)
+        g = (losses[:len(theta)] - losses[len(theta):]) / (2.0 * h)
+        grads.weights[l][...] = g[:w.size].reshape(w.shape)
+        grads.biases[l][...] = g[w.size:]
     return grads

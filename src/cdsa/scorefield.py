@@ -77,13 +77,13 @@ def field_dims(kind: ScoreKind, state_dim: int, action_dim: int) -> list[int]:
 
 def dsm_loss_reparam_given_noise(net: MlpParams, states: np.ndarray, actions: np.ndarray,
                                  sigma: float, z: np.ndarray, kind: ScoreKind,
-                                 bufs: TrainBuffers | None = None):
+                                 bufs: TrainBuffers):
     """Reparameterized denoising loss for an explicit noise draw.
 
     loss = mean over the batch of 0.5 * ||net(x + sigma*zbar) + z/sigma||^2,
     where zbar places z on the scored coordinates. Returns (loss, grads) with
-    exact reverse-mode gradients; with bufs the step runs in that training
-    buffer set and grads stay valid until its next step.
+    exact reverse-mode gradients; the step runs in the training buffer set
+    and grads stay valid until its next step.
     """
     states = np.asarray(states, dtype=np.float64)
     actions = np.asarray(actions, dtype=np.float64)
@@ -93,15 +93,14 @@ def dsm_loss_reparam_given_noise(net: MlpParams, states: np.ndarray, actions: np
     else:
         parts = [states + sigma * z, actions]
     n = len(z)
-    v = None if bufs is None else bufs.fit(net, n)
-    x_tilde = np.concatenate(parts, axis=1, out=None if v is None else v.x)
-    out, cache = forward_batch(net, x_tilde, bufs)
-    resid = np.divide(z, sigma, out=None if v is None else v.head)
+    v = bufs.fit(net, n)
+    x_tilde = np.concatenate(parts, axis=1, out=v.x)
+    out, cache = forward_batch(net, x_tilde, v)
+    resid = np.divide(z, sigma, out=v.head)
     resid = np.add(out, resid, out=resid)
     loss = 0.5 * float(np.sum(np.multiply(resid, resid, out=out))) / n
     resid /= n
-    grads, _ = backward_batch(net, cache, resid, bufs)
-    return loss, grads
+    return loss, backward_batch(net, cache, resid, v)
 
 
 def dsm_loss_reference(net: MlpParams, batch_with_noise, sigma: float,

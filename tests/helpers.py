@@ -1,4 +1,5 @@
-"""Shared test helpers: JSON field mutations and the reference correction rule."""
+"""Shared test helpers: JSON field mutations, the reference correction rule and
+the squared-error loss the finite-difference oracle differentiates."""
 
 import json
 
@@ -68,6 +69,12 @@ def missed(cases, path, load, error, expect=None, write=json.dumps):
         else:
             out.append(f"{label}: loaded")
     return out
+
+
+def squared_error(target, scale):
+    """fd_grads' loss_of_output: scale times the batch mean of each stacked
+    output's squared error against target rows, summed over coordinates."""
+    return lambda out: scale * np.sum((out - target) ** 2, axis=(1, 2)) / len(target)
 
 
 def reference_correction(models, s, a_o, cfg):

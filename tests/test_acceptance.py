@@ -20,10 +20,11 @@ from cdsa.envs import (BcTrainConfig, RandomPolicy, ScriptedDirect,
 from cdsa.evaluation import risk_entry_rate, rollout_batch, var_at
 from cdsa.invdyn import (InvDynTrainConfig, infer_action, invdyn_loss,
                          model_dims, train_invdyn)
-from cdsa.neuralcore import Rng, fd_grads, forward_batch, mlp_init
+from cdsa.neuralcore import Rng, TrainBuffers, fd_grads, mlp_init
 from cdsa.scorefield import (ScoreKind, ScoreTrainConfig, dsm_loss_reference,
                              dsm_loss_reparam_given_noise, eval_score,
                              field_dims, train_score_field)
+from helpers import squared_error
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str,
@@ -49,7 +50,8 @@ def test_01_loss_form_identity():
         s = rng.normal(size=(256, 2))
         a = rng.normal(size=(256, 2))
         z = rng.normal(size=(256, 2))
-        loss, _ = dsm_loss_reparam_given_noise(net, s, a, sigma, z, kind)
+        loss, _ = dsm_loss_reparam_given_noise(net, s, a, sigma, z, kind,
+                                               TrainBuffers(256, net))
         pert = (a if kind is ScoreKind.ACTION else s) + sigma * z
         ref = dsm_loss_reference(net, (s, a, pert), sigma, kind)
         worst = max(worst, abs(loss - ref) / (1.0 + abs(loss)))
@@ -78,9 +80,11 @@ def _max_rel_err(analytic, fd) -> float:
 
 def test_02_gradient_exactness_vs_finite_differences():
     # 20 randomly initialized production-size networks: 8 per score loss,
-    # 4 for the inverse-dynamics loss, central differences h=1e-6. The fd
-    # targets are forward-only loss forms with identical values, so the fd
-    # pass never touches the backward code it is checking.
+    # 4 for the inverse-dynamics loss, central differences h=1e-6. The
+    # gradients are those of the training path (a TrainBuffers set); the fd
+    # oracle runs forward arithmetic alone on the same losses of the net's
+    # output, the denoising one in its analytic-target form
+    # (dsm_loss_reference's), so it never touches the backward code it checks.
     t0 = time.perf_counter()
     rng = Rng(2002)
     worst = 0.0
@@ -90,25 +94,23 @@ def test_02_gradient_exactness_vs_finite_differences():
             s = rng.normal(size=(8, 2))
             a = rng.normal(size=(8, 2))
             z = rng.normal(size=(8, 2))
-            _, grads = dsm_loss_reparam_given_noise(net, s, a, 0.4, z, kind)
-            pert = (a if kind is ScoreKind.ACTION else s) + 0.4 * z
-            fd = fd_grads(lambda p: dsm_loss_reference(
-                p, (s, a, pert), 0.4, kind), net, h=1e-6)
+            _, grads = dsm_loss_reparam_given_noise(net, s, a, 0.4, z, kind,
+                                                    TrainBuffers(8, net))
+            if kind is ScoreKind.ACTION:
+                pert = a + 0.4 * z
+                x, target = np.hstack([s, pert]), -(pert - a) / 0.4**2
+            else:
+                pert = s + 0.4 * z
+                x, target = np.hstack([pert, a]), -(pert - s) / 0.4**2
+            fd = fd_grads(net, x, squared_error(target, 0.5), h=1e-6)
             worst = max(worst, _max_rel_err(grads, fd))
     for _ in range(4):
         net = mlp_init(model_dims(2, 2), 0.2, rng)
         s = rng.normal(size=(8, 2))
         s2 = rng.normal(size=(8, 2))
         a = rng.normal(size=(8, 2))
-        _, grads = invdyn_loss(net, s, s2, a)
-        x = np.hstack([s, s2])
-
-        def loss_only(p):
-            out, _ = forward_batch(p, x)
-            resid = out - a
-            return float(np.sum(resid * resid)) / len(resid)
-
-        fd = fd_grads(loss_only, net, h=1e-6)
+        _, grads = invdyn_loss(net, s, s2, a, TrainBuffers(8, net))
+        fd = fd_grads(net, np.hstack([s, s2]), squared_error(a, 1.0), h=1e-6)
         worst = max(worst, _max_rel_err(grads, fd))
     elapsed = time.perf_counter() - t0
     _verdict(2, "gradient exactness", worst <= 1e-5,

@@ -294,6 +294,30 @@ def test_eval_rejects_bad_ablation_and_gains(tmp_path, capsys):
     assert "--k1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value, config", [
+    ("--k1", "inf", False), ("--k2", "nan", False), ("--k1", "0.3,-inf", False),
+    ("--percentiles", "10,nan", False), ("--k2", "nan", True), ("--k1", "1,x", True),
+])
+def test_eval_rejects_non_finite_list_entries_with_one_line(tmp_path, capsys, flag, value,
+                                                            config):
+    rc, data = _gen(tmp_path)
+    rc, bundle = _train(tmp_path, data)
+    outdir = tmp_path / "rep"
+    if config:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({flag[2:]: value}))
+        extra = ["--config", str(path)]
+    else:
+        extra = [flag, value]
+    capsys.readouterr()
+    rc = main(["eval", "--env", "linear", "--bundle", bundle, "--outdir", str(outdir),
+               "--policy", "direct", "--episodes", "1", *extra])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and flag in err[0] and "finite number" in err[0]
+    assert not outdir.exists()
+
+
 def test_eval_bc_policy_needs_bundle_bc(tmp_path, capsys):
     rc, data = _gen(tmp_path)
     rc, bundle = _train(tmp_path, data)  # no --bc

@@ -346,6 +346,13 @@ def test_conditional_score_fn_constant_field():
     assert np.allclose(batch, np.tile([0.1, -0.2], (7, 1)))
 
 
+@pytest.mark.parametrize("k1, k2", [(np.inf, 0.1), (0.1, np.inf), (np.nan, 0.1),
+                                    (0.1, np.nan), (-0.1, 0.1), (0.1, -np.inf)])
+def test_control_config_rejects_gains_that_are_not_finite_and_non_negative(k1, k2):
+    with pytest.raises(ControlError, match="k1 and k2 must be finite and >= 0"):
+        _wide_cfg(k1=k1, k2=k2).validate()
+
+
 def test_control_config_validation():
     with pytest.raises(ValueError):
         _wide_cfg(n_refine=-1).validate()

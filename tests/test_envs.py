@@ -20,8 +20,8 @@ from cdsa.envs import (
     env_reset,
     env_step,
     env_step_batch,
-    in_risk_region,
     load_env_spec,
+    risk_occupancy,
     save_env_spec,
     train_bc_policy,
 )
@@ -48,18 +48,17 @@ def _linear():
 def test_region_circle_contains():
     r = Region(shape="circle", label="risk_circle", center=np.array([0.5, 0.5]),
                radius=0.1)
-    assert r.contains(np.array([0.55, 0.5]))
-    assert not r.contains(np.array([0.65, 0.5]))
-    assert r.inflated(0.1).contains(np.array([0.65, 0.5]))
+    pts = np.array([[0.55, 0.5], [0.65, 0.5]])
+    assert r.contains_many(pts).tolist() == [True, False]
+    assert r.inflated(0.1).contains_many(pts).tolist() == [True, True]
 
 
 def test_region_rect_contains():
     r = Region(shape="rect", label="river", rect_min=np.array([0.1, 0.0]),
                rect_max=np.array([0.2, 0.5]))
-    assert r.contains(np.array([0.15, 0.25]))
-    assert not r.contains(np.array([0.15, 0.55]))
-    g = r.inflated(0.06)
-    assert g.contains(np.array([0.15, 0.55]))
+    pts = np.array([[0.15, 0.25], [0.15, 0.55]])
+    assert r.contains_many(pts).tolist() == [True, False]
+    assert r.inflated(0.06).contains_many(pts).tolist() == [True, True]
 
 
 def test_region_dict_roundtrip():
@@ -310,10 +309,10 @@ def test_reward_is_nonpositive():
             break
 
 
-def test_in_risk_region_helper():
+def test_risk_occupancy_flags_each_point():
     spec = _pointmass()
-    assert in_risk_region(spec, spec.risk_regions[0].center)
-    assert not in_risk_region(spec, np.array([0.02, 0.02]))
+    pts = np.array([spec.risk_regions[0].center, [0.02, 0.02]])
+    assert risk_occupancy(spec, pts).tolist() == [True, False]
 
 
 # ---------------------------------------------------------------------------
@@ -385,16 +384,16 @@ def _reference_env_step(spec, st, action, rng):
     pos = np.clip(st.s + a * spec.dt, spec.arena_min, spec.arena_max)
     airport_used = st.airport_used
     if (spec.variant == "airport" and not airport_used
-            and spec.airport_region.contains(pos)):
+            and spec.airport_region.contains_many(pos[None])[0]):
         pos = np.array(spec.landing_point, dtype=np.float64)
         airport_used = True
-    risk_entered = any(reg.contains(pos) for reg in spec.risk_regions)
+    risk_entered = any(reg.contains_many(pos[None])[0] for reg in spec.risk_regions)
     fired = rng.random() < spec.risk_prob
     reward = -spec.step_cost * float(np.linalg.norm(pos - spec.goal))
     if risk_entered and fired:
         reward += spec.risk_penalty
     goods_visited = st.goods_visited or (
-        spec.variant == "goods" and spec.goods_region.contains(pos))
+        spec.variant == "goods" and spec.goods_region.contains_many(pos[None])[0])
     steps = st.steps + 1
     at_goal = float(np.linalg.norm(pos - spec.goal)) <= spec.capture_radius
     done = (at_goal and (spec.variant != "goods" or goods_visited)) or steps >= spec.max_steps
@@ -541,7 +540,7 @@ def test_planner_zero_risk_occupancy_pointmass():
         env = Env(spec, Rng(seed))
         s = env.reset()
         for _ in range(spec.max_steps):
-            assert not in_risk_region(spec, s)
+            assert not risk_occupancy(spec, s[None])[0]
             s, _, done, risk = env.step(pol.act(s, env.context(), env.rng))
             assert not risk
             if done:

@@ -10,7 +10,8 @@ from cdsa.invdyn import (
     model_dims,
     train_invdyn,
 )
-from cdsa.neuralcore import Rng, fd_grads, forward_batch, mlp_init
+from cdsa.neuralcore import Rng, TrainBuffers, fd_grads, mlp_init
+from helpers import squared_error
 
 
 def _zero_net(ds, da):
@@ -32,7 +33,7 @@ def test_zero_net_loss_value():
     s = np.zeros((1, 2))
     s2 = np.zeros((1, 2))
     a = np.array([[0.3, -0.4]])
-    loss, _ = invdyn_loss(net, s, s2, a)
+    loss, _ = invdyn_loss(net, s, s2, a, TrainBuffers(1, net))
     assert loss == pytest.approx(0.25, abs=1e-15)
 
 
@@ -42,14 +43,9 @@ def test_loss_gradient_matches_fd():
     s = np.asarray(rng.normal(size=(12, 2)))
     s2 = np.asarray(rng.normal(size=(12, 2)))
     a = np.asarray(rng.normal(size=(12, 2)))
-    _, grads = invdyn_loss(net, s, s2, a)
-    x = np.hstack([s, s2])
-
-    def squared_error(p):  # the loss from a forward pass alone: the fd target
-        resid = forward_batch(p, x)[0] - a
-        return float(np.sum(resid * resid)) / len(resid)
-
-    fd = fd_grads(squared_error, net)
+    _, grads = invdyn_loss(net, s, s2, a, TrainBuffers(12, net))
+    # the loss from the net's output alone: the fd target
+    fd = fd_grads(net, np.hstack([s, s2]), squared_error(a, 1.0))
     for g, f in zip(grads.weights + grads.biases, fd.weights + fd.biases):
         denom = np.maximum(np.maximum(np.abs(g), np.abs(f)), 1e-4)
         assert np.max(np.abs(g - f) / denom) < 1e-6

@@ -7,6 +7,7 @@ from cdsa.neuralcore import (
     MlpParams,
     NeuralCoreError,
     Rng,
+    TrainBuffers,
     _leaky,
     adam_step,
     backward_batch,
@@ -17,6 +18,7 @@ from cdsa.neuralcore import (
     row_norms,
     zero_like_params,
 )
+from helpers import squared_error
 
 
 def test_rng_is_deterministic():
@@ -95,18 +97,11 @@ def test_row_norms_match_linalg_norm_per_row():
     assert row_norms(np.zeros((0, 2))).shape == (0,)
 
 
-def _quadratic_loss(p: MlpParams, x: np.ndarray, y: np.ndarray):
-    out, cache = forward_batch(p, x)
+def _quadratic_loss(p: MlpParams, x: np.ndarray, y: np.ndarray, bufs: TrainBuffers):
+    out, cache = forward_batch(p, x, bufs)
     resid = out - y
     loss = 0.5 * float(np.sum(resid**2)) / len(x)
-    grads, _ = backward_batch(p, cache, resid / len(x))
-    return loss, grads
-
-
-def _quadratic_value(p: MlpParams, x: np.ndarray, y: np.ndarray) -> float:
-    """_quadratic_loss's value from a forward pass alone: the finite-difference target."""
-    resid = forward_batch(p, x)[0] - y
-    return 0.5 * float(np.sum(resid**2)) / len(x)
+    return loss, backward_batch(p, cache, resid / len(x), bufs)
 
 
 def test_backward_matches_finite_differences():
@@ -115,22 +110,21 @@ def test_backward_matches_finite_differences():
         p = mlp_init([3, 8, 6, 2], slope, rng)
         x = np.asarray(rng.normal(size=(16, 3)))
         y = np.asarray(rng.normal(size=(16, 2)))
-        _, grads = _quadratic_loss(p, x, y)
-        fd = fd_grads(lambda q: _quadratic_value(q, x, y), p)
+        _, grads = _quadratic_loss(p, x, y, TrainBuffers(16, p))
+        # _quadratic_loss's value from the net's output alone: the fd target
+        fd = fd_grads(p, x, squared_error(y, 0.5))
         for g, f in zip(grads.weights + grads.biases, fd.weights + fd.biases):
             denom = np.maximum(np.maximum(np.abs(g), np.abs(f)), 1e-4)
             assert np.max(np.abs(g - f) / denom) < 1e-6
 
 
-def test_backward_input_gradient_linear_net():
-    # linear single layer: d loss / d x is exactly W^T resid for single sample
-    w = np.array([[2.0, -1.0], [0.5, 3.0]])
-    p = MlpParams([2, 2], [w], [np.zeros(2)], 0.1)
-    x = np.array([[1.0, 2.0]])
+def test_forward_without_a_set_keeps_no_cache():
+    # inference on live params: the output alone, equal to the training path's
+    p = mlp_init([3, 8, 6, 2], 0.2, Rng(12))
+    x = np.asarray(Rng(13).normal(size=(5, 3)))
     out, cache = forward_batch(p, x)
-    out_grad = np.array([[1.0, 1.0]])
-    _, x_grad = backward_batch(p, cache, out_grad)
-    assert np.allclose(x_grad, out_grad @ w)
+    assert cache is None
+    assert out.tobytes() == forward_batch(p, x, TrainBuffers(5, p))[0].tobytes()
 
 
 def test_adam_first_step_exact():
@@ -138,7 +132,7 @@ def test_adam_first_step_exact():
     p = MlpParams([1, 1], [np.array([[1.0]])], [np.zeros(1)], 0.1)
     g = MlpParams([1, 1], [np.array([[0.5]])], [np.zeros(1)], 0.1)
     st = AdamState(zero_like_params(p), zero_like_params(p))
-    adam_step(st, p, g, lr=0.1)
+    adam_step(st, p, g, 0.1, TrainBuffers(1, p))
     expected = 1.0 - 0.1 * 0.5 / (0.5 + 1e-8)
     assert p.weights[0][0, 0] == expected
     assert st.step_count == 1
@@ -148,11 +142,12 @@ def test_adam_deterministic_sequence():
     def run():
         p = mlp_init([2, 4, 1], 0.1, Rng(21))
         st = AdamState(zero_like_params(p), zero_like_params(p))
+        bufs = TrainBuffers(8, p)
         x = np.asarray(Rng(22).normal(size=(8, 2)))
         y = np.asarray(Rng(23).normal(size=(8, 1)))
         for _ in range(25):
-            _, grads = _quadratic_loss(p, x, y)
-            adam_step(st, p, grads, lr=1e-2)
+            _, grads = _quadratic_loss(p, x, y, bufs)
+            adam_step(st, p, grads, 1e-2, bufs)
         return p
 
     assert run().allclose(run())
@@ -164,11 +159,12 @@ def test_adam_descends_on_learnable_target():
     x = np.asarray(rng.normal(size=(64, 2)))
     y = (x[:, :1] - 2.0 * x[:, 1:])  # deterministic target, fully learnable
     st = AdamState(zero_like_params(p), zero_like_params(p))
-    first, _ = _quadratic_loss(p, x, y)
+    bufs = TrainBuffers(64, p)
+    first, _ = _quadratic_loss(p, x, y, bufs)
     for _ in range(800):
-        _, grads = _quadratic_loss(p, x, y)
-        adam_step(st, p, grads, lr=1e-2)
-    last, _ = _quadratic_loss(p, x, y)
+        _, grads = _quadratic_loss(p, x, y, bufs)
+        adam_step(st, p, grads, 1e-2, bufs)
+    last, _ = _quadratic_loss(p, x, y, bufs)
     assert last < 0.05 * first
 
 
@@ -184,12 +180,13 @@ def test_zero_like_params_shapes():
 def test_rejected_adam_step_changes_nothing(bad):
     p = mlp_init([3, 6, 2], 0.1, Rng(51))
     st = AdamState.for_params(p)
+    bufs = TrainBuffers(8, p)
     x = np.asarray(Rng(52).normal(size=(8, 3)))
     y = np.asarray(Rng(53).normal(size=(8, 2)))
     for _ in range(3):
-        _, grads = _quadratic_loss(p, x, y)
-        adam_step(st, p, grads, lr=1e-2)
-    _, grads = _quadratic_loss(p, x, y)
+        _, grads = _quadratic_loss(p, x, y, bufs)
+        adam_step(st, p, grads, 1e-2, bufs)
+    _, grads = _quadratic_loss(p, x, y, bufs)
     if bad == "nan_last_bias":
         grads.biases[-1][-1] = np.nan
     elif bad == "inf_first_weight":
@@ -198,7 +195,7 @@ def test_rejected_adam_step_changes_nothing(bad):
         grads = zero_like_params(mlp_init([3, 5, 2], 0.1, Rng(54)))
     before = [a.copy() for a in (p.flat, st.first_moment.flat, st.second_moment.flat)]
     with pytest.raises(NeuralCoreError):
-        adam_step(st, p, grads, lr=1e-2)
+        adam_step(st, p, grads, 1e-2, bufs)
     after = (p.flat, st.first_moment.flat, st.second_moment.flat)
     assert all(a.tobytes() == b.tobytes() for a, b in zip(before, after))
     assert st.step_count == 3

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cdsa.dataset import Dataset, NormStats
-from cdsa.neuralcore import MlpParams, Rng, mlp_init
+from cdsa.neuralcore import MlpParams, Rng, TrainBuffers, mlp_init
 from cdsa.scorefield import (
     ScoreField,
     ScoreKind,
@@ -37,8 +37,8 @@ def _selector_net(in_dim, cols):
 
 def _loss_seen_through(cols, s, a, sigma, z, kind):
     """The denoising loss of a net that reads back input columns `cols`."""
-    loss, _ = dsm_loss_reparam_given_noise(_selector_net(s.shape[1] + a.shape[1], cols),
-                                           s, a, sigma, z, kind)
+    net = _selector_net(s.shape[1] + a.shape[1], cols)
+    loss, _ = dsm_loss_reparam_given_noise(net, s, a, sigma, z, kind, TrainBuffers(len(z), net))
     return loss
 
 
@@ -80,7 +80,8 @@ def test_zero_net_forced_noise_loss_value():
     s = np.zeros((1, 2))
     a = np.zeros((1, 2))
     z = np.array([[0.5, -0.5]])
-    loss, grads = dsm_loss_reparam_given_noise(net, s, a, 0.1, z, ScoreKind.ACTION)
+    loss, grads = dsm_loss_reparam_given_noise(net, s, a, 0.1, z, ScoreKind.ACTION,
+                                               TrainBuffers(1, net))
     assert loss == pytest.approx(25.0, abs=1e-12)
     # zero weights block any weight gradient upstream of the last layer
     assert np.any(grads.biases[-1] != 0.0)
@@ -108,7 +109,8 @@ def test_loss_forms_agree_on_random_nets():
             s = np.asarray(rng.normal(size=(32, 2)))
             a = np.asarray(rng.normal(size=(32, 2)))
             z = np.asarray(rng.normal(size=(32, 2)))
-            loss, _ = dsm_loss_reparam_given_noise(net, s, a, sigma, z, kind)
+            loss, _ = dsm_loss_reparam_given_noise(net, s, a, sigma, z, kind,
+                                                   TrainBuffers(32, net))
             if kind is ScoreKind.ACTION:
                 ref = dsm_loss_reference(net, (s, a, a + sigma * z), sigma, kind)
             else:
