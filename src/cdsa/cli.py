@@ -179,10 +179,17 @@ def _make_policy(spec: EnvSpec, name: str, cfg: dict, bundle: str | None = None)
     raise ValueError(f"unknown policy {name!r}")
 
 
+def _entries(raw: str, flag: str) -> list:
+    """The non-blank entries of a comma-separated flag value; at least one."""
+    entries = [v.strip() for v in raw.split(",") if v.strip()]
+    if not entries:
+        raise ValueError(f"{flag} needs at least one entry, got {raw!r}")
+    return entries
+
+
 def _float_list(raw: str, flag: str) -> list:
-    """The finite numbers of a comma-separated flag value."""
-    return [parse_field(v.strip(), float, ValueError, f"each {flag} entry")
-            for v in raw.split(",") if v.strip()]
+    """The finite numbers of a comma-separated flag value; at least one."""
+    return [parse_field(v, float, ValueError, f"each {flag} entry") for v in _entries(raw, flag)]
 
 
 def _save_loss_csv(history, path: str) -> None:
@@ -263,7 +270,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     k1s = _float_list(cfg["k1"], "--k1")
     k2s = _float_list(cfg["k2"], "--k2")
     grid = _float_list(cfg["percentiles"], "--percentiles")
-    ablations = [a.strip() for a in cfg["ablation"].split(",") if a.strip()]
+    ablations = _entries(cfg["ablation"], "--ablation")
     for ab in ablations:
         if ab not in ABLATIONS:
             raise ValueError(f"ablation must be one of {ABLATIONS}, got {ab!r}")

@@ -15,10 +15,15 @@ an env-unit action.
 
 Episodes run in lockstep (run_episodes): every time step corrects the actions
 of all running episodes at once, and correct_action / control_episode are the
-one-row / one-episode cases. The networks run on InferenceNet snapshots taken
-once per batch (before any fork): g and h as one stacked pass, since both
-read [s_n, a_n], then I; so a pass makes two network calls, and a write into
-the params is seen by the next batch, not by one already running. A batch
+one-row / one-episode cases. The networks run on InferenceNet snapshots built
+once per batch (before any fork) from the models and the ControlConfig, with
+the rule's constants folded into their weights: the normalization of their
+inputs, the gains k1 and k2, the action and state stds and the action mean.
+So the snapshots read and return env units: g returns the whole k1 term, h
+the state step state_std * h, and I the whole k2 term. With both terms on,
+g and h run as one stacked pass, since both read [s, a], then I; so a pass
+makes two network calls, or one (g alone) when the k2 term is off. A write
+into the params is seen by the next batch, not by one already running. A batch
 of at least SPLIT_MIN_EPISODES runs as two halves on two cores, the second in
 a child made by a POSIX fork, as train_cdsa trains the inverse model; below
 that a fork costs more than it saves (see the constant). Each half steps its
@@ -56,16 +61,13 @@ from .scorefield import ScoreField, ScoreKind, ScoreTrainConfig, train_score_fie
 ABLATIONS = ("full", "no_a1", "no_a2", "baseline")
 
 # run_episodes splits a batch of at least this many episodes across two
-# processes. Measured on 2 shared vCPUs, split against one-process runs on
-# paired seeds: a fork round trip costs about 3 ms, and a lockstep step of
-# the eval-pointmass bundle (k1 0.1, k2 0.05) about 0.4 ms plus 15 us per
-# live row, of which a split saves only the per-row part. Those corrected
-# rollouts broke even at about 48 episodes (split 1.15-1.6x slower at 2
-# episodes, a median 1.06x at 32 and 1.10x at 40 over six runs, about 1.2x
-# faster at 100), while planner dataset generation, which costs more per row,
-# ran 1.1-1.4x faster split at 40 episodes. So the minimum stays at 32: from
-# 32 to 48 episodes a corrected rollout runs about 5-10 % slower split, and
-# dataset generation gains more.
+# processes. Measured on 2 shared vCPUs, split against one process on paired
+# seeds in alternating order (ten pairs per count, median split/one ratio): the
+# six corrected arms of the eval-pointmass bundle ran 1.03x and 1.07x slower
+# split at 24 and 28 episodes per arm, 0.95x (faster) at 32 and 0.84x at 100;
+# transport planner dataset generation, which costs more per row, ran 0.87x at
+# 24 episodes, 1.00x at 16 and 32 and 0.80x at 40. Corrected rollouts break
+# even near 32, and dataset generation gains from there on.
 SPLIT_MIN_EPISODES = 32
 
 
@@ -258,54 +260,78 @@ def correct_action(models: CdsaModels, s: np.ndarray, a_o: np.ndarray,
             f"expected state dim {models.state_dim} and action dim "
             f"{models.action_dim}, got {s.shape} and {a_o.shape}")
     passes: list | None = None if deltas_out is None else []
-    a = _correct_rows(models, _inference_nets(models), s[None, :], a_o[None, :], cfg,
-                      passes)[0]
+    a = _correct_rows(_inference_nets(models, cfg), s[None, :], a_o[None, :], cfg, passes)[0]
     if deltas_out is not None:
         deltas_out.extend(float(d[0]) for d in passes)
     return a
 
 
-def _inference_nets(models: CdsaModels) -> tuple[InferenceNet, InferenceNet]:
-    """The snapshots rollouts evaluate: g and h stacked, as both read [s_n, a_n], and I."""
-    return (InferenceNet(models.action_score.params, models.state_score.params),
-            InferenceNet(models.invdyn.params))
+def _inference_nets(models: CdsaModels, cfg: ControlConfig):
+    """One arm's snapshots (score, inv), with the rule's constants folded in.
+
+    score reads raw [s, a] rows. With both terms on it is the g|h stack,
+    returning k1 * action_std * g and state_std * h; with the k1 term alone it
+    is g alone, and with the k2 term alone h alone. inv reads raw [s, s~]
+    rows and returns k2 * denormalize_action(I); it is None when the k2 term
+    is off, and both are None when neither term is on. A disabled term is
+    left out, never folded in at gain 0, so an ablation agrees bitwise with
+    the matching gain at 0.
+    """
+    use_a1 = cfg.ablation in ("full", "no_a2") and cfg.k1 != 0.0
+    use_a2 = cfg.ablation in ("full", "no_a1") and cfg.k2 != 0.0
+    norm = models.norm
+    s_in, a_in = norm.state_normalizer(), norm.action_normalizer()
+    fields, outs = [], []
+    if use_a1:
+        fields.append(models.action_score.params)
+        outs.append((cfg.k1 * norm.action_std, 0.0))
+    if use_a2:
+        fields.append(models.state_score.params)
+        outs.append((norm.state_std, 0.0))
+    if not fields:
+        return None, None
+    score = InferenceNet(*fields, in_affine=[np.concatenate(v) for v in zip(s_in, a_in)],
+                         out_affines=outs)
+    inv = None
+    if use_a2:
+        inv = InferenceNet(models.invdyn.params,
+                           in_affine=[np.concatenate([v, v]) for v in s_in],
+                           out_affines=[(cfg.k2 * norm.action_std, cfg.k2 * norm.action_mean)])
+    return score, inv
 
 
-def _correct_rows(models: CdsaModels, nets: tuple[InferenceNet, InferenceNet],
-                  s: np.ndarray, a_o: np.ndarray, cfg: ControlConfig,
+def _correct_rows(nets: tuple, s: np.ndarray, a_o: np.ndarray, cfg: ControlConfig,
                   deltas_out: list | None) -> np.ndarray:
     """The correction rule on (n, d) rows of states and base actions at once.
 
-    nets are _inference_nets(models). Every pass makes one call of the g|h
-    stack over all rows and, when the k2 term is on, one of I; their values
-    match eval_score and infer_action on the models' params to float
-    tolerance, not bitwise (InferenceNet). Inputs are trusted: callers
-    validate models, cfg and dims once per batch. Per pass, an (n,) array of
-    per-row action-delta norms is appended to deltas_out when given.
+    nets are _inference_nets(models, cfg), so the rule's constants live in
+    them and every value here is in env units: a pass adds the g term and the
+    I term at s~ = s + h to the action and clips once. A pass makes one
+    network call when the k2 term is off (g) and two when it is on (the g|h
+    stack, or h alone, then I); their values match the rule on eval_score and
+    infer_action to float tolerance, not bitwise (InferenceNet). Inputs are
+    trusted: callers validate models, cfg and dims once per batch. Per pass,
+    an (n,) array of per-row action-delta norms is appended to deltas_out
+    when given.
     """
     low = np.asarray(cfg.action_low, dtype=np.float64)
     high = np.asarray(cfg.action_high, dtype=np.float64)
-    use_a1 = cfg.ablation in ("full", "no_a2") and cfg.k1 != 0.0
-    use_a2 = cfg.ablation in ("full", "no_a1") and cfg.k2 != 0.0
-    a_cur = np.clip(a_o, low, high)
-    if not (use_a1 or use_a2):
+    a_cur = np.minimum(np.maximum(a_o, low), high)
+    score, inv = nets
+    if score is None:
         return a_cur
-    gh, inv = nets
-    norm = models.norm
     ds, da = s.shape[1], a_cur.shape[1]
-    s_n = norm.normalize_state(s)
     for _ in range(1 + cfg.n_refine):
-        delta = np.zeros_like(a_cur)
-        out, _ = forward_batch(gh, np.concatenate([s_n, norm.normalize_action(a_cur)], axis=1))
-        if use_a1:
-            delta = delta + cfg.k1 * (norm.action_std * out[0, :, :da])
-        if use_a2:
-            s_tilde = norm.denormalize_state(s_n + out[1, :, :ds])
-            a2, _ = forward_batch(inv,
-                                  np.concatenate([s_n, norm.normalize_state(s_tilde)], axis=1))
-            delta = delta + cfg.k2 * norm.denormalize_action(a2)
-        a_new = np.clip(a_cur + delta, low, high)
-        if not np.all(np.isfinite(a_new)):
+        out, _ = forward_batch(score, np.concatenate([s, a_cur], axis=1))
+        if inv is None:  # g alone
+            delta = out
+        else:  # the g|h stack (3-D) or h alone (2-D), then I at s + h
+            h = out if out.ndim == 2 else out[1, :, :ds]
+            delta, _ = forward_batch(inv, np.concatenate([s, s + h], axis=1))
+            if out.ndim == 3:
+                delta += out[0, :, :da]
+        a_new = np.minimum(np.maximum(a_cur + delta, low), high)
+        if not np.isfinite(a_new).all():
             raise ControlError("non-finite corrected action (diverged model)")
         if deltas_out is not None:
             deltas_out.append(row_norms(a_new - a_cur))
@@ -382,10 +408,10 @@ def run_episodes(spec: EnvSpec, base_policy: Policy, models: CdsaModels | None,
             raise ControlError("model dims do not match the env spec")
     budget = spec.max_steps if max_steps is None else max_steps
     # built before the fork, so a child shares them copy-on-write
-    nets = None if models is None else _inference_nets(models)
+    nets = None if models is None else _inference_nets(models, cfg)
 
     def episodes(lo: int, hi: int):
-        return _lockstep(spec, base_policy, models, nets, cfg, rngs[lo:hi], budget, gamma,
+        return _lockstep(spec, base_policy, nets, cfg, rngs[lo:hi], budget, gamma,
                          max(record - lo, 0))
 
     n = len(rngs)
@@ -400,10 +426,12 @@ def run_episodes(spec: EnvSpec, base_policy: Policy, models: CdsaModels | None,
     return totals, head_trajs + tail_trajs
 
 
-def _lockstep(spec: EnvSpec, base_policy: Policy, models: CdsaModels | None,
-              nets: tuple | None, cfg: ControlConfig | None, rngs: list, budget: int,
-              gamma: float, record: int):
-    """run_episodes in this process, on inputs it has checked; nets are the models' snapshots."""
+def _lockstep(spec: EnvSpec, base_policy: Policy, nets: tuple | None,
+              cfg: ControlConfig | None, rngs: list, budget: int, gamma: float, record: int):
+    """run_episodes in this process, on inputs it has checked.
+
+    nets are the models' snapshots for cfg, or None to run the base policy untouched.
+    """
     n, ds, da = len(rngs), spec.state_dim, spec.action_dim
     st = EnvStates.stack([env_reset(spec, rng) for rng in rngs])
     final = st.take(np.arange(n))  # a copy: rows are stored into it as episodes end
@@ -412,6 +440,9 @@ def _lockstep(spec: EnvSpec, base_policy: Policy, models: CdsaModels | None,
     returns = np.zeros(n)
     discounted = np.zeros(n)
     risk_entries = np.zeros(n, dtype=np.int64)
+    # running totals of the live rows, stored into the arrays above as episodes end
+    ret, disc, risks = returns.copy(), discounted.copy(), risk_entries.copy()
+    low, high = spec.action_low, spec.action_high
     cols: list = [[] for _ in range(8)]  # episode, s, a_o, a, r, risk, done, deltas
     for t in range(budget):
         if len(ids) == 0:
@@ -420,14 +451,15 @@ def _lockstep(spec: EnvSpec, base_policy: Policy, models: CdsaModels | None,
         if a_o.shape != (len(ids), da):
             raise ControlError(f"policy returned actions of shape {a_o.shape}, "
                                f"expected {(len(ids), da)}")
-        a_o = np.clip(a_o, spec.action_low, spec.action_high)
-        k = int(np.searchsorted(ids, record))  # ids ascend: recorded rows lead
+        a_o = np.minimum(np.maximum(a_o, low), high)
+        # ids ascend: recorded rows lead
+        k = int(np.searchsorted(ids, record)) if record else 0
         passes: list | None = [] if k else None
-        a = a_o if models is None else _correct_rows(models, nets, st.s, a_o, cfg, passes)
+        a = a_o if nets is None else _correct_rows(nets, st.s, a_o, cfg, passes)
         st_next, r, done, risk = env_step_batch(spec, st, a, live_rngs)
-        returns[ids] += r
-        discounted[ids] += r * gamma ** t
-        risk_entries[ids] += risk
+        ret += r
+        disc += r * gamma ** t
+        risks += risk
         if k:
             deltas = np.array(passes).reshape(len(passes), len(ids))[:, :k].T
             # copies, so the step's full-batch arrays are not kept alive
@@ -435,11 +467,16 @@ def _lockstep(spec: EnvSpec, base_policy: Policy, models: CdsaModels | None,
                 col.append(v[:k].copy())
         st = st_next
         if done.any():
-            final.put(ids[done], st.take(done))
+            gone = ids[done]
+            final.put(gone, st.take(done))
+            returns[gone], discounted[gone] = ret[done], disc[done]
+            risk_entries[gone] = risks[done]
             keep = ~done
             st, ids = st.take(keep), ids[keep]
+            ret, disc, risks = ret[keep], disc[keep], risks[keep]
             live_rngs = [rng for rng, d in zip(live_rngs, done) if not d]
     final.put(ids, st)
+    returns[ids], discounted[ids], risk_entries[ids] = ret, disc, risks
 
     at_goal = row_norms(final.s - spec.goal) <= spec.capture_radius
     if spec.variant == "goods":
@@ -459,7 +496,7 @@ def _lockstep(spec: EnvSpec, base_policy: Policy, models: CdsaModels | None,
             states=S[m], actions_base=AO[m], actions=A[m], rewards=R[m],
             risk_flags=RISK[m], dones=DONE[m], final_state=final.s[e].copy(),
             reached_goal=bool(totals.reached_goal[e]),
-            delta_norms=[] if models is None else D[m].tolist(),
+            delta_norms=[] if nets is None else D[m].tolist(),
         ))
     return totals, trajectories
 

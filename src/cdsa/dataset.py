@@ -50,6 +50,14 @@ class NormStats:
     def denormalize_action(self, a: np.ndarray) -> np.ndarray:
         return np.asarray(a, dtype=np.float64) * self.action_std + self.action_mean
 
+    def state_normalizer(self) -> tuple[np.ndarray, np.ndarray]:
+        """(scale, shift): s * scale + shift is normalize_state(s) to float tolerance."""
+        return 1.0 / self.state_std, -self.state_mean / self.state_std
+
+    def action_normalizer(self) -> tuple[np.ndarray, np.ndarray]:
+        """(scale, shift): a * scale + shift is normalize_action(a) to float tolerance."""
+        return 1.0 / self.action_std, -self.action_mean / self.action_std
+
     def equals(self, other: "NormStats") -> bool:
         return (
             np.array_equal(self.state_mean, other.state_mean)

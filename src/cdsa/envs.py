@@ -383,11 +383,11 @@ def env_step_batch(spec: EnvSpec, st: EnvStates, actions: np.ndarray, rngs: list
     actions = np.asarray(actions, dtype=np.float64)
     n = len(st)
     if (actions.shape != (n, spec.action_dim) or len(rngs) != n
-            or not np.all(np.isfinite(actions))):
+            or not np.isfinite(actions).all()):
         raise EnvError(f"actions must be a finite ({n}, {spec.action_dim}) array, "
                        f"one row and one rng per episode")
-    a = np.clip(actions, spec.action_low, spec.action_high)
-    pos = np.clip(st.s + a * spec.dt, spec.arena_min, spec.arena_max)
+    a = np.minimum(np.maximum(actions, spec.action_low), spec.action_high)
+    pos = np.minimum(np.maximum(st.s + a * spec.dt, spec.arena_min), spec.arena_max)
     airport_used = st.airport_used
     if spec.variant == "airport":
         jump = ~airport_used & spec.airport_region.contains_many(pos)
@@ -663,8 +663,10 @@ class ScriptedRiskAvoiding(Policy):
 class BehaviorCloned(Policy):
     """Deterministic MLP regression policy in normalized coordinates.
 
-    It acts on an InferenceNet snapshot of params taken when it is built, so
-    it acts on the params it was built with; checkpoints save params.
+    It acts on an InferenceNet snapshot of params taken when it is built,
+    with the normalization folded in, so the snapshot maps raw states to
+    env-unit actions; it acts on the params it was built with, and
+    checkpoints save params.
     """
 
     kind = "bc"
@@ -675,13 +677,14 @@ class BehaviorCloned(Policy):
         self.norm = norm
         self.action_low = np.asarray(action_low, dtype=np.float64)
         self.action_high = np.asarray(action_high, dtype=np.float64)
-        self._net = InferenceNet(params)
+        self._net = InferenceNet(params, in_affine=norm.state_normalizer(),
+                                 out_affines=[(norm.action_std, norm.action_mean)])
 
     act = Policy.act
 
     def act_batch(self, states: np.ndarray, ctx: EnvStates | None, rngs: list) -> np.ndarray:
-        out, _ = forward_batch(self._net, self.norm.normalize_state(states))
-        return np.clip(self.norm.denormalize_action(out), self.action_low, self.action_high)
+        out, _ = forward_batch(self._net, states)
+        return np.minimum(np.maximum(out, self.action_low), self.action_high)
 
 
 BC_HIDDEN_DIMS = [128, 128, 128]

@@ -21,12 +21,14 @@ training-step path. single_blas_thread pins the loaded OpenBLAS to one
 thread while nets train in parallel processes.
 
 Rollouts run on InferenceNet snapshots instead: weights transposed once into
-contiguous (fan_in, fan_out) arrays, and nets that read the same input
-stacked into one pass, so the 1-100 row products of a lockstep step cost
-less. forward_batch runs both, and plain inference on live params, so one
-entry point serves (and traces) every network call; snapshot values match
-the training layout to float tolerance. fd_grads, the finite-difference
-oracle of the tests, uses forward arithmetic alone.
+contiguous (fan_in, fan_out) arrays, nets that read the same input stacked
+into one pass, and the affines around the nets (input normalization, output
+scaling and shift) folded into the first and last layers, so the 1-100 row
+products of a lockstep step cost less and nothing runs beside them.
+forward_batch runs both, and plain inference on live params, so one entry
+point serves (and traces) every network call; snapshot values match the
+training layout, affines applied outside, to float tolerance. fd_grads, the
+finite-difference oracle of the tests, uses forward arithmetic alone.
 """
 
 from __future__ import annotations
@@ -308,12 +310,20 @@ class InferenceNet:
     (k, n, widest out_dim) stack for several; net j's output is
     out[j, :, :out_dims[j]].
 
+    Affines that would wrap the nets are folded into their weights, so they
+    cost no operation of their own: in_affine = (scale, shift) makes every net
+    read x * scale + shift in place of x (folded into the first layer), and
+    out_affines[j] = (scale, shift) makes net j return out * scale + shift
+    (folded into its last layer). Each scale and shift is a vector of the
+    input's or that net's output width, or a number.
+
     A snapshot: writes into the params after it is built are not seen.
-    Values match forward_batch on the params to float tolerance, not
-    bitwise, since BLAS rounds the two layouts differently.
+    Values match forward_batch on the params, with the affines applied
+    outside, to float tolerance, not bitwise, since BLAS rounds the two
+    layouts, and the folded products, differently.
     """
 
-    def __init__(self, *params: MlpParams):
+    def __init__(self, *params: MlpParams, in_affine=None, out_affines=None):
         if not params:
             raise NeuralCoreError("InferenceNet needs at least one net")
         first = params[0]
@@ -322,17 +332,29 @@ class InferenceNet:
                 raise NeuralCoreError(
                     f"nets of dims {first.layer_dims} and {p.layer_dims}, slopes "
                     f"{first.leaky_slope} and {p.leaky_slope} cannot share one stack")
+        if out_affines is None:
+            out_affines = [None] * len(params)
+        if len(out_affines) != len(params):
+            raise NeuralCoreError(f"{len(out_affines)} output affines for {len(params)} nets")
         self.in_dim = first.in_dim
         self.out_dims = [p.out_dim for p in params]
         self.leaky_slope = first.leaky_slope
         dims = first.layer_dims[:-1] + [max(self.out_dims)]
+        last = len(dims) - 2
         self.weights, self.biases = [], []
         for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
             w = np.zeros((len(params), fan_in, fan_out))
             b = np.zeros((len(params), 1, fan_out))
             for j, p in enumerate(params):
-                w[j, :, :p.layer_dims[i + 1]] = p.weights[i].T
-                b[j, 0, :p.layer_dims[i + 1]] = p.biases[i]
+                wt, bj = p.weights[i].T, p.biases[i]
+                if i == 0 and in_affine is not None:
+                    scale, shift = _affine(in_affine, fan_in, "input")
+                    wt, bj = scale[:, None] * wt, bj + np.dot(shift, wt)
+                if i == last and out_affines[j] is not None:
+                    scale, shift = _affine(out_affines[j], p.out_dim, f"net {j} output")
+                    wt, bj = wt * scale, bj * scale + shift
+                w[j, :, :p.layer_dims[i + 1]] = wt
+                b[j, 0, :p.layer_dims[i + 1]] = bj
             if len(params) == 1:
                 w, b = w[0], b[0, 0]
             self.weights.append(w)
@@ -347,6 +369,14 @@ class InferenceNet:
             if i < last:
                 h = _leaky(h, self.leaky_slope)
         return h
+
+
+def _affine(pair, width: int, what: str):
+    """(scale, shift) as float vectors of the given width."""
+    try:
+        return tuple(np.broadcast_to(np.asarray(v, dtype=np.float64), (width,)) for v in pair)
+    except ValueError:
+        raise NeuralCoreError(f"the {what} affine does not fit width {width}") from None
 
 
 def forward_batch(params: MlpParams | InferenceNet, x: np.ndarray,

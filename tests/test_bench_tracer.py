@@ -93,7 +93,8 @@ def test_traced_dataset_length_is_the_row_count():
 
 def test_tracer_counts_the_rollout_network_calls(monkeypatch):
     # rollouts evaluate inference snapshots, still through neuralcore.forward_batch:
-    # per lockstep step one BC call, then one g|h call and one I call per pass
+    # per lockstep step one BC call, then per pass one g|h call and one I call,
+    # or one call of g alone when the k2 term is off
     spec = envs.load_env_spec(envs.builtin_spec_path("linear"))
     data = dataset.generate_dataset(spec, envs.RandomPolicy(spec), 8, spec.max_steps,
                                     neuralcore.Rng(3))
@@ -102,17 +103,19 @@ def test_tracer_counts_the_rollout_network_calls(monkeypatch):
         invdyn.InvDynTrainConfig(iterations=20, batch_size=16, seed=7))
     bc, _ = envs.train_bc_policy(data, envs.BcTrainConfig(iterations=20, batch_size=16, seed=9),
                                  spec.action_low, spec.action_high)
-    cfg = controller.ControlConfig(0.2, 0.1, spec.action_low, spec.action_high, n_refine=1)
     episodes = controller.SPLIT_MIN_EPISODES // 4  # one process: the tracer sees every call
     tracer = _load_tracer(monkeypatch)
-    tr = tracer.Tracer()
-    tracer.install(tr)
-    try:
-        stats = evaluation.rollout_batch(spec, bc, models, cfg, episodes, 11)
-    finally:
-        tr.uninstall()
-    per_step = 1 + 2 * (1 + cfg.n_refine)
-    steps = [s.steps for s in stats]
-    calls = tr.span_stats()["neuralcore.forward_batch"]["all_calls"]
-    assert calls == per_step * max(steps) > 0
-    assert tr.all_counts[("neuralcore.forward_batch", "rows_per_call")] == per_step * sum(steps)
+    for k2, calls_per_pass in ((0.1, 2), (0.0, 1)):
+        cfg = controller.ControlConfig(0.2, k2, spec.action_low, spec.action_high, n_refine=1)
+        tr = tracer.Tracer()
+        tracer.install(tr)
+        try:
+            stats = evaluation.rollout_batch(spec, bc, models, cfg, episodes, 11)
+        finally:
+            tr.uninstall()
+        per_step = 1 + calls_per_pass * (1 + cfg.n_refine)
+        steps = [s.steps for s in stats]
+        calls = tr.span_stats()["neuralcore.forward_batch"]["all_calls"]
+        assert calls == per_step * max(steps) > 0
+        rows = tr.all_counts[("neuralcore.forward_batch", "rows_per_call")]
+        assert rows == per_step * sum(steps)

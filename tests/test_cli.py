@@ -318,6 +318,23 @@ def test_eval_rejects_non_finite_list_entries_with_one_line(tmp_path, capsys, fl
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--k1", ","), ("--k2", ","), ("--ablation", ","), ("--percentiles", ","),
+    ("--k1", " , "), ("--ablation", ""),
+])
+def test_eval_rejects_empty_comma_lists_with_one_line(tmp_path, capsys, flag, value):
+    rc, data = _gen(tmp_path)
+    rc, bundle = _train(tmp_path, data)
+    outdir = tmp_path / "rep"
+    capsys.readouterr()
+    rc = main(["eval", "--env", "linear", "--bundle", bundle, "--outdir", str(outdir),
+               "--policy", "direct", "--episodes", "1", flag, value])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and flag in err[0]
+    assert not outdir.exists()
+
+
 def test_eval_bc_policy_needs_bundle_bc(tmp_path, capsys):
     rc, data = _gen(tmp_path)
     rc, bundle = _train(tmp_path, data)  # no --bc

@@ -57,6 +57,34 @@ def _stub_models(g_value=(0.1, 0.0), h_value=(0.0, 0.0)):
     return CdsaModels(action_score=action, state_score=state, invdyn=inv, norm=norm)
 
 
+def _random_models():
+    """Models of random nets with nonzero biases, sharing norm stats far from identity."""
+    norm = NormStats(np.array([0.7, -1.2]), np.array([2.5, 0.4]),
+                     np.array([0.2, -0.3]), np.array([0.6, 1.7]))
+
+    def net(dims, slope, seed):
+        p = mlp_init(dims, slope, Rng(seed))
+        for b in p.biases:
+            b[:] = 0.2 * Rng(seed + 1).normal(size=b.shape)
+        p.weights[-1][:] *= 0.25  # corrections of order 1, mostly inside the bounds
+        return p
+
+    return CdsaModels(
+        action_score=ScoreField(net(field_dims(ScoreKind.ACTION, 2, 2), 0.1, 41),
+                                ScoreKind.ACTION, 0.1, norm),
+        state_score=ScoreField(net(field_dims(ScoreKind.STATE, 2, 2), 0.1, 43),
+                               ScoreKind.STATE, 0.1, norm),
+        invdyn=InvDynModel(net(model_dims(2, 2), 0.2, 45), norm),
+        norm=norm)
+
+
+def _rows(norm, n, seed):
+    """n states within 1.5 stds of the state mean, and n actions."""
+    rng = Rng(seed)
+    s = norm.state_mean + norm.state_std * rng.uniform(-1.5, 1.5, size=(n, 2))
+    return s, rng.uniform(-1, 1, size=(n, 2))
+
+
 def _wide_cfg(**kw):
     base = dict(k1=1.0, k2=1.0, action_low=np.array([-10.0, -10.0]),
                 action_high=np.array([10.0, 10.0]), n_refine=0, ablation="full")
@@ -148,10 +176,54 @@ def test_batched_correction_matches_the_rule_on_the_models(k1, k2):
     s = rng.uniform(-2, 2, size=(40, 2))
     a_o = rng.uniform(-1, 1, size=(40, 2))
     cfg = _wide_cfg(k1=k1, k2=k2, n_refine=2)
-    got = _correct_rows(models, _inference_nets(models), s, a_o, cfg, None)
+    got = _correct_rows(_inference_nets(models, cfg), s, a_o, cfg, None)
     want = np.array([reference_correction(models, s[i], a_o[i], cfg) for i in range(40)])
     assert not np.allclose(got, a_o, rtol=0, atol=1e-3)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("k1,k2", [(0.3, 0.0), (0.0, 0.4), (0.3, 0.4)])
+def test_folded_gains_and_norm_stats_match_the_rule(k1, k2):
+    # the snapshots fold k1, k2 and the norm stats into the nets: with gains
+    # other than 1 and stats other than (0, 1), a wrong fold shows
+    models = _random_models()
+    s, a_o = _rows(models.norm, 30, 46)
+    cfg = _wide_cfg(k1=k1, k2=k2, n_refine=1)
+    want = np.array([reference_correction(models, s[i], a_o[i], cfg) for i in range(30)])
+    assert not np.allclose(want, a_o, rtol=0, atol=1e-2)
+    assert not np.any((want == -10.0) | (want == 10.0))
+    got = _correct_rows(_inference_nets(models, cfg), s, a_o, cfg, None)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+    one = np.array([correct_action(models, s[i], a_o[i], cfg) for i in range(30)])
+    np.testing.assert_allclose(one, want, rtol=0, atol=1e-9)
+
+
+def test_batched_ablation_pairs_agree_bitwise():
+    # a disabled term is left out of the snapshots, whatever its gain
+    models = _random_models()
+    s, a_o = _rows(models.norm, 30, 47)
+
+    def rows(**kw):
+        cfg = _wide_cfg(n_refine=1, **kw)
+        return _correct_rows(_inference_nets(models, cfg), s, a_o, cfg, None)
+
+    assert np.array_equal(rows(k1=0.3, k2=0.0), rows(k1=0.3, k2=0.4, ablation="no_a2"))
+    assert np.array_equal(rows(k1=0.0, k2=0.4), rows(k1=0.3, k2=0.4, ablation="no_a1"))
+
+
+def test_a_write_into_the_params_is_seen_by_the_next_call():
+    # snapshots are built per call from the live params, never cached on the models
+    models = _random_models()
+    cfg = _wide_cfg(k1=0.3, k2=0.4)
+    s, a_o = _rows(models.norm, 1, 48)
+    before = correct_action(models, s[0], a_o[0], cfg)
+    for net in (models.action_score.params, models.state_score.params, models.invdyn.params):
+        net.biases[-1][:] += 0.5
+        after = correct_action(models, s[0], a_o[0], cfg)
+        assert not np.allclose(after, before, rtol=0, atol=1e-6)
+        np.testing.assert_allclose(after, reference_correction(models, s[0], a_o[0], cfg),
+                                   rtol=0, atol=1e-9)
+        before = after
 
 
 def test_rejects_unknown_ablation():

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from cdsa.dataset import generate_dataset
+from cdsa.dataset import NormStats
 from cdsa.envs import (
     BcTrainConfig,
+    BehaviorCloned,
     EnvError,
     Env,
     EnvState,
@@ -25,7 +27,7 @@ from cdsa.envs import (
     save_env_spec,
     train_bc_policy,
 )
-from cdsa.neuralcore import Rng
+from cdsa.neuralcore import Rng, forward_batch, mlp_init
 from helpers import missed, mutated, mutations
 
 
@@ -607,6 +609,23 @@ def test_bc_output_respects_bounds():
     for i in range(20):
         a = bc.act(np.asarray(Rng(i).uniform(-20, 20, size=2)), None, None)
         assert np.all(a >= spec.action_low) and np.all(a <= spec.action_high)
+
+
+def test_bc_act_batch_matches_the_normalized_net():
+    # the policy's snapshot folds normalize_state and denormalize_action into the net
+    norm = NormStats(np.array([0.7, -1.2]), np.array([2.5, 0.4]),
+                     np.array([0.2, -0.3]), np.array([0.6, 1.7]))
+    params = mlp_init([2, 16, 16, 2], 0.2, Rng(26))
+    for b in params.biases:
+        b[:] = Rng(27).normal(size=b.shape)
+    low, high = np.array([-1.0, -2.0]), np.array([1.5, 2.0])
+    bc = BehaviorCloned(params, norm, low, high)
+    states = Rng(28).uniform(-3, 3, size=(50, 2))
+    out, _ = forward_batch(params, norm.normalize_state(states))
+    want = np.clip(norm.denormalize_action(out), low, high)
+    got = bc.act_batch(states, None, [None] * 50)
+    assert 0 < np.sum(got == high) + np.sum(got == low) < got.size
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_bc_training_deterministic():

@@ -272,6 +272,25 @@ def test_stacked_nets_equal_each_net_run_alone(ds, da):
             assert np.all(out[j, :, width:] == 0.0)
 
 
+@pytest.mark.parametrize("dims", [[4, 32, 128, 32], [4]])
+@pytest.mark.parametrize("stacked", [False, True])
+def test_folded_affines_match_the_affines_applied_outside(dims, stacked):
+    # the input affine folds into the first layer, each output affine into the
+    # last; a one-layer net folds both into the same layer
+    nets = [_random_net(dims + [2], 0.1, 78), _random_net(dims + [3], 0.1, 79)][:1 + stacked]
+    rng = Rng(80)
+    in_scale, in_shift = rng.uniform(0.5, 2.0, size=4), rng.normal(size=4)
+    outs = [(rng.uniform(0.5, 2.0, size=p.out_dim), rng.normal(size=p.out_dim)) for p in nets]
+    outs[-1] = (outs[-1][0], 0.0)  # a number broadcasts over the width
+    snap = InferenceNet(*nets, in_affine=(in_scale, in_shift), out_affines=outs)
+    x = rng.normal(size=(9, 4))
+    out, _ = forward_batch(snap, x)
+    for j, (p, (scale, shift)) in enumerate(zip(nets, outs)):
+        want = forward_batch(p, x * in_scale + in_shift)[0] * scale + shift
+        got = out[j, :, :p.out_dim] if stacked else out
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
 def test_inference_net_is_a_snapshot_in_a_contiguous_layout():
     p = _random_net([3, 5, 4], 0.1, 76)
     snap = InferenceNet(p)
@@ -296,3 +315,10 @@ def test_inference_net_checks_input_shape_and_stack_dims():
         InferenceNet(mlp_init([3, 4, 2], 0.1, Rng(2)), mlp_init([3, 5, 2], 0.1, Rng(3)))
     with pytest.raises(NeuralCoreError, match="one stack"):
         InferenceNet(mlp_init([3, 4, 2], 0.1, Rng(2)), mlp_init([3, 4, 2], 0.2, Rng(3)))
+    net = mlp_init([3, 4, 2], 0.1, Rng(2))
+    with pytest.raises(NeuralCoreError, match="input affine"):
+        InferenceNet(net, in_affine=(np.ones(2), 0.0))
+    with pytest.raises(NeuralCoreError, match="net 0 output affine"):
+        InferenceNet(net, out_affines=[(np.ones(3), 0.0)])
+    with pytest.raises(NeuralCoreError, match="output affines"):
+        InferenceNet(net, out_affines=[None, None])
