@@ -44,6 +44,7 @@ from .evaluation import emit_report, rollout_batch, summarize, var_at
 from .invdyn import InvDynTrainConfig, invdyn_loss, model_dims
 from .neuralcore import (
     AdamState,
+    InferenceNet,
     Rng,
     TrainBuffers,
     adam_step,
@@ -442,6 +443,34 @@ def _check_langevin_noop(seed: int) -> None:
     assert np.array_equal(out, x0), "0-step sampler must return x0 unchanged"
 
 
+def _check_inference_snapshots(seed: int) -> None:
+    # a single net and a g|h stack whose second net has the wider output, both
+    # behind an input affine that is not the identity and output affines
+    rng = Rng(seed)
+    g, h = mlp_init([4, 16, 12, 2], 0.1, rng), mlp_init([4, 16, 12, 3], 0.1, rng)
+    for b in g.biases + h.biases:
+        b[:] = rng.normal(size=b.shape)
+    in_affine = (rng.uniform(0.5, 2.0, size=4), rng.normal(size=4))
+    outs = [(rng.uniform(0.5, 2.0, size=p.out_dim), rng.normal(size=p.out_dim)) for p in (g, h)]
+    x = 3.0 * rng.normal(size=(9, 4))
+    for nets in ((g,), (g, h)):
+        snap = InferenceNet(*nets, in_affine=in_affine, out_affines=outs[:len(nets)])
+        out = forward_batch(snap, x)[0].reshape(len(nets), len(x), -1)
+        for j, (p, (scale, shift)) in enumerate(zip(nets, outs)):
+            want = forward_batch(p, x * in_affine[0] + in_affine[1])[0] * scale + shift
+            err = float(np.max(np.abs(out[j, :, :p.out_dim] - want)))
+            assert err <= 1e-12 * max(1.0, float(np.max(np.abs(want)))), (
+                f"{len(nets)}-net snapshot, net {j}: error {err}")
+            assert np.all(out[j, :, p.out_dim:] == 0.0), f"net {j}: padding is not zero"
+        # the hidden layers, rebuilt from the snapshot's arrays
+        act = np.matmul(x, snap.weights[0]) + snap.bias
+        for layer, w in enumerate(snap.weights[1:], start=1):
+            act = np.maximum(act, snap.leaky_slope * act)
+            assert np.all(act[..., -1] == 1.0), (
+                f"{len(nets)}-net snapshot: hidden layer {layer} lost its constant column")
+            act = np.matmul(act, w)
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg = _merge_config(args, "verify")
     seed = cfg["seed"]
@@ -452,6 +481,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         ("adam first-step example", _check_adam_example),
         ("value-at-risk interpolation and monotonicity", _check_var_example),
         ("langevin zero-step identity", _check_langevin_noop),
+        ("folded inference snapshots vs training layout", _check_inference_snapshots),
     ]
     failures = 0
     for name, fn in checks:

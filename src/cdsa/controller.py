@@ -22,11 +22,16 @@ inputs, the gains k1 and k2, the action and state stds and the action mean.
 So the snapshots read and return env units: g returns the whole k1 term, h
 the state step state_std * h, and I the whole k2 term. With both terms on,
 g and h run as one stacked pass, since both read [s, a], then I; so a pass
-makes two network calls, or one (g alone) when the k2 term is off. A write
-into the params is seen by the next batch, not by one already running. A batch
-of at least SPLIT_MIN_EPISODES runs as two halves on two cores, the second in
-a child made by a POSIX fork, as train_cdsa trains the inverse model; below
-that a fork costs more than it saves (see the constant). Each half steps its
+makes two network calls, or one (g alone) when the k2 term is off. A step
+clips the base actions into the bounds once (the ControlConfig's bounds must
+be the env spec's), runs the passes, and checks the corrected actions for
+finiteness once, after the last pass, since the clips carry a NaN through
+and map an inf onto a bound; the env then steps them without repeating the
+checks and clip they have passed. A write into the params is seen by the
+next batch, not by one already running. A batch of at least
+SPLIT_MIN_EPISODES runs as two halves on two cores, the second in a child
+made by a POSIX fork, as train_cdsa trains the inverse model; below that a
+fork costs more than it saves (see the constant). Each half steps its
 own copy of the policy and of its episodes' rngs, so a policy must not carry
 state from one act_batch call to the next (none does).
 
@@ -45,7 +50,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dataset import Dataset, NormStats
-from .envs import EnvSpec, EnvStates, Policy, env_reset, env_step_batch
+from .envs import EnvError, EnvSpec, EnvStates, Policy, env_reset, env_step_rows
 from .invdyn import InvDynModel, InvDynTrainConfig, train_invdyn
 from .neuralcore import (
     InferenceNet,
@@ -62,12 +67,15 @@ ABLATIONS = ("full", "no_a1", "no_a2", "baseline")
 
 # run_episodes splits a batch of at least this many episodes across two
 # processes. Measured on 2 shared vCPUs, split against one process on paired
-# seeds in alternating order (ten pairs per count, median split/one ratio): the
-# six corrected arms of the eval-pointmass bundle ran 1.03x and 1.07x slower
-# split at 24 and 28 episodes per arm, 0.95x (faster) at 32 and 0.84x at 100;
-# transport planner dataset generation, which costs more per row, ran 0.87x at
-# 24 episodes, 1.00x at 16 and 32 and 0.80x at 40. Corrected rollouts break
-# even near 32, and dataset generation gains from there on.
+# seeds in alternating order (ten pairs per count, median split/one ratio):
+# the six corrected arms of the eval-pointmass bundle, whose steps cost less
+# since the snapshots fold their biases, ran 1.27x, 1.25x, 1.15x, 1.28x,
+# 1.15x and 1.10x slower split at 24, 28, 32, 40, 48 and 64 episodes per arm
+# and 0.84x (faster) at 100; transport planner dataset generation, which
+# costs more per row, ran 1.07x at 16 episodes, 0.77x at 24, 0.83x at 32 and
+# 0.73x at 40. Corrected rollouts now break even between 64 and 100 episodes
+# and dataset generation near 20; 32 keeps the dataset gains, and the default
+# episode counts of gen-data (50) and eval (200) split at either break-even.
 SPLIT_MIN_EPISODES = 32
 
 
@@ -246,11 +254,12 @@ def correct_action(models: CdsaModels, s: np.ndarray, a_o: np.ndarray,
                    cfg: ControlConfig, deltas_out: list | None = None) -> np.ndarray:
     """Apply the correction rule to one action. Result is always in bounds.
 
-    With ablation "baseline", or k1 = k2 = 0, the original action is returned
-    untouched (bitwise). Disabled terms are skipped entirely, never added as
-    zeros, so ablations agree bitwise with the matching k at 0. Per-pass
-    action-delta norms are appended to deltas_out as floats when given. This
-    is the one-row case of the batched correction rollouts use.
+    The action is clipped into the bounds first. With ablation "baseline", or
+    k1 = k2 = 0, that is all that happens to it. Disabled terms are skipped
+    entirely, never added as zeros, so ablations agree bitwise with the
+    matching k at 0. Per-pass action-delta norms are appended to deltas_out
+    as floats when given. This is the one-row case of the batched correction
+    rollouts use.
     """
     cfg.validate()
     s = np.asarray(s, dtype=np.float64)
@@ -259,10 +268,13 @@ def correct_action(models: CdsaModels, s: np.ndarray, a_o: np.ndarray,
         raise ControlError(
             f"expected state dim {models.state_dim} and action dim "
             f"{models.action_dim}, got {s.shape} and {a_o.shape}")
+    a_o = np.minimum(np.maximum(a_o, cfg.action_low), cfg.action_high)
     passes: list | None = None if deltas_out is None else []
-    a = _correct_rows(_inference_nets(models, cfg), s[None, :], a_o[None, :], cfg, passes)[0]
+    a = _correct_rows(_inference_nets(models, cfg), s[None, :], a_o[None, :], cfg.action_low,
+                      cfg.action_high, cfg.n_refine, passes, 1)[0]
     if deltas_out is not None:
-        deltas_out.extend(float(d[0]) for d in passes)
+        acts = [a_o[None, :]] + passes
+        deltas_out.extend(float(row_norms(new - old)[0]) for old, new in zip(acts, acts[1:]))
     return a
 
 
@@ -300,42 +312,53 @@ def _inference_nets(models: CdsaModels, cfg: ControlConfig):
     return score, inv
 
 
-def _correct_rows(nets: tuple, s: np.ndarray, a_o: np.ndarray, cfg: ControlConfig,
-                  deltas_out: list | None) -> np.ndarray:
-    """The correction rule on (n, d) rows of states and base actions at once.
+def _correct_rows(nets: tuple, s: np.ndarray, a_o: np.ndarray, low: np.ndarray,
+                  high: np.ndarray, n_refine: int, passes_out: list | None = None,
+                  record: int = 0) -> np.ndarray:
+    """The correction rule on (n, d) rows of states and in-bounds base actions at once.
 
     nets are _inference_nets(models, cfg), so the rule's constants live in
     them and every value here is in env units: a pass adds the g term and the
     I term at s~ = s + h to the action and clips once. A pass makes one
     network call when the k2 term is off (g) and two when it is on (the g|h
     stack, or h alone, then I); their values match the rule on eval_score and
-    infer_action to float tolerance, not bitwise (InferenceNet). Inputs are
-    trusted: callers validate models, cfg and dims once per batch. Per pass,
-    an (n,) array of per-row action-delta norms is appended to deltas_out
-    when given.
+    infer_action to float tolerance, not bitwise (InferenceNet). Each of the
+    1 + n_refine passes clips to low and high, cfg's action bounds as (da,)
+    vectors or as (n, da) rows. Inputs are trusted: callers validate models,
+    cfg and dims once per batch, and clip a_o into the bounds. Finiteness is
+    checked once, after the last pass: the clips carry a NaN through every
+    later pass and map an inf onto a bound. Per pass, a copy of the first
+    `record` rows' corrected actions is appended to passes_out when given;
+    callers take the action-delta norms from them.
     """
-    low = np.asarray(cfg.action_low, dtype=np.float64)
-    high = np.asarray(cfg.action_high, dtype=np.float64)
-    a_cur = np.minimum(np.maximum(a_o, low), high)
     score, inv = nets
     if score is None:
-        return a_cur
-    ds, da = s.shape[1], a_cur.shape[1]
-    for _ in range(1 + cfg.n_refine):
-        out, _ = forward_batch(score, np.concatenate([s, a_cur], axis=1))
+        return a_o
+    (n, ds), da = s.shape, a_o.shape[1]
+    # the networks' inputs, [s, a] and [s, s~], with s written once
+    x = np.empty((n, ds + da))
+    x[:, :ds] = s
+    if inv is not None:
+        y = np.empty((n, 2 * ds))
+        y[:, :ds] = s
+    a_cur = a_o
+    for _ in range(1 + n_refine):
+        x[:, ds:] = a_cur
+        out, _ = forward_batch(score, x)
         if inv is None:  # g alone
             delta = out
         else:  # the g|h stack (3-D) or h alone (2-D), then I at s + h
-            h = out if out.ndim == 2 else out[1, :, :ds]
-            delta, _ = forward_batch(inv, np.concatenate([s, s + h], axis=1))
+            np.add(s, out if out.ndim == 2 else out[1, :, :ds], out=y[:, ds:])
+            delta, _ = forward_batch(inv, y)
             if out.ndim == 3:
                 delta += out[0, :, :da]
-        a_new = np.minimum(np.maximum(a_cur + delta, low), high)
-        if not np.isfinite(a_new).all():
-            raise ControlError("non-finite corrected action (diverged model)")
-        if deltas_out is not None:
-            deltas_out.append(row_norms(a_new - a_cur))
+        delta += a_cur
+        a_new = np.minimum(np.maximum(delta, low, out=delta), high, out=delta)
+        if passes_out is not None:
+            passes_out.append(a_new[:record].copy())
         a_cur = a_new
+    if not np.isfinite(a_cur).all():
+        raise ControlError("non-finite corrected action (diverged model)")
     return a_cur
 
 
@@ -406,6 +429,10 @@ def run_episodes(spec: EnvSpec, base_policy: Policy, models: CdsaModels | None,
         cfg.validate()
         if models.state_dim != spec.state_dim or models.action_dim != spec.action_dim:
             raise ControlError("model dims do not match the env spec")
+        # the lockstep clips base actions to the spec's bounds once, for both
+        if not (np.array_equal(cfg.action_low, spec.action_low)
+                and np.array_equal(cfg.action_high, spec.action_high)):
+            raise ControlError("the ControlConfig's action bounds differ from the env spec's")
     budget = spec.max_steps if max_steps is None else max_steps
     # built before the fork, so a child shares them copy-on-write
     nets = None if models is None else _inference_nets(models, cfg)
@@ -442,8 +469,12 @@ def _lockstep(spec: EnvSpec, base_policy: Policy, nets: tuple | None,
     risk_entries = np.zeros(n, dtype=np.int64)
     # running totals of the live rows, stored into the arrays above as episodes end
     ret, disc, risks = returns.copy(), discounted.copy(), risk_entries.copy()
-    low, high = spec.action_low, spec.action_high
-    cols: list = [[] for _ in range(8)]  # episode, s, a_o, a, r, risk, done, deltas
+    # the bounds as (n, da) rows: a clip of live rows against a prefix of them
+    # runs as one flat loop, against a (da,) vector as one short loop per row
+    lows, highs = (np.tile(v, (n, 1)) for v in (spec.action_low, spec.action_high))
+    score = None if nets is None else nets[0]
+    cols: list = [[] for _ in range(6)]  # episode, s, a_o, r, risk, done
+    pass_rows: list = []  # per step, each correction pass's actions
     for t in range(budget):
         if len(ids) == 0:
             break
@@ -451,20 +482,28 @@ def _lockstep(spec: EnvSpec, base_policy: Policy, nets: tuple | None,
         if a_o.shape != (len(ids), da):
             raise ControlError(f"policy returned actions of shape {a_o.shape}, "
                                f"expected {(len(ids), da)}")
+        low, high = lows[:len(ids)], highs[:len(ids)]
         a_o = np.minimum(np.maximum(a_o, low), high)
         # ids ascend: recorded rows lead
         k = int(np.searchsorted(ids, record)) if record else 0
         passes: list | None = [] if k else None
-        a = a_o if nets is None else _correct_rows(nets, st.s, a_o, cfg, passes)
-        st_next, r, done, risk = env_step_batch(spec, st, a, live_rngs)
+        if score is None:
+            a = a_o
+            if not np.isfinite(a).all():
+                raise EnvError(f"actions must be a finite ({len(ids)}, {da}) array, "
+                               f"one row and one rng per episode")
+        else:
+            a = _correct_rows(nets, st.s, a_o, low, high, cfg.n_refine, passes, k)
+        # a has passed env_step_batch's checks and clip
+        st_next, r, done, risk = env_step_rows(spec, st, a, live_rngs)
         ret += r
         disc += r * gamma ** t
         risks += risk
         if k:
-            deltas = np.array(passes).reshape(len(passes), len(ids))[:, :k].T
             # copies, so the step's full-batch arrays are not kept alive
-            for col, v in zip(cols, (ids, st.s, a_o, a, r, risk, done, deltas)):
+            for col, v in zip(cols, (ids, st.s, a_o, r, risk, done)):
                 col.append(v[:k].copy())
+            pass_rows.append(passes)
         st = st_next
         if done.any():
             gone = ids[done]
@@ -484,11 +523,17 @@ def _lockstep(spec: EnvSpec, base_policy: Policy, nets: tuple | None,
     totals = EpisodeTotals(returns=returns, discounted_returns=discounted,
                            steps=final.steps, risk_entries=risk_entries,
                            reached_goal=at_goal & (final.steps > 0))
-    tails = ((), (ds,), (da,), (da,), (), (), (), (0,))
-    dtypes = (np.int64, np.float64, np.float64, np.float64, np.float64, bool, bool, np.float64)
-    ep, S, AO, A, R, RISK, DONE, D = (
+    tails = ((), (ds,), (da,), (), (), ())
+    dtypes = (np.int64, np.float64, np.float64, np.float64, bool, bool)
+    ep, S, AO, R, RISK, DONE = (
         np.concatenate(col) if col else np.zeros((0,) + tail, dtype=dt)
         for col, tail, dt in zip(cols, tails, dtypes))
+    # the recorded rows' actions from the base action through each pass: the
+    # last is the action applied, and successive ones give the delta norms
+    acts = [AO] + [np.concatenate(rows) for rows in zip(*pass_rows)]
+    A = acts[-1]
+    D = np.array([row_norms(new - old) for old, new in zip(acts, acts[1:])])
+    D = D.reshape(len(acts) - 1, len(AO)).T
     trajectories = []
     for e in range(min(record, n)):
         m = ep == e

@@ -89,7 +89,7 @@ class Region:
         pts = np.asarray(pts, dtype=np.float64)
         if self.shape == "circle":
             d = pts - self.center
-            return np.sum(d * d, axis=1) <= self.radius**2
+            return (d * d).sum(axis=1) <= self.radius**2
         return np.all((pts >= self.rect_min) & (pts <= self.rect_max), axis=1)
 
     def inflated(self, margin: float) -> "Region":
@@ -378,7 +378,7 @@ def env_step_batch(spec: EnvSpec, st: EnvStates, actions: np.ndarray, rngs: list
     stream for the risk Bernoulli, whether or not it occupies a risk region,
     so paired-seed runs stay aligned. A row's result does not depend on the
     other rows or on n, so it equals env_step on that row bitwise. The spec
-    is trusted to be validated; actions are checked here.
+    is trusted to be validated; actions are checked and clipped here.
     """
     actions = np.asarray(actions, dtype=np.float64)
     n = len(st)
@@ -387,6 +387,15 @@ def env_step_batch(spec: EnvSpec, st: EnvStates, actions: np.ndarray, rngs: list
         raise EnvError(f"actions must be a finite ({n}, {spec.action_dim}) array, "
                        f"one row and one rng per episode")
     a = np.minimum(np.maximum(actions, spec.action_low), spec.action_high)
+    return env_step_rows(spec, st, a, rngs)
+
+
+def env_step_rows(spec: EnvSpec, st: EnvStates, a: np.ndarray, rngs: list):
+    """env_step_batch on actions that passed its checks and clip, which it skips.
+
+    a is a finite float (n, action_dim) array inside the action bounds, with
+    one rng per row; the episode runner's actions are, by construction.
+    """
     pos = np.minimum(np.maximum(st.s + a * spec.dt, spec.arena_min), spec.arena_max)
     airport_used = st.airport_used
     if spec.variant == "airport":

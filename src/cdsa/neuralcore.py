@@ -22,13 +22,18 @@ thread while nets train in parallel processes.
 
 Rollouts run on InferenceNet snapshots instead: weights transposed once into
 contiguous (fan_in, fan_out) arrays, nets that read the same input stacked
-into one pass, and the affines around the nets (input normalization, output
-scaling and shift) folded into the first and last layers, so the 1-100 row
-products of a lockstep step cost less and nothing runs beside them.
-forward_batch runs both, and plain inference on live params, so one entry
-point serves (and traces) every network call; snapshot values match the
-training layout, affines applied outside, to float tolerance. fd_grads, the
-finite-difference oracle of the tests, uses forward arithmetic alone.
+into one pass, the affines around the nets (input normalization, output
+scaling and shift) folded into the first and last layers, and every bias
+after the first layer folded into its product as one more weight row. That
+row reads a constant column, exactly 1.0, which layer 0 adds to its output
+and each hidden layer carries forward; so a hidden layer of 128 units runs at
+width 129, which also avoids the slower power-of-two leading dimension, and
+the 1-100 row products of a lockstep step are all that runs besides one bias
+add and the LeakyReLUs. forward_batch runs both, and plain inference on live
+params, so one entry point serves (and traces) every network call; snapshot
+values match the training layout, affines applied outside, to float
+tolerance (1e-12 on unit-scale bundle-shaped nets, not bitwise). fd_grads,
+the finite-difference oracle of the tests, uses forward arithmetic alone.
 """
 
 from __future__ import annotations
@@ -310,6 +315,16 @@ class InferenceNet:
     (k, n, widest out_dim) stack for several; net j's output is
     out[j, :, :out_dims[j]].
 
+    Every bias but the first layer's is folded into a product. Layer 0 keeps
+    its bias add and gains one more output column, with zero weights and bias
+    1.0, so that column is exactly 1.0 for every finite input (each product
+    with a zero weight is an exact 0, and LeakyReLU keeps 1.0). Each later
+    layer reads its bias as one extra weight row against that column; hidden
+    layers carry the column forward (a 1.0 weight from it) and the last layer
+    drops it. So a net of L layers costs L products, one bias add and L - 1
+    LeakyReLUs, and a 128-wide hidden layer runs at width 129, which also
+    misses the power-of-two leading dimension some BLAS products are slower at.
+
     Affines that would wrap the nets are folded into their weights, so they
     cost no operation of their own: in_affine = (scale, shift) makes every net
     read x * scale + shift in place of x (folded into the first layer), and
@@ -319,8 +334,9 @@ class InferenceNet:
 
     A snapshot: writes into the params after it is built are not seen.
     Values match forward_batch on the params, with the affines applied
-    outside, to float tolerance, not bitwise, since BLAS rounds the two
-    layouts, and the folded products, differently.
+    outside, to float tolerance (within 1e-12 on bundle-shaped nets), not
+    bitwise, since BLAS rounds the two layouts, and the folded products and
+    biases, differently.
     """
 
     def __init__(self, *params: MlpParams, in_affine=None, out_affines=None):
@@ -341,10 +357,14 @@ class InferenceNet:
         self.leaky_slope = first.leaky_slope
         dims = first.layer_dims[:-1] + [max(self.out_dims)]
         last = len(dims) - 2
-        self.weights, self.biases = [], []
+        self.weights = []
         for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
-            w = np.zeros((len(params), fan_in, fan_out))
-            b = np.zeros((len(params), 1, fan_out))
+            # row fan_in holds the bias; every layer but the last has one more
+            # column, whose only nonzero weight is 1.0 from the constant column
+            # (the bias row), so it is the constant column of the next layer
+            w = np.zeros((len(params), fan_in + 1, fan_out + (i < last)))
+            if i < last:
+                w[:, fan_in, fan_out] = 1.0
             for j, p in enumerate(params):
                 wt, bj = p.weights[i].T, p.biases[i]
                 if i == 0 and in_affine is not None:
@@ -353,21 +373,19 @@ class InferenceNet:
                 if i == last and out_affines[j] is not None:
                     scale, shift = _affine(out_affines[j], p.out_dim, f"net {j} output")
                     wt, bj = wt * scale, bj * scale + shift
-                w[j, :, :p.layer_dims[i + 1]] = wt
-                b[j, 0, :p.layer_dims[i + 1]] = bj
-            if len(params) == 1:
-                w, b = w[0], b[0, 0]
-            self.weights.append(w)
-            self.biases.append(b)
+                w[j, :fan_in, :p.layer_dims[i + 1]] = wt
+                w[j, fan_in, :p.layer_dims[i + 1]] = bj
+            self.weights.append(w[0] if len(params) == 1 else w)
+        # the input has no constant column, so layer 0 adds its bias row
+        first_layer = self.weights[0]
+        self.weights[0] = np.ascontiguousarray(first_layer[..., :-1, :])
+        self.bias = first_layer[..., -1:, :].copy()
 
     def _forward(self, x: np.ndarray) -> np.ndarray:
-        h = x
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = np.matmul(h, w)
-            h += b
-            if i < last:
-                h = _leaky(h, self.leaky_slope)
+        h = np.matmul(x, self.weights[0])
+        h += self.bias
+        for w in self.weights[1:]:
+            h = np.matmul(_leaky(h, self.leaky_slope), w)
         return h
 
 
@@ -559,7 +577,8 @@ def train_mlp(layer_dims: list[int], leaky_slope: float, config: TrainConfig, n_
     same stream and calls batch_loss(net, idx, rng, bufs), which returns
     (loss, grads) for those rows and may draw more from rng; an Adam step
     with config.lr follows. Returns (net, history), one (step, loss) row per
-    step. Deterministic given config.seed and the data.
+    step. Deterministic given config.seed and the data. Every net trains with
+    OpenBLAS on one thread (single_blas_thread), which gives the same bits.
     """
     config.validate()
     if n_rows == 0:
@@ -569,11 +588,12 @@ def train_mlp(layer_dims: list[int], leaky_slope: float, config: TrainConfig, n_
     opt = AdamState.for_params(net)
     bufs = TrainBuffers(config.batch_size, net)
     history = []
-    for step in range(config.iterations):
-        idx = rng.integers(n_rows, size=config.batch_size)
-        loss, grads = batch_loss(net, idx, rng, bufs)
-        adam_step(opt, net, grads, config.lr, bufs)
-        history.append((step, loss))
+    with single_blas_thread():
+        for step in range(config.iterations):
+            idx = rng.integers(n_rows, size=config.batch_size)
+            loss, grads = batch_loss(net, idx, rng, bufs)
+            adam_step(opt, net, grads, config.lr, bufs)
+            history.append((step, loss))
     return net, history
 
 
@@ -614,12 +634,18 @@ def _openblas_threads():
 def single_blas_thread():
     """Run the body with the loaded OpenBLAS on one thread; restore its count on exit.
 
-    At this package's sizes a second BLAS thread gains almost nothing, and
-    processes training side by side would fight over the cores with it.
-    Without a loaded OpenBLAS (another BLAS, or no /proc) this does nothing.
+    At this package's sizes a second BLAS thread gains almost nothing,
+    processes training side by side would fight over the cores with it, and
+    on two threads OpenBLAS has been seen to run a whole process's
+    (256, 128) x (128, 128) products 40-70x slower (8 ms instead of 0.1 ms).
+    Without a loaded OpenBLAS (another BLAS, or no /proc), or when it already
+    runs on one thread, this does nothing: setting the count in a process
+    forked since OpenBLAS last ran restarts its thread pool, whose new
+    workers spin for a while and take a core from the work (a nested pin in
+    train_cdsa's two processes made it about a quarter slower).
     """
     threads = _openblas_threads()
-    if threads is None:
+    if threads is None or threads[0]() == 1:
         yield
         return
     get, put = threads

@@ -369,5 +369,5 @@ def test_verify_all_checks_pass(capsys):
     rc = main(["verify", "--seed", "0"])
     out = capsys.readouterr().out
     assert rc == 0
-    assert "all 6 checks passed" in out
-    assert out.count("ok ") == 6
+    assert "all 7 checks passed" in out
+    assert out.count("ok ") == 7

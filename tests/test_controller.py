@@ -23,7 +23,7 @@ from cdsa.controller import (
 from cdsa.dataset import NormStats, generate_dataset
 from cdsa.envs import RandomPolicy, ScriptedDirect, builtin_spec_path, load_env_spec
 from cdsa.invdyn import InvDynModel, InvDynTrainConfig, model_dims, train_invdyn
-from cdsa.neuralcore import Rng, mlp_init
+from cdsa.neuralcore import Rng, forward_batch, mlp_init
 from cdsa.scorefield import (
     ScoreField,
     ScoreKind,
@@ -90,6 +90,12 @@ def _wide_cfg(**kw):
                 action_high=np.array([10.0, 10.0]), n_refine=0, ablation="full")
     base.update(kw)
     return ControlConfig(**base)
+
+
+def _batched_rule(models, s, a_o, cfg):
+    """The batched correction rollouts run, on one arm's snapshots."""
+    return _correct_rows(_inference_nets(models, cfg), s, a_o, cfg.action_low,
+                         cfg.action_high, cfg.n_refine)
 
 
 def _trained_models(iterations=60):
@@ -176,7 +182,7 @@ def test_batched_correction_matches_the_rule_on_the_models(k1, k2):
     s = rng.uniform(-2, 2, size=(40, 2))
     a_o = rng.uniform(-1, 1, size=(40, 2))
     cfg = _wide_cfg(k1=k1, k2=k2, n_refine=2)
-    got = _correct_rows(_inference_nets(models, cfg), s, a_o, cfg, None)
+    got = _batched_rule(models, s, a_o, cfg)
     want = np.array([reference_correction(models, s[i], a_o[i], cfg) for i in range(40)])
     assert not np.allclose(got, a_o, rtol=0, atol=1e-3)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
@@ -192,7 +198,7 @@ def test_folded_gains_and_norm_stats_match_the_rule(k1, k2):
     want = np.array([reference_correction(models, s[i], a_o[i], cfg) for i in range(30)])
     assert not np.allclose(want, a_o, rtol=0, atol=1e-2)
     assert not np.any((want == -10.0) | (want == 10.0))
-    got = _correct_rows(_inference_nets(models, cfg), s, a_o, cfg, None)
+    got = _batched_rule(models, s, a_o, cfg)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
     one = np.array([correct_action(models, s[i], a_o[i], cfg) for i in range(30)])
     np.testing.assert_allclose(one, want, rtol=0, atol=1e-9)
@@ -205,7 +211,7 @@ def test_batched_ablation_pairs_agree_bitwise():
 
     def rows(**kw):
         cfg = _wide_cfg(n_refine=1, **kw)
-        return _correct_rows(_inference_nets(models, cfg), s, a_o, cfg, None)
+        return _batched_rule(models, s, a_o, cfg)
 
     assert np.array_equal(rows(k1=0.3, k2=0.0), rows(k1=0.3, k2=0.4, ablation="no_a2"))
     assert np.array_equal(rows(k1=0.0, k2=0.4), rows(k1=0.3, k2=0.4, ablation="no_a1"))
@@ -260,6 +266,22 @@ def test_non_finite_correction_raises():
     models = _stub_models(g_value=(np.nan, 0.0))
     with pytest.raises(ControlError):
         correct_action(models, np.zeros(2), np.zeros(2), _wide_cfg())
+
+
+def test_nan_in_the_first_pass_raises_after_the_last(monkeypatch):
+    # the clips carry the NaN through the later passes to the one check
+    models = _stub_models(g_value=(np.nan, 0.0))
+    calls = []
+    real = forward_batch
+
+    def counting(net, x, bufs=None):
+        calls.append(len(x))
+        return real(net, x, bufs)
+
+    monkeypatch.setattr("cdsa.controller.forward_batch", counting)
+    with pytest.raises(ControlError, match="diverged model"):
+        correct_action(models, np.zeros(2), np.zeros(2), _wide_cfg(n_refine=2))
+    assert len(calls) == 3 * 2  # three passes of the g|h stack and I
 
 
 def test_train_cdsa_matches_standalone_trainers():

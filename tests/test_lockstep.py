@@ -34,6 +34,7 @@ from cdsa.envs import (
     BcTrainConfig,
     BehaviorCloned,
     Env,
+    EnvError,
     RandomPolicy,
     ScriptedDirect,
     ScriptedRiskAvoiding,
@@ -398,3 +399,30 @@ def test_small_batches_stay_in_one_process(pointmass, monkeypatch):
     generate_dataset(spec, ScriptedDirect(spec), 2, spec.max_steps, Rng(7))
     with pytest.raises(OSError, match="fork is patched out"):
         rollout_batch(spec, bc, models, cfg, SPLIT_MIN_EPISODES, 7)
+
+
+class NanPolicy:
+    """Returns NaN actions: a base policy whose own net has diverged."""
+
+    def act_batch(self, states, ctx, rngs):
+        return np.full((len(rngs), 2), np.nan)
+
+
+def test_nan_base_actions_raise_env_error_uncorrected_and_control_error_corrected(pointmass):
+    spec, models, _ = pointmass
+    rngs = [Rng(9).substream(i) for i in range(3)]
+    baseline = ControlConfig(0.4, 0.2, spec.action_low, spec.action_high, ablation="baseline")
+    for m, c in ((None, None), (models, baseline)):
+        with pytest.raises(EnvError, match="finite"):
+            run_episodes(spec, NanPolicy(), m, c, rngs)
+    corrected = ControlConfig(0.1, 0.02, spec.action_low, spec.action_high)
+    with pytest.raises(ControlError, match="diverged model"):
+        run_episodes(spec, NanPolicy(), models, corrected, rngs)
+
+
+def test_config_bounds_must_be_the_spec_bounds(pointmass):
+    # the lockstep clips base actions once, to bounds both must share
+    spec, models, bc = pointmass
+    cfg = ControlConfig(0.1, 0.02, spec.action_low, 0.5 * spec.action_high)
+    with pytest.raises(ControlError, match="action bounds"):
+        run_episodes(spec, bc, models, cfg, [Rng(9)])

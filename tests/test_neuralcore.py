@@ -16,6 +16,7 @@ from cdsa.neuralcore import (
     mlp_init,
     param_count,
     row_norms,
+    single_blas_thread,
     zero_like_params,
 )
 from helpers import squared_error
@@ -217,6 +218,23 @@ def test_params_are_views_into_one_flat_buffer():
     assert not np.shares_memory(built.copy().flat, built.flat)
 
 
+def test_single_blas_thread_sets_the_count_only_when_it_changes(monkeypatch):
+    # setting the count restarts a forked process's OpenBLAS pool, so a pin
+    # inside a pin (train_mlp inside train_cdsa) must set nothing
+    count, puts = [2], []
+
+    def put(n):
+        puts.append(n)
+        count[0] = n
+
+    monkeypatch.setattr("cdsa.neuralcore._openblas_threads", lambda: (lambda: count[0], put))
+    with single_blas_thread():
+        assert count == [1]
+        with single_blas_thread():
+            assert count == [1]
+    assert puts == [1, 2] and count == [2]
+
+
 def test_params_constructor_checks_shapes_against_dims():
     with pytest.raises(NeuralCoreError, match="shapes"):
         MlpParams([2, 3], [np.zeros((2, 3))], [np.zeros(3)], 0.1)
@@ -292,16 +310,41 @@ def test_folded_affines_match_the_affines_applied_outside(dims, stacked):
 
 
 def test_inference_net_is_a_snapshot_in_a_contiguous_layout():
-    p = _random_net([3, 5, 4], 0.1, 76)
+    # layer 0 gains the constant column, the next layers read their bias
+    # from it as an extra row, and the last layer drops it
+    p = _random_net([3, 5, 6, 4], 0.1, 76)
     snap = InferenceNet(p)
     x = Rng(77).normal(size=(6, 3))
     before, _ = forward_batch(snap, x)
-    assert all(w.flags.c_contiguous and w.shape == (fi, fo)
-               for w, fi, fo in zip(snap.weights, [3, 5], [5, 4]))
-    assert not any(np.shares_memory(w, p.flat) for w in snap.weights + snap.biases)
+    assert all(w.flags.c_contiguous and w.shape == shape
+               for w, shape in zip(snap.weights, [(3, 6), (6, 7), (7, 4)]))
+    assert snap.bias.shape == (1, 6) and snap.bias[0, 5] == 1.0
+    assert not any(np.shares_memory(w, p.flat) for w in snap.weights + [snap.bias])
     p.flat[:] = 0.0
     assert np.array_equal(forward_batch(snap, x)[0], before)
     assert np.array_equal(forward_batch(InferenceNet(p), x)[0], np.zeros((6, 4)))
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+def test_constant_column_stays_exactly_one_for_large_inputs(stacked):
+    # every product with the column's zero weights is an exact 0 for finite
+    # inputs, so the column the folded biases read is 1.0 at every hidden layer
+    nets = [_random_net([4, 32, 128, 32, 2], 0.1, 81),
+            _random_net([4, 32, 128, 32, 3], 0.1, 82)][:1 + stacked]
+    in_scale = Rng(83).uniform(0.5, 2.0, size=4)
+    snap = InferenceNet(*nets, in_affine=(in_scale, 1.0))
+    x = 1e6 * Rng(84).normal(size=(17, 4))
+    h = np.matmul(x, snap.weights[0]) + snap.bias
+    for w in snap.weights[1:]:
+        h = _leaky(h, snap.leaky_slope)
+        assert np.all(h[..., -1] == 1.0)
+        h = np.matmul(h, w)
+    out, _ = forward_batch(snap, x)
+    assert np.array_equal(out, h)
+    out = out.reshape(len(nets), len(x), -1)
+    for j, p in enumerate(nets):
+        want, _ = forward_batch(p, x * in_scale + 1.0)
+        np.testing.assert_allclose(out[j, :, :p.out_dim], want, rtol=1e-12, atol=1e-6)
 
 
 def test_inference_net_checks_input_shape_and_stack_dims():

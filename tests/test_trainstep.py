@@ -417,6 +417,35 @@ def test_train_cdsa_restores_blas_threads(transport_data, monkeypatch, fail):
     assert_no_child_left()
 
 
+@pytest.mark.skipif(_openblas_threads() is None, reason="no OpenBLAS loaded")
+@pytest.mark.parametrize("fail", [False, True], ids=["success", "failure"])
+def test_bc_trains_on_one_blas_thread_and_restores_it(transport_data, monkeypatch, fail):
+    spec, data = transport_data
+    get, put = _openblas_threads()
+    original = get()
+    seen = []
+
+    def recording(*args):
+        seen.append(get())
+        if fail:
+            raise ValueError("bc step failed")
+        return bc_loss(*args)
+
+    monkeypatch.setattr("cdsa.envs.bc_loss", recording)
+    cfg = BcTrainConfig(iterations=3, batch_size=16, seed=4)
+    put(2)
+    try:
+        if fail:
+            with pytest.raises(ValueError, match="bc step failed"):
+                train_bc_policy(data, cfg, spec.action_low, spec.action_high)
+        else:
+            train_bc_policy(data, cfg, spec.action_low, spec.action_high)
+        assert get() == 2
+    finally:
+        put(original)
+    assert seen == ([1] if fail else [1, 1, 1])
+
+
 # ---------------------------------------------------------------------------
 # Derivative lookup, allocation, buffer bounds
 # ---------------------------------------------------------------------------
