@@ -35,6 +35,7 @@ from .envs import (
     RandomPolicy,
     ScriptedDirect,
     ScriptedRiskAvoiding,
+    VARIANTS,
     builtin_spec_path,
     load_env_spec,
     risk_occupancy,
@@ -271,6 +272,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     k1s = _float_list(cfg["k1"], "--k1")
     k2s = _float_list(cfg["k2"], "--k2")
     grid = _float_list(cfg["percentiles"], "--percentiles")
+    for p in grid:
+        if not 0 <= p <= 100:
+            raise ValueError(f"each --percentiles entry must be in [0, 100], got {p:g}")
     ablations = _entries(cfg["ablation"], "--ablation")
     for ab in ablations:
         if ab not in ABLATIONS:
@@ -279,6 +283,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     base_seed = cfg["seed"]
     gamma = cfg["gamma"]
     n_traj = cfg["traj"]
+    if n_traj < 0:
+        raise ValueError(f"--traj must be >= 0, got {n_traj}")
     combos = [(ab, k1, k2) for ab in ablations for k1 in k1s for k2 in k2s]
     outdir = args.outdir
     os.makedirs(outdir, exist_ok=True)
@@ -511,8 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
                    "(default risk-avoiding)")
     p.add_argument("--episodes", type=int, help="episodes to roll (default 50)")
     p.add_argument("--seed", type=int, help="seed (default CDSA_SEED or 0)")
-    p.add_argument("--variant", choices=("pathfinding", "goods", "airport"),
-                   help="task variant override")
+    p.add_argument("--variant", choices=VARIANTS, help="task variant override")
     p.add_argument("--exec-noise", dest="exec_noise", type=_number,
                    help="gaussian action noise for risk-avoiding (default 0.2)")
     p.add_argument("--grid-n", dest="grid_n", type=int, help="planner grid size (default 40)")
@@ -542,8 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bc-iters", dest="bc_iters", type=int, help="bc iteration override")
     p.add_argument("--bc-lr", dest="bc_lr", type=_number, help="bc learning rate (default 1e-3)")
     p.add_argument("--env", help="env spec (required with --bc, for action bounds)")
-    p.add_argument("--variant", choices=("pathfinding", "goods", "airport"),
-                   help="task variant override")
+    p.add_argument("--variant", choices=VARIANTS, help="task variant override")
     p.add_argument("--config", help="JSON config file; flags win")
     p.add_argument("--force", action="store_true", help="overwrite existing outputs")
     p.set_defaults(fn=cmd_train, parser=p)
@@ -563,8 +567,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--percentiles", help="VaR grid (default 5,10,25,50,75,100)")
     p.add_argument("--gamma", type=_number, help="discount for reported returns (default 1)")
     p.add_argument("--traj", type=int, help="trajectories per arm kept for the SVG (default 10)")
-    p.add_argument("--variant", choices=("pathfinding", "goods", "airport"),
-                   help="task variant override")
+    p.add_argument("--variant", choices=VARIANTS, help="task variant override")
     p.add_argument("--exec-noise", dest="exec_noise", type=_number,
                    help="scripted-policy action noise (default 0)")
     p.add_argument("--grid-n", dest="grid_n", type=int, help="planner grid size (default 40)")
@@ -582,8 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--traj-corrected", dest="traj_corrected", nargs="*",
                    help="corrected trajectory CSVs")
     p.add_argument("--grid-n", dest="grid_n", type=int, help="quiver grid size (default 20)")
-    p.add_argument("--variant", choices=("pathfinding", "goods", "airport"),
-                   help="task variant override")
+    p.add_argument("--variant", choices=VARIANTS, help="task variant override")
     p.add_argument("--config", help="JSON config file; flags win")
     p.add_argument("--force", action="store_true", help="overwrite existing outputs")
     p.set_defaults(fn=cmd_plot, parser=p)

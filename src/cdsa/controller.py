@@ -271,7 +271,7 @@ def correct_action(models: CdsaModels, s: np.ndarray, a_o: np.ndarray,
     a_o = np.minimum(np.maximum(a_o, cfg.action_low), cfg.action_high)
     passes: list | None = None if deltas_out is None else []
     a = _correct_rows(_inference_nets(models, cfg), s[None, :], a_o[None, :], cfg.action_low,
-                      cfg.action_high, cfg.n_refine, passes, 1)[0]
+                      cfg.action_high, cfg.n_refine, passes)[0]
     if deltas_out is not None:
         acts = [a_o[None, :]] + passes
         deltas_out.extend(float(row_norms(new - old)[0]) for old, new in zip(acts, acts[1:]))
@@ -313,8 +313,7 @@ def _inference_nets(models: CdsaModels, cfg: ControlConfig):
 
 
 def _correct_rows(nets: tuple, s: np.ndarray, a_o: np.ndarray, low: np.ndarray,
-                  high: np.ndarray, n_refine: int, passes_out: list | None = None,
-                  record: int = 0) -> np.ndarray:
+                  high: np.ndarray, n_refine: int, passes_out: list | None = None) -> np.ndarray:
     """The correction rule on (n, d) rows of states and in-bounds base actions at once.
 
     nets are _inference_nets(models, cfg), so the rule's constants live in
@@ -327,9 +326,9 @@ def _correct_rows(nets: tuple, s: np.ndarray, a_o: np.ndarray, low: np.ndarray,
     vectors or as (n, da) rows. Inputs are trusted: callers validate models,
     cfg and dims once per batch, and clip a_o into the bounds. Finiteness is
     checked once, after the last pass: the clips carry a NaN through every
-    later pass and map an inf onto a bound. Per pass, a copy of the first
-    `record` rows' corrected actions is appended to passes_out when given;
-    callers take the action-delta norms from them.
+    later pass and map an inf onto a bound. Per pass, a copy of the
+    corrected actions is appended to passes_out when given (correct_action
+    takes its per-pass delta norms from them).
     """
     score, inv = nets
     if score is None:
@@ -355,7 +354,7 @@ def _correct_rows(nets: tuple, s: np.ndarray, a_o: np.ndarray, low: np.ndarray,
         delta += a_cur
         a_new = np.minimum(np.maximum(delta, low, out=delta), high, out=delta)
         if passes_out is not None:
-            passes_out.append(a_new[:record].copy())
+            passes_out.append(a_new.copy())
         a_cur = a_new
     if not np.isfinite(a_cur).all():
         raise ControlError("non-finite corrected action (diverged model)")
@@ -374,7 +373,6 @@ class Trajectory:
     dones: np.ndarray
     final_state: np.ndarray
     reached_goal: bool
-    delta_norms: list
 
     def __len__(self) -> int:
         return len(self.rewards)
@@ -473,8 +471,7 @@ def _lockstep(spec: EnvSpec, base_policy: Policy, nets: tuple | None,
     # runs as one flat loop, against a (da,) vector as one short loop per row
     lows, highs = (np.tile(v, (n, 1)) for v in (spec.action_low, spec.action_high))
     score = None if nets is None else nets[0]
-    cols: list = [[] for _ in range(6)]  # episode, s, a_o, r, risk, done
-    pass_rows: list = []  # per step, each correction pass's actions
+    cols: list = [[] for _ in range(7)]  # episode, s, a_o, a, r, risk, done
     for t in range(budget):
         if len(ids) == 0:
             break
@@ -486,14 +483,13 @@ def _lockstep(spec: EnvSpec, base_policy: Policy, nets: tuple | None,
         a_o = np.minimum(np.maximum(a_o, low), high)
         # ids ascend: recorded rows lead
         k = int(np.searchsorted(ids, record)) if record else 0
-        passes: list | None = [] if k else None
         if score is None:
             a = a_o
             if not np.isfinite(a).all():
                 raise EnvError(f"actions must be a finite ({len(ids)}, {da}) array, "
                                f"one row and one rng per episode")
         else:
-            a = _correct_rows(nets, st.s, a_o, low, high, cfg.n_refine, passes, k)
+            a = _correct_rows(nets, st.s, a_o, low, high, cfg.n_refine)
         # a has passed env_step_batch's checks and clip
         st_next, r, done, risk = env_step_rows(spec, st, a, live_rngs)
         ret += r
@@ -501,9 +497,8 @@ def _lockstep(spec: EnvSpec, base_policy: Policy, nets: tuple | None,
         risks += risk
         if k:
             # copies, so the step's full-batch arrays are not kept alive
-            for col, v in zip(cols, (ids, st.s, a_o, r, risk, done)):
+            for col, v in zip(cols, (ids, st.s, a_o, a, r, risk, done)):
                 col.append(v[:k].copy())
-            pass_rows.append(passes)
         st = st_next
         if done.any():
             gone = ids[done]
@@ -523,17 +518,11 @@ def _lockstep(spec: EnvSpec, base_policy: Policy, nets: tuple | None,
     totals = EpisodeTotals(returns=returns, discounted_returns=discounted,
                            steps=final.steps, risk_entries=risk_entries,
                            reached_goal=at_goal & (final.steps > 0))
-    tails = ((), (ds,), (da,), (), (), ())
-    dtypes = (np.int64, np.float64, np.float64, np.float64, bool, bool)
-    ep, S, AO, R, RISK, DONE = (
+    tails = ((), (ds,), (da,), (da,), (), (), ())
+    dtypes = (np.int64, np.float64, np.float64, np.float64, np.float64, bool, bool)
+    ep, S, AO, A, R, RISK, DONE = (
         np.concatenate(col) if col else np.zeros((0,) + tail, dtype=dt)
         for col, tail, dt in zip(cols, tails, dtypes))
-    # the recorded rows' actions from the base action through each pass: the
-    # last is the action applied, and successive ones give the delta norms
-    acts = [AO] + [np.concatenate(rows) for rows in zip(*pass_rows)]
-    A = acts[-1]
-    D = np.array([row_norms(new - old) for old, new in zip(acts, acts[1:])])
-    D = D.reshape(len(acts) - 1, len(AO)).T
     trajectories = []
     for e in range(min(record, n)):
         m = ep == e
@@ -541,7 +530,6 @@ def _lockstep(spec: EnvSpec, base_policy: Policy, nets: tuple | None,
             states=S[m], actions_base=AO[m], actions=A[m], rewards=R[m],
             risk_flags=RISK[m], dones=DONE[m], final_state=final.s[e].copy(),
             reached_goal=bool(totals.reached_goal[e]),
-            delta_norms=[] if nets is None else D[m].tolist(),
         ))
     return totals, trajectories
 
@@ -601,8 +589,7 @@ def load_trajectory_csv(path: str) -> Trajectory:
     risk = vals[:, 2 + ds + 2 * da].astype(bool)
     done = vals[:, 3 + ds + 2 * da].astype(bool)
     final = states[-1] if len(states) else np.zeros(ds)
-    return Trajectory(states, a_o, a, r, risk, done, final,
-                      reached_goal=False, delta_norms=[])
+    return Trajectory(states, a_o, a, r, risk, done, final, reached_goal=False)
 
 
 def langevin_sample(score_fn, x0: np.ndarray, cfg: LangevinConfig, rng: Rng) -> np.ndarray:

@@ -47,7 +47,6 @@ from .readers import Fields, read_json
 
 ENV_KINDS = ("risky_pointmass", "risky_transport", "linear_point")
 VARIANTS = ("pathfinding", "goods", "airport")
-RISK_LABELS = ("river", "mountain", "ice", "risk_circle")
 
 SPEC_FORMAT = "cdsa-envspec"
 SPEC_VERSION = 1
@@ -435,31 +434,6 @@ def env_step(spec: EnvSpec, st: EnvState, action: np.ndarray, rng: Rng):
     return nxt.row(0), float(reward[0]), bool(done[0]), bool(risk[0])
 
 
-class Env:
-    """Stateful wrapper over the pure reset/step ops, owning one rng stream."""
-
-    def __init__(self, spec: EnvSpec, rng: Rng):
-        spec.validate()
-        self.spec = spec
-        self.rng = rng
-        self._st: EnvState | None = None
-
-    def reset(self) -> np.ndarray:
-        self._st = env_reset(self.spec, self.rng)
-        return self._st.s.copy()
-
-    def step(self, action: np.ndarray):
-        if self._st is None:
-            raise EnvError("step before reset")
-        self._st, reward, done, risk = env_step(self.spec, self._st, action, self.rng)
-        return self._st.s.copy(), reward, done, risk
-
-    def context(self) -> EnvState:
-        if self._st is None:
-            raise EnvError("context before reset")
-        return self._st
-
-
 class Policy:
     """Base policy interface.
 
@@ -616,6 +590,11 @@ class ScriptedRiskAvoiding(Policy):
     def __init__(self, spec: EnvSpec, grid_n: int = 40, inflation: float = 0.08,
                  exec_noise: float = 0.0):
         spec.validate()
+        if grid_n < 1:
+            raise EnvError(f"planner grid_n must be >= 1, got {grid_n}")
+        for name, value in (("inflation", inflation), ("exec_noise", exec_noise)):
+            if not value >= 0:
+                raise EnvError(f"planner {name} must be >= 0, got {value}")
         self.spec = spec
         self.exec_noise = exec_noise
         self._grid = _GridField(spec, grid_n, inflation)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controller import CdsaModels, ControlConfig, Trajectory, run_episodes
+from .controller import CdsaModels, ControlConfig, run_episodes
 from .envs import EnvSpec, Policy
 from .neuralcore import Rng
 from .readers import parse_field, read_csv
@@ -51,19 +51,6 @@ class EpisodeStats:
             raise EvalError(f"steps {self.steps} exceed budget {max_steps}")
         if self.risk_entries > self.steps:
             raise EvalError("risk_entries cannot exceed steps")
-
-
-def stats_from_trajectory(traj: Trajectory, seed: int, gamma: float) -> EpisodeStats:
-    rewards = traj.rewards
-    disc = float(np.sum(rewards * gamma ** np.arange(len(rewards))))
-    return EpisodeStats(
-        undiscounted_return=float(np.sum(rewards)),
-        discounted_return=disc,
-        steps=len(traj),
-        risk_entries=int(np.sum(traj.risk_flags)),
-        reached_goal=traj.reached_goal,
-        seed=seed,
-    )
 
 
 def rollout_batch(env_spec: EnvSpec, base_policy: Policy,

@@ -1,10 +1,11 @@
 """Shared test helpers: JSON field mutations, the reference correction rule and
-the squared-error loss the finite-difference oracle differentiates."""
+env step, and the squared-error loss the finite-difference oracle differentiates."""
 
 import json
 
 import numpy as np
 
+from cdsa.envs import EnvState
 from cdsa.invdyn import infer_action
 from cdsa.scorefield import eval_score
 
@@ -89,3 +90,26 @@ def reference_correction(models, s, a_o, cfg):
                     + cfg.k2 * infer_action(models.invdyn, s, s_tilde),
                     cfg.action_low, cfg.action_high)
     return a
+
+
+def reference_env_step(spec, st, action, rng):
+    """One env step of one episode, written out row-wise without cdsa.envs' step
+    functions; the batched step must reproduce it bitwise."""
+    a = np.clip(np.asarray(action, dtype=np.float64), spec.action_low, spec.action_high)
+    pos = np.clip(st.s + a * spec.dt, spec.arena_min, spec.arena_max)
+    airport_used = st.airport_used
+    if (spec.variant == "airport" and not airport_used
+            and spec.airport_region.contains_many(pos[None])[0]):
+        pos = np.array(spec.landing_point, dtype=np.float64)
+        airport_used = True
+    risk_entered = any(reg.contains_many(pos[None])[0] for reg in spec.risk_regions)
+    fired = rng.random() < spec.risk_prob
+    reward = -spec.step_cost * float(np.linalg.norm(pos - spec.goal))
+    if risk_entered and fired:
+        reward += spec.risk_penalty
+    goods_visited = st.goods_visited or (
+        spec.variant == "goods" and spec.goods_region.contains_many(pos[None])[0])
+    steps = st.steps + 1
+    at_goal = float(np.linalg.norm(pos - spec.goal)) <= spec.capture_radius
+    done = (at_goal and (spec.variant != "goods" or goods_visited)) or steps >= spec.max_steps
+    return EnvState(pos, steps, goods_visited, airport_used, done), reward, done, risk_entered

@@ -335,6 +335,47 @@ def test_eval_rejects_empty_comma_lists_with_one_line(tmp_path, capsys, flag, va
     assert not outdir.exists()
 
 
+@pytest.fixture(scope="module")
+def linear_bundle(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("linear")
+    _, data = _gen(tmp)
+    _, bundle = _train(tmp, data)
+    return bundle
+
+
+# (command, flags, value): each run must exit 1 with one error line naming the
+# value before it writes anything; the planner flags reach ScriptedRiskAvoiding
+BAD_FLAG_VALUES = [
+    ("gen-data", ["--grid-n", "0"], "0"),
+    ("gen-data", ["--grid-n", "-3"], "-3"),
+    ("gen-data", ["--inflation", "-5"], "-5"),
+    ("gen-data", ["--exec-noise", "-1"], "-1"),
+    ("eval", ["--policy", "risk-avoiding", "--grid-n", "0"], "0"),
+    ("eval", ["--policy", "risk-avoiding", "--exec-noise", "-1"], "-1"),
+    ("eval", ["--traj", "-3"], "-3"),
+    ("eval", ["--percentiles", "150"], "150"),
+    ("eval", ["--percentiles", "5,-1"], "-1"),
+]
+
+
+@pytest.mark.parametrize("command, flags, value", BAD_FLAG_VALUES,
+                         ids=[" ".join([c[0], *c[1]]) for c in BAD_FLAG_VALUES])
+def test_bad_planner_and_eval_flags_exit_1_naming_the_value(tmp_path, capsys, linear_bundle,
+                                                             command, flags, value):
+    out = tmp_path / "out"
+    if command == "gen-data":
+        argv = ["gen-data", "--env", "linear", "--out", str(out), "--policy", "risk-avoiding",
+                "--episodes", "2"]
+    else:
+        argv = ["eval", "--env", "linear", "--bundle", linear_bundle, "--outdir", str(out),
+                "--policy", "direct", "--episodes", "2"]
+    capsys.readouterr()
+    assert main(argv + flags) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and f"got {value}" in err[0], err
+    assert not out.exists()
+
+
 def test_eval_bc_policy_needs_bundle_bc(tmp_path, capsys):
     rc, data = _gen(tmp_path)
     rc, bundle = _train(tmp_path, data)  # no --bc

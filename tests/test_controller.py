@@ -348,7 +348,6 @@ def test_control_episode_records_base_and_corrected():
     assert not np.array_equal(traj.actions_base, traj.actions)
     assert np.all(traj.actions >= spec.action_low - 1e-12)
     assert np.all(traj.actions <= spec.action_high + 1e-12)
-    assert len(traj.delta_norms) == len(traj.rewards)
 
 
 def test_trajectory_csv_roundtrip(tmp_path):

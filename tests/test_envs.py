@@ -4,13 +4,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from cdsa.controller import run_episodes
 from cdsa.dataset import generate_dataset
 from cdsa.dataset import NormStats
 from cdsa.envs import (
     BcTrainConfig,
     BehaviorCloned,
     EnvError,
-    Env,
     EnvState,
     EnvStates,
     PlanningError,
@@ -28,7 +28,7 @@ from cdsa.envs import (
     train_bc_policy,
 )
 from cdsa.neuralcore import Rng, forward_batch, mlp_init
-from helpers import missed, mutated, mutations
+from helpers import missed, mutated, mutations, reference_env_step
 
 
 def _pointmass():
@@ -298,17 +298,16 @@ def test_rng_stream_alignment_across_risk_outcomes():
     assert draws[0] == draws[1]
 
 
+def _episode(spec, policy, seed):
+    """One recorded episode of policy, through the episode runner."""
+    _, (traj,) = run_episodes(spec, policy, None, None, [Rng(seed)], record=1)
+    return traj
+
+
 def test_reward_is_nonpositive():
     spec = _pointmass()
-    rng = Rng(17)
-    env = Env(spec, rng)
-    s = env.reset()
-    pol = RandomPolicy(spec)
-    for _ in range(100):
-        s, r, done, _ = env.step(pol.act(s, env.context(), env.rng))
-        assert r <= 0.0
-        if done:
-            break
+    traj = _episode(spec, RandomPolicy(spec), 17)
+    assert len(traj) > 0 and np.all(traj.rewards <= 0.0)
 
 
 def test_risk_occupancy_flags_each_point():
@@ -367,40 +366,14 @@ def test_goods_visit_recorded():
 
 def test_step_budget_ends_episode():
     spec = replace(_linear(), max_steps=3)
-    rng = Rng(2)
-    env = Env(spec, rng)
-    env.reset()
-    done = False
-    for i in range(3):
-        _, _, done, _ = env.step(np.array([0.0, 0.01]))
-    assert done
+    traj = _episode(spec, RandomPolicy(spec), 2)
+    assert traj.dones.tolist() == [False, False, True]
+    assert not traj.reached_goal
 
 
 # ---------------------------------------------------------------------------
 # batched step
 # ---------------------------------------------------------------------------
-
-def _reference_env_step(spec, st, action, rng):
-    """The scalar step written out row-wise, as the batched step must reproduce."""
-    a = np.clip(np.asarray(action, dtype=np.float64), spec.action_low, spec.action_high)
-    pos = np.clip(st.s + a * spec.dt, spec.arena_min, spec.arena_max)
-    airport_used = st.airport_used
-    if (spec.variant == "airport" and not airport_used
-            and spec.airport_region.contains_many(pos[None])[0]):
-        pos = np.array(spec.landing_point, dtype=np.float64)
-        airport_used = True
-    risk_entered = any(reg.contains_many(pos[None])[0] for reg in spec.risk_regions)
-    fired = rng.random() < spec.risk_prob
-    reward = -spec.step_cost * float(np.linalg.norm(pos - spec.goal))
-    if risk_entered and fired:
-        reward += spec.risk_penalty
-    goods_visited = st.goods_visited or (
-        spec.variant == "goods" and spec.goods_region.contains_many(pos[None])[0])
-    steps = st.steps + 1
-    at_goal = float(np.linalg.norm(pos - spec.goal)) <= spec.capture_radius
-    done = (at_goal and (spec.variant != "goods" or goods_visited)) or steps >= spec.max_steps
-    return EnvState(pos, steps, goods_visited, airport_used, done), reward, done, risk_entered
-
 
 class _CountingGen:
     """Wraps an Rng's generator and counts the uniforms drawn from it."""
@@ -451,7 +424,7 @@ def test_batched_step_matches_scalar_rows(variant):
         assert [rng.gen.draws for rng in batch_rngs] == [step + 1] * n
         penalized = penalized or bool(np.any(r <= spec.risk_penalty))
         for i in range(n):
-            want, want_r, want_done, want_risk = _reference_env_step(
+            want, want_r, want_done, want_risk = reference_env_step(
                 spec, rows[i], actions[i], ref_rngs[i])
             got = batch.row(i)
             assert np.array_equal(got.s, want.s)
@@ -511,58 +484,32 @@ def test_planner_matches_direct_route_without_obstacles():
     direct = ScriptedDirect(spec)
     planner = ScriptedRiskAvoiding(spec)
     for seed in range(5):
-        e1, e2 = Env(spec, Rng(seed)), Env(spec, Rng(seed))
-        s1, s2 = e1.reset(), e2.reset()
-        start = s2.copy()
+        t1, t2 = _episode(spec, direct, seed), _episode(spec, planner, seed)
+        start = t2.states[0]
         seg = spec.goal - start
         seg_len = float(np.linalg.norm(seg))
-        n1 = n2 = 0
-        for _ in range(spec.max_steps):
-            s1, _, d1, _ = e1.step(direct.act(s1, e1.context(), e1.rng))
-            n1 += 1
-            if d1:
-                break
-        for _ in range(spec.max_steps):
-            # cross-track deviation from the straight segment stays sub-cell
-            t = float(np.clip((s2 - start) @ seg / seg_len**2, 0.0, 1.0))
-            assert np.linalg.norm(s2 - (start + t * seg)) < 0.06
-            s2, _, d2, _ = e2.step(planner.act(s2, e2.context(), e2.rng))
-            n2 += 1
-            if d2:
-                break
-        assert d1 and d2
-        assert abs(n1 - n2) <= 3
+        # cross-track deviation from the straight segment stays sub-cell
+        t = np.clip((t2.states - start) @ seg / seg_len**2, 0.0, 1.0)
+        assert np.all(np.linalg.norm(t2.states - (start + t[:, None] * seg), axis=1) < 0.06)
+        assert t1.reached_goal and t2.reached_goal
+        assert abs(len(t1) - len(t2)) <= 3
 
 
 def test_planner_zero_risk_occupancy_pointmass():
     spec = _pointmass()
     pol = ScriptedRiskAvoiding(spec)
-    reached = 0
     for seed in range(10):
-        env = Env(spec, Rng(seed))
-        s = env.reset()
-        for _ in range(spec.max_steps):
-            assert not risk_occupancy(spec, s[None])[0]
-            s, _, done, risk = env.step(pol.act(s, env.context(), env.rng))
-            assert not risk
-            if done:
-                reached += 1
-                break
-    assert reached == 10
+        traj = _episode(spec, pol, seed)
+        assert not risk_occupancy(spec, traj.states).any()
+        assert not traj.risk_flags.any()
+        assert traj.reached_goal
 
 
 def test_planner_zero_risk_occupancy_transport():
     spec = _transport()
-    pol = ScriptedRiskAvoiding(spec)
-    env = Env(spec, Rng(5))
-    s = env.reset()
-    done = False
-    for _ in range(spec.max_steps):
-        s, _, done, risk = env.step(pol.act(s, env.context(), env.rng))
-        assert not risk
-        if done:
-            break
-    assert done
+    traj = _episode(spec, ScriptedRiskAvoiding(spec), 5)
+    assert not traj.risk_flags.any()
+    assert traj.dones[-1]
 
 
 def test_planner_exec_noise_is_seeded():

@@ -5,12 +5,12 @@ import re
 import numpy as np
 import pytest
 
-from cdsa.controller import ControlError, Trajectory, train_cdsa
+from cdsa.controller import ControlError, train_cdsa
 from cdsa.dataset import generate_dataset
 from cdsa.envs import RandomPolicy, ScriptedDirect, builtin_spec_path, load_env_spec
 from cdsa.evaluation import (EpisodeStats, EvalError, emit_report,
                              load_report_csv, risk_entry_rate, rollout_batch,
-                             stats_from_trajectory, summarize, var_at)
+                             summarize, var_at)
 from cdsa.invdyn import InvDynTrainConfig
 from cdsa.neuralcore import Rng
 from cdsa.scorefield import ScoreTrainConfig
@@ -60,20 +60,6 @@ def test_episode_stats_validate():
         _stats(1.0, steps=11).validate(max_steps=10)
     with pytest.raises(EvalError, match="risk_entries"):
         _stats(1.0, risk=11, steps=10).validate(max_steps=20)
-
-
-def test_stats_from_trajectory_discounting():
-    n, ds, da = 3, 2, 2
-    traj = Trajectory(states=np.zeros((n, ds)), actions_base=np.zeros((n, da)),
-                      actions=np.zeros((n, da)), rewards=np.array([1.0, 2.0, 4.0]),
-                      risk_flags=np.array([False, True, True]),
-                      dones=np.array([False, False, True]),
-                      final_state=np.zeros(ds), reached_goal=True, delta_norms=[])
-    st = stats_from_trajectory(traj, seed=5, gamma=0.5)
-    assert st.undiscounted_return == 7.0
-    assert st.discounted_return == 1.0 + 0.5 * 2.0 + 0.25 * 4.0
-    assert st.steps == 3 and st.risk_entries == 2
-    assert st.reached_goal is True and st.seed == 5
 
 
 def test_rollout_batch_paired_seeds_reproducible():

@@ -1,9 +1,13 @@
-"""Lint check: every name a module imports is read somewhere in that module.
+"""Lint checks: every name a module imports is read somewhere in that module,
+and every module-level name `src/cdsa` defines is read somewhere or exported.
 
 The source and test trees are parsed with `ast`; no linter is needed. A name
 counts as read when it appears as a loaded name, inside a quoted annotation,
 or in the module's `__all__`. Imports in an `__init__.py` are re-exports and
-are accepted as they are.
+are accepted as they are. A definition counts as read when some file of
+`src/` or `cdsabench/` loads it by name, reads it as an attribute, or names
+it in a string (the benchmark's tracer patches functions by name); tests do
+not count, so code only tests use is reported.
 """
 
 from __future__ import annotations
@@ -15,6 +19,12 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(p for tree in ("src", "tests") for p in (ROOT / tree).rglob("*.py"))
+PACKAGE = ROOT / "src" / "cdsa"
+USERS = sorted(p for tree in ("src", "cdsabench") for p in (ROOT / tree).rglob("*.py"))
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
 def _imported(tree: ast.Module):
@@ -56,7 +66,7 @@ def unused_imports(path: Path) -> list[str]:
     """Each imported name the module never reads, as "line: name"."""
     if path.name == "__init__.py":
         return []
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    tree = _parse(path)
     read = _read(tree)
     return [f"{line}: {name}" for name, line in _imported(tree) if name not in read]
 
@@ -77,3 +87,63 @@ def test_checker_finds_unused_imports(tmp_path):
     init = tmp_path / "__init__.py"
     init.write_text("from .mod import f\n", encoding="utf-8")
     assert unused_imports(init) == []
+
+
+def _defined(tree: ast.Module):
+    """(name, line) of every module-level function, class and assigned name, dunders aside."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
+            targets = [n.id for t in nodes for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in targets:
+            if not (name.startswith("__") and name.endswith("__")):
+                yield name, node.lineno
+
+
+def _uses(tree: ast.Module) -> set[str]:
+    names = _read(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def dead_definitions(package: Path, users: list[Path]) -> list[str]:
+    """Each module-level name of package's modules that no file of users reads, as
+    "module.py:line: name"; users include the package, so its `__all__` counts."""
+    used = set()
+    for path in users:
+        used |= _uses(_parse(path))
+    return [f"{path.name}:{line}: {name}"
+            for path in sorted(package.glob("*.py"))
+            for name, line in _defined(_parse(path)) if name not in used]
+
+
+def test_no_dead_definitions():
+    assert dead_definitions(PACKAGE, USERS) == []
+
+
+def test_checker_finds_dead_definitions(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "__init__.py").write_text("from .mod import public\n__all__ = ['public']\n",
+                                     encoding="utf-8")
+    (pkg / "mod.py").write_text(
+        "import os\nLIMIT = 3\nUNUSED, PAIR = 1, 2\n"
+        "def public():\n    return helper() + LIMIT\n"
+        "def helper():\n    return os.sep\n"
+        "def by_name():\n    pass\n"
+        "def by_attr():\n    pass\n"
+        "class Dead:\n    pass\n",
+        encoding="utf-8")
+    user = tmp_path / "user.py"
+    user.write_text("import pkg.mod\npkg.mod.by_attr()\ngetattr(pkg.mod, 'by_name')()\n"
+                    "PAIR = 0\n", encoding="utf-8")
+    assert dead_definitions(pkg, sorted(pkg.glob("*.py")) + [user]) == [
+        "mod.py:3: UNUSED", "mod.py:3: PAIR", "mod.py:12: Dead"]

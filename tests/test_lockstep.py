@@ -2,10 +2,12 @@
 
 rollout_batch and generate_dataset step every episode together through one
 batched policy call, correction and env step. The references below are the
-loops they replaced: one episode at a time, per step policy.act, then the
-correction rule written out through eval_score and infer_action
-(helpers.reference_correction, not the batched rule under test), then
-env_step. Step counts, risk flags, dones and goal flags must agree
+loops they replaced, sharing no rollout or env-step code with the runner: one
+episode at a time, per step act_batch on one row, then the correction rule
+written out through eval_score and infer_action
+(helpers.reference_correction, not the batched rule under test), then the
+env step written out row-wise (helpers.reference_env_step, not
+envs.env_step_rows). Step counts, risk flags, dones and goal flags must agree
 exactly. States, actions and rewards must agree to ATOL: a network evaluates
 all live rows in one matrix product whose last bits depend on the row count,
 and sensitive stretches of a corrected trajectory amplify that. On the
@@ -33,8 +35,9 @@ from cdsa.dataset import Dataset, generate_dataset
 from cdsa.envs import (
     BcTrainConfig,
     BehaviorCloned,
-    Env,
     EnvError,
+    EnvState,
+    EnvStates,
     RandomPolicy,
     ScriptedDirect,
     ScriptedRiskAvoiding,
@@ -42,11 +45,11 @@ from cdsa.envs import (
     load_env_spec,
     train_bc_policy,
 )
-from cdsa.evaluation import rollout_batch, stats_from_trajectory
+from cdsa.evaluation import rollout_batch
 from cdsa.invdyn import InvDynTrainConfig
 from cdsa.neuralcore import Rng, _openblas_threads, forward_batch
 from cdsa.scorefield import ScoreTrainConfig
-from helpers import reference_correction
+from helpers import reference_correction, reference_env_step
 
 ATOL = 1e-6
 SPLIT_ODD = SPLIT_MIN_EPISODES | 1  # an odd episode count at or above the split minimum
@@ -65,42 +68,50 @@ class RefEpisode:
     reached_goal: bool
 
 
+def reference_reset(spec, rng) -> EnvState:
+    return EnvState(s=rng.uniform(spec.start_min, spec.start_max, size=spec.state_dim))
+
+
+def reference_act(policy, st, rng) -> np.ndarray:
+    """policy.act_batch on one row."""
+    return np.asarray(policy.act_batch(st.s[None, :], EnvStates.stack([st]), [rng])[0],
+                      dtype=np.float64)
+
+
 def reference_episode(spec, policy, models, cfg, rng) -> RefEpisode:
-    """One episode, one step at a time: policy.act, reference_correction, env_step."""
-    env = Env(spec, rng)
-    s = env.reset()
+    """One episode, one step at a time: act_batch on one row, reference_correction,
+    reference_env_step."""
+    st = reference_reset(spec, rng)
     rows = []
     for _ in range(spec.max_steps):
-        a_o = np.clip(policy.act(s, env.context(), env.rng), spec.action_low, spec.action_high)
-        a = a_o if models is None else reference_correction(models, s, a_o, cfg)
-        s2, r, done, risk = env.step(a)
-        rows.append((s, a_o, a, r, risk, done))
-        s = s2
+        a_o = np.clip(reference_act(policy, st, rng), spec.action_low, spec.action_high)
+        a = a_o if models is None else reference_correction(models, st.s, a_o, cfg)
+        nxt, r, done, risk = reference_env_step(spec, st, a, rng)
+        rows.append((st.s, a_o, a, r, risk, done))
+        st = nxt
         if done:
             break
-    ctx = env.context()
-    at_goal = float(np.linalg.norm(ctx.s - spec.goal)) <= spec.capture_radius
-    reached = at_goal and (spec.variant != "goods" or ctx.goods_visited)
+    at_goal = float(np.linalg.norm(st.s - spec.goal)) <= spec.capture_radius
+    reached = at_goal and (spec.variant != "goods" or st.goods_visited)
     cols = list(zip(*rows)) if rows else [[]] * 6
     return RefEpisode(np.array(cols[0]).reshape(-1, spec.state_dim),
                       np.array(cols[1]).reshape(-1, spec.action_dim),
                       np.array(cols[2]).reshape(-1, spec.action_dim),
                       list(cols[3]), list(cols[4]), list(cols[5]),
-                      s, bool(reached and rows))
+                      st.s, bool(reached and rows))
 
 
 def reference_dataset(spec, policy, episodes, max_steps, rng) -> Dataset:
-    """Dataset generation one episode at a time through Env, as before lockstep."""
+    """Dataset generation one episode at a time, as before lockstep."""
     rows = []
     for ep in range(episodes):
-        env = Env(spec, rng.substream(ep))
-        s = env.reset()
+        ep_rng = rng.substream(ep)
+        st = reference_reset(spec, ep_rng)
         for _ in range(max_steps):
-            a = policy.act(s, env.context(), env.rng)
-            s2, r, done, _risk = env.step(a)
-            rows.append((s.copy(), np.asarray(a, dtype=np.float64).copy(),
-                         float(r), s2.copy(), bool(done)))
-            s = s2
+            a = reference_act(policy, st, ep_rng)
+            nxt, r, done, _risk = reference_env_step(spec, st, a, ep_rng)
+            rows.append((st.s, a, float(r), nxt.s, bool(done)))
+            st = nxt
             if done:
                 break
     return Dataset(*(np.array(col) for col in zip(*rows)))
@@ -134,13 +145,13 @@ def assert_matches_reference(spec, policy, models, cfg, episodes, base_seed,
         if i >= len(trajs):
             continue
         tr = trajs[i]
-        # running totals agree with the stats of the recorded trajectory
-        want = stats_from_trajectory(tr, i, 0.97)
-        assert (want.steps, want.risk_entries, want.reached_goal) == (
+        # the running totals agree with the recorded trajectory's arrays
+        assert (len(tr), int(tr.risk_flags.sum()), tr.reached_goal) == (
             st.steps, st.risk_entries, st.reached_goal)
-        np.testing.assert_allclose([st.undiscounted_return, st.discounted_return],
-                                   [want.undiscounted_return, want.discounted_return],
-                                   rtol=0, atol=1e-9)
+        np.testing.assert_allclose(
+            [st.undiscounted_return, st.discounted_return],
+            [tr.rewards.sum(), np.sum(tr.rewards * 0.97 ** np.arange(len(tr)))],
+            rtol=0, atol=1e-9)
         assert tr.risk_flags.tolist() == ref.risk_flags
         assert tr.dones.tolist() == ref.dones
         assert tr.reached_goal == ref.reached_goal
@@ -149,8 +160,6 @@ def assert_matches_reference(spec, policy, models, cfg, episodes, base_seed,
         _close(tr.actions, ref.actions, exact)
         _close(tr.rewards, np.array(ref.rewards), exact)
         _close(tr.final_state, ref.final_state, exact)
-        if models is not None:
-            assert len(tr.delta_norms) == len(tr)
     return stats
 
 
@@ -217,7 +226,6 @@ def test_control_episode_is_a_one_episode_batch(pointmass):
                  "final_state"):
         assert np.array_equal(getattr(one, name), getattr(batch, name)), name
     assert one.reached_goal == batch.reached_goal == stats[0].reached_goal
-    assert one.delta_norms == batch.delta_norms
     assert len(one) == stats[0].steps
 
 
