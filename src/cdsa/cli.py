@@ -37,6 +37,7 @@ from .envs import (
     ScriptedRiskAvoiding,
     VARIANTS,
     builtin_spec_path,
+    check_planner_flags,
     load_env_spec,
     risk_occupancy,
     train_bc_policy,
@@ -60,6 +61,7 @@ from .scorefield import (
     ScoreTrainConfig,
     dsm_loss_reference,
     dsm_loss_reparam_given_noise,
+    eval_score,
 )
 from .svgplot import render_scene, write_svg
 
@@ -167,6 +169,8 @@ def _write_echo(cfg: dict, extra: dict, path: str) -> None:
 
 
 def _make_policy(spec: EnvSpec, name: str, cfg: dict, bundle: str | None = None):
+    # the planner flags are echoed whatever the policy, so they are checked for every one
+    check_planner_flags(cfg["grid_n"], cfg["inflation"], cfg["exec_noise"])
     if name == "direct":
         return ScriptedDirect(spec)
     if name == "risk-avoiding":
@@ -276,35 +280,36 @@ def cmd_eval(args: argparse.Namespace) -> int:
         if not 0 <= p <= 100:
             raise ValueError(f"each --percentiles entry must be in [0, 100], got {p:g}")
     ablations = _entries(cfg["ablation"], "--ablation")
-    for ab in ablations:
-        if ab not in ABLATIONS:
-            raise ValueError(f"ablation must be one of {ABLATIONS}, got {ab!r}")
     episodes = cfg["episodes"]
+    if episodes < 1:
+        raise ValueError(f"--episodes must be >= 1, got {episodes}")
     base_seed = cfg["seed"]
     gamma = cfg["gamma"]
     n_traj = cfg["traj"]
     if n_traj < 0:
         raise ValueError(f"--traj must be >= 0, got {n_traj}")
-    combos = [(ab, k1, k2) for ab in ablations for k1 in k1s for k2 in k2s]
+    base_cfg = ControlConfig(k1=0.0, k2=0.0, action_low=spec.action_low,
+                             action_high=spec.action_high, ablation="baseline")
+    # every arm is checked before anything is written or rolled out
+    arms = {(ab, k1, k2): ControlConfig(k1=k1, k2=k2, action_low=spec.action_low,
+                                        action_high=spec.action_high,
+                                        n_refine=cfg["n_refine"], ablation=ab)
+            for ab in ablations for k1 in k1s for k2 in k2s}
     outdir = args.outdir
-    os.makedirs(outdir, exist_ok=True)
     outputs = {}
-    for ab, k1, k2 in combos:
+    for (ab, k1, k2), ctl in arms.items():
+        ctl.validate()
         tag = f"{ab}_k1_{k1:g}_k2_{k2:g}"
         outputs[(ab, k1, k2)] = (os.path.join(outdir, f"report_{tag}.csv"),
                                  os.path.join(outdir, f"report_{tag}.svg"))
         for path in outputs[(ab, k1, k2)]:
             _guard_overwrite(path, args.force)
+    os.makedirs(outdir, exist_ok=True)
 
-    base_cfg = ControlConfig(k1=0.0, k2=0.0, action_low=spec.action_low,
-                             action_high=spec.action_high, ablation="baseline")
     traj_b: list = []
     stats_b = rollout_batch(spec, policy, None, base_cfg, episodes, base_seed,
                             gamma, traj_b, n_traj)
-    for ab, k1, k2 in combos:
-        ctl = ControlConfig(k1=k1, k2=k2, action_low=spec.action_low,
-                            action_high=spec.action_high,
-                            n_refine=cfg["n_refine"], ablation=ab)
+    for (ab, k1, k2), ctl in arms.items():
         traj_c: list = []
         stats_c = rollout_batch(spec, policy, models, ctl, episodes, base_seed,
                                 gamma, traj_c, n_traj)
@@ -333,10 +338,9 @@ def cmd_plot(args: argparse.Namespace) -> int:
         norm = models.norm
 
         def quiver_fn(pts):
-            s_n = norm.normalize_state(np.asarray(pts, dtype=np.float64))
-            a_n = np.zeros((len(s_n), models.action_dim))
-            out, _ = forward_batch(models.state_score.params, np.hstack([s_n, a_n]))
-            return norm.state_std * out
+            # the state score at the mean action, in env units
+            actions = np.broadcast_to(norm.action_mean, (len(pts), models.action_dim))
+            return norm.state_std * eval_score(models.state_score, pts, actions)
 
     trajectories = {}
     for arm, paths in (("baseline", args.traj_baseline or []),

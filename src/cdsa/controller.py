@@ -52,14 +52,7 @@ import numpy as np
 from .dataset import Dataset, NormStats
 from .envs import EnvError, EnvSpec, EnvStates, Policy, env_reset, env_step_rows
 from .invdyn import InvDynModel, InvDynTrainConfig, train_invdyn
-from .neuralcore import (
-    InferenceNet,
-    MlpParams,
-    Rng,
-    forward_batch,
-    row_norms,
-    single_blas_thread,
-)
+from .neuralcore import InferenceNet, Rng, forward_batch, row_norms
 from .readers import parse_field, read_csv
 from .scorefield import ScoreField, ScoreKind, ScoreTrainConfig, train_score_field
 
@@ -129,7 +122,7 @@ class ControlConfig:
         if self.n_refine < 0:
             raise ControlError(f"n_refine must be >= 0, got {self.n_refine}")
         if self.ablation not in ABLATIONS:
-            raise ControlError(f"ablation must be one of {ABLATIONS}")
+            raise ControlError(f"ablation must be one of {ABLATIONS}, got {self.ablation!r}")
         low = np.asarray(self.action_low, dtype=np.float64)
         high = np.asarray(self.action_high, dtype=np.float64)
         if not np.all(low < high):
@@ -148,74 +141,60 @@ class LangevinConfig:
             raise ControlError(f"steps must be >= 0, got {self.steps}")
 
 
-class _Forked:
-    """fn() run in a forked child process; its pickled outcome comes back over a pipe.
+def _on_two_cores(here, there):
+    """(here(), there()), with there() run in a forked child process meanwhile.
 
-    The child never returns into the caller's stack: it leaves through
-    os._exit whatever happens. Being a fork, it inherits every lock as it
-    was, so fork only where no other thread may hold one that fn needs. Use as a context manager: on exit a child
-    whose result was not read is killed, and the child is always reaped.
+    there()'s outcome comes back pickled over a pipe: its value, or the
+    exception it raised, which is raised here once here() has returned (an
+    exception that does not survive pickling comes back as a RuntimeError
+    naming it). The child never returns into the caller's stack: it leaves
+    through os._exit whatever happens. Being a fork, it inherits every lock
+    as it was, so fork only where no other thread may hold one that there()
+    needs. If here() raises, or the wait for the child is interrupted, the
+    child is killed; it is always reaped.
     """
-
-    def __init__(self, fn):
-        self._read, write = os.pipe()
-        try:
-            self.pid = os.fork()
-        except OSError:
-            os.close(self._read)
-            os.close(write)
-            raise
-        if self.pid == 0:
-            code = 1
-            try:
-                os.close(self._read)
-                try:
-                    outcome = (True, fn())
-                except BaseException as exc:  # sent to the parent, which raises it
-                    outcome = (False, exc)
-                try:
-                    blob = pickle.dumps(outcome)
-                    pickle.loads(blob)
-                except Exception:  # an exception that does not survive pickling
-                    blob = pickle.dumps((False, RuntimeError(repr(outcome[1]))))
-                with os.fdopen(write, "wb") as fh:
-                    fh.write(blob)
-                code = 0
-            finally:
-                os._exit(code)
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
         os.close(write)
-        self._status = None
-
-    def __enter__(self) -> "_Forked":
-        return self
-
-    def result(self):
-        """Wait for the child; return fn()'s value or raise the exception it raised."""
-        with os.fdopen(self._read, "rb") as fh:
-            self._read = None
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read)
+            try:
+                outcome = (True, there())
+            except BaseException as exc:  # sent to the parent, which raises it
+                outcome = (False, exc)
+            try:
+                blob = pickle.dumps(outcome)
+                pickle.loads(blob)
+            except Exception:  # an exception that does not survive pickling
+                blob = pickle.dumps((False, RuntimeError(repr(outcome[1]))))
+            with os.fdopen(write, "wb") as fh:
+                fh.write(blob)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+    try:
+        with os.fdopen(read, "rb") as fh:
+            mine = here()
             blob = fh.read()
-        _, self._status = os.waitpid(self.pid, 0)
-        if not blob:
-            raise RuntimeError(f"child process {self.pid} sent no result "
-                               f"(exit code {os.waitstatus_to_exitcode(self._status)})")
-        ok, value = pickle.loads(blob)
-        if not ok:
-            raise value
-        return value
-
-    def __exit__(self, *exc_info) -> None:
-        if self._read is not None:
-            os.close(self._read)
-        if self._status is None:
-            os.kill(self.pid, signal.SIGKILL)
-            _, self._status = os.waitpid(self.pid, 0)
-
-
-def _train_invdyn_flat(dataset: Dataset, config: InvDynTrainConfig):
-    """train_invdyn's net as (layer_dims, slope, flat buffer) plus its history."""
-    model, history = train_invdyn(dataset, config)
-    net = model.params
-    return (net.layer_dims, net.leaky_slope, net.flat), history
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        _, status = os.waitpid(pid, 0)
+    if not blob:
+        raise RuntimeError(f"child process {pid} sent no result "
+                           f"(exit code {os.waitstatus_to_exitcode(status)})")
+    ok, theirs = pickle.loads(blob)
+    if not ok:
+        raise theirs
+    return mine, theirs
 
 
 def train_cdsa(dataset: Dataset, score_cfg: ScoreTrainConfig,
@@ -227,21 +206,22 @@ def train_cdsa(dataset: Dataset, score_cfg: ScoreTrainConfig,
     trainer: the action field with score_cfg.seed, the state field with
     score_cfg.seed + 1, the inverse model with invdyn_cfg.seed. The inverse
     model trains in a forked child process while this process trains the
-    action field and then the state field; both run BLAS on one thread
-    meanwhile, and the results are bitwise those of training the three one
-    after another. An exception in the child is raised here with its type
-    and message. Both configs are checked before any training starts. When
-    histories_out is given it is filled with per-step (step, loss) lists
-    under keys action_score, state_score, invdyn.
+    action field and then the state field, and the results are bitwise those
+    of training the three one after another. An exception in the child is
+    raised here with its type and message. Both configs are checked before
+    any training starts. When histories_out is given it is filled with
+    per-step (step, loss) lists under keys action_score, state_score, invdyn.
     """
     score_cfg.validate()
     invdyn_cfg.validate()
-    with single_blas_thread(), _Forked(lambda: _train_invdyn_flat(dataset, invdyn_cfg)) as child:
-        action_score, g_hist = train_score_field(dataset, ScoreKind.ACTION, score_cfg)
-        state_score, h_hist = train_score_field(dataset, ScoreKind.STATE,
-                                                replace(score_cfg, seed=score_cfg.seed + 1))
-        (dims, slope, flat), i_hist = child.result()
-    invdyn = InvDynModel(MlpParams.on_buffer(dims, slope, flat), dataset.norm)
+
+    def score_fields():
+        return (train_score_field(dataset, ScoreKind.ACTION, score_cfg),
+                train_score_field(dataset, ScoreKind.STATE,
+                                  replace(score_cfg, seed=score_cfg.seed + 1)))
+
+    ((action_score, g_hist), (state_score, h_hist)), (invdyn, i_hist) = _on_two_cores(
+        score_fields, lambda: train_invdyn(dataset, invdyn_cfg))
     if histories_out is not None:
         histories_out.update(action_score=g_hist, state_score=h_hist, invdyn=i_hist)
     models = CdsaModels(action_score=action_score, state_score=state_score, invdyn=invdyn,
@@ -406,11 +386,10 @@ def run_episodes(spec: EnvSpec, base_policy: Policy, models: CdsaModels | None,
     first `record` episodes, the rest keep running totals.
 
     A batch of SPLIT_MIN_EPISODES or more runs as two halves on two cores:
-    episodes [0, h) here and [h, n) in a forked child, both with BLAS on one
-    thread, joined in episode order. The child advances its own copies of its
-    rngs, so rngs[h:] are left as they were; and the policy must not carry
-    state from one act_batch call to the next, since each half calls its own
-    copy.
+    episodes [0, h) here and [h, n) in a forked child, joined in episode
+    order. The child advances its own copies of its rngs, so rngs[h:] are
+    left as they were; and the policy must not carry state from one
+    act_batch call to the next, since each half calls its own copy.
 
     A row's arithmetic does not depend on the other rows, except that a
     network evaluates all live rows in one matrix product, whose last bits
@@ -443,9 +422,8 @@ def run_episodes(spec: EnvSpec, base_policy: Policy, models: CdsaModels | None,
     if n < SPLIT_MIN_EPISODES:
         return episodes(0, n)
     h = n // 2
-    with single_blas_thread(), _Forked(lambda: episodes(h, n)) as child:
-        head, head_trajs = episodes(0, h)
-        tail, tail_trajs = child.result()
+    (head, head_trajs), (tail, tail_trajs) = _on_two_cores(lambda: episodes(0, h),
+                                                           lambda: episodes(h, n))
     totals = EpisodeTotals(**{k: np.concatenate([v, getattr(tail, k)])
                               for k, v in vars(head).items()})
     return totals, head_trajs + tail_trajs

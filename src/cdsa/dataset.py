@@ -155,8 +155,7 @@ def compute_norm_stats(states: np.ndarray, actions: np.ndarray) -> NormStats:
     )
 
 
-def generate_dataset(env_spec, policy, episodes: int, max_steps: int, rng: Rng,
-                     norm: NormStats | None = None) -> Dataset:
+def generate_dataset(env_spec, policy, episodes: int, max_steps: int, rng: Rng) -> Dataset:
     """Roll out full episodes of `policy` in the environment, recording every
     transition. Deterministic given the rng seed; episode i uses substream i.
 
@@ -178,7 +177,7 @@ def generate_dataset(env_spec, policy, episodes: int, max_steps: int, rng: Rng,
                    np.concatenate([t.actions for t in trajs]),
                    np.concatenate([t.rewards for t in trajs]),
                    np.concatenate(next_states),
-                   np.concatenate([t.dones for t in trajs]), norm=norm)
+                   np.concatenate([t.dones for t in trajs]))
 
 
 # ---------------------------------------------------------------------------

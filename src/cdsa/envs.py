@@ -576,6 +576,15 @@ class _GridField:
         return dist
 
 
+def check_planner_flags(grid_n: int, inflation: float, exec_noise: float) -> None:
+    """ScriptedRiskAvoiding's settings: EnvError unless grid_n >= 1 and the rest >= 0."""
+    if grid_n < 1:
+        raise EnvError(f"planner grid_n must be >= 1, got {grid_n}")
+    for name, value in (("inflation", inflation), ("exec_noise", exec_noise)):
+        if not value >= 0:
+            raise EnvError(f"planner {name} must be >= 0, got {value}")
+
+
 class ScriptedRiskAvoiding(Policy):
     """Greedy descent on a grid-planned distance field around inflated risks.
 
@@ -590,11 +599,7 @@ class ScriptedRiskAvoiding(Policy):
     def __init__(self, spec: EnvSpec, grid_n: int = 40, inflation: float = 0.08,
                  exec_noise: float = 0.0):
         spec.validate()
-        if grid_n < 1:
-            raise EnvError(f"planner grid_n must be >= 1, got {grid_n}")
-        for name, value in (("inflation", inflation), ("exec_noise", exec_noise)):
-            if not value >= 0:
-                raise EnvError(f"planner {name} must be >= 0, got {value}")
+        check_planner_flags(grid_n, inflation, exec_noise)
         self.spec = spec
         self.exec_noise = exec_noise
         self._grid = _GridField(spec, grid_n, inflation)

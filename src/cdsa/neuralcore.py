@@ -17,8 +17,8 @@ loop, train_mlp, which passes a TrainBuffers set through the forward pass,
 backward pass and Adam step, so a step at a fixed batch size writes into
 arrays it already owns instead of allocating batch-sized temporaries. The
 losses, backward_batch and adam_step run only in such a set: there is one
-training-step path. single_blas_thread pins the loaded OpenBLAS to one
-thread while nets train in parallel processes.
+training-step path. Importing this module sets the loaded OpenBLAS to one
+thread for the whole process (and the children it forks).
 
 Rollouts run on InferenceNet snapshots instead: weights transposed once into
 contiguous (fan_in, fan_out) arrays, nets that read the same input stacked
@@ -38,7 +38,6 @@ the finite-difference oracle of the tests, uses forward arithmetic alone.
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import functools
 from dataclasses import dataclass, field
@@ -168,6 +167,11 @@ class MlpParams:
         params.flat = flat
         params.weights, params.biases = _layer_views(flat, params.layer_dims)
         return params
+
+    def __reduce__(self):
+        # pickled as dims, slope and the flat buffer, so a copy's arrays are
+        # views into its own buffer again
+        return MlpParams.on_buffer, (self.layer_dims, self.leaky_slope, self.flat)
 
     @property
     def in_dim(self) -> int:
@@ -577,8 +581,7 @@ def train_mlp(layer_dims: list[int], leaky_slope: float, config: TrainConfig, n_
     same stream and calls batch_loss(net, idx, rng, bufs), which returns
     (loss, grads) for those rows and may draw more from rng; an Adam step
     with config.lr follows. Returns (net, history), one (step, loss) row per
-    step. Deterministic given config.seed and the data. Every net trains with
-    OpenBLAS on one thread (single_blas_thread), which gives the same bits.
+    step. Deterministic given config.seed and the data.
     """
     config.validate()
     if n_rows == 0:
@@ -588,12 +591,11 @@ def train_mlp(layer_dims: list[int], leaky_slope: float, config: TrainConfig, n_
     opt = AdamState.for_params(net)
     bufs = TrainBuffers(config.batch_size, net)
     history = []
-    with single_blas_thread():
-        for step in range(config.iterations):
-            idx = rng.integers(n_rows, size=config.batch_size)
-            loss, grads = batch_loss(net, idx, rng, bufs)
-            adam_step(opt, net, grads, config.lr, bufs)
-            history.append((step, loss))
+    for step in range(config.iterations):
+        idx = rng.integers(n_rows, size=config.batch_size)
+        loss, grads = batch_loss(net, idx, rng, bufs)
+        adam_step(opt, net, grads, config.lr, bufs)
+        history.append((step, loss))
     return net, history
 
 
@@ -630,31 +632,18 @@ def _openblas_threads():
     return None
 
 
-@contextlib.contextmanager
-def single_blas_thread():
-    """Run the body with the loaded OpenBLAS on one thread; restore its count on exit.
-
-    At this package's sizes a second BLAS thread gains almost nothing,
-    processes training side by side would fight over the cores with it, and
-    on two threads OpenBLAS has been seen to run a whole process's
-    (256, 128) x (128, 128) products 40-70x slower (8 ms instead of 0.1 ms).
-    Without a loaded OpenBLAS (another BLAS, or no /proc), or when it already
-    runs on one thread, this does nothing: setting the count in a process
-    forked since OpenBLAS last ran restarts its thread pool, whose new
-    workers spin for a while and take a core from the work (a nested pin in
-    train_cdsa's two processes made it about a quarter slower).
-    """
-    threads = _openblas_threads()
-    if threads is None or threads[0]() == 1:
-        yield
-        return
-    get, put = threads
-    before = get()
-    put(1)
-    try:
-        yield
-    finally:
-        put(before)
+# This package's products are small enough that a second BLAS thread gains
+# almost nothing; processes working side by side (train_cdsa, split rollout
+# batches) would fight over the cores with it; and on two threads OpenBLAS
+# has been seen to run a whole process's (256, 128) x (128, 128) products
+# 40-70x slower (8 ms instead of 0.1 ms). So the count is set once, here, and
+# forked children inherit it. Nothing else sets it: a set in a process forked
+# since OpenBLAS last ran restarts its thread pool, whose new workers spin for
+# a while and take a core from the work. Another BLAS, or no /proc, is left
+# as it is.
+_threads = _openblas_threads()
+if _threads is not None and _threads[0]() != 1:
+    _threads[1](1)
 
 
 def fd_grads(net: MlpParams, x: np.ndarray, loss_of_output, h: float = 1e-6) -> MlpParams:

@@ -1,12 +1,16 @@
 """Shared test helpers: JSON field mutations, the reference correction rule and
-env step, and the squared-error loss the finite-difference oracle differentiates."""
+env step, the squared-error loss the finite-difference oracle differentiates,
+and the checks that a forking call left no child and OpenBLAS on one thread."""
 
 import json
+import os
 
 import numpy as np
+import pytest
 
 from cdsa.envs import EnvState
 from cdsa.invdyn import infer_action
+from cdsa.neuralcore import _openblas_threads
 from cdsa.scorefield import eval_score
 
 # each replaces a number; integer fields also get 2.5
@@ -113,3 +117,17 @@ def reference_env_step(spec, st, action, rng):
     at_goal = float(np.linalg.norm(pos - spec.goal)) <= spec.capture_radius
     done = (at_goal and (spec.variant != "goods" or goods_visited)) or steps >= spec.max_steps
     return EnvState(pos, steps, goods_visited, airport_used, done), reward, done, risk_entered
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def blas_threads():
+    """The loaded OpenBLAS's thread count, or None without one."""
+    threads = _openblas_threads()
+    return None if threads is None else threads[0]()
+
+
+needs_openblas = pytest.mark.skipif(_openblas_threads() is None, reason="no OpenBLAS loaded")

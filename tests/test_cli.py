@@ -344,17 +344,26 @@ def linear_bundle(tmp_path_factory):
 
 
 # (command, flags, value): each run must exit 1 with one error line naming the
-# value before it writes anything; the planner flags reach ScriptedRiskAvoiding
+# value before it writes anything; the planner flags are checked whatever the
+# policy, and every corrected arm's settings before the baseline rolls out
 BAD_FLAG_VALUES = [
     ("gen-data", ["--grid-n", "0"], "0"),
     ("gen-data", ["--grid-n", "-3"], "-3"),
     ("gen-data", ["--inflation", "-5"], "-5"),
     ("gen-data", ["--exec-noise", "-1"], "-1"),
+    ("gen-data", ["--policy", "direct", "--grid-n", "0"], "0"),
+    ("gen-data", ["--policy", "direct", "--inflation", "-5"], "-5"),
+    ("gen-data", ["--policy", "direct", "--exec-noise", "-1"], "-1"),
     ("eval", ["--policy", "risk-avoiding", "--grid-n", "0"], "0"),
     ("eval", ["--policy", "risk-avoiding", "--exec-noise", "-1"], "-1"),
+    ("eval", ["--policy", "direct", "--grid-n", "0"], "0"),
+    ("eval", ["--policy", "direct", "--inflation", "-5"], "-5"),
     ("eval", ["--traj", "-3"], "-3"),
     ("eval", ["--percentiles", "150"], "150"),
     ("eval", ["--percentiles", "5,-1"], "-1"),
+    ("eval", ["--n-refine", "-1"], "-1"),
+    ("eval", ["--k1", "-0.5"], "-0.5"),
+    ("eval", ["--episodes", "0"], "0"),
 ]
 
 

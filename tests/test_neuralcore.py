@@ -1,5 +1,12 @@
+import os
+import pickle
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+import cdsa
 
 from cdsa.neuralcore import (
     AdamState,
@@ -16,10 +23,9 @@ from cdsa.neuralcore import (
     mlp_init,
     param_count,
     row_norms,
-    single_blas_thread,
     zero_like_params,
 )
-from helpers import squared_error
+from helpers import needs_openblas, squared_error
 
 
 def test_rng_is_deterministic():
@@ -218,21 +224,26 @@ def test_params_are_views_into_one_flat_buffer():
     assert not np.shares_memory(built.copy().flat, built.flat)
 
 
-def test_single_blas_thread_sets_the_count_only_when_it_changes(monkeypatch):
-    # setting the count restarts a forked process's OpenBLAS pool, so a pin
-    # inside a pin (train_mlp inside train_cdsa) must set nothing
-    count, puts = [2], []
+@needs_openblas
+def test_importing_cdsa_sets_openblas_to_one_thread():
+    # a fresh interpreter whose OpenBLAS starts on two threads
+    src = os.path.dirname(os.path.dirname(cdsa.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=path)
+    code = "import cdsa, cdsa.neuralcore as nc; print(nc._openblas_threads()[0]())"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "1"
 
-    def put(n):
-        puts.append(n)
-        count[0] = n
 
-    monkeypatch.setattr("cdsa.neuralcore._openblas_threads", lambda: (lambda: count[0], put))
-    with single_blas_thread():
-        assert count == [1]
-        with single_blas_thread():
-            assert count == [1]
-    assert puts == [1, 2] and count == [2]
+def test_params_pickle_as_views_into_their_own_buffer():
+    net = mlp_init([3, 7, 2], 0.1, Rng(62))
+    back = pickle.loads(pickle.dumps(net))
+    assert back.layer_dims == net.layer_dims and back.leaky_slope == net.leaky_slope
+    assert back.flat.tobytes() == net.flat.tobytes()
+    assert back.flat.flags.writeable and back.flat.flags.c_contiguous
+    assert all(np.shares_memory(a, back.flat) for a in back.weights + back.biases)
+    assert not np.shares_memory(back.flat, net.flat)
 
 
 def test_params_constructor_checks_shapes_against_dims():

@@ -37,7 +37,6 @@ from cdsa.neuralcore import (
     Rng,
     TrainBuffers,
     _leaky_deriv,
-    _openblas_threads,
     _sign_index,
     adam_step,
     mlp_init,
@@ -51,6 +50,7 @@ from cdsa.scorefield import (
     field_dims,
     train_score_field,
 )
+from helpers import assert_no_child_left, blas_threads, needs_openblas
 
 # ---------------------------------------------------------------------------
 # Reference: per-array parameters, fresh arrays, np.where derivative
@@ -291,11 +291,6 @@ def test_train_cdsa_checks_both_configs_before_training(transport_data, monkeypa
 # ---------------------------------------------------------------------------
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def small_cdsa(data, hist=None):
     return train_cdsa(data, ScoreTrainConfig(sigma=0.2, iterations=4, batch_size=16, seed=3),
                       InvDynTrainConfig(iterations=4, batch_size=16, seed=5), hist)
@@ -387,63 +382,51 @@ def test_train_cdsa_kills_the_child_when_the_parent_fails(transport_data, monkey
     assert_no_child_left()
 
 
-@pytest.mark.skipif(_openblas_threads() is None, reason="no OpenBLAS loaded")
+@needs_openblas
 @pytest.mark.parametrize("fail", [False, True], ids=["success", "failure"])
-def test_train_cdsa_restores_blas_threads(transport_data, monkeypatch, fail):
+def test_train_cdsa_runs_on_one_blas_thread(transport_data, monkeypatch, fail):
     _, data = transport_data
-    get, put = _openblas_threads()
-    original = get()
     seen = []
     real = train_score_field
 
     def recording(*args, **kwargs):
-        seen.append(get())
+        seen.append(blas_threads())
         if fail:
             raise ValueError("score field failed")
         return real(*args, **kwargs)
 
     monkeypatch.setattr("cdsa.controller.train_score_field", recording)
-    put(2)
-    try:
-        if fail:
-            with pytest.raises(ValueError, match="score field failed"):
-                small_cdsa(data)
-        else:
+    if fail:
+        with pytest.raises(ValueError, match="score field failed"):
             small_cdsa(data)
-        assert get() == 2
-    finally:
-        put(original)
+    else:
+        small_cdsa(data)
     assert seen == ([1] if fail else [1, 1])
+    assert blas_threads() == 1
     assert_no_child_left()
 
 
-@pytest.mark.skipif(_openblas_threads() is None, reason="no OpenBLAS loaded")
+@needs_openblas
 @pytest.mark.parametrize("fail", [False, True], ids=["success", "failure"])
-def test_bc_trains_on_one_blas_thread_and_restores_it(transport_data, monkeypatch, fail):
+def test_bc_trains_on_one_blas_thread(transport_data, monkeypatch, fail):
     spec, data = transport_data
-    get, put = _openblas_threads()
-    original = get()
     seen = []
 
     def recording(*args):
-        seen.append(get())
+        seen.append(blas_threads())
         if fail:
             raise ValueError("bc step failed")
         return bc_loss(*args)
 
     monkeypatch.setattr("cdsa.envs.bc_loss", recording)
     cfg = BcTrainConfig(iterations=3, batch_size=16, seed=4)
-    put(2)
-    try:
-        if fail:
-            with pytest.raises(ValueError, match="bc step failed"):
-                train_bc_policy(data, cfg, spec.action_low, spec.action_high)
-        else:
+    if fail:
+        with pytest.raises(ValueError, match="bc step failed"):
             train_bc_policy(data, cfg, spec.action_low, spec.action_high)
-        assert get() == 2
-    finally:
-        put(original)
+    else:
+        train_bc_policy(data, cfg, spec.action_low, spec.action_high)
     assert seen == ([1] if fail else [1, 1, 1])
+    assert blas_threads() == 1
 
 
 # ---------------------------------------------------------------------------
