@@ -81,7 +81,7 @@ DEFAULTS = {
     "eval": {
         "policy": "bc", "episodes": 200, "seed": None, "variant": None,
         "k1": "0.3", "k2": "1.0", "ablation": "full", "n_refine": 1,
-        "percentiles": "5,10,25,50,75,100", "gamma": 1.0, "traj": 10,
+        "percentiles": "5,10,25,50,75,100", "traj": 10,
         "exec_noise": 0.0, "grid_n": 40, "inflation": 0.08,
     },
     "plot": {
@@ -284,7 +284,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if episodes < 1:
         raise ValueError(f"--episodes must be >= 1, got {episodes}")
     base_seed = cfg["seed"]
-    gamma = cfg["gamma"]
     n_traj = cfg["traj"]
     if n_traj < 0:
         raise ValueError(f"--traj must be >= 0, got {n_traj}")
@@ -308,13 +307,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     traj_b: list = []
     stats_b = rollout_batch(spec, policy, None, base_cfg, episodes, base_seed,
-                            gamma, traj_b, n_traj)
+                            trajectories_out=traj_b, max_trajectories=n_traj)
     for (ab, k1, k2), ctl in arms.items():
         traj_c: list = []
         stats_c = rollout_batch(spec, policy, models, ctl, episodes, base_seed,
-                                gamma, traj_c, n_traj)
+                                trajectories_out=traj_c, max_trajectories=n_traj)
         echo = {"ablation": ab, "k1": k1, "k2": k2, "n_refine": cfg["n_refine"],
-                "episodes": episodes, "base_seed": base_seed, "gamma": gamma,
+                "episodes": episodes, "base_seed": base_seed,
                 "env": spec.name, "variant": spec.variant, "policy": cfg["policy"]}
         report = summarize(stats_b, stats_c, grid, echo, spec,
                            {"baseline": traj_b, "corrected": traj_c})
@@ -569,7 +568,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-refine", dest="n_refine", type=int,
                    help="extra correction passes (default 1)")
     p.add_argument("--percentiles", help="VaR grid (default 5,10,25,50,75,100)")
-    p.add_argument("--gamma", type=_number, help="discount for reported returns (default 1)")
     p.add_argument("--traj", type=int, help="trajectories per arm kept for the SVG (default 10)")
     p.add_argument("--variant", choices=VARIANTS, help="task variant override")
     p.add_argument("--exec-noise", dest="exec_noise", type=_number,

@@ -29,11 +29,12 @@ finiteness once, after the last pass, since the clips carry a NaN through
 and map an inf onto a bound; the env then steps them without repeating the
 checks and clip they have passed. A write into the params is seen by the
 next batch, not by one already running. A batch of at least
-SPLIT_MIN_EPISODES runs as two halves on two cores, the second in a child
-made by a POSIX fork, as train_cdsa trains the inverse model; below that a
-fork costs more than it saves (see the constant). Each half steps its
-own copy of the policy and of its episodes' rngs, so a policy must not carry
-state from one act_batch call to the next (none does).
+SPLIT_MIN_EPISODES (64) runs as two halves on two cores, the second in a
+child made by a POSIX fork, as train_cdsa trains the inverse model; the one
+threshold lies between the break-evens of corrected rollouts and dataset
+generation (see the constant). Each half steps its own copy of the policy
+and of its episodes' rngs, so a policy must not carry state from one
+act_batch call to the next (none does).
 
 A small Langevin sampler over a score function is included as a diagnostic;
 the controller itself never samples.
@@ -60,16 +61,15 @@ ABLATIONS = ("full", "no_a1", "no_a2", "baseline")
 
 # run_episodes splits a batch of at least this many episodes across two
 # processes. Measured on 2 shared vCPUs, split against one process on paired
-# seeds in alternating order (ten pairs per count, median split/one ratio):
-# the six corrected arms of the eval-pointmass bundle, whose steps cost less
-# since the snapshots fold their biases, ran 1.27x, 1.25x, 1.15x, 1.28x,
-# 1.15x and 1.10x slower split at 24, 28, 32, 40, 48 and 64 episodes per arm
-# and 0.84x (faster) at 100; transport planner dataset generation, which
-# costs more per row, ran 1.07x at 16 episodes, 0.77x at 24, 0.83x at 32 and
-# 0.73x at 40. Corrected rollouts now break even between 64 and 100 episodes
-# and dataset generation near 20; 32 keeps the dataset gains, and the default
-# episode counts of gen-data (50) and eval (200) split at either break-even.
-SPLIT_MIN_EPISODES = 32
+# seeds in alternating order (14 pairs per count, median split/one ratio) at
+# 48, 56, 64, 72, 80, 90 and 100 episodes: the six corrected arms of the
+# eval-pointmass bundle ran 1.34x, 0.86x, 0.92x, 0.82x, 1.04x, 0.81x and
+# 0.84x, transport planner dataset generation 1.45x, 1.15x, 1.11x, 1.11x,
+# 0.94x, 1.04x and 0.90x (2.2x at 32 and 40). Rollouts break even near 50
+# episodes and dataset generation near 80-90; 64 lies between. So gen-data's
+# default 50 and the 40-episode pipeline builds run in one process, and
+# eval's default 200 and the benchmark's 100-episode arms split.
+SPLIT_MIN_EPISODES = 64
 
 
 class ControlError(ValueError):

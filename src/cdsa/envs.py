@@ -17,8 +17,8 @@ EnvStates (one row per episode, each row with its own rng stream), and
 env_step is its one-row case. Policies act on batches the same way.
 
 Base policies: a straight-to-target scripted policy, a grid-planning scripted
-policy that avoids inflated risk regions (dataset generation only), a uniform
-random policy, and a behavior-cloned MLP.
+policy that avoids inflated risk regions (gen-data's default, and an eval base
+policy), a uniform random policy, and a behavior-cloned MLP.
 """
 
 from __future__ import annotations
@@ -528,28 +528,30 @@ class _GridField:
             blocked |= reg.inflated(inflation).contains_many(pts)
         self.blocked = blocked.reshape(grid_n, grid_n)
 
-    def cell_of(self, p: np.ndarray) -> tuple[int, int]:
-        idx = np.floor((np.asarray(p) - self.lo) / self.cell).astype(int)
+    def cell_of(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Index arrays (i, j) of the cells of (n, 2) points; edge cells for points outside."""
+        idx = np.floor((np.asarray(pts) - self.lo) / self.cell).astype(int)
         idx = np.clip(idx, 0, self.n - 1)
-        return int(idx[0]), int(idx[1])
+        return idx[:, 0], idx[:, 1]
 
-    def _target_cells(self, point: np.ndarray, region: Region | None) -> list[tuple[int, int]]:
-        cells = {self.cell_of(point)}
+    def _target_cells(self, point: np.ndarray, region: Region | None) -> list[list[int]]:
+        """The target's [i, j] cells in row-major order: point's own cell and
+        each cell whose center lies in region, or within capture radius of point."""
         pts = self.centers.reshape(-1, 2)
         if region is not None:
             hit = region.contains_many(pts)
         else:
             hit = np.linalg.norm(pts - point, axis=1) <= self.spec.capture_radius
-        for flat in np.flatnonzero(hit):
-            cells.add((int(flat // self.n), int(flat % self.n)))
-        return sorted(cells)
+        hit = hit.reshape(self.n, self.n)
+        hit[self.cell_of(point[None])] = True
+        return np.argwhere(hit).tolist()
 
     def solve(self, point: np.ndarray, region: Region | None, free_only: bool) -> np.ndarray:
         dist = np.full((self.n, self.n), np.inf)
         heap = []
-        for c in self._target_cells(point, region):
-            dist[c] = 0.0
-            heapq.heappush(heap, (0.0, c))
+        for i, j in self._target_cells(point, region):
+            dist[i, j] = 0.0
+            heapq.heappush(heap, (0.0, (i, j)))
         diag = float(np.hypot(self.cell[0], self.cell[1]))
         straight_x = float(self.cell[0])
         straight_y = float(self.cell[1])
@@ -575,6 +577,23 @@ class _GridField:
                         heapq.heappush(heap, (nd, (ni, nj)))
         return dist
 
+    def descent(self, dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Greedy descent on a distance field: per cell, the center of its
+        lowest neighbour (the first in row-major scan order on ties), and a
+        flag that a point in that cell walks to it, set when the neighbour is
+        strictly lower. A target cell (distance 0) has no lower neighbour."""
+        n = self.n
+        padded = np.full((n + 2, n + 2), np.inf)
+        padded[1:-1, 1:-1] = dist
+        steps = np.array([(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1) if di or dj])
+        around = np.stack([padded[1 + di:n + 1 + di, 1 + dj:n + 1 + dj] for di, dj in steps])
+        best = np.argmin(around, axis=0)  # the first of equal minima
+        i, j = np.indices((n, n))
+        # an off-grid neighbour is best only when no neighbour is finite; it never walks
+        ni = np.clip(i + steps[best, 0], 0, n - 1)
+        nj = np.clip(j + steps[best, 1], 0, n - 1)
+        return self.centers[ni, nj], np.take_along_axis(around, best[None], 0)[0] < dist
+
 
 def check_planner_flags(grid_n: int, inflation: float, exec_noise: float) -> None:
     """ScriptedRiskAvoiding's settings: EnvError unless grid_n >= 1 and the rest >= 0."""
@@ -588,9 +607,9 @@ def check_planner_flags(grid_n: int, inflation: float, exec_noise: float) -> Non
 class ScriptedRiskAvoiding(Policy):
     """Greedy descent on a grid-planned distance field around inflated risks.
 
-    Used for dataset generation only. Optional Gaussian execution noise on the
-    action spreads the data tube; guidance re-plans every step so the agent
-    still converges on the target.
+    gen-data's default policy, and an eval base policy. Optional Gaussian
+    execution noise on the action spreads the data tube; guidance re-plans
+    every step so the agent still converges on the target.
     """
 
     kind = "risk-avoiding"
@@ -603,54 +622,34 @@ class ScriptedRiskAvoiding(Policy):
         self.spec = spec
         self.exec_noise = exec_noise
         self._grid = _GridField(spec, grid_n, inflation)
-        self._goal_field = self._grid.solve(spec.goal, None, free_only=False)
-        self._goal_reach = self._grid.solve(spec.goal, None, free_only=True)
-        self._goods_field = None
+        # row t of each stack: the goal, then the goods (goods variant only)
+        fields = [self._grid.solve(spec.goal, None, free_only=False)]
+        targets = [spec.goal]
         if spec.variant == "goods":
-            self._goods_field = self._grid.solve(
-                spec.goods_region.reference_point(), spec.goods_region, free_only=False)
-        mid = (spec.start_min + spec.start_max) / 2.0
-        c = self._grid.cell_of(mid)
-        if self._grid.blocked[c] or not np.isfinite(self._goal_reach[c]):
+            fields.append(self._grid.solve(spec.goods_region.reference_point(),
+                                           spec.goods_region, free_only=False))
+            targets.append(spec.goods_region.reference_point())
+        self._targets = np.array(targets)
+        descents = [self._grid.descent(f) for f in fields]
+        self._waypoints = np.stack([waypoints for waypoints, _ in descents])
+        self._walks = np.stack([walks for _, walks in descents])
+        reach = self._grid.solve(spec.goal, None, free_only=True)
+        c = self._grid.cell_of(((spec.start_min + spec.start_max) / 2.0)[None])
+        if self._grid.blocked[c][0] or not np.isfinite(reach[c][0]):
             raise PlanningError("no safe route from the start box to the goal")
 
-    def _field_and_target(self, goods_visited: bool):
-        if self._goods_field is not None and not goods_visited:
-            return self._goods_field, self.spec.goods_region.reference_point()
-        return self._goal_field, self.spec.goal
-
     def act_batch(self, states: np.ndarray, ctx: EnvStates | None, rngs: list) -> np.ndarray:
-        visited = (ctx.goods_visited if self._goods_field is not None
-                   else np.zeros(len(states), dtype=bool))
-        return np.array([self._act_row(states[i], bool(visited[i]), rngs[i])
-                         for i in range(len(states))],
-                        dtype=np.float64).reshape(len(states), self.spec.action_dim)
-
-    def _act_row(self, s: np.ndarray, goods_visited: bool, rng: Rng) -> np.ndarray:
-        fieldv, target = self._field_and_target(goods_visited)
-        g = self._grid
-        i, j = g.cell_of(s)
-        if fieldv[i, j] == 0.0:
-            a = _capped_steps_toward(target[None, :], s[None, :], self.spec)[0]
-        else:
-            best, best_val = None, fieldv[i, j]
-            for di in (-1, 0, 1):
-                for dj in (-1, 0, 1):
-                    ni, nj = i + di, j + dj
-                    if (di == 0 and dj == 0) or not (0 <= ni < g.n and 0 <= nj < g.n):
-                        continue
-                    if fieldv[ni, nj] < best_val:
-                        best, best_val = (ni, nj), fieldv[ni, nj]
-            if best is None:
-                a = _capped_steps_toward(target[None, :], s[None, :], self.spec)[0]
-            else:
-                waypoint = g.centers[best]
-                d = waypoint - s
-                n = float(np.linalg.norm(d))
-                a = d / n if n > 0 else d
+        spec, n = self.spec, len(states)
+        t = (~ctx.goods_visited).astype(int) if len(self._targets) > 1 else np.zeros(n, int)
+        cell = (t,) + self._grid.cell_of(states)
+        a = _capped_steps_toward(self._targets[t], states, spec)
+        walk = self._walks[cell]
+        d = self._waypoints[cell][walk] - states[walk]
+        a[walk] = d / row_norms(d)[:, None]  # a waypoint is never the point itself
         if self.exec_noise > 0:
-            a = a + self.exec_noise * rng.normal(size=self.spec.action_dim)
-        return np.clip(a, self.spec.action_low, self.spec.action_high)
+            noise = np.array([rng.normal(size=spec.action_dim) for rng in rngs])
+            a = a + self.exec_noise * noise.reshape(n, spec.action_dim)
+        return np.clip(a, spec.action_low, spec.action_high)
 
 
 class BehaviorCloned(Policy):

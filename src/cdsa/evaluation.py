@@ -15,7 +15,7 @@ only from its own substream, in the same order). The values match such a run
 to float tolerance, not bitwise: a network evaluates all running episodes in
 one matrix product, and BLAS rounds a row's last bits differently at
 different batch sizes. Without a network in the loop they match bitwise.
-An arm of controller.SPLIT_MIN_EPISODES (32) or more episodes runs as two
+An arm of controller.SPLIT_MIN_EPISODES (64) or more episodes runs as two
 halves on two cores, the second in a forked child (controller.run_episodes);
 each half is such a lockstep batch, and the stats come back in episode order.
 """

@@ -1,6 +1,7 @@
-"""Shared test helpers: JSON field mutations, the reference correction rule and
-env step, the squared-error loss the finite-difference oracle differentiates,
-and the checks that a forking call left no child and OpenBLAS on one thread."""
+"""Shared test helpers: JSON field mutations, the reference correction rule, env
+step and planner action, the squared-error loss the finite-difference oracle
+differentiates, and the checks that a forking call left no child and OpenBLAS
+on one thread."""
 
 import json
 import os
@@ -117,6 +118,42 @@ def reference_env_step(spec, st, action, rng):
     at_goal = float(np.linalg.norm(pos - spec.goal)) <= spec.capture_radius
     done = (at_goal and (spec.variant != "goods" or goods_visited)) or steps >= spec.max_steps
     return EnvState(pos, steps, goods_visited, airport_used, done), reward, done, risk_entered
+
+
+def reference_planner_act(policy, fieldv, target, s, rng):
+    """ScriptedRiskAvoiding's action for one row, written out with a scan of
+    the row's cell's neighbours on its target's distance field fieldv; the
+    batched act_batch must reproduce it bitwise."""
+    spec, g = policy.spec, policy._grid
+
+    def capped_step():
+        a = (target - s) / spec.dt
+        n = float(np.linalg.norm(a))
+        return np.clip(a / n if n > 1.0 else a, spec.action_low, spec.action_high)
+
+    idx = np.clip(np.floor((np.asarray(s) - g.lo) / g.cell).astype(int), 0, g.n - 1)
+    i, j = int(idx[0]), int(idx[1])
+    if fieldv[i, j] == 0.0:
+        a = capped_step()
+    else:
+        best, best_val = None, fieldv[i, j]
+        for di in (-1, 0, 1):
+            for dj in (-1, 0, 1):
+                ni, nj = i + di, j + dj
+                if (di == 0 and dj == 0) or not (0 <= ni < g.n and 0 <= nj < g.n):
+                    continue
+                if fieldv[ni, nj] < best_val:
+                    best, best_val = (ni, nj), fieldv[ni, nj]
+        if best is None:
+            a = capped_step()
+        else:
+            waypoint = g.centers[best]
+            d = waypoint - s
+            n = float(np.linalg.norm(d))
+            a = d / n if n > 0 else d
+    if policy.exec_noise > 0:
+        a = a + policy.exec_noise * rng.normal(size=spec.action_dim)
+    return np.clip(a, spec.action_low, spec.action_high)
 
 
 def assert_no_child_left():

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line entrypoint (in-process main)."""
 
+import argparse
 import json
 import os
 import xml.etree.ElementTree as ET
@@ -150,12 +151,28 @@ def test_config_file_rejects_every_mutated_value(tmp_path, command):
 def test_config_file_values_are_typed_as_their_flags(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"k1": 0.5, "k2": "0,1", "seed": None, "variant": None,
-                                "episodes": 3, "gamma": 1, "policy": "direct"}))
+                                "episodes": 3, "inflation": 1, "policy": "direct"}))
     cfg = _config("eval", path)
     assert cfg["k1"] == "0.5" and cfg["k2"] == "0,1" and cfg["variant"] is None
-    assert cfg["episodes"] == 3 and cfg["gamma"] == 1.0 and isinstance(cfg["gamma"], float)
+    assert cfg["episodes"] == 3 and cfg["inflation"] == 1.0
+    assert isinstance(cfg["inflation"], float)
     path.write_text(json.dumps({"bc": True, "env": "linear", "iters": 4}))
     assert _config("train", path)["bc"] is True
+
+
+def test_config_keys_are_the_flags_of_their_subcommand():
+    # a config key without a flag ends in a KeyError when a config file sets it;
+    # plot's --bundle, like its trajectory lists, is an input file named on the
+    # command line only
+    sub = next(action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    assert set(sub.choices) == set(DEFAULTS)
+    for command, parser in sub.choices.items():
+        skip = {"config", "force"} | ({"bundle"} if command == "plot" else set())
+        dests = {action.dest for action in parser._actions
+                 if not (action.required or action.nargs == "*" or action.dest in skip
+                         or isinstance(action, argparse._HelpAction))}
+        assert set(DEFAULTS[command]) == dests, command
 
 
 @pytest.mark.parametrize("doc", [

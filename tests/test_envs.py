@@ -28,7 +28,7 @@ from cdsa.envs import (
     train_bc_policy,
 )
 from cdsa.neuralcore import Rng, forward_batch, mlp_init
-from helpers import missed, mutated, mutations, reference_env_step
+from helpers import missed, mutated, mutations, reference_env_step, reference_planner_act
 
 
 def _pointmass():
@@ -522,6 +522,48 @@ def test_planner_exec_noise_is_seeded():
     a3 = pol.act(st.s, st, Rng(43))
     assert not np.array_equal(a1, a3)
     assert np.all(a1 >= spec.action_low) and np.all(a1 <= spec.action_high)
+
+
+def _planner_cases():
+    # every grid_n >= 7 plans on the builtin maps; at grid_n 1 the one cell's
+    # center sits in an inflated risk region, so that case gets an open arena
+    specs = [("pointmass", _pointmass()), ("transport", _transport())]
+    specs += [(f"transport-{v}", _transport().with_variant(v)) for v in ("goods", "airport")]
+    for name, spec in specs:
+        for grid_n in (7, 40, 63):
+            for noise in (0.0, 0.1, 0.2):
+                yield pytest.param(spec, grid_n, noise, id=f"{name}-grid{grid_n}-noise{noise}")
+    open_arena = replace(_pointmass(), risk_regions=[])
+    for noise in (0.0, 0.2):
+        yield pytest.param(open_arena, 1, noise, id=f"open-grid1-noise{noise}")
+
+
+@pytest.mark.parametrize("spec,grid_n,noise", list(_planner_cases()))
+def test_planner_act_batch_matches_the_neighbour_scan(spec, grid_n, noise):
+    # every cell center, the goal, the goods point and points in and around
+    # the arena (each with goods unvisited and visited) against the per-row scan
+    pol = ScriptedRiskAvoiding(spec, grid_n=grid_n, exec_noise=noise)
+    g, r = pol._grid, np.random.default_rng(grid_n)
+    span = spec.arena_max - spec.arena_min
+    points = [g.centers.reshape(-1, 2), spec.goal[None],
+              r.uniform(spec.arena_min - 0.3 * span, spec.arena_max + 0.3 * span, (400, 2))]
+    fields = {False: (g.solve(spec.goal, None, free_only=False), spec.goal)}
+    fields[True] = fields[False]
+    if spec.variant == "goods":
+        goods = spec.goods_region
+        points += [goods.reference_point()[None]]
+        points += points
+        fields[False] = (g.solve(goods.reference_point(), goods, free_only=False),
+                         goods.reference_point())
+    states = np.concatenate(points)
+    n = len(states)
+    visited = np.arange(n) >= n // 2
+    ctx = EnvStates(states.copy(), np.zeros(n, dtype=np.int64), visited,
+                    np.zeros(n, dtype=bool), np.zeros(n, dtype=bool))
+    got = pol.act_batch(states, ctx, [Rng(5).substream(i) for i in range(n)])
+    want = np.array([reference_planner_act(pol, *fields[bool(visited[i])], states[i],
+                                           Rng(5).substream(i)) for i in range(n)])
+    assert got.tobytes() == want.tobytes()
 
 
 def test_planner_raises_when_start_is_blocked():
