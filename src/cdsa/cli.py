@@ -141,8 +141,11 @@ def _merge_config(args: argparse.Namespace, command: str) -> dict:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
+    source = "--seed" if getattr(args, "seed", None) is not None else f"config file {path}: seed"
     if cfg.get("seed") is None:
-        cfg["seed"] = _seed_fallback()
+        source, cfg["seed"] = "CDSA_SEED", _seed_fallback()
+    if cfg["seed"] < 0:
+        raise ValueError(f"{source} must be >= 0, got {cfg['seed']}")
     return cfg
 
 
@@ -330,6 +333,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_plot(args: argparse.Namespace) -> int:
     cfg = _merge_config(args, "plot")
+    if cfg["grid_n"] < 1:
+        raise ValueError(f"--grid-n must be >= 1, got {cfg['grid_n']}")
     spec = _resolve_spec(args.env, cfg["variant"])
     quiver_fn = None
     if args.bundle:

@@ -234,9 +234,9 @@ class TrainBuffers:
     """Reusable arrays for the training steps of one net at one batch size.
 
     Holds, for batches of exactly `rows` rows of the net it was built for:
-    an input matrix, the hidden activations and their sign indices, a flat
-    gradient buffer, and three 1-D scratch arrays (pre-activations, backward
-    ping-pong, derivative lookup, Adam temporaries) seen through C-contiguous
+    an input matrix, the hidden activations and their LeakyReLU factors, a
+    flat gradient buffer, and two 1-D scratch arrays (pre-activations,
+    backward ping-pong, Adam temporaries) seen through C-contiguous
     (rows, width) prefix views, so every view takes `out=`. What
     forward_batch, backward_batch and the losses return from a set is valid
     until that set's next step.
@@ -251,23 +251,20 @@ class TrainBuffers:
         dims = list(net.layer_dims)
         hidden = len(dims) - 2
         self.rows, self.dims, self.slope = rows, dims, net.leaky_slope
-        s0, s1, s2 = (np.empty(max(rows * max(dims[1:]), net.flat.size)) for _ in range(3))
+        s0, s1 = (np.empty(max(rows * max(dims[1:]), net.flat.size)) for _ in range(2))
         self.x = np.empty((rows, dims[0]))
         # hidden pre-activations are dead once their activation is written,
         # so every layer's output lands in scratch 0; the loss head (residual,
         # then output gradient) uses scratch 1
         self.pre = [_window(s0, rows, d) for d in dims[1:]]
         self.acts = [np.empty((rows, d)) for d in dims[1:-1]]
-        self.signs = [np.empty((rows, d), dtype=np.intp) for d in dims[1:-1]]
+        self.factors = [np.empty((rows, d)) for d in dims[1:-1]]
         self.head = _window(s1, rows, dims[-1])
         # backward: the gradient flowing into layer i-1 alternates between
-        # scratch 0 and 1 (never the array it is computed from), and the
-        # derivative lookup goes to scratch 2
+        # scratch 0 and 1 (never the array it is computed from)
         self.back = {i: _window((s0, s1)[(hidden - i) % 2], rows, dims[i])
                      for i in range(1, hidden + 1)}
-        self.deriv = {i: _window(s2, rows, dims[i]) for i in range(1, hidden + 1)}
         self.grads = MlpParams.on_buffer(dims, net.leaky_slope, np.empty(net.flat.size))
-        self.lut = np.array([net.leaky_slope, 1.0])
         self.adam = (s0[:net.flat.size], s1[:net.flat.size])
 
     def fit(self, params: MlpParams, rows: int) -> "TrainBuffers":
@@ -293,18 +290,11 @@ def _leaky(z: np.ndarray, slope: float) -> np.ndarray:
     return np.maximum(z, out, out=out)
 
 
-def _sign_index(z: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """1 where z >= 0 (signed zeros included), else 0 (NaN included), into intp out."""
-    return np.greater_equal(z, 0.0, out=out)
-
-
-def _leaky_deriv(signs: np.ndarray, lut: np.ndarray, out: np.ndarray) -> np.ndarray:
-    # derivative at exactly 0 is 1 by convention. Looking up lut = [slope, 1]
-    # at the sign index equals np.where(z >= 0.0, 1.0, slope) bitwise at a
-    # fraction of its cost; the index must already be intp (take converts
-    # any other type into a fresh array) and mode="clip" lets take write into
-    # out directly (mode="raise" buffers it)
-    return np.take(lut, signs, out=out, mode="clip")
+def _leaky_factor(z: np.ndarray, slope: float, out: np.ndarray) -> np.ndarray:
+    """LeakyReLU's factor, also its derivative, into float out: 1.0 where z >= 0 (signed
+    zeros included), else slope (NaN included); z * factor is bitwise _leaky(z, slope)."""
+    np.greater_equal(z, 0.0, out=out)
+    return np.maximum(out, slope, out=out)
 
 
 class InferenceNet:
@@ -405,9 +395,9 @@ def forward_batch(params: MlpParams | InferenceNet, x: np.ndarray,
                   bufs: TrainBuffers | None = None):
     """Forward pass on a (batch, in_dim) matrix; returns (output, cache).
 
-    With a TrainBuffers set (training) the output, activations and the sign
-    index of every pre-activation are written into the set, and the cache,
-    the layer inputs, is what backward_batch reads in that set. Without one
+    With a TrainBuffers set (training) the output, activations and the
+    LeakyReLU factor of every pre-activation are written into the set, and
+    the cache, the layer inputs, is what backward_batch reads with them. Without one
     (inference on live params or on an InferenceNet snapshot) the arrays are
     fresh and the cache is None: nothing is kept for a backward pass.
     """
@@ -438,10 +428,9 @@ def _forward_into(params: MlpParams, x: np.ndarray, v: TrainBuffers):
         z = np.dot(h, w.T, out=v.pre[i])
         z += b
         if i < last:
-            _sign_index(z, out=v.signs[i])
-            # _leaky, written into the activation buffer
-            h = np.multiply(z, params.leaky_slope, out=v.acts[i])
-            np.maximum(z, h, out=h)
+            # _leaky, written into the activation buffer; backward reuses the factor
+            d = _leaky_factor(z, params.leaky_slope, out=v.factors[i])
+            h = np.multiply(z, d, out=v.acts[i])
             inputs.append(h)
     return z, inputs
 
@@ -464,7 +453,7 @@ def backward_batch(params: MlpParams, inputs, out_grad: np.ndarray, bufs: TrainB
         np.sum(g, axis=0, out=v.grads.biases[i])
         if i > 0:
             g = np.dot(g, params.weights[i], out=v.back[i])
-            g *= _leaky_deriv(v.signs[i - 1], v.lut, out=v.deriv[i])
+            g *= v.factors[i - 1]
     return v.grads
 
 

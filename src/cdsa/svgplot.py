@@ -124,7 +124,10 @@ def render_scene(spec: EnvSpec, trajectories: dict | None = None,
                  quiver_fn=None, quiver_grid: int = 20,
                  max_per_arm: int = 20) -> str:
     """Compose a full scene. trajectories maps arm name to Trajectory lists;
-    quiver_fn maps an (N, 2) array of states to (N, 2) arrow vectors."""
+    quiver_fn maps an (N, 2) array of states to (N, 2) arrow vectors, drawn on
+    a quiver_grid x quiver_grid grid (ValueError unless quiver_grid >= 1)."""
+    if quiver_grid < 1:
+        raise ValueError(f"quiver_grid must be >= 1, got {quiver_grid}")
     m = _Mapper(spec)
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{VIEW}" height="{VIEW}" '
              f'viewBox="0 0 {VIEW} {VIEW}">']

@@ -88,6 +88,24 @@ def test_bad_seed_env_var_exits_1(tmp_path, monkeypatch, capsys):
     assert "CDSA_SEED" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", ["CDSA_SEED", "config file"])
+def test_negative_seed_exits_1_naming_its_source(tmp_path, monkeypatch, capsys, source):
+    out = tmp_path / "d.jsonl"
+    argv = ["gen-data", "--env", "linear", "--out", str(out), "--policy", "direct",
+            "--episodes", "1"]
+    if source == "CDSA_SEED":
+        monkeypatch.setenv("CDSA_SEED", "-1")
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": -1}))
+        argv += ["--config", str(cfg)]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {source}") and "got -1" in err[0], err
+    assert not out.exists()
+
+
 def test_config_file_merges_and_flags_win(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"episodes": 3, "policy": "direct"}))
@@ -381,6 +399,10 @@ BAD_FLAG_VALUES = [
     ("eval", ["--n-refine", "-1"], "-1"),
     ("eval", ["--k1", "-0.5"], "-0.5"),
     ("eval", ["--episodes", "0"], "0"),
+    ("gen-data", ["--seed", "-1"], "-1"),
+    ("eval", ["--seed", "-1"], "-1"),
+    ("plot", ["--grid-n", "0"], "0"),
+    ("plot", ["--grid-n", "-3"], "-3"),
 ]
 
 
@@ -392,14 +414,16 @@ def test_bad_planner_and_eval_flags_exit_1_naming_the_value(tmp_path, capsys, li
     if command == "gen-data":
         argv = ["gen-data", "--env", "linear", "--out", str(out), "--policy", "risk-avoiding",
                 "--episodes", "2"]
-    else:
+    elif command == "eval":
         argv = ["eval", "--env", "linear", "--bundle", linear_bundle, "--outdir", str(out),
                 "--policy", "direct", "--episodes", "2"]
+    else:
+        argv = ["plot", "--env", "linear", "--bundle", linear_bundle, "--out", str(out)]
     capsys.readouterr()
     assert main(argv + flags) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and f"got {value}" in err[0], err
-    assert not out.exists()
+    assert not out.exists() and not os.path.exists(str(out) + ".config.json")
 
 
 def test_eval_bc_policy_needs_bundle_bc(tmp_path, capsys):

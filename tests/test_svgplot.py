@@ -3,6 +3,7 @@
 import xml.etree.ElementTree as ET
 
 import numpy as np
+import pytest
 
 from cdsa.controller import control_episode
 from cdsa.envs import ScriptedDirect, builtin_spec_path, load_env_spec
@@ -109,3 +110,9 @@ def test_write_svg_appends_newline(tmp_path):
     text = path.read_text()
     assert text.endswith("\n") and not text.endswith("\n\n")
     ET.fromstring(text)
+
+
+@pytest.mark.parametrize("grid_n", [0, -3])
+def test_quiver_grid_below_one_is_rejected(grid_n):
+    with pytest.raises(ValueError, match=f"quiver_grid must be >= 1, got {grid_n}"):
+        render_scene(_spec(), quiver_fn=lambda pts: -pts, quiver_grid=grid_n)

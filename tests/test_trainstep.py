@@ -36,8 +36,8 @@ from cdsa.neuralcore import (
     NeuralCoreError,
     Rng,
     TrainBuffers,
-    _leaky_deriv,
-    _sign_index,
+    _leaky,
+    _leaky_factor,
     adam_step,
     mlp_init,
     zero_like_params,
@@ -430,21 +430,20 @@ def test_bc_trains_on_one_blas_thread(transport_data, monkeypatch, fail):
 
 
 # ---------------------------------------------------------------------------
-# Derivative lookup, allocation, buffer bounds
+# LeakyReLU factor, allocation, buffer bounds
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("slope", [0.1, 0.2])
-def test_leaky_derivative_lookup_bitwise_equals_where_form(slope):
+def test_leaky_factor_bitwise_equals_where_form_and_leaky(slope):
     tiny = np.finfo(np.float64).tiny
     z = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
                   tiny, -tiny, tiny / 3, -tiny / 3, 1.5, -1.5, 1e308, -1e308])
     want = np.where(z >= 0.0, 1.0, slope)
-    lut = np.array([slope, 1.0])
-    signs = np.empty(z.shape, dtype=np.intp)
     out = np.empty_like(z)
-    got = _leaky_deriv(_sign_index(z, out=signs), lut, out=out)
+    got = _leaky_factor(z, slope, out=out)
     assert got is out and out.tobytes() == want.tobytes()
+    assert (z * out).tobytes() == _leaky(z, slope).tobytes()
 
 
 def test_training_step_allocates_no_batch_sized_temporaries():
