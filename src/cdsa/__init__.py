@@ -10,7 +10,6 @@ from .controller import (
     ControlConfig,
     LangevinConfig,
     Trajectory,
-    conditional_score_fn,
     control_episode,
     correct_action,
     langevin_sample,
@@ -29,7 +28,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CdsaModels", "ControlConfig", "LangevinConfig", "Trajectory",
-    "conditional_score_fn", "control_episode", "correct_action",
+    "control_episode", "correct_action",
     "langevin_sample", "load_trajectory_csv", "save_trajectory_csv", "train_cdsa",
     "Dataset", "NormStats", "generate_dataset", "load_dataset", "save_dataset",
     "EnvSpec", "EnvState", "Region", "load_env_spec", "save_env_spec",

@@ -141,8 +141,10 @@ def _merge_config(args: argparse.Namespace, command: str) -> dict:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
+    if "seed" not in cfg:  # a subcommand that draws nothing at random
+        return cfg
     source = "--seed" if getattr(args, "seed", None) is not None else f"config file {path}: seed"
-    if cfg.get("seed") is None:
+    if cfg["seed"] is None:
         source, cfg["seed"] = "CDSA_SEED", _seed_fallback()
     if cfg["seed"] < 0:
         raise ValueError(f"{source} must be >= 0, got {cfg['seed']}")
@@ -350,6 +352,12 @@ def cmd_plot(args: argparse.Namespace) -> int:
     for arm, paths in (("baseline", args.traj_baseline or []),
                        ("corrected", args.traj_corrected or [])):
         loaded = [load_trajectory_csv(p) for p in paths]
+        for p, traj in zip(paths, loaded):
+            dims = (traj.states.shape[1], traj.actions.shape[1])
+            if dims != (spec.state_dim, spec.action_dim):
+                raise ValueError(f"trajectory {p} has state dim {dims[0]} and action dim "
+                                 f"{dims[1]}; env {spec.name} has {spec.state_dim} and "
+                                 f"{spec.action_dim}")
         if loaded:
             trajectories[arm] = loaded
     _guard_overwrite(args.out, args.force)

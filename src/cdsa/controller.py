@@ -239,7 +239,8 @@ def correct_action(models: CdsaModels, s: np.ndarray, a_o: np.ndarray,
     entirely, never added as zeros, so ablations agree bitwise with the
     matching k at 0. Per-pass action-delta norms are appended to deltas_out
     as floats when given. This is the one-row case of the batched correction
-    rollouts use.
+    rollouts use, run one pass at a time, so it stops at the first pass whose
+    result is not finite.
     """
     cfg.validate()
     s = np.asarray(s, dtype=np.float64)
@@ -248,14 +249,14 @@ def correct_action(models: CdsaModels, s: np.ndarray, a_o: np.ndarray,
         raise ControlError(
             f"expected state dim {models.state_dim} and action dim "
             f"{models.action_dim}, got {s.shape} and {a_o.shape}")
-    a_o = np.minimum(np.maximum(a_o, cfg.action_low), cfg.action_high)
-    passes: list | None = None if deltas_out is None else []
-    a = _correct_rows(_inference_nets(models, cfg), s[None, :], a_o[None, :], cfg.action_low,
-                      cfg.action_high, cfg.n_refine, passes)[0]
-    if deltas_out is not None:
-        acts = [a_o[None, :]] + passes
-        deltas_out.extend(float(row_norms(new - old)[0]) for old, new in zip(acts, acts[1:]))
-    return a
+    a = np.minimum(np.maximum(a_o, cfg.action_low), cfg.action_high)[None, :]
+    nets = _inference_nets(models, cfg)
+    passes = 0 if nets[0] is None else 1 + cfg.n_refine  # none when both terms are off
+    for _ in range(passes):
+        old, a = a, _correct_rows(nets, s[None, :], a, cfg.action_low, cfg.action_high, 0)
+        if deltas_out is not None:
+            deltas_out.append(float(row_norms(a - old)[0]))
+    return a[0]
 
 
 def _inference_nets(models: CdsaModels, cfg: ControlConfig):
@@ -293,7 +294,7 @@ def _inference_nets(models: CdsaModels, cfg: ControlConfig):
 
 
 def _correct_rows(nets: tuple, s: np.ndarray, a_o: np.ndarray, low: np.ndarray,
-                  high: np.ndarray, n_refine: int, passes_out: list | None = None) -> np.ndarray:
+                  high: np.ndarray, n_refine: int) -> np.ndarray:
     """The correction rule on (n, d) rows of states and in-bounds base actions at once.
 
     nets are _inference_nets(models, cfg), so the rule's constants live in
@@ -306,9 +307,7 @@ def _correct_rows(nets: tuple, s: np.ndarray, a_o: np.ndarray, low: np.ndarray,
     vectors or as (n, da) rows. Inputs are trusted: callers validate models,
     cfg and dims once per batch, and clip a_o into the bounds. Finiteness is
     checked once, after the last pass: the clips carry a NaN through every
-    later pass and map an inf onto a bound. Per pass, a copy of the
-    corrected actions is appended to passes_out when given (correct_action
-    takes its per-pass delta norms from them).
+    later pass and map an inf onto a bound.
     """
     score, inv = nets
     if score is None:
@@ -332,10 +331,7 @@ def _correct_rows(nets: tuple, s: np.ndarray, a_o: np.ndarray, low: np.ndarray,
             if out.ndim == 3:
                 delta += out[0, :, :da]
         delta += a_cur
-        a_new = np.minimum(np.maximum(delta, low, out=delta), high, out=delta)
-        if passes_out is not None:
-            passes_out.append(a_new.copy())
-        a_cur = a_new
+        a_cur = np.minimum(np.maximum(delta, low, out=delta), high, out=delta)
     if not np.isfinite(a_cur).all():
         raise ControlError("non-finite corrected action (diverged model)")
     return a_cur
@@ -464,11 +460,10 @@ def _lockstep(spec: EnvSpec, base_policy: Policy, nets: tuple | None,
         if score is None:
             a = a_o
             if not np.isfinite(a).all():
-                raise EnvError(f"actions must be a finite ({len(ids)}, {da}) array, "
-                               f"one row and one rng per episode")
+                raise EnvError("the base policy returned a non-finite action")
         else:
             a = _correct_rows(nets, st.s, a_o, low, high, cfg.n_refine)
-        # a has passed env_step_batch's checks and clip
+        # a is finite and inside the bounds, as env_step_rows requires
         st_next, r, done, risk = env_step_rows(spec, st, a, live_rngs)
         ret += r
         disc += r * gamma ** t
@@ -587,27 +582,3 @@ def langevin_sample(score_fn, x0: np.ndarray, cfg: LangevinConfig, rng: Rng) -> 
         if not np.all(np.isfinite(x)):
             raise ControlError(f"langevin iterate diverged at step {t}")
     return x
-
-
-def conditional_score_fn(field: ScoreField, fixed: np.ndarray):
-    """Adapt a score field to a Langevin score over its scored coordinates.
-
-    For an action field, `fixed` is a state and the returned function maps
-    normalized actions to their scores; for a state field, `fixed` is an
-    action and the function maps normalized states. Inputs and outputs are in
-    normalized coordinates.
-    """
-    if field.kind is ScoreKind.ACTION:
-        fixed_n = field.norm.normalize_state(fixed)
-    else:
-        fixed_n = field.norm.normalize_action(fixed)
-
-    def fn(x: np.ndarray) -> np.ndarray:
-        x2 = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        tile = np.broadcast_to(fixed_n, (len(x2), len(fixed_n)))
-        inp = (np.hstack([tile, x2]) if field.kind is ScoreKind.ACTION
-               else np.hstack([x2, tile]))
-        out, _ = forward_batch(field.params, inp)
-        return out.reshape(np.asarray(x).shape)
-
-    return fn

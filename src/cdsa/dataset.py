@@ -41,9 +41,6 @@ class NormStats:
     def normalize_state(self, s: np.ndarray) -> np.ndarray:
         return (np.asarray(s, dtype=np.float64) - self.state_mean) / self.state_std
 
-    def denormalize_state(self, s: np.ndarray) -> np.ndarray:
-        return np.asarray(s, dtype=np.float64) * self.state_std + self.state_mean
-
     def normalize_action(self, a: np.ndarray) -> np.ndarray:
         return (np.asarray(a, dtype=np.float64) - self.action_mean) / self.action_std
 
@@ -73,16 +70,6 @@ class NormStats:
             "action_mean": self.action_mean.tolist(),
             "action_std": self.action_std.tolist(),
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NormStats":
-        return read_norm(Fields(d, DatasetSchemaError))
-
-    @classmethod
-    def identity(cls, state_dim: int, action_dim: int) -> "NormStats":
-        return cls(
-            np.zeros(state_dim), np.ones(state_dim), np.zeros(action_dim), np.ones(action_dim)
-        )
 
     def validate(self, state_dim: int, action_dim: int) -> None:
         """Each vector has its dim and is finite, and every std is > 0."""

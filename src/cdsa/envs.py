@@ -12,9 +12,10 @@ bookkeeping that is not part of the observed state (step count, goods visited,
 airport used) rides in EnvState so the observed state keeps the same dims
 across task variants.
 
-Stepping is batched: env_step_batch advances many episodes at once from an
-EnvStates (one row per episode, each row with its own rng stream), and
-env_step is its one-row case. Policies act on batches the same way.
+Stepping is batched: env_step_rows advances many episodes at once from an
+EnvStates (one row per episode, each row with its own rng stream) on actions
+the caller has checked and clipped, and env_step is its one-row case, which
+checks and clips the action itself. Policies act on batches the same way.
 
 Base policies: a straight-to-target scripted policy, a grid-planning scripted
 policy that avoids inflated risk regions (gen-data's default, and an eval base
@@ -36,7 +37,6 @@ from .neuralcore import (
     InferenceNet,
     MlpParams,
     Rng,
-    TrainBuffers,
     TrainConfig,
     forward_batch,
     mse_loss,
@@ -116,10 +116,6 @@ class Region:
             d["min"] = [float(v) for v in self.rect_min]
             d["max"] = [float(v) for v in self.rect_max]
         return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Region":
-        return _read_region(Fields(d, EnvError))
 
 
 def _read_region(f: Fields | None) -> Region | None:
@@ -316,7 +312,6 @@ class EnvState:
     steps: int = 0
     goods_visited: bool = False
     airport_used: bool = False
-    done: bool = False
 
 
 @dataclass
@@ -330,7 +325,6 @@ class EnvStates:
     steps: np.ndarray
     goods_visited: np.ndarray
     airport_used: np.ndarray
-    done: np.ndarray
 
     def __len__(self) -> int:
         return len(self.s)
@@ -342,18 +336,17 @@ class EnvStates:
             steps=np.array([st.steps for st in states], dtype=np.int64),
             goods_visited=np.array([st.goods_visited for st in states], dtype=bool),
             airport_used=np.array([st.airport_used for st in states], dtype=bool),
-            done=np.array([st.done for st in states], dtype=bool),
         )
 
     def row(self, i: int) -> EnvState:
         return EnvState(s=self.s[i].copy(), steps=int(self.steps[i]),
                         goods_visited=bool(self.goods_visited[i]),
-                        airport_used=bool(self.airport_used[i]), done=bool(self.done[i]))
+                        airport_used=bool(self.airport_used[i]))
 
     def take(self, idx) -> "EnvStates":
         """The rows selected by an index array or boolean mask, as a new batch."""
         return EnvStates(self.s[idx], self.steps[idx], self.goods_visited[idx],
-                         self.airport_used[idx], self.done[idx])
+                         self.airport_used[idx])
 
     def put(self, idx, src: "EnvStates") -> None:
         """Overwrite the rows selected by idx with the rows of src, in place."""
@@ -361,7 +354,6 @@ class EnvStates:
         self.steps[idx] = src.steps
         self.goods_visited[idx] = src.goods_visited
         self.airport_used[idx] = src.airport_used
-        self.done[idx] = src.done
 
 
 def env_reset(spec: EnvSpec, rng: Rng) -> EnvState:
@@ -369,31 +361,16 @@ def env_reset(spec: EnvSpec, rng: Rng) -> EnvState:
     return EnvState(s=np.asarray(s, dtype=np.float64))
 
 
-def env_step_batch(spec: EnvSpec, st: EnvStates, actions: np.ndarray, rngs: list):
+def env_step_rows(spec: EnvSpec, st: EnvStates, a: np.ndarray, rngs: list):
     """One dynamics step of n episodes at once; row i draws from rngs[i].
 
     Returns (next EnvStates, rewards, dones, risk_entered), the last three of
     shape (n,). Every row consumes exactly one uniform draw from its own
     stream for the risk Bernoulli, whether or not it occupies a risk region,
     so paired-seed runs stay aligned. A row's result does not depend on the
-    other rows or on n, so it equals env_step on that row bitwise. The spec
-    is trusted to be validated; actions are checked and clipped here.
-    """
-    actions = np.asarray(actions, dtype=np.float64)
-    n = len(st)
-    if (actions.shape != (n, spec.action_dim) or len(rngs) != n
-            or not np.isfinite(actions).all()):
-        raise EnvError(f"actions must be a finite ({n}, {spec.action_dim}) array, "
-                       f"one row and one rng per episode")
-    a = np.minimum(np.maximum(actions, spec.action_low), spec.action_high)
-    return env_step_rows(spec, st, a, rngs)
-
-
-def env_step_rows(spec: EnvSpec, st: EnvStates, a: np.ndarray, rngs: list):
-    """env_step_batch on actions that passed its checks and clip, which it skips.
-
-    a is a finite float (n, action_dim) array inside the action bounds, with
-    one rng per row; the episode runner's actions are, by construction.
+    other rows or on n. Inputs are trusted: the spec is validated, and a is
+    a finite float (n, action_dim) array inside the action bounds, with one
+    rng per row; the episode runner's actions are, by construction.
     """
     pos = np.minimum(np.maximum(st.s + a * spec.dt, spec.arena_min), spec.arena_max)
     airport_used = st.airport_used
@@ -417,20 +394,21 @@ def env_step_rows(spec: EnvSpec, st: EnvStates, a: np.ndarray, rngs: list):
         goal_counts &= goods_visited
     done = goal_counts | (steps >= spec.max_steps)
     nxt = EnvStates(s=pos, steps=steps, goods_visited=goods_visited,
-                    airport_used=airport_used, done=done)
+                    airport_used=airport_used)
     return nxt, reward, done, risk_entered
 
 
 def env_step(spec: EnvSpec, st: EnvState, action: np.ndarray, rng: Rng):
-    """One dynamics step: the one-row case of env_step_batch.
+    """One dynamics step: the one-row case of env_step_rows, on an action it
+    checks and clips into the bounds.
 
     Returns (next EnvState, reward, done, risk_entered).
     """
     action = np.asarray(action, dtype=np.float64)
-    if action.shape != (spec.action_dim,):
+    if action.shape != (spec.action_dim,) or not np.isfinite(action).all():
         raise EnvError(f"action must be a finite vector of dim {spec.action_dim}")
-    nxt, reward, done, risk = env_step_batch(spec, EnvStates.stack([st]), action[None, :],
-                                             [rng])
+    a = np.minimum(np.maximum(action, spec.action_low), spec.action_high)
+    nxt, reward, done, risk = env_step_rows(spec, EnvStates.stack([st]), a[None, :], [rng])
     return nxt.row(0), float(reward[0]), bool(done[0]), bool(risk[0])
 
 
@@ -686,11 +664,6 @@ BC_LEAKY_SLOPE = 0.2
 BcTrainConfig = TrainConfig
 
 
-def bc_loss(net: MlpParams, states: np.ndarray, actions: np.ndarray, bufs: TrainBuffers):
-    """Mean squared error of predicted vs dataset actions, with gradients, in the set."""
-    return mse_loss(net, states, actions, bufs)
-
-
 def train_bc_policy(dataset: Dataset, config: TrainConfig,
                     action_low: np.ndarray, action_high: np.ndarray):
     """Behavior cloning by Adam regression from states to actions.
@@ -702,7 +675,7 @@ def train_bc_policy(dataset: Dataset, config: TrainConfig,
     actions_n = norm.normalize_action(dataset.actions)
 
     def batch_loss(net, idx, rng, bufs):
-        return bc_loss(net, states_n[idx], actions_n[idx], bufs)
+        return mse_loss(net, states_n[idx], actions_n[idx], bufs)
 
     net, history = train_mlp([dataset.state_dim] + BC_HIDDEN_DIMS + [dataset.action_dim],
                              BC_LEAKY_SLOPE, config, len(dataset), batch_loss)

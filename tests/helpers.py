@@ -9,6 +9,7 @@ import os
 import numpy as np
 import pytest
 
+from cdsa.dataset import NormStats
 from cdsa.envs import EnvState
 from cdsa.invdyn import infer_action
 from cdsa.neuralcore import _openblas_threads
@@ -77,6 +78,12 @@ def missed(cases, path, load, error, expect=None, write=json.dumps):
     return out
 
 
+def identity_norm(state_dim, action_dim):
+    """Norm stats that leave states and actions as they are: mean 0, std 1."""
+    return NormStats(np.zeros(state_dim), np.ones(state_dim),
+                     np.zeros(action_dim), np.ones(action_dim))
+
+
 def squared_error(target, scale):
     """fd_grads' loss_of_output: scale times the batch mean of each stacked
     output's squared error against target rows, summed over coordinates."""
@@ -90,7 +97,7 @@ def reference_correction(models, s, a_o, cfg):
     for _ in range(1 + cfg.n_refine):
         g = eval_score(models.action_score, s, a)
         h = eval_score(models.state_score, s, a)
-        s_tilde = norm.denormalize_state(norm.normalize_state(s) + h)
+        s_tilde = (norm.normalize_state(s) + h) * norm.state_std + norm.state_mean
         a = np.clip(a + cfg.k1 * (norm.action_std * g)
                     + cfg.k2 * infer_action(models.invdyn, s, s_tilde),
                     cfg.action_low, cfg.action_high)
@@ -117,7 +124,7 @@ def reference_env_step(spec, st, action, rng):
     steps = st.steps + 1
     at_goal = float(np.linalg.norm(pos - spec.goal)) <= spec.capture_radius
     done = (at_goal and (spec.variant != "goods" or goods_visited)) or steps >= spec.max_steps
-    return EnvState(pos, steps, goods_visited, airport_used, done), reward, done, risk_entered
+    return EnvState(pos, steps, goods_visited, airport_used), reward, done, risk_entered
 
 
 def reference_planner_act(policy, fieldv, target, s, rng):

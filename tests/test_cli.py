@@ -5,10 +5,12 @@ import json
 import os
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 from cdsa import checkpoint
 from cdsa.cli import DEFAULTS, _merge_config, build_parser, main
+from cdsa.controller import Trajectory, save_trajectory_csv
 from cdsa.dataset import load_dataset
 from cdsa.evaluation import load_report_csv
 from helpers import missed, mutations
@@ -269,6 +271,29 @@ def test_train_eval_plot_pipeline(tmp_path):
     root = ET.parse(scene).getroot()
     qv = [el for el in root.iter() if el.get("class") == "qv"]
     assert len(qv) == 16
+
+
+def test_plot_takes_no_seed(tmp_path, monkeypatch):
+    # plot draws nothing at random, so a bad CDSA_SEED is not its concern
+    monkeypatch.setenv("CDSA_SEED", "abc")
+    scene = str(tmp_path / "scene.svg")
+    assert main(["plot", "--env", "linear", "--out", scene]) == 0
+    assert "seed" not in _read_json(scene + ".config.json")
+
+
+def test_plot_rejects_trajectories_of_other_dims(tmp_path, capsys):
+    traj = str(tmp_path / "traj.csv")
+    save_trajectory_csv(Trajectory(
+        states=np.zeros((2, 3)), actions_base=np.zeros((2, 1)), actions=np.zeros((2, 1)),
+        rewards=np.zeros(2), risk_flags=np.zeros(2, bool), dones=np.array([False, True]),
+        final_state=np.zeros(3), reached_goal=False), traj)
+    scene = tmp_path / "scene.svg"
+    capsys.readouterr()
+    assert main(["plot", "--env", "linear", "--out", str(scene), "--traj-baseline", traj]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: trajectory {traj} "), err
+    assert "state dim 3 and action dim 1" in err[0] and "has 2 and 2" in err[0], err
+    assert not scene.exists() and not os.path.exists(str(scene) + ".config.json")
 
 
 def test_train_rerun_is_byte_identical(tmp_path):

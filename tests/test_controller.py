@@ -12,7 +12,6 @@ from cdsa.controller import (
     LangevinConfig,
     _correct_rows,
     _inference_nets,
-    conditional_score_fn,
     control_episode,
     correct_action,
     langevin_sample,
@@ -31,7 +30,7 @@ from cdsa.scorefield import (
     field_dims,
     train_score_field,
 )
-from helpers import reference_correction
+from helpers import identity_norm, reference_correction
 
 
 def _const_net(dims, value, slope):
@@ -45,7 +44,7 @@ def _const_net(dims, value, slope):
 
 
 def _stub_models(g_value=(0.1, 0.0), h_value=(0.0, 0.0)):
-    norm = NormStats.identity(2, 2)
+    norm = identity_norm(2, 2)
     action = ScoreField(params=_const_net(field_dims(ScoreKind.ACTION, 2, 2),
                                           np.array(g_value), 0.1),
                         kind=ScoreKind.ACTION, sigma=0.1, norm=norm)
@@ -271,6 +270,7 @@ def test_non_finite_correction_raises():
 def test_nan_in_the_first_pass_raises_after_the_last(monkeypatch):
     # the clips carry the NaN through the later passes to the one check
     models = _stub_models(g_value=(np.nan, 0.0))
+    cfg = _wide_cfg(n_refine=2)
     calls = []
     real = forward_batch
 
@@ -280,7 +280,7 @@ def test_nan_in_the_first_pass_raises_after_the_last(monkeypatch):
 
     monkeypatch.setattr("cdsa.controller.forward_batch", counting)
     with pytest.raises(ControlError, match="diverged model"):
-        correct_action(models, np.zeros(2), np.zeros(2), _wide_cfg(n_refine=2))
+        _batched_rule(models, np.zeros((1, 2)), np.zeros((1, 2)), cfg)
     assert len(calls) == 3 * 2  # three passes of the g|h stack and I
 
 
@@ -328,6 +328,26 @@ def test_correct_action_reports_one_float_per_pass():
     assert np.allclose(out, [0.3, 0.0], atol=1e-12)
     assert len(deltas) == 3 and all(type(d) is float for d in deltas)
     assert np.allclose(deltas, 0.1, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_refine", [0, 1, 2])
+@pytest.mark.parametrize("ablation", ABLATIONS)
+def test_correct_action_is_one_batched_correction_pass_by_pass(ablation, n_refine):
+    models = _random_models()
+    cfg = ControlConfig(k1=0.3, k2=1.0, action_low=np.array([-1.0, -0.5]),
+                        action_high=np.array([1.0, 0.5]), n_refine=n_refine,
+                        ablation=ablation)
+    nets = _inference_nets(models, cfg)
+    s, a = _rows(models.norm, 8, seed=17)
+    for s_i, a_i in zip(s, 1.5 * a):  # some base actions lie outside the bounds
+        deltas = []
+        got = correct_action(models, s_i, a_i, cfg, deltas)
+        clipped = np.clip(a_i, cfg.action_low, cfg.action_high)
+        want = _correct_rows(nets, s_i[None], clipped[None], cfg.action_low, cfg.action_high,
+                             n_refine)[0]
+        assert got.tobytes() == want.tobytes()
+        assert len(deltas) == (0 if ablation == "baseline" else 1 + n_refine)
+        assert all(type(d) is float for d in deltas)
 
 
 def test_control_episode_zero_budget():
@@ -427,16 +447,6 @@ def test_langevin_batched_chains_shape():
     x0 = np.zeros((100, 2))
     out = langevin_sample(lambda x: -x, x0, LangevinConfig(alpha=0.05, steps=20), Rng(3))
     assert out.shape == (100, 2)
-
-
-def test_conditional_score_fn_constant_field():
-    models = _stub_models(g_value=(0.1, -0.2))
-    fn = conditional_score_fn(models.action_score, np.zeros(2))
-    single = fn(np.array([0.3, 0.4]))
-    assert np.allclose(single, [0.1, -0.2])
-    batch = fn(np.zeros((7, 2)))
-    assert batch.shape == (7, 2)
-    assert np.allclose(batch, np.tile([0.1, -0.2], (7, 1)))
 
 
 @pytest.mark.parametrize("k1, k2", [(np.inf, 0.1), (0.1, np.inf), (np.nan, 0.1),

@@ -9,16 +9,17 @@ from cdsa.dataset import (
     Dataset,
     DatasetError,
     DatasetSchemaError,
-    NormStats,
     STD_FLOOR,
     compute_norm_stats,
     generate_dataset,
     load_dataset,
+    read_norm,
     save_dataset,
 )
 from cdsa.envs import RandomPolicy, ScriptedRiskAvoiding, builtin_spec_path, load_env_spec
 from cdsa.neuralcore import Rng
-from helpers import missed, mutations
+from cdsa.readers import Fields
+from helpers import identity_norm, missed, mutations
 
 
 def _toy_dataset(n=50, seed=0):
@@ -67,12 +68,12 @@ def test_normalize_denormalize_roundtrip():
     norm = ds.norm
     s = np.array([0.3, -1.2])
     a = np.array([4.0, 0.01])
-    assert np.allclose(norm.denormalize_state(norm.normalize_state(s)), s)
+    assert np.allclose(norm.normalize_state(s) * norm.state_std + norm.state_mean, s)
     assert np.allclose(norm.denormalize_action(norm.normalize_action(a)), a)
 
 
 def test_identity_norm_is_noop():
-    norm = NormStats.identity(2, 2)
+    norm = identity_norm(2, 2)
     s = np.array([0.5, -0.5])
     assert np.array_equal(norm.normalize_state(s), s)
     assert np.array_equal(norm.denormalize_action(s), s)
@@ -81,7 +82,7 @@ def test_identity_norm_is_noop():
 def test_norm_stats_dict_roundtrip():
     ds = _toy_dataset(60, seed=3)
     norm = compute_norm_stats(ds.states, ds.actions)
-    again = NormStats.from_dict(norm.to_dict())
+    again = read_norm(Fields(norm.to_dict(), DatasetSchemaError))
     assert norm.equals(again)
 
 
@@ -102,7 +103,7 @@ def test_dataset_stacked_arrays():
 
 def test_empty_dataset_needs_given_norm():
     empty = Dataset(np.zeros((0, 2)), np.zeros((0, 3)), np.zeros(0), np.zeros((0, 2)),
-                    np.zeros(0, dtype=bool), norm=NormStats.identity(2, 3))
+                    np.zeros(0, dtype=bool), norm=identity_norm(2, 3))
     assert len(empty) == 0 and empty.state_dim == 2 and empty.action_dim == 3
     with pytest.raises(DatasetError, match="empty dataset"):
         Dataset(*(a[:0] for a in _arrays()))
@@ -162,7 +163,7 @@ def test_dataset_rejects_non_finite(i, bad):
     ("action_mean", np.array([np.inf, 0.0])),
 ], ids=["state-mean-dim", "action-std-dim", "zero-std", "negative-std", "nan-std", "inf-mean"])
 def test_dataset_rejects_bad_norm(field, value):
-    norm = NormStats.identity(2, 2)
+    norm = identity_norm(2, 2)
     setattr(norm, field, value)
     with pytest.raises(DatasetSchemaError, match=f"norm {field}"):
         Dataset(*_arrays(), norm=norm)

@@ -18,16 +18,18 @@ from cdsa.envs import (
     Region,
     ScriptedDirect,
     ScriptedRiskAvoiding,
+    _read_region,
     builtin_spec_path,
     env_reset,
     env_step,
-    env_step_batch,
+    env_step_rows,
     load_env_spec,
     risk_occupancy,
     save_env_spec,
     train_bc_policy,
 )
 from cdsa.neuralcore import Rng, forward_batch, mlp_init
+from cdsa.readers import Fields
 from helpers import missed, mutated, mutations, reference_env_step, reference_planner_act
 
 
@@ -66,7 +68,7 @@ def test_region_rect_contains():
 def test_region_dict_roundtrip():
     r = Region(shape="circle", label="goods", center=np.array([0.3, 0.7]),
                radius=0.05)
-    again = Region.from_dict(r.to_dict())
+    again = _read_region(Fields(r.to_dict(), EnvError))
     assert again.shape == "circle" and again.label == "goods"
     assert np.allclose(again.center, r.center) and again.radius == r.radius
 
@@ -208,7 +210,7 @@ def test_reset_samples_inside_start_box():
     for _ in range(200):
         st = env_reset(spec, rng)
         assert np.all(st.s >= spec.start_min) and np.all(st.s <= spec.start_max)
-        assert st.steps == 0 and not st.done
+        assert st.steps == 0
 
 
 def test_reset_deterministic():
@@ -220,7 +222,7 @@ def test_linear_point_step_example():
     # dt = 1 and no clamping inside the wide arena: s' = s + a
     spec = _linear()
     st = EnvState(s=np.zeros(2), steps=0, goods_visited=False,
-                  airport_used=False, done=False)
+                  airport_used=False)
     st2, r, done, risk = env_step(spec, st, np.array([0.3, -0.2]), Rng(0))
     assert np.allclose(st2.s, [0.3, -0.2])
     assert not risk and not done
@@ -239,7 +241,7 @@ def test_step_rejects_bad_action():
 def test_action_clipped_before_integration():
     spec = _linear()
     st = EnvState(s=np.zeros(2), steps=0, goods_visited=False,
-                  airport_used=False, done=False)
+                  airport_used=False)
     st2, _, _, _ = env_step(spec, st, np.array([10.0, 0.0]), Rng(0))
     assert np.allclose(st2.s, [spec.action_high[0], 0.0])
 
@@ -247,7 +249,7 @@ def test_action_clipped_before_integration():
 def test_position_clamped_to_arena():
     spec = _pointmass()
     st = EnvState(s=np.array([0.99, 0.5]), steps=0, goods_visited=False,
-                  airport_used=False, done=False)
+                  airport_used=False)
     st2, _, _, _ = env_step(spec, st, np.array([1.0, 0.0]), Rng(0))
     assert st2.s[0] <= spec.arena_max[0]
 
@@ -255,7 +257,7 @@ def test_position_clamped_to_arena():
 def test_goal_capture_sets_done():
     spec = _pointmass()
     st = EnvState(s=spec.goal.copy(), steps=0, goods_visited=False,
-                  airport_used=False, done=False)
+                  airport_used=False)
     _, _, done, _ = env_step(spec, st, np.zeros(2), Rng(0))
     assert done
 
@@ -265,7 +267,7 @@ def test_forced_bernoulli_penalty():
     spec = replace(_pointmass(), risk_prob=1.0)
     inside = spec.risk_regions[0].center.copy()
     st = EnvState(s=inside, steps=0, goods_visited=False,
-                  airport_used=False, done=False)
+                  airport_used=False)
     _, r, _, risk = env_step(spec, st, np.zeros(2), Rng(0))
     assert risk
     assert r <= spec.risk_penalty  # penalty plus the distance cost
@@ -276,7 +278,7 @@ def test_risk_flag_reported_without_penalty():
     spec = replace(_pointmass(), risk_prob=0.0)
     inside = spec.risk_regions[0].center.copy()
     st = EnvState(s=inside, steps=0, goods_visited=False,
-                  airport_used=False, done=False)
+                  airport_used=False)
     _, r, _, risk = env_step(spec, st, np.zeros(2), Rng(0))
     assert risk
     assert r > spec.risk_penalty
@@ -292,7 +294,7 @@ def test_rng_stream_alignment_across_risk_outcomes():
     for pos in (inside, outside):
         rng = Rng(99)
         st = EnvState(s=pos.copy(), steps=0, goods_visited=False,
-                      airport_used=False, done=False)
+                      airport_used=False)
         env_step(spec, st, np.zeros(2), rng)
         draws.append(rng.random())
     assert draws[0] == draws[1]
@@ -324,7 +326,7 @@ def test_airport_teleports_exactly_once():
     spec = _transport().with_variant("airport")
     inside = spec.airport_region.center.copy()
     st = EnvState(s=inside - np.array([0.02, 0.0]), steps=0, goods_visited=False,
-                  airport_used=False, done=False)
+                  airport_used=False)
     st2, _, _, _ = env_step(spec, st, np.array([1.0, 0.0]), Rng(0))
     assert np.allclose(st2.s, spec.landing_point)
     assert st2.airport_used
@@ -338,7 +340,7 @@ def test_airport_inactive_outside_variant():
     spec = _transport()  # pathfinding
     inside = spec.airport_region.center.copy()
     st = EnvState(s=inside, steps=0, goods_visited=False,
-                  airport_used=False, done=False)
+                  airport_used=False)
     st2, _, _, _ = env_step(spec, st, np.zeros(2), Rng(0))
     assert not st2.airport_used
     assert not np.allclose(st2.s, spec.landing_point)
@@ -347,7 +349,7 @@ def test_airport_inactive_outside_variant():
 def test_goods_gate_blocks_goal():
     spec = _transport().with_variant("goods")
     at_goal = EnvState(s=spec.goal.copy(), steps=0, goods_visited=False,
-                       airport_used=False, done=False)
+                       airport_used=False)
     _, _, done, _ = env_step(spec, at_goal, np.zeros(2), Rng(0))
     assert not done
     visited = replace(at_goal, goods_visited=True)
@@ -359,7 +361,7 @@ def test_goods_visit_recorded():
     spec = _transport().with_variant("goods")
     near = spec.goods_region.center - np.array([0.02, 0.0])
     st = EnvState(s=near, steps=0, goods_visited=False,
-                  airport_used=False, done=False)
+                  airport_used=False)
     st2, _, _, _ = env_step(spec, st, np.array([1.0, 0.0]), Rng(0))
     assert st2.goods_visited
 
@@ -391,7 +393,7 @@ def _staged_rows(spec):
     """Episode states at different stages of the spec's task variant."""
     rows = [EnvState(s=np.array([0.05, 0.05])),
             EnvState(s=np.array([0.22, 0.3]), steps=7),                 # inside the river
-            EnvState(s=spec.goal.copy(), steps=12, done=True),           # already done
+            EnvState(s=spec.goal.copy(), steps=12),                      # at the goal
             EnvState(s=np.array([0.5, 0.5]), steps=spec.max_steps - 1)]  # last budgeted step
     if spec.variant == "goods":
         rows += [EnvState(s=spec.goods_region.center - np.array([0.04, 0.0]), steps=3),
@@ -420,7 +422,8 @@ def test_batched_step_matches_scalar_rows(variant):
     for step in range(4):
         actions = act_rng.uniform(-1.0, 1.0, size=(n, 2))
         actions[:, 0] = np.abs(actions[:, 0])  # drift right, into goods and airport
-        batch, r, done, risk = env_step_batch(spec, batch, actions, batch_rngs)
+        clipped = np.minimum(np.maximum(actions, spec.action_low), spec.action_high)
+        batch, r, done, risk = env_step_rows(spec, batch, clipped, batch_rngs)
         assert [rng.gen.draws for rng in batch_rngs] == [step + 1] * n
         penalized = penalized or bool(np.any(r <= spec.risk_penalty))
         for i in range(n):
@@ -428,30 +431,19 @@ def test_batched_step_matches_scalar_rows(variant):
                 spec, rows[i], actions[i], ref_rngs[i])
             got = batch.row(i)
             assert np.array_equal(got.s, want.s)
-            assert (got.steps, got.goods_visited, got.airport_used, got.done) == (
-                want.steps, want.goods_visited, want.airport_used, want.done)
+            assert (got.steps, got.goods_visited, got.airport_used) == (
+                want.steps, want.goods_visited, want.airport_used)
             assert (r[i], done[i], risk[i]) == (want_r, want_done, want_risk)
             one_rows[i], r1, d1, k1 = env_step(spec, one_rows[i], actions[i], one_rngs[i])
             assert np.array_equal(one_rows[i].s, want.s) and (r1, d1, k1) == (
                 want_r, want_done, want_risk)
             rows[i] = want
     # the staged rows exercise every branch they were built for
-    assert penalized and batch.done.any() and not batch.done.all()
+    assert penalized and done.any() and not done.all()
     if variant == "goods":
         assert batch.goods_visited.any() and not batch.goods_visited.all()
     if variant == "airport":
         assert batch.airport_used.sum() >= 2
-
-
-def test_batched_step_rejects_bad_actions():
-    spec = _transport()
-    batch = EnvStates.stack([EnvState(s=np.array([0.05, 0.05]))] * 2)
-    rngs = [Rng(0), Rng(1)]
-    for bad in (np.zeros((3, 2)), np.zeros((2, 3)), np.array([[0.0, np.nan], [0.0, 0.0]])):
-        with pytest.raises(EnvError):
-            env_step_batch(spec, batch, bad, rngs)
-    with pytest.raises(EnvError):
-        env_step_batch(spec, batch, np.zeros((2, 2)), rngs[:1])
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +465,7 @@ def test_scripted_direct_zero_at_goal():
     spec = _pointmass()
     pol = ScriptedDirect(spec)
     st = EnvState(s=spec.goal.copy(), steps=0, goods_visited=False,
-                  airport_used=False, done=False)
+                  airport_used=False)
     assert np.allclose(pol.act(spec.goal.copy(), st, Rng(0)), 0.0)
 
 
@@ -559,7 +551,7 @@ def test_planner_act_batch_matches_the_neighbour_scan(spec, grid_n, noise):
     n = len(states)
     visited = np.arange(n) >= n // 2
     ctx = EnvStates(states.copy(), np.zeros(n, dtype=np.int64), visited,
-                    np.zeros(n, dtype=bool), np.zeros(n, dtype=bool))
+                    np.zeros(n, dtype=bool))
     got = pol.act_batch(states, ctx, [Rng(5).substream(i) for i in range(n)])
     want = np.array([reference_planner_act(pol, *fields[bool(visited[i])], states[i],
                                            Rng(5).substream(i)) for i in range(n)])

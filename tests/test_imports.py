@@ -1,13 +1,15 @@
 """Lint checks: every name a module imports is read somewhere in that module,
-and every module-level name `src/cdsa` defines is read somewhere or exported.
+and every module-level name and class method `src/cdsa` defines is read
+somewhere or exported.
 
 The source and test trees are parsed with `ast`; no linter is needed. A name
 counts as read when it appears as a loaded name, inside a quoted annotation,
 or in the module's `__all__`. Imports in an `__init__.py` are re-exports and
 are accepted as they are. A definition counts as read when some file of
 `src/` or `cdsabench/` loads it by name, reads it as an attribute, or names
-it in a string (the benchmark's tracer patches functions by name); tests do
-not count, so code only tests use is reported.
+it in a string (the benchmark's tracer patches functions by name); a method
+counts as read when its name is, on whatever object. Tests do not count, so
+code only tests use is reported.
 """
 
 from __future__ import annotations
@@ -89,19 +91,28 @@ def test_checker_finds_unused_imports(tmp_path):
     assert unused_imports(init) == []
 
 
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def _defined(tree: ast.Module):
-    """(name, line) of every module-level function, class and assigned name, dunders aside."""
+    """(name, line) of every module-level function, class and assigned name, and
+    ("Class.method", line) of every function in a module-level class; dunders aside."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            targets = [node.name]
+        if isinstance(node, functions + (ast.ClassDef,)):
+            defs = [(node.name, node.lineno)]
+            if isinstance(node, ast.ClassDef):
+                defs += [(f"{node.name}.{item.name}", item.lineno) for item in node.body
+                         if isinstance(item, functions)]
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
-            targets = [n.id for t in nodes for n in ast.walk(t) if isinstance(n, ast.Name)]
+            defs = [(n.id, node.lineno) for t in nodes for n in ast.walk(t)
+                    if isinstance(n, ast.Name)]
         else:
             continue
-        for name in targets:
-            if not (name.startswith("__") and name.endswith("__")):
-                yield name, node.lineno
+        yield from ((name, line) for name, line in defs
+                    if not _dunder(name.rpartition(".")[2]))
 
 
 def _uses(tree: ast.Module) -> set[str]:
@@ -115,14 +126,15 @@ def _uses(tree: ast.Module) -> set[str]:
 
 
 def dead_definitions(package: Path, users: list[Path]) -> list[str]:
-    """Each module-level name of package's modules that no file of users reads, as
-    "module.py:line: name"; users include the package, so its `__all__` counts."""
+    """Each module-level name or method of package's modules that no file of users
+    reads, as "module.py:line: name"; users include the package, so its `__all__`
+    counts."""
     used = set()
     for path in users:
         used |= _uses(_parse(path))
     return [f"{path.name}:{line}: {name}"
             for path in sorted(package.glob("*.py"))
-            for name, line in _defined(_parse(path)) if name not in used]
+            for name, line in _defined(_parse(path)) if name.rpartition(".")[2] not in used]
 
 
 def test_no_dead_definitions():
@@ -140,10 +152,12 @@ def test_checker_finds_dead_definitions(tmp_path):
         "def helper():\n    return os.sep\n"
         "def by_name():\n    pass\n"
         "def by_attr():\n    pass\n"
-        "class Dead:\n    pass\n",
+        "class Dead:\n    pass\n"
+        "class Live:\n    def __init__(self):\n        pass\n"
+        "    def read(self):\n        pass\n    def unread(self):\n        pass\n",
         encoding="utf-8")
     user = tmp_path / "user.py"
     user.write_text("import pkg.mod\npkg.mod.by_attr()\ngetattr(pkg.mod, 'by_name')()\n"
-                    "PAIR = 0\n", encoding="utf-8")
+                    "PAIR = 0\npkg.mod.Live().read()\n", encoding="utf-8")
     assert dead_definitions(pkg, sorted(pkg.glob("*.py")) + [user]) == [
-        "mod.py:3: UNUSED", "mod.py:3: PAIR", "mod.py:12: Dead"]
+        "mod.py:3: UNUSED", "mod.py:3: PAIR", "mod.py:12: Dead", "mod.py:19: Live.unread"]

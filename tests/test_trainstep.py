@@ -18,13 +18,12 @@ import numpy as np
 import pytest
 
 from cdsa.controller import train_cdsa
-from cdsa.dataset import Dataset, NormStats, generate_dataset
+from cdsa.dataset import Dataset, generate_dataset
 from cdsa.envs import (
     BC_HIDDEN_DIMS,
     BC_LEAKY_SLOPE,
     BcTrainConfig,
     ScriptedDirect,
-    bc_loss,
     builtin_spec_path,
     load_env_spec,
     train_bc_policy,
@@ -40,6 +39,7 @@ from cdsa.neuralcore import (
     _leaky_factor,
     adam_step,
     mlp_init,
+    mse_loss,
     zero_like_params,
 )
 from cdsa.scorefield import LEAKY_SLOPE as SCORE_SLOPE
@@ -50,7 +50,7 @@ from cdsa.scorefield import (
     field_dims,
     train_score_field,
 )
-from helpers import assert_no_child_left, blas_threads, needs_openblas
+from helpers import assert_no_child_left, blas_threads, identity_norm, needs_openblas
 
 # ---------------------------------------------------------------------------
 # Reference: per-array parameters, fresh arrays, np.where derivative
@@ -170,7 +170,7 @@ def _loss_cases():
                    lambda net, s, a, s2, z, bufs: invdyn_loss(net, s, s2, a, bufs),
                    lambda net, s, a, s2, z: ref_invdyn(net, s, s2, a)),
         "bc": ([ds] + BC_HIDDEN_DIMS + [da], BC_LEAKY_SLOPE, 1e-3,
-               lambda net, s, a, s2, z, bufs: bc_loss(net, s, a, bufs),
+               lambda net, s, a, s2, z, bufs: mse_loss(net, s, a, bufs),
                lambda net, s, a, s2, z: ref_mse(net, s, a)),
     }
 
@@ -269,7 +269,7 @@ def test_train_cdsa_and_bc_bitwise_equal_reference(transport_data):
 ], ids=["action_score", "state_score", "invdyn", "bc", "cdsa"])
 def test_trainers_reject_empty_dataset(train):
     empty = Dataset(np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0), np.zeros((0, 2)),
-                    np.zeros(0, dtype=bool), norm=NormStats.identity(2, 2))
+                    np.zeros(0, dtype=bool), norm=identity_norm(2, 2))
     with pytest.raises(ValueError, match="empty dataset"):
         train(empty)
 
@@ -416,9 +416,9 @@ def test_bc_trains_on_one_blas_thread(transport_data, monkeypatch, fail):
         seen.append(blas_threads())
         if fail:
             raise ValueError("bc step failed")
-        return bc_loss(*args)
+        return mse_loss(*args)
 
-    monkeypatch.setattr("cdsa.envs.bc_loss", recording)
+    monkeypatch.setattr("cdsa.envs.mse_loss", recording)
     cfg = BcTrainConfig(iterations=3, batch_size=16, seed=4)
     if fail:
         with pytest.raises(ValueError, match="bc step failed"):
@@ -477,10 +477,10 @@ def test_buffer_set_rejects_batches_it_cannot_hold():
     bufs = TrainBuffers(16, net)
     for rows in (17, 8):  # a set holds batches of exactly its rows
         with pytest.raises(NeuralCoreError):
-            bc_loss(net, np.zeros((rows, 3)), np.zeros((rows, 2)), bufs)
+            mse_loss(net, np.zeros((rows, 3)), np.zeros((rows, 2)), bufs)
     wide = mlp_init([3, 64, 2], 0.1, Rng(1))
     with pytest.raises(NeuralCoreError):
-        bc_loss(wide, np.zeros((16, 3)), np.zeros((16, 2)), bufs)
+        mse_loss(wide, np.zeros((16, 3)), np.zeros((16, 2)), bufs)
     # nor an Adam step of another net; the step changes nothing
     opt = AdamState.for_params(wide)
     before = wide.flat.copy()
