@@ -59,13 +59,11 @@ def _params_from_fields(arch: Fields) -> MlpParams:
     if len(layers) != len(dims) - 1:
         raise CheckpointError(f"arch.layers must be a list of one layer per pair of "
                               f"dims {dims}")
-    weights = [layer.array("w", (None, None)) for layer in layers]
-    biases = [layer.array("b", (None,)) for layer in layers]
-    for i, (w, b) in enumerate(zip(weights, biases)):
-        if w.shape != (dims[i + 1], dims[i]) or b.shape != (dims[i + 1],):
-            raise CheckpointError(f"layer {i} shapes do not match dims {dims}")
-    # the constructor packs the layers into the params' one flat buffer
-    return MlpParams(layer_dims=dims, weights=weights, biases=biases, leaky_slope=slope)
+    # every layer is read at its exact shape before the buffer exists, so dims
+    # too large for the layers the file holds fail here, not in an allocation
+    arrays = [a for layer, fan_in, fan_out in zip(layers, dims[:-1], dims[1:])
+              for a in (layer.array("w", (fan_out, fan_in)), layer.array("b", (fan_out,)))]
+    return MlpParams(dims, slope, np.concatenate([a.ravel() for a in arrays]))
 
 
 def norm_digest(norm: NormStats) -> str:

@@ -88,11 +88,9 @@ class CdsaModels:
             raise ControlError("action_score must be an ACTION field")
         if self.state_score.kind is not ScoreKind.STATE:
             raise ControlError("state_score must be a STATE field")
-        for other in (self.state_score.norm, self.invdyn.norm):
-            if not self.norm.equals(other):
+        for model in (self.action_score, self.state_score, self.invdyn):
+            if not self.norm.equals(model.norm):
                 raise ControlError("all models must share one set of norm stats")
-        if not self.norm.equals(self.action_score.norm):
-            raise ControlError("all models must share one set of norm stats")
         g, h = self.action_score.params, self.state_score.params
         if g.layer_dims[:-1] != h.layer_dims[:-1] or g.leaky_slope != h.leaky_slope:
             raise ControlError("the action and state fields must share input dims, hidden "

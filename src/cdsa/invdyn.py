@@ -31,14 +31,6 @@ class InvDynModel:
     params: MlpParams
     norm: NormStats
 
-    @property
-    def state_dim(self) -> int:
-        return len(self.norm.state_mean)
-
-    @property
-    def action_dim(self) -> int:
-        return len(self.norm.action_mean)
-
 
 InvDynTrainConfig = TrainConfig
 

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -122,56 +122,35 @@ def _layer_views(flat: np.ndarray, layer_dims):
     return weights, biases
 
 
-@dataclass
 class MlpParams:
-    """Weights/biases of one feed-forward network.
+    """Weights/biases of one feed-forward network, as views into one flat buffer.
 
-    weights[i] has shape (layer_dims[i+1], layer_dims[i]); biases[i] has
+    MlpParams(layer_dims, leaky_slope, flat) is the one constructor: flat
+    must be a float64 vector of param_count(layer_dims) entries, laid out
+    w0, b0, w1, b1, ..., and is kept as it is, not copied. weights[i] is a
+    (layer_dims[i+1], layer_dims[i]) view into it and biases[i] a view of
     length layer_dims[i+1]. The last layer is linear, all earlier layers
     apply LeakyReLU(leaky_slope).
 
-    Every weight and bias is a view into one contiguous float64 buffer,
-    `flat`, laid out w0, b0, w1, b1, ...; the constructor copies the given
-    arrays into it. Gradients and Adam moments share the layout, so an Adam
-    step is a few whole-buffer operations. Change parameters by writing into
-    the arrays (`p.weights[0][:] = ...`): an array put in a list slot instead
-    is not part of `flat`.
+    Gradients and Adam moments share the layout, so an Adam step is a few
+    whole-buffer operations. Change parameters by writing into the arrays
+    (`p.weights[0][:] = ...`): an array put in a list slot instead is not
+    part of `flat`.
     """
 
-    layer_dims: list[int]
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    leaky_slope: float
-    flat: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        dims = list(self.layer_dims)
-        if not len(self.weights) == len(self.biases) == len(dims) - 1:
-            raise NeuralCoreError(
-                f"{len(self.weights)} weights and {len(self.biases)} biases for dims {dims}")
-        flat = np.empty(param_count(dims))
-        weights, biases = _layer_views(flat, dims)
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if np.shape(w) != weights[i].shape or np.shape(b) != biases[i].shape:
-                raise NeuralCoreError(f"layer {i} shapes do not match dims {dims}")
-            weights[i][...] = w
-            biases[i][...] = b
-        self.layer_dims, self.weights, self.biases, self.flat = dims, weights, biases, flat
-
-    @classmethod
-    def on_buffer(cls, layer_dims, leaky_slope: float, flat: np.ndarray) -> "MlpParams":
-        """Params whose arrays are views into flat itself, which is not copied."""
-        params = cls.__new__(cls)
-        params.layer_dims = list(layer_dims)
-        params.leaky_slope = leaky_slope
-        params.flat = flat
-        params.weights, params.biases = _layer_views(flat, params.layer_dims)
-        return params
+    def __init__(self, layer_dims, leaky_slope: float, flat: np.ndarray):
+        dims = list(layer_dims)
+        size = param_count(dims)
+        if not (isinstance(flat, np.ndarray) and flat.dtype == np.float64
+                and flat.shape == (size,)):
+            raise NeuralCoreError(f"dims {dims} need a float64 vector of {size} entries")
+        self.layer_dims, self.leaky_slope, self.flat = dims, leaky_slope, flat
+        self.weights, self.biases = _layer_views(flat, dims)
 
     def __reduce__(self):
         # pickled as dims, slope and the flat buffer, so a copy's arrays are
         # views into its own buffer again
-        return MlpParams.on_buffer, (self.layer_dims, self.leaky_slope, self.flat)
+        return MlpParams, (self.layer_dims, self.leaky_slope, self.flat)
 
     @property
     def in_dim(self) -> int:
@@ -180,22 +159,6 @@ class MlpParams:
     @property
     def out_dim(self) -> int:
         return self.layer_dims[-1]
-
-    def copy(self) -> "MlpParams":
-        return MlpParams.on_buffer(self.layer_dims, self.leaky_slope, self.flat.copy())
-
-    def allclose(self, other: "MlpParams", rtol=0.0, atol=0.0) -> bool:
-        return (
-            self.layer_dims == other.layer_dims
-            and all(
-                np.allclose(a, b, rtol=rtol, atol=atol)
-                for a, b in zip(self.weights, other.weights)
-            )
-            and all(
-                np.allclose(a, b, rtol=rtol, atol=atol)
-                for a, b in zip(self.biases, other.biases)
-            )
-        )
 
 
 def mlp_init(layer_dims: list[int], leaky_slope: float, rng: Rng) -> MlpParams:
@@ -208,7 +171,7 @@ def mlp_init(layer_dims: list[int], leaky_slope: float, rng: Rng) -> MlpParams:
         raise NeuralCoreError(f"layer_dims must have >= 2 positive entries, got {layer_dims}")
     if not 0.0 < leaky_slope < 1.0:
         raise NeuralCoreError(f"leaky_slope must be in (0, 1), got {leaky_slope}")
-    params = MlpParams.on_buffer(layer_dims, leaky_slope, np.zeros(param_count(layer_dims)))
+    params = MlpParams(layer_dims, leaky_slope, np.zeros(param_count(layer_dims)))
     for w, fan_in in zip(params.weights, layer_dims[:-1]):
         bound = np.sqrt(6.0 / ((1.0 + leaky_slope**2) * fan_in))
         w[...] = rng.uniform(-bound, bound, size=w.shape)
@@ -216,8 +179,7 @@ def mlp_init(layer_dims: list[int], leaky_slope: float, rng: Rng) -> MlpParams:
 
 
 def zero_like_params(params: MlpParams) -> MlpParams:
-    return MlpParams.on_buffer(params.layer_dims, params.leaky_slope,
-                               np.zeros_like(params.flat))
+    return MlpParams(params.layer_dims, params.leaky_slope, np.zeros_like(params.flat))
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +226,7 @@ class TrainBuffers:
         # scratch 0 and 1 (never the array it is computed from)
         self.back = {i: _window((s0, s1)[(hidden - i) % 2], rows, dims[i])
                      for i in range(1, hidden + 1)}
-        self.grads = MlpParams.on_buffer(dims, net.leaky_slope, np.empty(net.flat.size))
+        self.grads = MlpParams(dims, net.leaky_slope, np.empty(net.flat.size))
         self.adam = (s0[:net.flat.size], s1[:net.flat.size])
 
     def fit(self, params: MlpParams, rows: int) -> "TrainBuffers":

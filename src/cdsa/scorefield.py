@@ -50,14 +50,6 @@ class ScoreField:
     sigma: float
     norm: NormStats
 
-    @property
-    def state_dim(self) -> int:
-        return len(self.norm.state_mean)
-
-    @property
-    def action_dim(self) -> int:
-        return len(self.norm.action_mean)
-
 
 @dataclass
 class ScoreTrainConfig(TrainConfig):

@@ -121,11 +121,11 @@ def _quiver(spec: EnvSpec, m: _Mapper, quiver_fn, grid_n: int) -> list[str]:
 
 
 def render_scene(spec: EnvSpec, trajectories: dict | None = None,
-                 quiver_fn=None, quiver_grid: int = 20,
-                 max_per_arm: int = 20) -> str:
-    """Compose a full scene. trajectories maps arm name to Trajectory lists;
-    quiver_fn maps an (N, 2) array of states to (N, 2) arrow vectors, drawn on
-    a quiver_grid x quiver_grid grid (ValueError unless quiver_grid >= 1)."""
+                 quiver_fn=None, quiver_grid: int = 20) -> str:
+    """Compose a full scene. trajectories maps arm name to Trajectory lists,
+    each drawn in full; quiver_fn maps an (N, 2) array of states to (N, 2)
+    arrow vectors, drawn on a quiver_grid x quiver_grid grid (ValueError
+    unless quiver_grid >= 1)."""
     if quiver_grid < 1:
         raise ValueError(f"quiver_grid must be >= 1, got {quiver_grid}")
     m = _Mapper(spec)
@@ -136,7 +136,7 @@ def render_scene(spec: EnvSpec, trajectories: dict | None = None,
         parts.extend(_quiver(spec, m, quiver_fn, quiver_grid))
     for arm, trajs in (trajectories or {}).items():
         color, dash = ARM_STYLE.get(arm, ("#666", None))
-        for traj in trajs[:max_per_arm]:
+        for traj in trajs:
             if len(traj) == 0:
                 continue
             pts = np.vstack([traj.states, traj.final_state[None, :]])

@@ -1,7 +1,7 @@
 """Shared test helpers: JSON field mutations, the reference correction rule, env
 step and planner action, the squared-error loss the finite-difference oracle
-differentiates, and the checks that a forking call left no child and OpenBLAS
-on one thread."""
+differentiates, the bitwise check that two nets are equal, and the checks
+that a forking call left no child and OpenBLAS on one thread."""
 
 import json
 import os
@@ -82,6 +82,12 @@ def identity_norm(state_dim, action_dim):
     """Norm stats that leave states and actions as they are: mean 0, std 1."""
     return NormStats(np.zeros(state_dim), np.ones(state_dim),
                      np.zeros(action_dim), np.ones(action_dim))
+
+
+def same_params(a, b):
+    """Whether two nets have equal dims and slope and bitwise equal parameters."""
+    return (a.layer_dims == b.layer_dims and a.leaky_slope == b.leaky_slope
+            and a.flat.tobytes() == b.flat.tobytes())
 
 
 def squared_error(target, scale):

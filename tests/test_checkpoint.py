@@ -128,8 +128,20 @@ def test_model_from_dict_validation():
 def test_model_from_dict_rejects_shape_mismatch():
     d = model_to_dict(_invdyn())
     d["arch"]["layers"][0]["w"] = [[0.0, 0.0]]  # wrong fan-out for dims
-    with pytest.raises(CheckpointError, match="shapes"):
+    with pytest.raises(CheckpointError, match=re.escape(
+            "'arch.layers[0].w' must be an array of shape (128, 4)")):
         model_from_dict(d)
+
+
+def test_load_model_rejects_dims_larger_than_its_layers(tmp_path):
+    # a buffer for these dims would take terabytes; the small layers must be
+    # rejected before any is allocated
+    d = model_to_dict(InvDynModel(mlp_init([2 * DS, 3, 3, DA], 0.2, Rng(4)), _norm()))
+    d["arch"]["dims"] = [2 * DS, 10**6, 10**6, DA]
+    path = tmp_path / "invdyn.json"
+    path.write_text(json.dumps(d), encoding="utf-8")
+    with pytest.raises(CheckpointError, match=f"checkpoint {re.escape(str(path))}: "):
+        load_model(str(path))
 
 
 def test_model_from_dict_rejects_layer_count_mismatch():

@@ -13,6 +13,7 @@ from cdsa.cli import DEFAULTS, _merge_config, build_parser, main
 from cdsa.controller import Trajectory, save_trajectory_csv
 from cdsa.dataset import load_dataset
 from cdsa.evaluation import load_report_csv
+from cdsa.svgplot import ARM_STYLE
 from helpers import missed, mutations
 
 
@@ -401,6 +402,17 @@ def linear_bundle(tmp_path_factory):
     _, data = _gen(tmp)
     _, bundle = _train(tmp, data)
     return bundle
+
+
+def test_eval_draws_every_recorded_trajectory(tmp_path, linear_bundle):
+    # more trajectories per arm than the scene once drew
+    outdir = tmp_path / "rep"
+    assert main(["eval", "--env", "linear", "--bundle", linear_bundle, "--outdir",
+                 str(outdir), "--policy", "direct", "--episodes", "25", "--traj", "25",
+                 "--k1", "0.1", "--k2", "0", "--n-refine", "0"]) == 0
+    root = ET.parse(outdir / "report_full_k1_0.1_k2_0.svg").getroot()
+    strokes = [el.get("stroke") for el in root.iter("{http://www.w3.org/2000/svg}polyline")]
+    assert [strokes.count(ARM_STYLE[arm][0]) for arm in ("baseline", "corrected")] == [25, 25]
 
 
 # (command, flags, value): each run must exit 1 with one error line naming the

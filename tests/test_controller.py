@@ -30,7 +30,7 @@ from cdsa.scorefield import (
     field_dims,
     train_score_field,
 )
-from helpers import identity_norm, reference_correction
+from helpers import identity_norm, reference_correction, same_params
 
 
 def _const_net(dims, value, slope):
@@ -295,9 +295,9 @@ def test_train_cdsa_matches_standalone_trainers():
     a_ref, ha = train_score_field(data, ScoreKind.ACTION, score_cfg)
     s_ref, hs = train_score_field(data, ScoreKind.STATE, replace(score_cfg, seed=score_cfg.seed + 1))
     i_ref, hi = train_invdyn(data, inv_cfg)
-    assert models.action_score.params.allclose(a_ref.params)
-    assert models.state_score.params.allclose(s_ref.params)
-    assert models.invdyn.params.allclose(i_ref.params)
+    assert same_params(models.action_score.params, a_ref.params)
+    assert same_params(models.state_score.params, s_ref.params)
+    assert same_params(models.invdyn.params, i_ref.params)
     assert hist["action_score"] == ha
     assert hist["state_score"] == hs
     assert hist["invdyn"] == hi

@@ -30,7 +30,14 @@ from cdsa.envs import (
 )
 from cdsa.neuralcore import Rng, forward_batch, mlp_init
 from cdsa.readers import Fields
-from helpers import missed, mutated, mutations, reference_env_step, reference_planner_act
+from helpers import (
+    missed,
+    mutated,
+    mutations,
+    reference_env_step,
+    reference_planner_act,
+    same_params,
+)
 
 
 def _pointmass():
@@ -615,5 +622,5 @@ def test_bc_training_deterministic():
     cfg = BcTrainConfig(iterations=30, seed=8)
     b1, h1 = train_bc_policy(data, cfg, spec.action_low, spec.action_high)
     b2, h2 = train_bc_policy(data, cfg, spec.action_low, spec.action_high)
-    assert b1.params.allclose(b2.params)
+    assert same_params(b1.params, b2.params)
     assert h1 == h2

@@ -8,8 +8,10 @@ or in the module's `__all__`. Imports in an `__init__.py` are re-exports and
 are accepted as they are. A definition counts as read when some file of
 `src/` or `cdsabench/` loads it by name, reads it as an attribute, or names
 it in a string (the benchmark's tracer patches functions by name); a method
-counts as read when its name is, on whatever object. Tests do not count, so
-code only tests use is reported.
+counts as read when its name is, on whatever object. An attribute read on a
+name that `import X` binds, X not the package itself (`np.allclose`,
+`np.linalg.norm`), is X's and does not count. Tests do not count, so code
+only tests use is reported.
 """
 
 from __future__ import annotations
@@ -115,11 +117,18 @@ def _defined(tree: ast.Module):
                     if not _dunder(name.rpartition(".")[2]))
 
 
-def _uses(tree: ast.Module) -> set[str]:
+def _uses(tree: ast.Module, package: str) -> set[str]:
     names = _read(tree)
+    foreign = {alias.asname or alias.name.split(".")[0]
+               for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names if alias.name.split(".")[0] != package}
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if not (isinstance(root, ast.Name) and root.id in foreign):
+                names.add(node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             names.add(node.value)
     return names
@@ -131,7 +140,7 @@ def dead_definitions(package: Path, users: list[Path]) -> list[str]:
     counts."""
     used = set()
     for path in users:
-        used |= _uses(_parse(path))
+        used |= _uses(_parse(path), package.name)
     return [f"{path.name}:{line}: {name}"
             for path in sorted(package.glob("*.py"))
             for name, line in _defined(_parse(path)) if name.rpartition(".")[2] not in used]
@@ -154,10 +163,13 @@ def test_checker_finds_dead_definitions(tmp_path):
         "def by_attr():\n    pass\n"
         "class Dead:\n    pass\n"
         "class Live:\n    def __init__(self):\n        pass\n"
-        "    def read(self):\n        pass\n    def unread(self):\n        pass\n",
+        "    def read(self):\n        pass\n    def unread(self):\n        pass\n"
+        "    def allclose(self):\n        pass\n    def norm(self):\n        pass\n",
         encoding="utf-8")
     user = tmp_path / "user.py"
-    user.write_text("import pkg.mod\npkg.mod.by_attr()\ngetattr(pkg.mod, 'by_name')()\n"
-                    "PAIR = 0\npkg.mod.Live().read()\n", encoding="utf-8")
+    user.write_text("import numpy as np\nimport pkg.mod\npkg.mod.by_attr()\n"
+                    "getattr(pkg.mod, 'by_name')()\nPAIR = 0\npkg.mod.Live().read()\n"
+                    "np.allclose(0, 0)\nnp.linalg.norm(0)\n", encoding="utf-8")
     assert dead_definitions(pkg, sorted(pkg.glob("*.py")) + [user]) == [
-        "mod.py:3: UNUSED", "mod.py:3: PAIR", "mod.py:12: Dead", "mod.py:19: Live.unread"]
+        "mod.py:3: UNUSED", "mod.py:3: PAIR", "mod.py:12: Dead", "mod.py:19: Live.unread",
+        "mod.py:21: Live.allclose", "mod.py:23: Live.norm"]

@@ -11,7 +11,7 @@ from cdsa.invdyn import (
     train_invdyn,
 )
 from cdsa.neuralcore import Rng, TrainBuffers, fd_grads, mlp_init
-from helpers import squared_error
+from helpers import same_params, squared_error
 
 
 def _zero_net(ds, da):
@@ -71,7 +71,7 @@ def test_train_deterministic():
     cfg = InvDynTrainConfig(iterations=40, batch_size=32, seed=2)
     m1, h1 = train_invdyn(data, cfg)
     m2, h2 = train_invdyn(data, cfg)
-    assert m1.params.allclose(m2.params)
+    assert same_params(m1.params, m2.params)
     assert h1 == h2
 
 

@@ -47,7 +47,7 @@ from cdsa.envs import (
 )
 from cdsa.evaluation import rollout_batch
 from cdsa.invdyn import InvDynTrainConfig
-from cdsa.neuralcore import Rng, forward_batch
+from cdsa.neuralcore import MlpParams, Rng, forward_batch
 from cdsa.scorefield import ScoreTrainConfig
 from helpers import (
     assert_no_child_left,
@@ -239,7 +239,8 @@ def test_batch_sees_writes_into_params_made_before_it(pointmass):
     # rollouts run on snapshots taken when the batch starts, so a write into
     # g's params between two batches reaches the second one
     spec, models, bc = pointmass
-    g = models.action_score.params.copy()
+    p = models.action_score.params
+    g = MlpParams(p.layer_dims, p.leaky_slope, p.flat.copy())
     mine = replace(models, action_score=replace(models.action_score, params=g))
     cfg = ControlConfig(0.3, 0.02, spec.action_low, spec.action_high)
     before: list = []
@@ -258,7 +259,7 @@ def test_batch_sees_writes_into_params_made_before_it(pointmass):
 
 def test_behavior_cloned_acts_on_the_params_it_was_built_with(pointmass):
     spec, _, bc = pointmass
-    params = bc.params.copy()
+    params = MlpParams(bc.params.layer_dims, bc.params.leaky_slope, bc.params.flat.copy())
     pol = BehaviorCloned(params, bc.norm, bc.action_low, bc.action_high)
     states = Rng(5).normal(size=(9, spec.state_dim)) * 3.0
     acted = pol.act_batch(states, None, [])

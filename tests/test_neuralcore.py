@@ -25,7 +25,7 @@ from cdsa.neuralcore import (
     row_norms,
     zero_like_params,
 )
-from helpers import needs_openblas, squared_error
+from helpers import needs_openblas, same_params, squared_error
 
 
 def test_rng_is_deterministic():
@@ -53,7 +53,7 @@ def test_rng_uniform_bounds():
 def test_init_deterministic():
     a = mlp_init([4, 16, 2], 0.1, Rng(0))
     b = mlp_init([4, 16, 2], 0.1, Rng(0))
-    assert a.allclose(b)
+    assert same_params(a, b)
 
 
 def test_init_bounds_and_zero_biases():
@@ -80,8 +80,7 @@ def test_forward_shape_validation():
 def test_leaky_relu_slope_applied():
     # one hidden unit wired as identity: f(x) = leaky(x) for the hidden layer
     slope = 0.25
-    p = MlpParams([1, 1, 1], [np.array([[1.0]]), np.array([[1.0]])],
-                  [np.zeros(1), np.zeros(1)], slope)
+    p = MlpParams([1, 1, 1], slope, np.array([1.0, 0.0, 1.0, 0.0]))  # w0, b0, w1, b1
     out, _ = forward_batch(p, np.array([[2.0], [-2.0]]))
     assert out[0, 0] == 2.0
     assert out[1, 0] == -2.0 * slope
@@ -136,8 +135,8 @@ def test_forward_without_a_set_keeps_no_cache():
 
 def test_adam_first_step_exact():
     # single weight, grad g: bias-corrected step is -lr * g / (|g| + eps)
-    p = MlpParams([1, 1], [np.array([[1.0]])], [np.zeros(1)], 0.1)
-    g = MlpParams([1, 1], [np.array([[0.5]])], [np.zeros(1)], 0.1)
+    p = MlpParams([1, 1], 0.1, np.array([1.0, 0.0]))
+    g = MlpParams([1, 1], 0.1, np.array([0.5, 0.0]))
     st = AdamState(zero_like_params(p), zero_like_params(p))
     adam_step(st, p, g, 0.1, TrainBuffers(1, p))
     expected = 1.0 - 0.1 * 0.5 / (0.5 + 1e-8)
@@ -157,7 +156,7 @@ def test_adam_deterministic_sequence():
             adam_step(st, p, grads, 1e-2, bufs)
         return p
 
-    assert run().allclose(run())
+    assert same_params(run(), run())
 
 
 def test_adam_descends_on_learnable_target():
@@ -211,17 +210,17 @@ def test_rejected_adam_step_changes_nothing(bad):
 def test_params_are_views_into_one_flat_buffer():
     dims = [3, 7, 5, 2]
     built = mlp_init(dims, 0.1, Rng(61))
-    given = MlpParams(dims, [w.copy() for w in built.weights],
-                      [b.copy() for b in built.biases], 0.1)
-    for p in (built, built.copy(), zero_like_params(built), given):
+    buf = np.zeros(param_count(dims))
+    given = MlpParams(dims, 0.1, buf)
+    assert given.flat is buf  # kept, not copied
+    for p in (built, zero_like_params(built), given):
         assert p.flat.shape == (param_count(dims),)
         assert p.flat.flags.c_contiguous
         p.flat[:] = np.arange(p.flat.size)
         # laid out w0, b0, w1, b1, ...: together the arrays tile flat in order
         tiled = np.concatenate([a.ravel() for wb in zip(p.weights, p.biases) for a in wb])
         assert np.array_equal(tiled, p.flat)
-    assert given.allclose(built) and not np.shares_memory(given.flat, built.flat)
-    assert not np.shares_memory(built.copy().flat, built.flat)
+    assert not np.shares_memory(zero_like_params(built).flat, built.flat)
 
 
 @needs_openblas
@@ -247,10 +246,12 @@ def test_params_pickle_as_views_into_their_own_buffer():
 
 
 def test_params_constructor_checks_shapes_against_dims():
-    with pytest.raises(NeuralCoreError, match="shapes"):
-        MlpParams([2, 3], [np.zeros((2, 3))], [np.zeros(3)], 0.1)
-    with pytest.raises(NeuralCoreError):
-        MlpParams([2, 3, 1], [np.zeros((3, 2))], [np.zeros(3)], 0.1)
+    # dims [2, 3] hold 2 * 3 weights and 3 biases: a float64 vector of 9
+    for flat in (np.zeros(8), np.zeros(10), np.zeros((1, 9)), np.zeros(9, dtype=np.float32),
+                 np.zeros(9, dtype=int), [0.0] * 9):
+        with pytest.raises(NeuralCoreError, match=r"dims \[2, 3\] need a float64 vector of 9"):
+            MlpParams([2, 3], 0.1, flat)
+    assert MlpParams([2, 3], 0.1, np.zeros(9)).weights[0].shape == (3, 2)
 
 
 # the four nets of a pointmass bundle: action field, state field, inverse model, BC

@@ -13,6 +13,7 @@ from cdsa.scorefield import (
     field_dims,
     train_score_field,
 )
+from helpers import same_params
 
 
 def _zero_net(in_dim, out_dim, slope=0.1):
@@ -32,7 +33,7 @@ def _selector_net(in_dim, cols):
     """One linear layer whose output j is input coordinate cols[j]."""
     w = np.zeros((len(cols), in_dim))
     w[np.arange(len(cols)), cols] = 1.0
-    return MlpParams([in_dim, len(cols)], [w], [np.zeros(len(cols))], 0.1)
+    return MlpParams([in_dim, len(cols)], 0.1, np.concatenate([w.ravel(), np.zeros(len(cols))]))
 
 
 def _loss_seen_through(cols, s, a, sigma, z, kind):
@@ -144,7 +145,7 @@ def test_train_deterministic_given_seed():
     cfg = ScoreTrainConfig(sigma=0.2, iterations=50, batch_size=32, seed=9)
     f1, h1 = train_score_field(ds, ScoreKind.STATE, cfg)
     f2, h2 = train_score_field(ds, ScoreKind.STATE, cfg)
-    assert f1.params.allclose(f2.params)
+    assert same_params(f1.params, f2.params)
     assert h1 == h2
 
 
@@ -168,7 +169,7 @@ def test_eval_score_uses_normalized_coordinates():
     dims = [4, 2]
     w = np.zeros((2, 4))
     w[0, 0] = 1.0
-    params = MlpParams(dims, [w], [np.zeros(2)], 0.1)
+    params = MlpParams(dims, 0.1, np.concatenate([w.ravel(), np.zeros(2)]))
     norm = NormStats(np.array([1.0, 0.0]), np.array([2.0, 1.0]),
                      np.zeros(2), np.ones(2))
     field = ScoreField(params=params, kind=ScoreKind.ACTION, sigma=0.1, norm=norm)

@@ -52,13 +52,6 @@ def test_scene_polylines_per_arm():
     assert all(el.get("stroke") == base_color for el in dashed)
 
 
-def test_scene_caps_trajectories_per_arm():
-    spec = _spec()
-    root = ET.fromstring(render_scene(spec, {"corrected": _trajs(spec, 5)},
-                                      max_per_arm=2))
-    assert len(root.findall(f"{SVG_NS}polyline")) == 2
-
-
 def test_scene_skips_empty_trajectories():
     spec = _spec()
     traj = control_episode(spec, ScriptedDirect(spec), None, None, Rng(0),
