@@ -21,7 +21,7 @@ from .dataset import DatasetSchemaError, NormStats, read_norm
 from .envs import BehaviorCloned
 from .invdyn import InvDynModel
 from .neuralcore import MlpParams
-from .readers import Fields, read_json
+from .readers import Fields, read_json, write_text
 from .scorefield import ScoreField, ScoreKind
 
 MODEL_FORMAT = "cdsa-model"
@@ -132,12 +132,9 @@ def model_from_dict(d: dict):
 
 
 def save_model(model, path: str) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            # json.dumps runs the C encoder; json.dump would stream through the Python one
-            fh.write(json.dumps(model_to_dict(model)) + "\n")
-    except OSError as exc:
-        raise CheckpointError(f"cannot write checkpoint {path}: {exc}") from exc
+    # json.dumps runs the C encoder; json.dump would stream through the Python one
+    write_text(path, [json.dumps(model_to_dict(model)), "\n"], CheckpointError,
+               f"checkpoint {path}")
 
 
 def load_model(path: str):
@@ -168,9 +165,9 @@ def save_bundle(models: CdsaModels, dirpath: str, bc: BehaviorCloned | None = No
         "norm_sha256": norm_digest(models.norm),
         "files": files,
     }
-    with open(os.path.join(dirpath, MANIFEST_FILE), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    mpath = os.path.join(dirpath, MANIFEST_FILE)
+    write_text(mpath, [json.dumps(manifest, indent=2), "\n"], CheckpointError,
+               f"bundle manifest {mpath}")
 
 
 def _read_manifest(dirpath: str) -> dict:

@@ -55,7 +55,7 @@ from .neuralcore import (
     mlp_init,
     zero_like_params,
 )
-from .readers import Fields, parse_field, read_json
+from .readers import Fields, parse_field, read_json, write_text
 from .scorefield import (
     ScoreKind,
     ScoreTrainConfig,
@@ -63,7 +63,7 @@ from .scorefield import (
     dsm_loss_reparam_given_noise,
     eval_score,
 )
-from .svgplot import render_scene, write_svg
+from .svgplot import render_scene
 
 GEN_POLICIES = ("risk-avoiding", "direct", "random")
 EVAL_POLICIES = ("bc", "direct", "risk-avoiding", "random")
@@ -165,11 +165,9 @@ def _guard_overwrite(path: str, force: bool) -> None:
 
 
 def _write_echo(cfg: dict, extra: dict, path: str) -> None:
-    echo = {k: v for k, v in cfg.items()}
-    echo.update(extra)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(echo, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    echo = {**cfg, **extra}
+    write_text(path, [json.dumps(echo, indent=2, sort_keys=True), "\n"], ValueError,
+               f"config echo {path}")
     print(f"effective config: {json.dumps(echo, sort_keys=True)}")
 
 
@@ -201,13 +199,6 @@ def _entries(raw: str, flag: str) -> list:
 def _float_list(raw: str, flag: str) -> list:
     """The finite numbers of a comma-separated flag value; at least one."""
     return [parse_field(v, float, ValueError, f"each {flag} entry") for v in _entries(raw, flag)]
-
-
-def _save_loss_csv(history, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("step,loss\n")
-        for step, loss in history:
-            fh.write(f"{step},{loss:.17g}\n")
 
 
 def cmd_gen_data(args: argparse.Namespace) -> int:
@@ -263,7 +254,9 @@ def cmd_train(args: argparse.Namespace) -> int:
         histories["bc"] = bc_hist
     checkpoint.save_bundle(models, args.out, bc_policy)
     for name, rows in histories.items():
-        _save_loss_csv(rows, os.path.join(args.out, f"loss_{name}.csv"))
+        path = os.path.join(args.out, f"loss_{name}.csv")
+        write_text(path, ["step,loss\n"] + [f"{step},{loss:.17g}\n" for step, loss in rows],
+                   ValueError, f"loss CSV {path}")
     print(f"wrote model bundle to {args.out}")
     _write_echo(cfg, {"command": "train", "data": args.data, "out": args.out,
                       "score_iters": score_iters, "invdyn_iters": invdyn_iters},
@@ -361,8 +354,8 @@ def cmd_plot(args: argparse.Namespace) -> int:
         if loaded:
             trajectories[arm] = loaded
     _guard_overwrite(args.out, args.force)
-    svg = render_scene(spec, trajectories, quiver_fn, cfg["grid_n"])
-    write_svg(svg, args.out)
+    write_text(args.out, [render_scene(spec, trajectories, quiver_fn, cfg["grid_n"]), "\n"],
+               ValueError, f"scene SVG {args.out}")
     print(f"wrote {args.out}")
     _write_echo(cfg, {"command": "plot", "env": args.env, "out": args.out,
                       "bundle": args.bundle}, args.out + ".config.json")
@@ -387,18 +380,9 @@ def _check_loss_identity(seed: int) -> None:
 
 
 def _max_rel_err(analytic, fd) -> float:
-    worst = 0.0
-    scale = 0.0
-    for arrays in ("weights", "biases"):
-        for arr in getattr(fd, arrays):
-            if arr.size:
-                scale = max(scale, float(np.max(np.abs(arr))))
-    floor = max(1e-3 * scale, 1e-12)
-    for arrays in ("weights", "biases"):
-        for a_arr, f_arr in zip(getattr(analytic, arrays), getattr(fd, arrays)):
-            denom = np.maximum(np.maximum(np.abs(a_arr), np.abs(f_arr)), floor)
-            worst = max(worst, float(np.max(np.abs(a_arr - f_arr) / denom)))
-    return worst
+    floor = max(1e-3 * float(np.max(np.abs(fd.flat))), 1e-12)
+    denom = np.maximum(np.maximum(np.abs(analytic.flat), np.abs(fd.flat)), floor)
+    return float(np.max(np.abs(analytic.flat - fd.flat) / denom))
 
 
 def _check_gradients(seed: int) -> None:

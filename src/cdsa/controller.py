@@ -54,7 +54,7 @@ from .dataset import Dataset, NormStats
 from .envs import EnvError, EnvSpec, EnvStates, Policy, env_reset, env_step_rows
 from .invdyn import InvDynModel, InvDynTrainConfig, train_invdyn
 from .neuralcore import InferenceNet, Rng, forward_batch, row_norms
-from .readers import parse_field, read_csv
+from .readers import parse_field, read_csv, write_text
 from .scorefield import ScoreField, ScoreKind, ScoreTrainConfig, train_score_field
 
 ABLATIONS = ("full", "no_a1", "no_a2", "baseline")
@@ -529,17 +529,17 @@ def save_trajectory_csv(traj: Trajectory, path: str) -> None:
     """Write step, s..., a_o..., a..., r, risk_flag, done rows."""
     ds = traj.states.shape[1] if len(traj) else len(traj.final_state)
     da = traj.actions.shape[1] if len(traj) else 0
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(_trajectory_header(ds, da)) + "\n")
-        for t in range(len(traj)):
-            row = ([str(t)]
-                   + [f"{v:.17g}" for v in traj.states[t]]
-                   + [f"{v:.17g}" for v in traj.actions_base[t]]
-                   + [f"{v:.17g}" for v in traj.actions[t]]
-                   + [f"{traj.rewards[t]:.17g}",
-                      str(int(traj.risk_flags[t])),
-                      str(int(traj.dones[t]))])
-            fh.write(",".join(row) + "\n")
+    lines = [",".join(_trajectory_header(ds, da)) + "\n"]
+    for t in range(len(traj)):
+        row = ([str(t)]
+               + [f"{v:.17g}" for v in traj.states[t]]
+               + [f"{v:.17g}" for v in traj.actions_base[t]]
+               + [f"{v:.17g}" for v in traj.actions[t]]
+               + [f"{traj.rewards[t]:.17g}",
+                  str(int(traj.risk_flags[t])),
+                  str(int(traj.dones[t]))])
+        lines.append(",".join(row) + "\n")
+    write_text(path, lines, ControlError, f"trajectory CSV {path}")
 
 
 def load_trajectory_csv(path: str) -> Trajectory:

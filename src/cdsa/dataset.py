@@ -10,13 +10,14 @@ docs/FORMATS.md); the loader rejects any malformed line with a
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .neuralcore import Rng
-from .readers import Fields, decode, read_text
+from .readers import Fields, decode, read_text, write_text
 
 STD_FLOOR = 1e-6
 
@@ -185,10 +186,10 @@ def save_dataset(dataset: Dataset, path) -> None:
     }
     rows = zip(dataset.states.tolist(), dataset.actions.tolist(), dataset.rewards.tolist(),
                dataset.next_states.tolist(), dataset.dones.tolist())
-    with open(path, "w") as f:
-        f.write(json.dumps(meta) + "\n")
-        f.writelines(json.dumps({"s": s, "a": a, "r": r, "s2": s2, "done": done}) + "\n"
-                     for s, a, r, s2, done in rows)
+    lines = (json.dumps({"s": s, "a": a, "r": r, "s2": s2, "done": done}) + "\n"
+             for s, a, r, s2, done in rows)
+    write_text(path, itertools.chain([json.dumps(meta), "\n"], lines), DatasetError,
+               f"dataset {path}")
 
 
 def read_norm(f: Fields, state_dim: int | None = None,

@@ -43,7 +43,7 @@ from .neuralcore import (
     row_norms,
     train_mlp,
 )
-from .readers import Fields, read_json
+from .readers import Fields, read_json, write_text
 
 ENV_KINDS = ("risky_pointmass", "risky_transport", "linear_point")
 VARIANTS = ("pathfinding", "goods", "airport")
@@ -283,9 +283,8 @@ def load_env_spec(path: str) -> EnvSpec:
 
 def save_env_spec(spec: EnvSpec, path: str) -> None:
     spec.validate()
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(spec.to_dict(), fh, indent=2)
-        fh.write("\n")
+    write_text(path, [json.dumps(spec.to_dict(), indent=2), "\n"], EnvError,
+               f"env spec {path}")
 
 
 def builtin_spec_path(name: str) -> str:

@@ -29,7 +29,7 @@ import numpy as np
 from .controller import CdsaModels, ControlConfig, run_episodes
 from .envs import EnvSpec, Policy
 from .neuralcore import Rng
-from .readers import parse_field, read_csv
+from .readers import parse_field, read_csv, write_text
 from . import svgplot
 
 
@@ -182,21 +182,14 @@ def _csv_rows(report: Report):
 
 def emit_report(report: Report, csv_path: str, svg_path: str | None = None) -> None:
     """Write the report CSV and, when the report carries a spec, the scene SVG."""
-    try:
-        with open(csv_path, "w", encoding="utf-8") as fh:
-            fh.write("metric,arm,percentile,value\n")
-            for row in _csv_rows(report):
-                fh.write(",".join(row) + "\n")
-    except OSError as exc:
-        raise EvalError(f"cannot write report CSV {csv_path}: {exc}") from exc
+    lines = [",".join(row) + "\n" for row in _csv_rows(report)]
+    write_text(csv_path, ["metric,arm,percentile,value\n"] + lines, EvalError,
+               f"report CSV {csv_path}")
     if svg_path is not None:
         if report.spec is None:
             raise EvalError("report has no env spec; cannot draw the scene SVG")
-        try:
-            svgplot.write_svg(
-                svgplot.render_scene(report.spec, report.trajectories), svg_path)
-        except OSError as exc:
-            raise EvalError(f"cannot write report SVG {svg_path}: {exc}") from exc
+        write_text(svg_path, [svgplot.render_scene(report.spec, report.trajectories), "\n"],
+                   EvalError, f"report SVG {svg_path}")
 
 
 def load_report_csv(path: str) -> dict:

@@ -140,6 +140,10 @@ class MlpParams:
 
     def __init__(self, layer_dims, leaky_slope: float, flat: np.ndarray):
         dims = list(layer_dims)
+        if len(dims) < 2 or any(d < 1 for d in dims):
+            raise NeuralCoreError(f"layer_dims must have >= 2 positive entries, got {dims}")
+        if not 0.0 < leaky_slope < 1.0:
+            raise NeuralCoreError(f"leaky_slope must be in (0, 1), got {leaky_slope}")
         size = param_count(dims)
         if not (isinstance(flat, np.ndarray) and flat.dtype == np.float64
                 and flat.shape == (size,)):
@@ -167,10 +171,6 @@ def mlp_init(layer_dims: list[int], leaky_slope: float, rng: Rng) -> MlpParams:
     Weights are uniform in +-sqrt(6 / ((1 + slope^2) * fan_in)). Deterministic
     given the rng.
     """
-    if len(layer_dims) < 2 or any(d < 1 for d in layer_dims):
-        raise NeuralCoreError(f"layer_dims must have >= 2 positive entries, got {layer_dims}")
-    if not 0.0 < leaky_slope < 1.0:
-        raise NeuralCoreError(f"leaky_slope must be in (0, 1), got {leaky_slope}")
     params = MlpParams(layer_dims, leaky_slope, np.zeros(param_count(layer_dims)))
     for w, fan_in in zip(params.weights, layer_dims[:-1]):
         bound = np.sqrt(6.0 / ((1.0 + leaky_slope**2) * fan_in))

@@ -1,11 +1,13 @@
-"""The one place input files are decoded: JSON documents, JSON Lines and CSV rows.
+"""The one place files are read and written, and input files are decoded:
+JSON documents, JSON Lines and CSV rows.
 
 Every loader reads through this module, so a number, an integer, a string
 from a fixed set or an array of numbers means the same thing in every file
-format (docs/FORMATS.md, "JSON values"). Readers raise the error class
-their caller passes, so each loader keeps its module's exception; the
-caller prefixes the file, and the line for JSON Lines, to errors about a
-field.
+format (docs/FORMATS.md, "JSON values"). Every writer writes its text
+through write_text, as UTF-8. Readers and write_text raise the error class
+their caller passes, so each loader and writer keeps its module's
+exception; the caller prefixes the file, and the line for JSON Lines, to
+errors about a field.
 """
 
 from __future__ import annotations
@@ -30,6 +32,16 @@ def read_text(path, error, where: str) -> str:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise error(f"{where}: cannot read: {exc}") from exc
+
+
+def write_text(path, chunks, error, where: str) -> None:
+    """Write the strings of chunks, in order, as the UTF-8 text of the file at
+    path; where names the file in errors."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+    except OSError as exc:
+        raise error(f"{where}: cannot write: {exc}") from exc
 
 
 def decode(text: str, error, where: str) -> dict:

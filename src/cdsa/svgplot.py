@@ -143,10 +143,3 @@ def render_scene(spec: EnvSpec, trajectories: dict | None = None,
             parts.append(_polyline(pts, m, color, dash))
     parts.append("</svg>")
     return "\n".join(parts)
-
-
-def write_svg(text: str, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        if not text.endswith("\n"):
-            fh.write("\n")

@@ -252,6 +252,12 @@ def test_params_constructor_checks_shapes_against_dims():
         with pytest.raises(NeuralCoreError, match=r"dims \[2, 3\] need a float64 vector of 9"):
             MlpParams([2, 3], 0.1, flat)
     assert MlpParams([2, 3], 0.1, np.zeros(9)).weights[0].shape == (3, 2)
+    # a net has two or more layer dims, each >= 1, and a LeakyReLU slope in (0, 1)
+    for dims, slope, size, match in (([3], 0.1, 0, "layer_dims"),
+                                     ([2, 0, 2], 0.1, 2, "layer_dims"),
+                                     ([2, 2], 5.0, 6, "leaky_slope")):
+        with pytest.raises(NeuralCoreError, match=match):
+            MlpParams(dims, slope, np.zeros(size))
 
 
 # the four nets of a pointmass bundle: action field, state field, inverse model, BC

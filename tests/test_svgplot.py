@@ -5,10 +5,12 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from cdsa.cli import main
 from cdsa.controller import control_episode
 from cdsa.envs import ScriptedDirect, builtin_spec_path, load_env_spec
+from cdsa.evaluation import emit_report, rollout_batch, summarize
 from cdsa.neuralcore import Rng
-from cdsa.svgplot import ARM_STYLE, render_scene, write_svg
+from cdsa.svgplot import ARM_STYLE, render_scene
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -97,12 +99,19 @@ def test_y_axis_flips():
     assert m.x(0.9) > m.x(0.1)
 
 
-def test_write_svg_appends_newline(tmp_path):
-    path = tmp_path / "scene.svg"
-    write_svg(render_scene(_spec()), str(path))
-    text = path.read_text()
-    assert text.endswith("\n") and not text.endswith("\n\n")
-    ET.fromstring(text)
+def test_written_scenes_end_in_one_newline(tmp_path):
+    # render_scene returns the document without a newline; its writers add one
+    spec = _spec()
+    trajs = []
+    stats = rollout_batch(spec, ScriptedDirect(spec), None, None, episodes=1, base_seed=0,
+                          trajectories_out=trajs, max_trajectories=1)
+    emit_report(summarize(stats, stats, [50], spec=spec, trajectories={"baseline": trajs}),
+                str(tmp_path / "r.csv"), str(tmp_path / "report.svg"))
+    assert main(["plot", "--env", "pointmass", "--out", str(tmp_path / "plot.svg")]) == 0
+    for name in ("report.svg", "plot.svg"):
+        text = (tmp_path / name).read_text(encoding="utf-8")
+        assert text.endswith("</svg>\n") and not text.endswith("\n\n")
+        ET.fromstring(text)
 
 
 @pytest.mark.parametrize("grid_n", [0, -3])
