@@ -13,12 +13,10 @@ from .controller import (
     control_episode,
     correct_action,
     langevin_sample,
-    load_trajectory_csv,
-    save_trajectory_csv,
     train_cdsa,
 )
 from .dataset import Dataset, NormStats, generate_dataset, load_dataset, save_dataset
-from .envs import EnvSpec, EnvState, Region, load_env_spec, save_env_spec
+from .envs import EnvSpec, EnvState, Region, load_env_spec
 from .evaluation import EpisodeStats, Report, emit_report, rollout_batch, summarize, var_at
 from .invdyn import InvDynModel, InvDynTrainConfig, infer_action, train_invdyn
 from .neuralcore import MlpParams, Rng
@@ -29,9 +27,9 @@ __version__ = "0.1.0"
 __all__ = [
     "CdsaModels", "ControlConfig", "LangevinConfig", "Trajectory",
     "control_episode", "correct_action",
-    "langevin_sample", "load_trajectory_csv", "save_trajectory_csv", "train_cdsa",
+    "langevin_sample", "train_cdsa",
     "Dataset", "NormStats", "generate_dataset", "load_dataset", "save_dataset",
-    "EnvSpec", "EnvState", "Region", "load_env_spec", "save_env_spec",
+    "EnvSpec", "EnvState", "Region", "load_env_spec",
     "EpisodeStats", "Report", "emit_report", "rollout_batch", "summarize", "var_at",
     "InvDynModel", "InvDynTrainConfig", "infer_action", "train_invdyn",
     "MlpParams", "Rng",

@@ -148,7 +148,10 @@ def load_model(path: str):
 def save_bundle(models: CdsaModels, dirpath: str, bc: BehaviorCloned | None = None) -> None:
     """Write the three model files (plus optional bc policy) and the manifest."""
     models.validate()
-    os.makedirs(dirpath, exist_ok=True)
+    try:
+        os.makedirs(dirpath, exist_ok=True)
+    except OSError as exc:
+        raise CheckpointError(f"bundle directory {dirpath}: cannot make: {exc}") from exc
     save_model(models.action_score, os.path.join(dirpath, BUNDLE_FILES["action_score"]))
     save_model(models.state_score, os.path.join(dirpath, BUNDLE_FILES["state_score"]))
     save_model(models.invdyn, os.path.join(dirpath, BUNDLE_FILES["invdyn"]))

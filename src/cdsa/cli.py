@@ -25,7 +25,6 @@ from .controller import (
     ControlConfig,
     LangevinConfig,
     langevin_sample,
-    load_trajectory_csv,
     train_cdsa,
 )
 from .dataset import generate_dataset, load_dataset, save_dataset
@@ -159,9 +158,11 @@ def _resolve_spec(value: str, variant: str | None) -> EnvSpec:
     return spec
 
 
-def _guard_overwrite(path: str, force: bool) -> None:
-    if os.path.exists(path) and not force:
-        raise ValueError(f"output {path} exists; pass --force to overwrite")
+def _guard_overwrite(paths: list, force: bool) -> None:
+    """Refuse, unless force, when any of the paths a subcommand writes exists."""
+    for path in paths:
+        if os.path.exists(path) and not force:
+            raise ValueError(f"output {path} exists; pass --force to overwrite")
 
 
 def _write_echo(cfg: dict, extra: dict, path: str) -> None:
@@ -210,15 +211,15 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
         spec = replace(spec, max_steps=cfg["max_steps"])
         spec.validate()
     policy = _make_policy(spec, cfg["policy"], cfg)
-    _guard_overwrite(args.out, args.force)
+    echo_path = args.out + ".config.json"
+    _guard_overwrite([args.out, echo_path], args.force)
     rng = Rng(cfg["seed"])
     dataset = generate_dataset(spec, policy, cfg["episodes"], spec.max_steps, rng)
     save_dataset(dataset, args.out)
     occ = float(np.mean(risk_occupancy(spec, dataset.next_states)))
     print(f"wrote {len(dataset)} transitions to {args.out}")
     print(f"risk occupancy of visited states: {occ:.4f}")
-    _write_echo(cfg, {"command": "gen-data", "env": args.env, "out": args.out},
-                args.out + ".config.json")
+    _write_echo(cfg, {"command": "gen-data", "env": args.env, "out": args.out}, echo_path)
     return 0
 
 
@@ -242,7 +243,11 @@ def cmd_train(args: argparse.Namespace) -> int:
         bc_cfg = BcTrainConfig(iterations=bc_iters, batch_size=cfg["batch"],
                                lr=cfg["bc_lr"], seed=cfg["seed"])
         bc_cfg.validate()
-    _guard_overwrite(os.path.join(args.out, checkpoint.MANIFEST_FILE), args.force)
+    # the model files, a loss CSV per model, the manifest and the echo
+    names = {**checkpoint.BUNDLE_FILES, **({"bc": checkpoint.BC_FILE} if cfg["bc"] else {})}
+    files = [*names.values(), *(f"loss_{k}.csv" for k in names), checkpoint.MANIFEST_FILE,
+             "config.json"]
+    _guard_overwrite([os.path.join(args.out, f) for f in files], args.force)
     if score_iters == 0 or invdyn_iters == 0:
         print("warning: 0 training iterations; bundle holds initialized, untrained models")
     histories: dict = {}
@@ -299,8 +304,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         tag = f"{ab}_k1_{k1:g}_k2_{k2:g}"
         outputs[(ab, k1, k2)] = (os.path.join(outdir, f"report_{tag}.csv"),
                                  os.path.join(outdir, f"report_{tag}.svg"))
-        for path in outputs[(ab, k1, k2)]:
-            _guard_overwrite(path, args.force)
+    echo_path = os.path.join(outdir, "config.json")
+    _guard_overwrite([echo_path, *(p for pair in outputs.values() for p in pair)], args.force)
     os.makedirs(outdir, exist_ok=True)
 
     traj_b: list = []
@@ -322,7 +327,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
               f"risk rate {report.risk_rate['baseline']:.4f} -> "
               f"{report.risk_rate['corrected']:.4f}")
     _write_echo(cfg, {"command": "eval", "env": args.env, "bundle": args.bundle,
-                      "outdir": outdir}, os.path.join(outdir, "config.json"))
+                      "outdir": outdir}, echo_path)
     return 0
 
 
@@ -341,24 +346,13 @@ def cmd_plot(args: argparse.Namespace) -> int:
             actions = np.broadcast_to(norm.action_mean, (len(pts), models.action_dim))
             return norm.state_std * eval_score(models.state_score, pts, actions)
 
-    trajectories = {}
-    for arm, paths in (("baseline", args.traj_baseline or []),
-                       ("corrected", args.traj_corrected or [])):
-        loaded = [load_trajectory_csv(p) for p in paths]
-        for p, traj in zip(paths, loaded):
-            dims = (traj.states.shape[1], traj.actions.shape[1])
-            if dims != (spec.state_dim, spec.action_dim):
-                raise ValueError(f"trajectory {p} has state dim {dims[0]} and action dim "
-                                 f"{dims[1]}; env {spec.name} has {spec.state_dim} and "
-                                 f"{spec.action_dim}")
-        if loaded:
-            trajectories[arm] = loaded
-    _guard_overwrite(args.out, args.force)
-    write_text(args.out, [render_scene(spec, trajectories, quiver_fn, cfg["grid_n"]), "\n"],
-               ValueError, f"scene SVG {args.out}")
+    echo_path = args.out + ".config.json"
+    _guard_overwrite([args.out, echo_path], args.force)
+    scene = render_scene(spec, quiver_fn=quiver_fn, quiver_grid=cfg["grid_n"])
+    write_text(args.out, [scene, "\n"], ValueError, f"scene SVG {args.out}")
     print(f"wrote {args.out}")
     _write_echo(cfg, {"command": "plot", "env": args.env, "out": args.out,
-                      "bundle": args.bundle}, args.out + ".config.json")
+                      "bundle": args.bundle}, echo_path)
     return 0
 
 
@@ -575,14 +569,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--force", action="store_true", help="overwrite existing outputs")
     p.set_defaults(fn=cmd_eval, parser=p)
 
-    p = sub.add_parser("plot", help="render arena, trajectories, and a score quiver")
+    p = sub.add_parser("plot", help="render the arena and a score quiver")
     p.add_argument("--env", required=True, help="env spec path or builtin name")
     p.add_argument("--out", required=True, help="output SVG path")
     p.add_argument("--bundle", help="bundle directory; adds a state-score quiver")
-    p.add_argument("--traj-baseline", dest="traj_baseline", nargs="*",
-                   help="baseline trajectory CSVs")
-    p.add_argument("--traj-corrected", dest="traj_corrected", nargs="*",
-                   help="corrected trajectory CSVs")
     p.add_argument("--grid-n", dest="grid_n", type=int, help="quiver grid size (default 20)")
     p.add_argument("--variant", choices=VARIANTS, help="task variant override")
     p.add_argument("--config", help="JSON config file; flags win")

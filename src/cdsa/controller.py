@@ -54,7 +54,6 @@ from .dataset import Dataset, NormStats
 from .envs import EnvError, EnvSpec, EnvStates, Policy, env_reset, env_step_rows
 from .invdyn import InvDynModel, InvDynTrainConfig, train_invdyn
 from .neuralcore import InferenceNet, Rng, forward_batch, row_norms
-from .readers import parse_field, read_csv, write_text
 from .scorefield import ScoreField, ScoreKind, ScoreTrainConfig, train_score_field
 
 ABLATIONS = ("full", "no_a1", "no_a2", "baseline")
@@ -337,23 +336,17 @@ def _correct_rows(nets: tuple, s: np.ndarray, a_o: np.ndarray, low: np.ndarray,
 
 @dataclass
 class Trajectory:
-    """One episode's step records plus the state the episode ended in."""
+    """One episode's steps (pre-step state, applied action, reward, done) and the
+    state it ended in: what dataset generation and the scene SVG read."""
 
     states: np.ndarray
-    actions_base: np.ndarray
     actions: np.ndarray
     rewards: np.ndarray
-    risk_flags: np.ndarray
     dones: np.ndarray
     final_state: np.ndarray
-    reached_goal: bool
 
     def __len__(self) -> int:
         return len(self.rewards)
-
-    @property
-    def undiscounted_return(self) -> float:
-        return float(np.sum(self.rewards))
 
 
 @dataclass
@@ -376,8 +369,9 @@ def run_episodes(spec: EnvSpec, base_policy: Policy, models: CdsaModels | None,
     one batched env step over the episodes still running; an episode leaves
     the live set when it is done. models = None runs the base policy
     untouched. max_steps overrides the spec's budget when given. Returns
-    (EpisodeTotals, trajectories): full step records are kept only for the
-    first `record` episodes, the rest keep running totals.
+    (EpisodeTotals, trajectories): every episode's totals (return, steps,
+    risk entries, goal flag), and the step records of the first `record`
+    episodes as Trajectory objects.
 
     A batch of SPLIT_MIN_EPISODES or more runs as two halves on two cores:
     episodes [0, h) here and [h, n) in a forked child, joined in episode
@@ -443,7 +437,7 @@ def _lockstep(spec: EnvSpec, base_policy: Policy, nets: tuple | None,
     # runs as one flat loop, against a (da,) vector as one short loop per row
     lows, highs = (np.tile(v, (n, 1)) for v in (spec.action_low, spec.action_high))
     score = None if nets is None else nets[0]
-    cols: list = [[] for _ in range(7)]  # episode, s, a_o, a, r, risk, done
+    cols: list = [[] for _ in range(5)]  # episode, s, a, r, done
     for t in range(budget):
         if len(ids) == 0:
             break
@@ -468,7 +462,7 @@ def _lockstep(spec: EnvSpec, base_policy: Policy, nets: tuple | None,
         risks += risk
         if k:
             # copies, so the step's full-batch arrays are not kept alive
-            for col, v in zip(cols, (ids, st.s, a_o, a, r, risk, done)):
+            for col, v in zip(cols, (ids, st.s, a, r, done)):
                 col.append(v[:k].copy())
         st = st_next
         if done.any():
@@ -489,19 +483,16 @@ def _lockstep(spec: EnvSpec, base_policy: Policy, nets: tuple | None,
     totals = EpisodeTotals(returns=returns, discounted_returns=discounted,
                            steps=final.steps, risk_entries=risk_entries,
                            reached_goal=at_goal & (final.steps > 0))
-    tails = ((), (ds,), (da,), (da,), (), (), ())
-    dtypes = (np.int64, np.float64, np.float64, np.float64, np.float64, bool, bool)
-    ep, S, AO, A, R, RISK, DONE = (
+    tails = ((), (ds,), (da,), (), ())
+    dtypes = (np.int64, np.float64, np.float64, np.float64, bool)
+    ep, S, A, R, DONE = (
         np.concatenate(col) if col else np.zeros((0,) + tail, dtype=dt)
         for col, tail, dt in zip(cols, tails, dtypes))
     trajectories = []
     for e in range(min(record, n)):
         m = ep == e
-        trajectories.append(Trajectory(
-            states=S[m], actions_base=AO[m], actions=A[m], rewards=R[m],
-            risk_flags=RISK[m], dones=DONE[m], final_state=final.s[e].copy(),
-            reached_goal=bool(totals.reached_goal[e]),
-        ))
+        trajectories.append(Trajectory(states=S[m], actions=A[m], rewards=R[m], dones=DONE[m],
+                                       final_state=final.s[e].copy()))
     return totals, trajectories
 
 
@@ -511,56 +502,12 @@ def control_episode(spec: EnvSpec, base_policy: Policy, models: CdsaModels | Non
     """Roll one episode, correcting every base action before stepping the env.
 
     models = None runs the base policy untouched (same as ablation
-    "baseline"). max_steps overrides the env spec's budget when given; 0 yields an
-    empty trajectory with return 0. This is the one-episode case of
-    run_episodes.
+    "baseline"). max_steps overrides the env spec's budget when given; 0
+    yields an empty trajectory. This is the one-episode case of run_episodes.
     """
     _, trajectories = run_episodes(spec, base_policy, models, cfg, [rng], max_steps,
                                    record=1)
     return trajectories[0]
-
-
-def _trajectory_header(ds: int, da: int) -> list[str]:
-    return (["step"] + [f"s{i}" for i in range(ds)] + [f"a_o{i}" for i in range(da)]
-            + [f"a{i}" for i in range(da)] + ["r", "risk_flag", "done"])
-
-
-def save_trajectory_csv(traj: Trajectory, path: str) -> None:
-    """Write step, s..., a_o..., a..., r, risk_flag, done rows."""
-    ds = traj.states.shape[1] if len(traj) else len(traj.final_state)
-    da = traj.actions.shape[1] if len(traj) else 0
-    lines = [",".join(_trajectory_header(ds, da)) + "\n"]
-    for t in range(len(traj)):
-        row = ([str(t)]
-               + [f"{v:.17g}" for v in traj.states[t]]
-               + [f"{v:.17g}" for v in traj.actions_base[t]]
-               + [f"{v:.17g}" for v in traj.actions[t]]
-               + [f"{traj.rewards[t]:.17g}",
-                  str(int(traj.risk_flags[t])),
-                  str(int(traj.dones[t]))])
-        lines.append(",".join(row) + "\n")
-    write_text(path, lines, ControlError, f"trajectory CSV {path}")
-
-
-def load_trajectory_csv(path: str) -> Trajectory:
-    """The step rows save_trajectory_csv wrote; ControlError names path:lineno otherwise."""
-    header, rows = read_csv(path, ControlError)
-    ds = sum(1 for c in header if c.startswith("s") and c != "step")
-    da = sum(1 for c in header if c.startswith("a_o"))
-    if header != _trajectory_header(ds, da):
-        raise ControlError(f"{path}:1: not a trajectory CSV header: {','.join(header)!r}")
-    kinds = [int] + [float] * (ds + 2 * da + 1) + [bool, bool]
-    vals = np.array([[parse_field(text, kind, ControlError, f"{where}: {col}")
-                      for text, kind, col in zip(fields, kinds, header)]
-                     for where, fields in rows], dtype=np.float64).reshape(-1, len(header))
-    states = vals[:, 1:1 + ds]
-    a_o = vals[:, 1 + ds:1 + ds + da]
-    a = vals[:, 1 + ds + da:1 + ds + 2 * da]
-    r = vals[:, 1 + ds + 2 * da]
-    risk = vals[:, 2 + ds + 2 * da].astype(bool)
-    done = vals[:, 3 + ds + 2 * da].astype(bool)
-    final = states[-1] if len(states) else np.zeros(ds)
-    return Trajectory(states, a_o, a, r, risk, done, final, reached_goal=False)
 
 
 def langevin_sample(score_fn, x0: np.ndarray, cfg: LangevinConfig, rng: Rng) -> np.ndarray:

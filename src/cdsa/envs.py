@@ -7,10 +7,10 @@ and a free linear point used for inverse-dynamics ground truth. Entering a
 risk region triggers a large penalty with small probability; occupancy is
 reported deterministically so risk statistics stay low-variance.
 
-All numeric layout lives in versioned JSON spec files, not in code. Episode
-bookkeeping that is not part of the observed state (step count, goods visited,
-airport used) rides in EnvState so the observed state keeps the same dims
-across task variants.
+All numeric layout lives in versioned, hand-written JSON spec files (read
+here, written nowhere), not in code. Episode bookkeeping that is not part of
+the observed state (step count, goods visited, airport used) rides in
+EnvState so the observed state keeps the same dims across task variants.
 
 Stepping is batched: env_step_rows advances many episodes at once from an
 EnvStates (one row per episode, each row with its own rng stream) on actions
@@ -25,7 +25,6 @@ policy), a uniform random policy, and a behavior-cloned MLP.
 from __future__ import annotations
 
 import heapq
-import json
 import math
 import os
 from dataclasses import dataclass, replace
@@ -43,7 +42,7 @@ from .neuralcore import (
     row_norms,
     train_mlp,
 )
-from .readers import Fields, read_json, write_text
+from .readers import Fields, read_json
 
 ENV_KINDS = ("risky_pointmass", "risky_transport", "linear_point")
 VARIANTS = ("pathfinding", "goods", "airport")
@@ -106,16 +105,6 @@ class Region:
             r = np.array([self.radius, self.radius])
             return self.center - r, self.center + r
         return self.rect_min, self.rect_max
-
-    def to_dict(self) -> dict:
-        d: dict = {"shape": self.shape, "label": self.label}
-        if self.shape == "circle":
-            d["center"] = [float(v) for v in self.center]
-            d["radius"] = float(self.radius)
-        else:
-            d["min"] = [float(v) for v in self.rect_min]
-            d["max"] = [float(v) for v in self.rect_max]
-        return d
 
 
 def _read_region(f: Fields | None) -> Region | None:
@@ -208,35 +197,6 @@ class EnvSpec:
         out.validate()
         return out
 
-    def to_dict(self) -> dict:
-        d = {
-            "format": SPEC_FORMAT,
-            "version": SPEC_VERSION,
-            "kind": self.kind,
-            "name": self.name,
-            "state_dim": self.state_dim,
-            "action_dim": self.action_dim,
-            "arena": {"min": [float(v) for v in self.arena_min],
-                      "max": [float(v) for v in self.arena_max]},
-            "dt": self.dt,
-            "start": {"min": [float(v) for v in self.start_min],
-                      "max": [float(v) for v in self.start_max]},
-            "goal": {"position": [float(v) for v in self.goal],
-                     "capture_radius": self.capture_radius},
-            "risk": {"penalty": self.risk_penalty, "prob": self.risk_prob,
-                     "regions": [r.to_dict() for r in self.risk_regions]},
-            "step_cost": self.step_cost,
-            "max_steps": self.max_steps,
-            "action_bounds": {"low": [float(v) for v in self.action_low],
-                              "high": [float(v) for v in self.action_high]},
-            "variant": self.variant,
-        }
-        d["goods_region"] = self.goods_region.to_dict() if self.goods_region else None
-        d["airport_region"] = self.airport_region.to_dict() if self.airport_region else None
-        d["landing_point"] = ([float(v) for v in self.landing_point]
-                              if self.landing_point is not None else None)
-        return d
-
     @classmethod
     def from_dict(cls, d: dict) -> "EnvSpec":
         f = Fields(d, EnvError)
@@ -279,12 +239,6 @@ def load_env_spec(path: str) -> EnvSpec:
         return EnvSpec.from_dict(d)
     except EnvError as exc:
         raise EnvError(f"env spec {path}: {exc}") from None
-
-
-def save_env_spec(spec: EnvSpec, path: str) -> None:
-    spec.validate()
-    write_text(path, [json.dumps(spec.to_dict(), indent=2), "\n"], EnvError,
-               f"env spec {path}")
 
 
 def builtin_spec_path(name: str) -> str:

@@ -18,7 +18,8 @@ backward pass and Adam step, so a step at a fixed batch size writes into
 arrays it already owns instead of allocating batch-sized temporaries. The
 losses, backward_batch and adam_step run only in such a set: there is one
 training-step path. Importing this module sets the loaded OpenBLAS to one
-thread for the whole process (and the children it forks).
+thread for the whole process (and the children it forks), and ends its
+parked worker threads.
 
 Rollouts run on InferenceNet snapshots instead: weights transposed once into
 contiguous (fan_in, fan_out) arrays, nets that read the same input stacked
@@ -557,7 +558,7 @@ def train_mlp(layer_dims: list[int], leaky_slope: float, config: TrainConfig, n_
 
 @functools.cache
 def _openblas_threads():
-    """(get, set) thread-count functions of the loaded OpenBLAS, or None.
+    """(get, set) thread-count functions and the pool shutdown of the loaded OpenBLAS, or None.
 
     Looked up once per process (about 0.5 ms); numpy, imported above, has
     loaded its BLAS by the time this first runs.
@@ -576,10 +577,12 @@ def _openblas_threads():
         for prefix, suffix in (("openblas", ""), ("scipy_openblas", "64_")):
             get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
             put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-            if get is not None and put is not None:
+            shutdown = getattr(lib, "blas_thread_shutdown_", None)
+            if get is not None and put is not None and shutdown is not None:
                 get.restype, get.argtypes = ctypes.c_int, []
                 put.restype, put.argtypes = None, [ctypes.c_int]
-                return get, put
+                shutdown.restype, shutdown.argtypes = ctypes.c_int, []
+                return get, put, shutdown
     return None
 
 
@@ -590,11 +593,14 @@ def _openblas_threads():
 # 40-70x slower (8 ms instead of 0.1 ms). So the count is set once, here, and
 # forked children inherit it. Nothing else sets it: a set in a process forked
 # since OpenBLAS last ran restarts its thread pool, whose new workers spin for
-# a while and take a core from the work. Another BLAS, or no /proc, is left
-# as it is.
+# a while and take a core from the work. A lowered count leaves a parked
+# worker alive, so the pool is shut down too (one BLAS thread never restarts
+# it). Another BLAS, or no /proc, is left as it is.
 _threads = _openblas_threads()
-if _threads is not None and _threads[0]() != 1:
-    _threads[1](1)
+if _threads is not None:
+    if _threads[0]() != 1:
+        _threads[1](1)
+    _threads[2]()
 
 
 def fd_grads(net: MlpParams, x: np.ndarray, loss_of_output, h: float = 1e-6) -> MlpParams:

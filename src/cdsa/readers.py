@@ -152,7 +152,7 @@ class Fields:
 
 
 def read_csv(path, error) -> tuple[list[str], list[tuple[str, list[str]]]]:
-    """The header and the rows of the CSV file at path; blank lines are skipped.
+    """The header and the rows of the report CSV at path; blank lines are skipped.
 
     Each row is (where, fields), where being "path:lineno". A row has as
     many fields as the header, its last field keeping any further commas.
@@ -174,14 +174,13 @@ def read_csv(path, error) -> tuple[list[str], list[tuple[str, list[str]]]]:
 
 def parse_field(text: str, kind, error, where: str):
     """One text field (of a CSV row, or a flag) as kind: str, float (a finite
-    number), int, or bool (written 0 or 1)."""
+    number) or int."""
     if kind is str:
         return text
     try:
-        value = {"0": False, "1": True}[text] if kind is bool else kind(text)
-    except (KeyError, ValueError):
+        value = kind(text)
+    except ValueError:
         value = None
     if value is None or (kind is float and not math.isfinite(value)):
-        raise error(f"{where} must be {'0 or 1' if kind is bool else _WHAT[kind][0]}, "
-                    f"got {text!r}")
+        raise error(f"{where} must be {_WHAT[kind][0]}, got {text!r}")
     return value

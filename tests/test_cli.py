@@ -5,12 +5,10 @@ import json
 import os
 import xml.etree.ElementTree as ET
 
-import numpy as np
 import pytest
 
 from cdsa import checkpoint
 from cdsa.cli import DEFAULTS, _merge_config, build_parser, main
-from cdsa.controller import Trajectory, save_trajectory_csv
 from cdsa.dataset import load_dataset
 from cdsa.evaluation import load_report_csv
 from cdsa.svgplot import ARM_STYLE
@@ -282,19 +280,14 @@ def test_plot_takes_no_seed(tmp_path, monkeypatch):
     assert "seed" not in _read_json(scene + ".config.json")
 
 
-def test_plot_rejects_trajectories_of_other_dims(tmp_path, capsys):
-    traj = str(tmp_path / "traj.csv")
-    save_trajectory_csv(Trajectory(
-        states=np.zeros((2, 3)), actions_base=np.zeros((2, 1)), actions=np.zeros((2, 1)),
-        rewards=np.zeros(2), risk_flags=np.zeros(2, bool), dones=np.array([False, True]),
-        final_state=np.zeros(3), reached_goal=False), traj)
+@pytest.mark.parametrize("flag", ["--traj-baseline", "--traj-corrected"])
+def test_plot_reads_no_trajectory_files(tmp_path, flag):
+    # no command writes trajectory files; eval's report SVG draws its rollouts
     scene = tmp_path / "scene.svg"
-    capsys.readouterr()
-    assert main(["plot", "--env", "linear", "--out", str(scene), "--traj-baseline", traj]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith(f"error: trajectory {traj} "), err
-    assert "state dim 3 and action dim 1" in err[0] and "has 2 and 2" in err[0], err
-    assert not scene.exists() and not os.path.exists(str(scene) + ".config.json")
+    with pytest.raises(SystemExit) as exc:
+        main(["plot", "--env", "linear", "--out", str(scene), flag, "traj.csv"])
+    assert exc.value.code == 2
+    assert not scene.exists()
 
 
 def test_train_rerun_is_byte_identical(tmp_path):
@@ -413,6 +406,45 @@ def test_eval_draws_every_recorded_trajectory(tmp_path, linear_bundle):
     root = ET.parse(outdir / "report_full_k1_0.1_k2_0.svg").getroot()
     strokes = [el.get("stroke") for el in root.iter("{http://www.w3.org/2000/svg}polyline")]
     assert [strokes.count(ARM_STYLE[arm][0]) for arm in ("baseline", "corrected")] == [25, 25]
+
+
+# (command, the one output an earlier run left): each run without --force must
+# exit 1 with one error line naming it, before it writes anything
+TAKEN_OUTPUTS = [
+    ("gen-data", "out.config.json"),
+    ("plot", "out.config.json"),
+    ("eval", "out/config.json"),
+    ("train", "out/config.json"),
+    ("train", "out/loss_invdyn.csv"),
+    ("train", "out/loss_bc.csv"),
+    ("train", "out/state_score.json"),
+    ("train", "out/bc.json"),
+]
+
+
+@pytest.mark.parametrize("command, taken", TAKEN_OUTPUTS,
+                         ids=[" ".join(c) for c in TAKEN_OUTPUTS])
+def test_every_output_is_kept_without_force(tmp_path, capsys, linear_bundle, command, taken):
+    out = str(tmp_path / "out")
+    data = os.path.join(os.path.dirname(linear_bundle), "data.jsonl")
+    argv = {
+        "gen-data": ["gen-data", "--env", "linear", "--out", out, "--policy", "direct",
+                     "--episodes", "2"],
+        "plot": ["plot", "--env", "linear", "--out", out],
+        "eval": ["eval", "--env", "linear", "--bundle", linear_bundle, "--outdir", out,
+                 "--policy", "direct", "--episodes", "2"],
+        "train": ["train", "--data", data, "--out", out, "--iters", "5", "--batch", "16",
+                  "--bc", "--env", "linear"],
+    }[command]
+    path = tmp_path / taken
+    path.parent.mkdir(exist_ok=True)
+    path.write_text("an earlier run's output\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: output {path} exists; pass --force to overwrite"], err
+    assert path.read_text(encoding="utf-8") == "an earlier run's output\n"
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == [path]
 
 
 # (command, flags, value): each run must exit 1 with one error line naming the

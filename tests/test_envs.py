@@ -25,7 +25,6 @@ from cdsa.envs import (
     env_step_rows,
     load_env_spec,
     risk_occupancy,
-    save_env_spec,
     train_bc_policy,
 )
 from cdsa.neuralcore import Rng, forward_batch, mlp_init
@@ -72,12 +71,16 @@ def test_region_rect_contains():
     assert r.inflated(0.06).contains_many(pts).tolist() == [True, True]
 
 
-def test_region_dict_roundtrip():
-    r = Region(shape="circle", label="goods", center=np.array([0.3, 0.7]),
-               radius=0.05)
-    again = _read_region(Fields(r.to_dict(), EnvError))
-    assert again.shape == "circle" and again.label == "goods"
-    assert np.allclose(again.center, r.center) and again.radius == r.radius
+def test_regions_read_from_hand_written_objects():
+    circle = _read_region(Fields({"shape": "circle", "label": "goods", "center": [0.3, 0.7],
+                                  "radius": 0.05}, EnvError))
+    assert (circle.shape, circle.label, circle.radius) == ("circle", "goods", 0.05)
+    assert circle.center.tolist() == [0.3, 0.7] and circle.center.dtype == np.float64
+    rect = _read_region(Fields({"shape": "rect", "min": [0.1, 0], "max": [0.2, 0.5]},
+                               EnvError))
+    assert (rect.shape, rect.label) == ("rect", "")
+    assert rect.rect_min.tolist() == [0.1, 0.0] and rect.rect_max.tolist() == [0.2, 0.5]
+    assert rect.rect_min.dtype == rect.rect_max.dtype == np.float64
 
 
 def test_spec_files_load_and_validate():
@@ -85,17 +88,6 @@ def test_spec_files_load_and_validate():
         spec = load_env_spec(builtin_spec_path(name))
         spec.validate()
         assert spec.state_dim == 2 and spec.action_dim == 2
-
-
-def test_spec_roundtrip(tmp_path):
-    spec = _transport()
-    path = tmp_path / "spec.json"
-    save_env_spec(spec, path)
-    again = load_env_spec(path)
-    assert again.name == spec.name
-    assert np.array_equal(again.goal, spec.goal)
-    assert len(again.risk_regions) == len(spec.risk_regions)
-    assert again.variant == spec.variant
 
 
 def test_spec_validation_rejects_bad_fields():
@@ -308,14 +300,20 @@ def test_rng_stream_alignment_across_risk_outcomes():
 
 
 def _episode(spec, policy, seed):
-    """One recorded episode of policy, through the episode runner."""
-    _, (traj,) = run_episodes(spec, policy, None, None, [Rng(seed)], record=1)
-    return traj
+    """One recorded episode of policy, through the episode runner, and its
+    risk entries and goal flag."""
+    totals, (traj,) = run_episodes(spec, policy, None, None, [Rng(seed)], record=1)
+    return traj, int(totals.risk_entries[0]), bool(totals.reached_goal[0])
+
+
+def _visited(traj):
+    """The post-step positions of a trajectory."""
+    return np.vstack([traj.states[1:], traj.final_state])
 
 
 def test_reward_is_nonpositive():
     spec = _pointmass()
-    traj = _episode(spec, RandomPolicy(spec), 17)
+    traj, _, _ = _episode(spec, RandomPolicy(spec), 17)
     assert len(traj) > 0 and np.all(traj.rewards <= 0.0)
 
 
@@ -375,9 +373,9 @@ def test_goods_visit_recorded():
 
 def test_step_budget_ends_episode():
     spec = replace(_linear(), max_steps=3)
-    traj = _episode(spec, RandomPolicy(spec), 2)
+    traj, _, reached_goal = _episode(spec, RandomPolicy(spec), 2)
     assert traj.dones.tolist() == [False, False, True]
-    assert not traj.reached_goal
+    assert not reached_goal
 
 
 # ---------------------------------------------------------------------------
@@ -483,14 +481,14 @@ def test_planner_matches_direct_route_without_obstacles():
     direct = ScriptedDirect(spec)
     planner = ScriptedRiskAvoiding(spec)
     for seed in range(5):
-        t1, t2 = _episode(spec, direct, seed), _episode(spec, planner, seed)
+        (t1, _, goal1), (t2, _, goal2) = (_episode(spec, pol, seed) for pol in (direct, planner))
         start = t2.states[0]
         seg = spec.goal - start
         seg_len = float(np.linalg.norm(seg))
         # cross-track deviation from the straight segment stays sub-cell
         t = np.clip((t2.states - start) @ seg / seg_len**2, 0.0, 1.0)
         assert np.all(np.linalg.norm(t2.states - (start + t[:, None] * seg), axis=1) < 0.06)
-        assert t1.reached_goal and t2.reached_goal
+        assert goal1 and goal2
         assert abs(len(t1) - len(t2)) <= 3
 
 
@@ -498,16 +496,18 @@ def test_planner_zero_risk_occupancy_pointmass():
     spec = _pointmass()
     pol = ScriptedRiskAvoiding(spec)
     for seed in range(10):
-        traj = _episode(spec, pol, seed)
+        traj, risk_entries, reached_goal = _episode(spec, pol, seed)
         assert not risk_occupancy(spec, traj.states).any()
-        assert not traj.risk_flags.any()
-        assert traj.reached_goal
+        assert not risk_occupancy(spec, _visited(traj)).any()
+        assert risk_entries == 0
+        assert reached_goal
 
 
 def test_planner_zero_risk_occupancy_transport():
     spec = _transport()
-    traj = _episode(spec, ScriptedRiskAvoiding(spec), 5)
-    assert not traj.risk_flags.any()
+    traj, risk_entries, _ = _episode(spec, ScriptedRiskAvoiding(spec), 5)
+    assert not risk_occupancy(spec, _visited(traj)).any()
+    assert risk_entries == 0
     assert traj.dones[-1]
 
 

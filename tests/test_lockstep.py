@@ -43,6 +43,7 @@ from cdsa.envs import (
     ScriptedRiskAvoiding,
     builtin_spec_path,
     load_env_spec,
+    risk_occupancy,
     train_bc_policy,
 )
 from cdsa.evaluation import rollout_batch
@@ -65,7 +66,6 @@ SWEEP = [(0.1, 0.0), (0.1, 0.02), (0.1, 0.05), (0.3, 0.0), (0.3, 0.02), (0.3, 0.
 @dataclass
 class RefEpisode:
     states: np.ndarray
-    actions_base: np.ndarray
     actions: np.ndarray
     rewards: list
     risk_flags: list
@@ -93,17 +93,16 @@ def reference_episode(spec, policy, models, cfg, rng) -> RefEpisode:
         a_o = np.clip(reference_act(policy, st, rng), spec.action_low, spec.action_high)
         a = a_o if models is None else reference_correction(models, st.s, a_o, cfg)
         nxt, r, done, risk = reference_env_step(spec, st, a, rng)
-        rows.append((st.s, a_o, a, r, risk, done))
+        rows.append((st.s, a, r, risk, done))
         st = nxt
         if done:
             break
     at_goal = float(np.linalg.norm(st.s - spec.goal)) <= spec.capture_radius
     reached = at_goal and (spec.variant != "goods" or st.goods_visited)
-    cols = list(zip(*rows)) if rows else [[]] * 6
+    cols = list(zip(*rows)) if rows else [[]] * 5
     return RefEpisode(np.array(cols[0]).reshape(-1, spec.state_dim),
                       np.array(cols[1]).reshape(-1, spec.action_dim),
-                      np.array(cols[2]).reshape(-1, spec.action_dim),
-                      list(cols[3]), list(cols[4]), list(cols[5]),
+                      list(cols[2]), list(cols[3]), list(cols[4]),
                       st.s, bool(reached and rows))
 
 
@@ -151,18 +150,17 @@ def assert_matches_reference(spec, policy, models, cfg, episodes, base_seed,
         if i >= len(trajs):
             continue
         tr = trajs[i]
+        # the risk flags are those of the post-step positions the trajectory records
+        risk = risk_occupancy(spec, np.vstack([tr.states[1:], tr.final_state]))
         # the running totals agree with the recorded trajectory's arrays
-        assert (len(tr), int(tr.risk_flags.sum()), tr.reached_goal) == (
-            st.steps, st.risk_entries, st.reached_goal)
+        assert (len(tr), int(risk.sum())) == (st.steps, st.risk_entries)
         np.testing.assert_allclose(
             [st.undiscounted_return, st.discounted_return],
             [tr.rewards.sum(), np.sum(tr.rewards * 0.97 ** np.arange(len(tr)))],
             rtol=0, atol=1e-9)
-        assert tr.risk_flags.tolist() == ref.risk_flags
+        assert risk.tolist() == ref.risk_flags
         assert tr.dones.tolist() == ref.dones
-        assert tr.reached_goal == ref.reached_goal
         _close(tr.states, ref.states, exact)
-        _close(tr.actions_base, ref.actions_base, exact)
         _close(tr.actions, ref.actions, exact)
         _close(tr.rewards, np.array(ref.rewards), exact)
         _close(tr.final_state, ref.final_state, exact)
@@ -228,10 +226,8 @@ def test_control_episode_is_a_one_episode_batch(pointmass):
     stats = rollout_batch(spec, bc, models, cfg, 1, 55, 1.0, trajs, 1)
     one = control_episode(spec, bc, models, cfg, Rng(55).substream(0))
     batch = trajs[0]
-    for name in ("states", "actions_base", "actions", "rewards", "risk_flags", "dones",
-                 "final_state"):
+    for name in ("states", "actions", "rewards", "dones", "final_state"):
         assert np.array_equal(getattr(one, name), getattr(batch, name)), name
-    assert one.reached_goal == batch.reached_goal == stats[0].reached_goal
     assert len(one) == stats[0].steps
 
 

@@ -223,16 +223,39 @@ def test_params_are_views_into_one_flat_buffer():
     assert not np.shares_memory(zero_like_params(built).flat, built.flat)
 
 
-@needs_openblas
-def test_importing_cdsa_sets_openblas_to_one_thread():
-    # a fresh interpreter whose OpenBLAS starts on two threads
+def _fresh_python(code: str) -> list[str]:
+    """The words that code prints, run by a fresh interpreter whose OpenBLAS
+    starts on two threads, with this tree's cdsa importable."""
     src = os.path.dirname(os.path.dirname(cdsa.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=path)
-    code = "import cdsa, cdsa.neuralcore as nc; print(nc._openblas_threads()[0]())"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "1"
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout.split()
+
+
+OS_THREADS = ("int([l for l in open('/proc/self/status') "
+              "if l.startswith('Threads:')][0].split()[1])")
+
+
+@needs_openblas
+def test_importing_cdsa_sets_openblas_to_one_thread():
+    # one BLAS thread, and one OS thread: the pool's parked worker is gone,
+    # and a product large enough to split on two threads does not restart it
+    code = ("import numpy as np, cdsa, cdsa.neuralcore as nc\n"
+            f"print(nc._openblas_threads()[0](), {OS_THREADS})\n"
+            "a = np.ones((300, 300)); a @ a\n"
+            f"print({OS_THREADS})")
+    assert _fresh_python(code) == ["1", "1", "1"]
+
+
+@needs_openblas
+def test_forking_after_importing_cdsa_warns_nothing():
+    # Python 3.12+ warns at a fork of a process with more than one thread
+    code = ("import warnings, cdsa.controller as c\n"
+            "with warnings.catch_warnings(record=True) as caught:\n"
+            "    warnings.simplefilter('always')\n"
+            "    print(*c._on_two_cores(lambda: 1, lambda: 2), len(caught))")
+    assert _fresh_python(code) == ["1", "2", "0"]
 
 
 def test_params_pickle_as_views_into_their_own_buffer():

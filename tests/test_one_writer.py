@@ -5,6 +5,9 @@ A lint check parses the package with `ast`: outside readers.py, a call of
 whose mode it cannot read as a constant, fails it, and so does any
 `.write_text` or `.write_bytes` call except readers' own. Opening a file to
 read (`/proc/self/maps`) and `os.fdopen` on the fork's pipes are allowed.
+A second lint requires that every function calling `write_text` is reached,
+by name, from some `cdsa` subcommand (a `cmd_*` function of cli.py): a
+writer no command calls writes a file format no command makes.
 
 The other tests make each writer fail, by giving it a path under a regular
 file, and check that the writer raises its module's error naming the path.
@@ -22,9 +25,9 @@ import pytest
 
 from cdsa.checkpoint import MANIFEST_FILE, CheckpointError, save_bundle, save_model
 from cdsa.cli import main
-from cdsa.controller import CdsaModels, ControlError, Trajectory, save_trajectory_csv
+from cdsa.controller import CdsaModels
 from cdsa.dataset import Dataset, DatasetError, save_dataset
-from cdsa.envs import EnvError, builtin_spec_path, load_env_spec, save_env_spec
+from cdsa.envs import builtin_spec_path, load_env_spec
 from cdsa.evaluation import EpisodeStats, EvalError, emit_report, summarize
 from cdsa.invdyn import InvDynModel, model_dims
 from cdsa.neuralcore import Rng, mlp_init
@@ -106,6 +109,53 @@ def test_checker_finds_every_form(tmp_path):
         "19: Path(p).open", "20: Path(p).write_text", "21: Path(p).write_bytes"]
 
 
+def unreached_writers(package: Path) -> list[str]:
+    """Each function of the package whose body names write_text but that no
+    cmd_* function of its cli.py reaches, as "module: name".
+
+    A function reaches every function of the package whose name its body
+    reads, as a name or as an attribute (`checkpoint.save_bundle`), and so on
+    through those; methods and nested functions count by their own names.
+    """
+    reads: dict[str, set[str]] = {}  # function name -> the names its body reads
+    writers = set()
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            names |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+            reads.setdefault(node.name, set()).update(names)
+            if "write_text" in names:
+                writers.add((path.stem, node.name))
+    cli = ast.parse((package / "cli.py").read_text(encoding="utf-8"))
+    todo = [n.name for n in cli.body
+            if isinstance(n, ast.FunctionDef) and n.name.startswith("cmd_")]
+    reached = set(todo)
+    while todo:
+        for name in reads[todo.pop()] & reads.keys() - reached:
+            reached.add(name)
+            todo.append(name)
+    return sorted(f"{module}: {name}" for module, name in writers if name not in reached)
+
+
+def test_every_writer_is_reached_from_a_command():
+    assert unreached_writers(PACKAGE) == []
+
+
+def test_reach_checker_follows_names_and_attributes(tmp_path):
+    (tmp_path / "cli.py").write_text(
+        "from . import store\n"
+        "def cmd_go(args):\n    return store.save(args)\n"
+        "def _unused():\n    write_text(p, [s], E, w)\n", encoding="utf-8")
+    (tmp_path / "store.py").write_text(
+        "from .readers import write_text\n"
+        "def save(x):\n    return _emit(x)\n"
+        "def _emit(x):\n    write_text(x, [s], E, w)\n"
+        "def export(x):\n    readers.write_text(x, [s], E, w)\n", encoding="utf-8")
+    assert unreached_writers(tmp_path) == ["cli: _unused", "store: export"]
+
+
 # ---------------------------------------------------------------------------
 # A failed write raises the writer's module error, naming the file
 # ---------------------------------------------------------------------------
@@ -155,15 +205,17 @@ def test_manifest_write_failure_is_a_checkpoint_error(tmp_path):
     assert isinstance(exc.value.__cause__, IsADirectoryError)
 
 
+def test_bundle_directory_failure_is_a_checkpoint_error(blocked):
+    with pytest.raises(CheckpointError,
+                       match=f"^bundle directory {re.escape(blocked)}: cannot make: ") as exc:
+        save_bundle(_models(), blocked)
+    assert isinstance(exc.value.__cause__, NotADirectoryError)
+
+
 def test_dataset_write_failure_is_a_dataset_error(blocked):
     data = Dataset(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros(2), np.ones((2, 2)),
                    np.array([False, True]))
     _fails(DatasetError, blocked, lambda: save_dataset(data, blocked))
-
-
-def test_env_spec_write_failure_is_an_env_error(blocked):
-    spec = load_env_spec(builtin_spec_path("linear"))
-    _fails(EnvError, blocked, lambda: save_env_spec(spec, blocked))
 
 
 def test_report_write_failures_are_eval_errors(tmp_path, blocked):
@@ -171,14 +223,6 @@ def test_report_write_failures_are_eval_errors(tmp_path, blocked):
     spec = load_env_spec(builtin_spec_path("linear"))
     _fails(EvalError, blocked,
            lambda: emit_report(_report(spec), str(tmp_path / "r.csv"), blocked))
-
-
-def test_trajectory_write_failure_is_a_control_error(blocked):
-    traj = Trajectory(states=np.zeros((1, 2)), actions_base=np.zeros((1, 2)),
-                      actions=np.zeros((1, 2)), rewards=np.zeros(1),
-                      risk_flags=np.zeros(1, bool), dones=np.ones(1, bool),
-                      final_state=np.zeros(2), reached_goal=False)
-    _fails(ControlError, blocked, lambda: save_trajectory_csv(traj, blocked))
 
 
 @pytest.mark.parametrize("command", [
