@@ -5,7 +5,10 @@ cloned policy) serialize to one JSON file carrying the architecture, layer
 weights, and normalization stats; floats go through json's repr-based writer,
 which round-trips float64 exactly. A bundle is a directory of three model
 files plus a manifest recording dims, sigma, and a digest of the shared norm
-stats so mixed-provenance bundles are rejected at load time.
+stats. Each model is stored in `<kind>.json` and held in the CdsaModels field
+of the same name, and loads only as that kind. The digest checks that the
+models' norm stats are the ones the bundle was saved with; it cannot tell two
+runs on one dataset apart.
 """
 
 from __future__ import annotations
@@ -28,10 +31,9 @@ MODEL_FORMAT = "cdsa-model"
 BUNDLE_FORMAT = "cdsa-bundle"
 VERSION = 1
 
-BUNDLE_FILES = {"action_score": "action_score.json",
-                "state_score": "state_score.json",
-                "invdyn": "invdyn.json"}
-BC_FILE = "bc.json"
+# the CdsaModels fields, which every bundle holds; it may also hold a "bc" policy
+MODELS = ("action_score", "state_score", "invdyn")
+KINDS = (*MODELS, "bc")
 MANIFEST_FILE = "manifest.json"
 
 
@@ -71,25 +73,25 @@ def norm_digest(norm: NormStats) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+def model_file(kind: str) -> str:
+    """The name of the file a bundle stores its kind model in."""
+    return f"{kind}.json"
+
+
+_KIND_OF = {InvDynModel: "invdyn", BehaviorCloned: "bc"}
+
+
 def model_to_dict(model) -> dict:
-    d: dict = {"format": MODEL_FORMAT, "version": VERSION}
-    if isinstance(model, ScoreField):
-        d["kind"] = model.kind.value
-        d["arch"] = _params_to_dict(model.params)
-        d["sigma"] = model.sigma
-        d["norm"] = model.norm.to_dict()
-    elif isinstance(model, InvDynModel):
-        d["kind"] = "invdyn"
-        d["arch"] = _params_to_dict(model.params)
-        d["norm"] = model.norm.to_dict()
-    elif isinstance(model, BehaviorCloned):
-        d["kind"] = "bc"
-        d["arch"] = _params_to_dict(model.params)
-        d["norm"] = model.norm.to_dict()
-        d["bounds"] = {"low": model.action_low.tolist(),
-                       "high": model.action_high.tolist()}
-    else:
+    kind = model.kind.value if isinstance(model, ScoreField) else _KIND_OF.get(type(model))
+    if kind is None:
         raise CheckpointError(f"cannot checkpoint object of type {type(model).__name__}")
+    d = {"format": MODEL_FORMAT, "version": VERSION, "kind": kind,
+         "arch": _params_to_dict(model.params)}
+    if isinstance(model, ScoreField):
+        d["sigma"] = model.sigma
+    d["norm"] = model.norm.to_dict()
+    if kind == "bc":
+        d["bounds"] = {"low": model.action_low.tolist(), "high": model.action_high.tolist()}
     return d
 
 
@@ -102,11 +104,11 @@ _KIND_DIMS = {
 }
 
 
-def model_from_dict(d: dict):
-    """The model a checkpoint dict describes, after checking every field of it."""
+def model_from_dict(d: dict, kind: str):
+    """The kind model a checkpoint dict describes, after checking every field of it."""
     f = Fields(d, CheckpointError)
     f.header(MODEL_FORMAT, VERSION)
-    kind = f.string("kind", tuple(_KIND_DIMS))
+    f.string("kind", (kind,))
     params = _params_from_fields(f.object("arch"))
     try:
         norm = read_norm(f.object("norm"))
@@ -127,8 +129,7 @@ def model_from_dict(d: dict):
     sigma = f.number("sigma")
     if sigma <= 0.0:
         raise CheckpointError(f"sigma must be > 0, got {sigma}")
-    skind = ScoreKind.ACTION if kind == ScoreKind.ACTION.value else ScoreKind.STATE
-    return ScoreField(params, skind, sigma, norm)
+    return ScoreField(params, ScoreKind(kind), sigma, norm)
 
 
 def save_model(model, path: str) -> None:
@@ -137,10 +138,11 @@ def save_model(model, path: str) -> None:
                f"checkpoint {path}")
 
 
-def load_model(path: str):
+def load_model(path: str, kind: str):
+    """The kind model stored in the file at path."""
     d = read_json(path, CheckpointError, "checkpoint")
     try:
-        return model_from_dict(d)
+        return model_from_dict(d, kind)
     except CheckpointError as exc:
         raise CheckpointError(f"checkpoint {path}: {exc}") from None
 
@@ -152,13 +154,11 @@ def save_bundle(models: CdsaModels, dirpath: str, bc: BehaviorCloned | None = No
         os.makedirs(dirpath, exist_ok=True)
     except OSError as exc:
         raise CheckpointError(f"bundle directory {dirpath}: cannot make: {exc}") from exc
-    save_model(models.action_score, os.path.join(dirpath, BUNDLE_FILES["action_score"]))
-    save_model(models.state_score, os.path.join(dirpath, BUNDLE_FILES["state_score"]))
-    save_model(models.invdyn, os.path.join(dirpath, BUNDLE_FILES["invdyn"]))
-    files = dict(BUNDLE_FILES)
+    saved = {kind: getattr(models, kind) for kind in MODELS}
     if bc is not None:
-        save_model(bc, os.path.join(dirpath, BC_FILE))
-        files["bc"] = BC_FILE
+        saved["bc"] = bc
+    for kind, model in saved.items():
+        save_model(model, os.path.join(dirpath, model_file(kind)))
     manifest = {
         "format": BUNDLE_FORMAT,
         "version": VERSION,
@@ -166,7 +166,7 @@ def save_bundle(models: CdsaModels, dirpath: str, bc: BehaviorCloned | None = No
         "action_dim": models.action_dim,
         "sigma": models.action_score.sigma,
         "norm_sha256": norm_digest(models.norm),
-        "files": files,
+        "files": {kind: model_file(kind) for kind in saved},
     }
     mpath = os.path.join(dirpath, MANIFEST_FILE)
     write_text(mpath, [json.dumps(manifest, indent=2), "\n"], CheckpointError,
@@ -180,9 +180,11 @@ def _read_manifest(dirpath: str) -> dict:
     try:
         f = Fields(doc, CheckpointError)
         f.header(BUNDLE_FORMAT, VERSION)
-        files = doc.get("files", {})
-        if not isinstance(files, dict) or not all(isinstance(v, str) for v in files.values()):
-            raise CheckpointError("files must be an object of file names")
+        files = doc.get("files")
+        want = {kind: model_file(kind) for kind in KINDS}
+        if files not in (want, {kind: want[kind] for kind in MODELS}):
+            raise CheckpointError(f"files must be {json.dumps(want)}, with or without "
+                                  f"its \"bc\" entry")
         return {"state_dim": f.integer("state_dim"), "action_dim": f.integer("action_dim"),
                 "sigma": f.number("sigma"), "norm_sha256": f.string("norm_sha256"),
                 "files": files}
@@ -193,17 +195,9 @@ def _read_manifest(dirpath: str) -> dict:
 def load_bundle(dirpath: str) -> CdsaModels:
     """Load and cross-check a bundle directory; returns validated CdsaModels."""
     manifest = _read_manifest(dirpath)
-    files = manifest["files"]
-    loaded = {}
-    for key in BUNDLE_FILES:
-        if key not in files:
-            raise CheckpointError(f"bundle manifest {os.path.join(dirpath, MANIFEST_FILE)} "
-                                  f"lists no {key} file")
-        loaded[key] = load_model(os.path.join(dirpath, files[key]))
-    models = CdsaModels(action_score=loaded["action_score"],
-                        state_score=loaded["state_score"],
-                        invdyn=loaded["invdyn"],
-                        norm=loaded["action_score"].norm)
+    loaded = {kind: load_model(os.path.join(dirpath, model_file(kind)), kind)
+              for kind in MODELS}
+    models = CdsaModels(**loaded, norm=loaded["action_score"].norm)
     models.validate()
     if (manifest["state_dim"], manifest["action_dim"]) != (models.state_dim, models.action_dim):
         raise CheckpointError(f"bundle {dirpath}: models of state dim {models.state_dim} and "
@@ -220,10 +214,6 @@ def load_bundle(dirpath: str) -> CdsaModels:
 
 def load_bundle_bc(dirpath: str) -> BehaviorCloned:
     """Load the optional behavior-cloned policy stored in a bundle."""
-    fname = _read_manifest(dirpath)["files"].get("bc")
-    if fname is None:
+    if "bc" not in _read_manifest(dirpath)["files"]:
         raise CheckpointError(f"bundle {dirpath} holds no behavior-cloned policy")
-    policy = load_model(os.path.join(dirpath, fname))
-    if not isinstance(policy, BehaviorCloned):
-        raise CheckpointError(f"bundle file {fname} is not a behavior-cloned policy")
-    return policy
+    return load_model(os.path.join(dirpath, model_file("bc")), "bc")

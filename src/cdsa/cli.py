@@ -243,9 +243,9 @@ def cmd_train(args: argparse.Namespace) -> int:
         bc_cfg = BcTrainConfig(iterations=bc_iters, batch_size=cfg["batch"],
                                lr=cfg["bc_lr"], seed=cfg["seed"])
         bc_cfg.validate()
-    # the model files, a loss CSV per model, the manifest and the echo
-    names = {**checkpoint.BUNDLE_FILES, **({"bc": checkpoint.BC_FILE} if cfg["bc"] else {})}
-    files = [*names.values(), *(f"loss_{k}.csv" for k in names), checkpoint.MANIFEST_FILE,
+    # every model file and its loss CSV, bc's too without --bc, the manifest and the echo
+    files = [*map(checkpoint.model_file, checkpoint.KINDS),
+             *(f"loss_{k}.csv" for k in checkpoint.KINDS), checkpoint.MANIFEST_FILE,
              "config.json"]
     _guard_overwrite([os.path.join(args.out, f) for f in files], args.force)
     if score_iters == 0 or invdyn_iters == 0:
@@ -262,6 +262,11 @@ def cmd_train(args: argparse.Namespace) -> int:
         path = os.path.join(args.out, f"loss_{name}.csv")
         write_text(path, ["step,loss\n"] + [f"{step},{loss:.17g}\n" for step, loss in rows],
                    ValueError, f"loss CSV {path}")
+    for kind in set(checkpoint.KINDS) - set(histories):  # an earlier --bc run's, under --force
+        for path in (os.path.join(args.out, checkpoint.model_file(kind)),
+                     os.path.join(args.out, f"loss_{kind}.csv")):
+            if os.path.exists(path):
+                os.remove(path)
     print(f"wrote model bundle to {args.out}")
     _write_echo(cfg, {"command": "train", "data": args.data, "out": args.out,
                       "score_iters": score_iters, "invdyn_iters": invdyn_iters},
@@ -276,6 +281,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
     spec = _resolve_spec(args.env, cfg["variant"])
     models = checkpoint.load_bundle(args.bundle)
     policy = _make_policy(spec, cfg["policy"], cfg, args.bundle)
+    dims = {"models": (models.state_dim, models.action_dim)}
+    if cfg["policy"] == "bc":
+        dims["behavior-cloned policy"] = (policy.params.in_dim, policy.params.out_dim)
+    for what, (ds, da) in dims.items():
+        if (ds, da) != (spec.state_dim, spec.action_dim):
+            raise ValueError(f"bundle {args.bundle}: {what} of state dim {ds} and action dim "
+                             f"{da} do not fit env {spec.name}, of state dim {spec.state_dim} "
+                             f"and action dim {spec.action_dim}")
     k1s = _float_list(cfg["k1"], "--k1")
     k2s = _float_list(cfg["k2"], "--k2")
     grid = _float_list(cfg["percentiles"], "--percentiles")

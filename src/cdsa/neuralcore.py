@@ -520,8 +520,8 @@ class TrainConfig:
             raise ValueError(f"iterations must be >= 0, got {self.iterations}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.lr <= 0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
+        if not 0 < self.lr < np.inf:
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
 
 
 def train_mlp(layer_dims: list[int], leaky_slope: float, config: TrainConfig, n_rows: int,

@@ -57,8 +57,8 @@ class ScoreTrainConfig(TrainConfig):
     sigma: float = DEFAULT_SIGMA
 
     def validate(self) -> None:
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not 0 < self.sigma < np.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         super().validate()
 
 

@@ -4,12 +4,12 @@ import io
 import json
 import os
 import re
+import shutil
 
 import numpy as np
 import pytest
 
-from cdsa.checkpoint import (BC_FILE, BUNDLE_FILES, MANIFEST_FILE,
-                             CheckpointError, load_bundle, load_bundle_bc,
+from cdsa.checkpoint import (MANIFEST_FILE, CheckpointError, load_bundle, load_bundle_bc,
                              load_model, model_from_dict, model_to_dict,
                              norm_digest, save_bundle, save_model)
 from cdsa.controller import CdsaModels
@@ -21,6 +21,9 @@ from cdsa.scorefield import ScoreField, ScoreKind, field_dims
 from helpers import missed, mutated, mutations
 
 DS, DA = 2, 2
+# the files a bundle stores its models in, each named after the model's kind
+MODEL_FILES = {"action_score": "action_score.json", "state_score": "state_score.json",
+               "invdyn": "invdyn.json"}
 
 
 def _norm(seed=0):
@@ -61,7 +64,7 @@ def test_score_field_roundtrip_bitwise(tmp_path):
         model = _score(kind, seed=kind is ScoreKind.STATE)
         path = tmp_path / f"{kind.value}.json"
         save_model(model, str(path))
-        back = load_model(str(path))
+        back = load_model(str(path), kind.value)
         assert isinstance(back, ScoreField)
         assert back.kind == kind
         assert back.sigma == model.sigma
@@ -73,7 +76,7 @@ def test_invdyn_roundtrip_bitwise(tmp_path):
     model = _invdyn()
     path = tmp_path / "invdyn.json"
     save_model(model, str(path))
-    back = load_model(str(path))
+    back = load_model(str(path), "invdyn")
     assert isinstance(back, InvDynModel)
     assert _params_equal(back.params, model.params)
     assert back.norm.equals(model.norm)
@@ -83,7 +86,7 @@ def test_bc_roundtrip_bitwise(tmp_path):
     model = _bc()
     path = tmp_path / "bc.json"
     save_model(model, str(path))
-    back = load_model(str(path))
+    back = load_model(str(path), "bc")
     assert isinstance(back, BehaviorCloned)
     assert _params_equal(back.params, model.params)
     assert back.norm.equals(model.norm)
@@ -114,15 +117,15 @@ def test_model_to_dict_rejects_unknown_type():
 def test_model_from_dict_validation():
     good = model_to_dict(_invdyn())
     with pytest.raises(CheckpointError, match="format"):
-        model_from_dict({**good, "format": "something-else"})
+        model_from_dict({**good, "format": "something-else"}, "invdyn")
     with pytest.raises(CheckpointError, match="version"):
-        model_from_dict({**good, "version": 99})
+        model_from_dict({**good, "version": 99}, "invdyn")
     with pytest.raises(CheckpointError, match="kind"):
-        model_from_dict({**good, "kind": "mystery"})
+        model_from_dict({**good, "kind": "mystery"}, "invdyn")
     missing = dict(good)
     del missing["norm"]
     with pytest.raises(CheckpointError, match="missing field"):
-        model_from_dict(missing)
+        model_from_dict(missing, "invdyn")
 
 
 def test_model_from_dict_rejects_shape_mismatch():
@@ -130,7 +133,7 @@ def test_model_from_dict_rejects_shape_mismatch():
     d["arch"]["layers"][0]["w"] = [[0.0, 0.0]]  # wrong fan-out for dims
     with pytest.raises(CheckpointError, match=re.escape(
             "'arch.layers[0].w' must be an array of shape (128, 4)")):
-        model_from_dict(d)
+        model_from_dict(d, "invdyn")
 
 
 def test_load_model_rejects_dims_larger_than_its_layers(tmp_path):
@@ -141,18 +144,18 @@ def test_load_model_rejects_dims_larger_than_its_layers(tmp_path):
     path = tmp_path / "invdyn.json"
     path.write_text(json.dumps(d), encoding="utf-8")
     with pytest.raises(CheckpointError, match=f"checkpoint {re.escape(str(path))}: "):
-        load_model(str(path))
+        load_model(str(path), "invdyn")
 
 
 def test_model_from_dict_rejects_layer_count_mismatch():
     d = model_to_dict(_invdyn())
     del d["arch"]["layers"][-1]
     with pytest.raises(CheckpointError, match="layers"):
-        model_from_dict(d)
+        model_from_dict(d, "invdyn")
 
 
 def test_loaded_params_live_in_one_flat_buffer():
-    params = model_from_dict(model_to_dict(_invdyn())).params
+    params = model_from_dict(model_to_dict(_invdyn()), "invdyn").params
     params.flat[:] = 2.5
     assert all(np.all(a == 2.5) for a in params.weights + params.biases)
 
@@ -161,7 +164,7 @@ def test_load_model_rejects_invalid_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     with pytest.raises(CheckpointError, match="JSON"):
-        load_model(str(path))
+        load_model(str(path), "invdyn")
 
 
 @pytest.mark.parametrize("text", ["[]", "3", '"model"', "null"])
@@ -169,19 +172,19 @@ def test_load_model_rejects_json_that_is_not_an_object(tmp_path, text):
     path = tmp_path / "model.json"
     path.write_text(text)
     with pytest.raises(CheckpointError, match=re.escape(f"{path} does not hold a JSON object")):
-        load_model(str(path))
+        load_model(str(path), "invdyn")
 
 
 def test_load_model_missing_file(tmp_path):
     with pytest.raises(CheckpointError, match="cannot read"):
-        load_model(str(tmp_path / "absent.json"))
+        load_model(str(tmp_path / "absent.json"), "invdyn")
 
 
 def test_bundle_roundtrip_bitwise(tmp_path):
     models = _models()
     d = str(tmp_path / "bundle")
     save_bundle(models, d)
-    assert set(os.listdir(d)) == set(BUNDLE_FILES.values()) | {MANIFEST_FILE}
+    assert set(os.listdir(d)) == set(MODEL_FILES.values()) | {"manifest.json"}
     back = load_bundle(d)
     assert _params_equal(back.action_score.params, models.action_score.params)
     assert _params_equal(back.state_score.params, models.state_score.params)
@@ -193,13 +196,14 @@ def test_bundle_roundtrip_bitwise(tmp_path):
 def test_bundle_bc_optional(tmp_path):
     bare = str(tmp_path / "bare")
     save_bundle(_models(), bare)
-    assert BC_FILE not in os.listdir(bare)
+    assert "bc.json" not in os.listdir(bare)
     with pytest.raises(CheckpointError, match="behavior-cloned"):
         load_bundle_bc(bare)
 
     with_bc = str(tmp_path / "with_bc")
     bc = _bc()
     save_bundle(_models(), with_bc, bc=bc)
+    assert set(os.listdir(with_bc)) == set(os.listdir(bare)) | {"bc.json"}
     back = load_bundle_bc(with_bc)
     assert _params_equal(back.params, bc.params)
     load_bundle(with_bc)  # bc file never blocks the model load
@@ -228,7 +232,7 @@ def test_bundle_manifest_validation(tmp_path):
     for patch, msg in (({"format": "zip"}, "format"),
                        ({"version": 7}, "version"),
                        ({"version": True}, "version"),
-                       ({"files": {}}, "lists no"),
+                       ({"files": {}}, "files must be"),
                        ({"state_dim": 3}, "state dim"),
                        ({"action_dim": "two"}, "action_dim"),
                        ({"sigma": "x"}, "sigma"),
@@ -240,8 +244,14 @@ def test_bundle_manifest_validation(tmp_path):
             load_bundle(d)
 
 
-@pytest.mark.parametrize("files", [["action_score.json"], "action_score.json",
-                                   {**BUNDLE_FILES, "invdyn": 3}])
+# each is rejected: not a map, a map missing a model or naming another file for
+# it, or a map with an unknown entry
+@pytest.mark.parametrize("files", [
+    ["action_score.json"], "action_score.json", {**MODEL_FILES, "invdyn": 3},
+    {**MODEL_FILES, "invdyn": "./invdyn.json"}, {**MODEL_FILES, "invdyn": "state_score.json"},
+    {**MODEL_FILES, "bc": "invdyn.json"}, {**MODEL_FILES, "notes": "notes.json"},
+    {"action_score": "action_score.json", "state_score": "state_score.json"},
+])
 def test_bundle_manifest_files_must_name_files(tmp_path, files):
     d = str(tmp_path / "bundle")
     save_bundle(_models(), d)
@@ -256,7 +266,7 @@ def test_bundle_manifest_files_must_name_files(tmp_path, files):
 
 @pytest.mark.parametrize("load, optional", [
     (load_bundle, {"files.bc"}),
-    (load_bundle_bc, {f"files.{key}" for key in BUNDLE_FILES}),
+    (load_bundle_bc, set()),
 ])
 def test_bundle_manifest_rejects_every_mutated_field(tmp_path, load, optional):
     d = tmp_path / "bundle"
@@ -270,6 +280,45 @@ def test_bundle_manifest_rejects_every_mutated_field(tmp_path, load, optional):
                   ("sigma doubled", mutated(doc, ("sigma",), 2 * doc["sigma"]))]
     misses = missed(cases, mpath, lambda: load(str(d)), CheckpointError, expect=str(d))
     assert not misses, "\n".join(misses)
+
+
+@pytest.mark.parametrize("load, slot, source", [
+    (load_bundle, "invdyn", "state_score"),  # both 4 -> 2 nets
+    (load_bundle, "action_score", "invdyn"),
+    (load_bundle, "invdyn", "bc"),
+    (load_bundle_bc, "bc", "action_score"),
+])
+def test_bundle_slot_loads_only_its_kind_naming_the_file(tmp_path, load, slot, source):
+    d = tmp_path / "bundle"
+    save_bundle(_models(), str(d), bc=_bc())
+    path = d / f"{slot}.json"
+    shutil.copyfile(d / f"{source}.json", path)
+    with pytest.raises(CheckpointError, match=re.escape(
+            f"checkpoint {path}: 'kind' must be one of '{slot}', got '{source}'")):
+        load(str(d))
+
+
+@pytest.mark.parametrize("entry", ["absolute", "../other/invdyn.json"])
+def test_bundle_manifest_names_no_file_outside_the_bundle(tmp_path, entry):
+    other, d = tmp_path / "other", tmp_path / "bundle"
+    save_bundle(_models(), str(other))
+    save_bundle(_models(), str(d))
+    mpath = d / MANIFEST_FILE
+    doc = json.loads(mpath.read_text())
+    doc["files"]["invdyn"] = str(other / "invdyn.json") if entry == "absolute" else entry
+    mpath.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointError, match=re.escape(f"{mpath}: files must be")):
+        load_bundle(str(d))
+
+
+def test_load_model_takes_only_the_kind_asked_for(tmp_path):
+    for kind, make in MODEL_KINDS.items():
+        path = tmp_path / f"{kind}.json"
+        save_model(make(), str(path))
+        for other in set(MODEL_KINDS) - {kind}:
+            with pytest.raises(CheckpointError, match=re.escape(
+                    f"checkpoint {path}: 'kind' must be one of '{other}', got '{kind}'")):
+                load_model(str(path), other)
 
 
 def test_bundle_missing_manifest(tmp_path):
@@ -356,8 +405,8 @@ def test_load_model_rejects_every_mutated_field_naming_the_file(tmp_path, kind):
     doc = model_to_dict(MODEL_KINDS[kind]())
     path = tmp_path / f"{kind}.json"
     path.write_text(json.dumps(doc))
-    assert _params_equal(load_model(str(path)).params, MODEL_KINDS[kind]().params)
+    assert _params_equal(load_model(str(path), kind).params, MODEL_KINDS[kind]().params)
     cases = list(_mutations(doc))
     assert len(cases) > 60
-    misses = missed(cases, path, lambda: load_model(str(path)), CheckpointError)
+    misses = missed(cases, path, lambda: load_model(str(path), kind), CheckpointError)
     assert not misses, "\n".join(misses)

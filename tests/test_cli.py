@@ -3,16 +3,24 @@
 import argparse
 import json
 import os
+import shutil
 import xml.etree.ElementTree as ET
+
+import numpy as np
 
 import pytest
 
 from cdsa import checkpoint
 from cdsa.cli import DEFAULTS, _merge_config, build_parser, main
+from cdsa.controller import CdsaModels
 from cdsa.dataset import load_dataset
+from cdsa.envs import BehaviorCloned
 from cdsa.evaluation import load_report_csv
+from cdsa.invdyn import InvDynModel, model_dims
+from cdsa.neuralcore import Rng, mlp_init
+from cdsa.scorefield import ScoreField, ScoreKind, field_dims
 from cdsa.svgplot import ARM_STYLE
-from helpers import missed, mutations
+from helpers import identity_norm, missed, mutations
 
 
 def _read_json(path):
@@ -419,6 +427,8 @@ TAKEN_OUTPUTS = [
     ("train", "out/loss_bc.csv"),
     ("train", "out/state_score.json"),
     ("train", "out/bc.json"),
+    ("train without --bc", "out/bc.json"),
+    ("train without --bc", "out/loss_bc.csv"),
 ]
 
 
@@ -435,6 +445,8 @@ def test_every_output_is_kept_without_force(tmp_path, capsys, linear_bundle, com
                  "--policy", "direct", "--episodes", "2"],
         "train": ["train", "--data", data, "--out", out, "--iters", "5", "--batch", "16",
                   "--bc", "--env", "linear"],
+        "train without --bc": ["train", "--data", data, "--out", out, "--iters", "5",
+                               "--batch", "16"],
     }[command]
     path = tmp_path / taken
     path.parent.mkdir(exist_ok=True)
@@ -445,6 +457,99 @@ def test_every_output_is_kept_without_force(tmp_path, capsys, linear_bundle, com
     assert err == [f"error: output {path} exists; pass --force to overwrite"], err
     assert path.read_text(encoding="utf-8") == "an earlier run's output\n"
     assert [p for p in tmp_path.rglob("*") if p.is_file()] == [path]
+
+
+def test_train_force_without_bc_removes_an_earlier_runs_bc_files(tmp_path, linear_bundle):
+    data = os.path.join(os.path.dirname(linear_bundle), "data.jsonl")
+    rc, bundle = _train(tmp_path, data, extra=("--bc", "--env", "linear"))
+    assert rc == 0 and {"bc.json", "loss_bc.csv"} <= set(os.listdir(bundle))
+    rc, _ = _train(tmp_path, data, extra=("--force",))
+    assert rc == 0
+    rc, fresh = _train(tmp_path, data, name="fresh")
+    assert rc == 0
+    assert sorted(os.listdir(bundle)) == sorted(os.listdir(fresh))
+    for name in os.listdir(fresh):
+        if name != "config.json":  # which echoes its own --out and --force
+            with open(os.path.join(bundle, name), "rb") as f1, \
+                 open(os.path.join(fresh, name), "rb") as f2:
+                assert f1.read() == f2.read(), name
+    with pytest.raises(checkpoint.CheckpointError, match="holds no behavior-cloned policy"):
+        checkpoint.load_bundle_bc(bundle)
+
+
+@pytest.fixture(scope="module")
+def linear_bc_bundle(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("linear_bc")
+    _, data = _gen(tmp)
+    _, bundle = _train(tmp, data, extra=("--bc", "--env", "linear"))
+    return bundle
+
+
+# (a slot of the bundle, what it holds instead): a model file of another kind,
+# or a manifest entry for a file outside the bundle; each must fail naming the
+# model file or the manifest before eval writes anything
+FOREIGN_SLOTS = [
+    ("invdyn.json", "state_score.json"),
+    ("action_score.json", "invdyn.json"),
+    ("invdyn.json", "bc.json"),
+    ("manifest.json", "an absolute path"),
+    ("manifest.json", "../other/invdyn.json"),
+]
+
+
+@pytest.mark.parametrize("slot, holds", FOREIGN_SLOTS, ids=[" ".join(c) for c in FOREIGN_SLOTS])
+def test_eval_on_a_model_outside_its_slot_exits_1_writing_nothing(tmp_path, capsys,
+                                                                   linear_bc_bundle, slot,
+                                                                   holds):
+    bundle = tmp_path / "bundle"
+    shutil.copytree(linear_bc_bundle, bundle)
+    shutil.copytree(linear_bc_bundle, tmp_path / "other")
+    if slot == "manifest.json":
+        doc = _read_json(bundle / slot)
+        entry = str(tmp_path / "other" / "invdyn.json") if holds.startswith("an ") else holds
+        doc["files"]["invdyn"] = entry
+        (bundle / slot).write_text(json.dumps(doc))
+        want = f"error: {bundle / slot}: files must be "
+    else:
+        shutil.copyfile(bundle / holds, bundle / slot)
+        want = f"error: checkpoint {bundle / slot}: 'kind' must be one of "
+    outdir = tmp_path / "rep"
+    capsys.readouterr()
+    assert main(["eval", "--env", "linear", "--bundle", str(bundle), "--outdir", str(outdir),
+                 "--episodes", "2", "--k2", "0.05"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(want), err
+    assert not outdir.exists()
+
+
+def _save_bundle_of_dims(path, ds, bc_ds):
+    """A bundle of models for state dim ds and a BC policy for state dim bc_ds,
+    both of action dim 2."""
+    norm = identity_norm(ds, 2)
+    fields = [ScoreField(mlp_init(field_dims(kind, ds, 2), 0.2, Rng(1)), kind, 0.2, norm)
+              for kind in (ScoreKind.ACTION, ScoreKind.STATE)]
+    models = CdsaModels(*fields, InvDynModel(mlp_init(model_dims(ds, 2), 0.2, Rng(2)), norm),
+                        norm)
+    bc = BehaviorCloned(mlp_init([bc_ds, 8, 2], 0.2, Rng(3)), identity_norm(bc_ds, 2),
+                        -np.ones(2), np.ones(2))
+    checkpoint.save_bundle(models, str(path), bc)
+
+
+@pytest.mark.parametrize("ds, bc_ds, policy, what", [
+    (3, 3, "direct", "models of state dim 3"),
+    (2, 3, "bc", "behavior-cloned policy of state dim 3"),
+])
+def test_eval_checks_the_bundle_against_the_spec_before_writing(tmp_path, capsys, ds, bc_ds,
+                                                                policy, what):
+    bundle = tmp_path / "bundle"
+    _save_bundle_of_dims(bundle, ds, bc_ds)
+    outdir = tmp_path / "rep"
+    capsys.readouterr()
+    assert main(["eval", "--env", "pointmass", "--bundle", str(bundle), "--outdir",
+                 str(outdir), "--policy", policy, "--episodes", "2"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: bundle {bundle}: {what} "), err
+    assert not outdir.exists()
 
 
 # (command, flags, value): each run must exit 1 with one error line naming the

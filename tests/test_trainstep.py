@@ -286,6 +286,30 @@ def test_train_cdsa_checks_both_configs_before_training(transport_data, monkeypa
         train_cdsa(data, ScoreTrainConfig(iterations=1), InvDynTrainConfig(lr=-1.0))
 
 
+# (score config, inverse-model config, the field named): a non-finite value
+# must fail before training, not reach a model or a bundle manifest
+NON_FINITE = [({"sigma": np.nan}, {}, "sigma"), ({"sigma": np.inf}, {}, "sigma"),
+              ({"lr": np.nan}, {}, "lr"), ({"lr": np.inf}, {}, "lr"),
+              ({}, {"lr": np.nan}, "lr"), ({}, {"lr": np.inf}, "lr")]
+
+
+@pytest.mark.parametrize("score_kw, invdyn_kw, field", NON_FINITE)
+def test_train_cdsa_rejects_non_finite_sigma_and_lr(transport_data, score_kw, invdyn_kw,
+                                                     field):
+    _, data = transport_data
+    with pytest.raises(ValueError, match=f"^{field} must be positive and finite, got "):
+        train_cdsa(data, ScoreTrainConfig(iterations=0, **score_kw),
+                   InvDynTrainConfig(iterations=0, **invdyn_kw))
+
+
+@pytest.mark.parametrize("lr", [np.nan, np.inf])
+def test_train_bc_policy_rejects_non_finite_lr(transport_data, lr):
+    spec, data = transport_data
+    with pytest.raises(ValueError, match="^lr must be positive and finite, got "):
+        train_bc_policy(data, BcTrainConfig(iterations=0, lr=lr), spec.action_low,
+                        spec.action_high)
+
+
 # ---------------------------------------------------------------------------
 # The forked inverse-dynamics trainer
 # ---------------------------------------------------------------------------
