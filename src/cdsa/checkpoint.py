@@ -78,11 +78,15 @@ def model_file(kind: str) -> str:
     return f"{kind}.json"
 
 
-_KIND_OF = {InvDynModel: "invdyn", BehaviorCloned: "bc"}
+def _kind_of(model) -> str | None:
+    """The kind a model is checkpointed as; None for an object that is no model."""
+    if isinstance(model, ScoreField):
+        return model.kind.value
+    return {InvDynModel: "invdyn", BehaviorCloned: "bc"}.get(type(model))
 
 
 def model_to_dict(model) -> dict:
-    kind = model.kind.value if isinstance(model, ScoreField) else _KIND_OF.get(type(model))
+    kind = _kind_of(model)
     if kind is None:
         raise CheckpointError(f"cannot checkpoint object of type {type(model).__name__}")
     d = {"format": MODEL_FORMAT, "version": VERSION, "kind": kind,
@@ -104,6 +108,14 @@ _KIND_DIMS = {
 }
 
 
+def _check_fits(kind: str, params: MlpParams, norm: NormStats) -> None:
+    """Refuse a kind model whose net does not fit the dims of its norm stats."""
+    ds, da = len(norm.state_mean), len(norm.action_mean)
+    if (params.in_dim, params.out_dim) != _KIND_DIMS[kind](ds, da):
+        raise CheckpointError(f"arch.dims {params.layer_dims} do not fit a {kind} model of "
+                              f"state dim {ds} and action dim {da}")
+
+
 def model_from_dict(d: dict, kind: str):
     """The kind model a checkpoint dict describes, after checking every field of it."""
     f = Fields(d, CheckpointError)
@@ -114,15 +126,12 @@ def model_from_dict(d: dict, kind: str):
         norm = read_norm(f.object("norm"))
     except DatasetSchemaError as exc:
         raise CheckpointError(str(exc)) from None
-    ds, da = len(norm.state_mean), len(norm.action_mean)
-    if (params.in_dim, params.out_dim) != _KIND_DIMS[kind](ds, da):
-        raise CheckpointError(f"arch.dims {params.layer_dims} do not fit a {kind} model of "
-                              f"state dim {ds} and action dim {da}")
+    _check_fits(kind, params, norm)
     if kind == "invdyn":
         return InvDynModel(params, norm)
     if kind == "bc":
         bounds = f.object("bounds")
-        low, high = bounds.array("low", (da,)), bounds.array("high", (da,))
+        low, high = (bounds.array(k, norm.action_mean.shape) for k in ("low", "high"))
         if not np.all(low < high):
             raise CheckpointError("bounds.low must be < bounds.high elementwise")
         return BehaviorCloned(params, norm, low, high)
@@ -148,15 +157,23 @@ def load_model(path: str, kind: str):
 
 
 def save_bundle(models: CdsaModels, dirpath: str, bc: BehaviorCloned | None = None) -> None:
-    """Write the three model files (plus optional bc policy) and the manifest."""
-    models.validate()
+    """Write the three model files (plus optional bc policy) and the manifest,
+    once each slot's model has the kind and dims its loader requires."""
+    models.validate()  # so the three models' dims are the bundle's
+    saved = {kind: getattr(models, kind) for kind in MODELS}
+    if bc is not None:
+        saved["bc"] = bc
+    for kind, model in saved.items():
+        try:
+            if _kind_of(model) != kind:
+                raise CheckpointError(f"holds a {_kind_of(model) or type(model).__name__} model")
+            _check_fits(kind, model.params, model.norm)
+        except CheckpointError as exc:
+            raise CheckpointError(f"bundle {dirpath}: slot {kind}: {exc}") from None
     try:
         os.makedirs(dirpath, exist_ok=True)
     except OSError as exc:
         raise CheckpointError(f"bundle directory {dirpath}: cannot make: {exc}") from exc
-    saved = {kind: getattr(models, kind) for kind in MODELS}
-    if bc is not None:
-        saved["bc"] = bc
     for kind, model in saved.items():
         save_model(model, os.path.join(dirpath, model_file(kind)))
     manifest = {

@@ -1,4 +1,4 @@
-"""Command-line entrypoint: gen-data, train, eval, plot, and verify.
+"""Command-line entrypoint: gen-data, train, eval and plot.
 
 Every subcommand validates its inputs fully before writing anything, refuses
 to overwrite existing outputs without --force, and writes the fully-resolved
@@ -20,13 +20,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import checkpoint
-from .controller import (
-    ABLATIONS,
-    ControlConfig,
-    LangevinConfig,
-    langevin_sample,
-    train_cdsa,
-)
+from .controller import ABLATIONS, ControlConfig, train_cdsa
 from .dataset import generate_dataset, load_dataset, save_dataset
 from .envs import (
     BcTrainConfig,
@@ -41,27 +35,11 @@ from .envs import (
     risk_occupancy,
     train_bc_policy,
 )
-from .evaluation import emit_report, rollout_batch, summarize, var_at
-from .invdyn import InvDynTrainConfig, invdyn_loss, model_dims
-from .neuralcore import (
-    AdamState,
-    InferenceNet,
-    Rng,
-    TrainBuffers,
-    adam_step,
-    fd_grads,
-    forward_batch,
-    mlp_init,
-    zero_like_params,
-)
+from .evaluation import emit_report, rollout_batch, summarize
+from .invdyn import InvDynTrainConfig
+from .neuralcore import Rng
 from .readers import Fields, parse_field, read_json, write_text
-from .scorefield import (
-    ScoreKind,
-    ScoreTrainConfig,
-    dsm_loss_reference,
-    dsm_loss_reparam_given_noise,
-    eval_score,
-)
+from .scorefield import ScoreTrainConfig, eval_score
 from .svgplot import render_scene
 
 GEN_POLICIES = ("risk-avoiding", "direct", "random")
@@ -86,7 +64,6 @@ DEFAULTS = {
     "plot": {
         "grid_n": 20, "variant": None,
     },
-    "verify": {"seed": None},
 }
 
 
@@ -189,6 +166,18 @@ def _make_policy(spec: EnvSpec, name: str, cfg: dict, bundle: str | None = None)
     raise ValueError(f"unknown policy {name!r}")
 
 
+def _check_fits_spec(bundle: str, spec: EnvSpec, models, bc=None) -> None:
+    """Refuse a bundle whose models, or behavior-cloned policy, do not fit spec's dims."""
+    dims = {"models": (models.state_dim, models.action_dim)}
+    if bc is not None:
+        dims["behavior-cloned policy"] = (bc.params.in_dim, bc.params.out_dim)
+    for what, (ds, da) in dims.items():
+        if (ds, da) != (spec.state_dim, spec.action_dim):
+            raise ValueError(f"bundle {bundle}: {what} of state dim {ds} and action dim "
+                             f"{da} do not fit env {spec.name}, of state dim {spec.state_dim} "
+                             f"and action dim {spec.action_dim}")
+
+
 def _entries(raw: str, flag: str) -> list:
     """The non-blank entries of a comma-separated flag value; at least one."""
     entries = [v.strip() for v in raw.split(",") if v.strip()]
@@ -281,14 +270,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     spec = _resolve_spec(args.env, cfg["variant"])
     models = checkpoint.load_bundle(args.bundle)
     policy = _make_policy(spec, cfg["policy"], cfg, args.bundle)
-    dims = {"models": (models.state_dim, models.action_dim)}
-    if cfg["policy"] == "bc":
-        dims["behavior-cloned policy"] = (policy.params.in_dim, policy.params.out_dim)
-    for what, (ds, da) in dims.items():
-        if (ds, da) != (spec.state_dim, spec.action_dim):
-            raise ValueError(f"bundle {args.bundle}: {what} of state dim {ds} and action dim "
-                             f"{da} do not fit env {spec.name}, of state dim {spec.state_dim} "
-                             f"and action dim {spec.action_dim}")
+    _check_fits_spec(args.bundle, spec, models, policy if cfg["policy"] == "bc" else None)
     k1s = _float_list(cfg["k1"], "--k1")
     k2s = _float_list(cfg["k2"], "--k2")
     grid = _float_list(cfg["percentiles"], "--percentiles")
@@ -352,6 +334,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
     quiver_fn = None
     if args.bundle:
         models = checkpoint.load_bundle(args.bundle)
+        _check_fits_spec(args.bundle, spec, models)
         norm = models.norm
 
         def quiver_fn(pts):
@@ -366,148 +349,6 @@ def cmd_plot(args: argparse.Namespace) -> int:
     print(f"wrote {args.out}")
     _write_echo(cfg, {"command": "plot", "env": args.env, "out": args.out,
                       "bundle": args.bundle}, echo_path)
-    return 0
-
-
-def _check_loss_identity(seed: int) -> None:
-    rng = Rng(seed)
-    sigma = 0.3
-    for trial in range(20):
-        net = mlp_init([4, 16, 12, 2], 0.1, rng)
-        states = rng.normal(size=(64, 2))
-        actions = rng.normal(size=(64, 2))
-        z = rng.normal(size=(64, 2))
-        loss_a, _ = dsm_loss_reparam_given_noise(net, states, actions, sigma, z,
-                                                 ScoreKind.ACTION, TrainBuffers(64, net))
-        ref = dsm_loss_reference(net, (states, actions, actions + sigma * z),
-                                 sigma, ScoreKind.ACTION)
-        bound = 1e-10 * (1.0 + abs(loss_a))
-        assert abs(loss_a - ref) <= bound, (
-            f"trial {trial}: |{loss_a} - {ref}| > {bound}")
-
-
-def _max_rel_err(analytic, fd) -> float:
-    floor = max(1e-3 * float(np.max(np.abs(fd.flat))), 1e-12)
-    denom = np.maximum(np.maximum(np.abs(analytic.flat), np.abs(fd.flat)), floor)
-    return float(np.max(np.abs(analytic.flat - fd.flat) / denom))
-
-
-def _check_gradients(seed: int) -> None:
-    rng = Rng(seed)
-    sigma = 0.4
-    states = rng.normal(size=(8, 2))
-    actions = rng.normal(size=(8, 2))
-    nxt = rng.normal(size=(8, 2))
-    z = rng.normal(size=(8, 2))
-
-    net = mlp_init([4, 16, 12, 2], 0.1, rng)
-    _, grads = dsm_loss_reparam_given_noise(net, states, actions, sigma, z,
-                                            ScoreKind.ACTION, TrainBuffers(8, net))
-    # fd targets: the same losses of the net's output, the denoising one in analytic form
-    pert = actions + sigma * z
-    target = -(pert - actions) / sigma**2
-    fd = fd_grads(net, np.hstack([states, pert]),
-                  lambda out: 0.5 * np.sum((out - target) ** 2, axis=(1, 2)) / len(target))
-    err = _max_rel_err(grads, fd)
-    assert err <= 1e-5, f"action-score gradient error {err}"
-
-    net = mlp_init([4, 16, 12, 2], 0.2, rng)
-    _, grads = invdyn_loss(net, states, nxt, actions, TrainBuffers(8, net))
-    fd = fd_grads(net, np.hstack([states, nxt]),
-                  lambda out: np.sum((out - actions) ** 2, axis=(1, 2)) / len(actions))
-    err = _max_rel_err(grads, fd)
-    assert err <= 1e-5, f"inverse-dynamics gradient error {err}"
-
-
-def _check_invdyn_example(seed: int) -> None:
-    rng = Rng(seed)
-    net = zero_like_params(mlp_init(model_dims(2, 2), 0.2, rng))
-    loss, _ = invdyn_loss(net, np.zeros((1, 2)), np.zeros((1, 2)),
-                          np.array([[0.3, -0.4]]), TrainBuffers(1, net))
-    assert abs(loss - 0.25) < 1e-12, f"zero-net loss {loss} != 0.25"
-
-
-def _check_adam_example(seed: int) -> None:
-    rng = Rng(seed)
-    net = mlp_init([1, 1], 0.1, rng)
-    net.weights[0][:] = 0.0
-    grads = zero_like_params(net)
-    grads.weights[0][:] = 0.5
-    opt = AdamState.for_params(net)
-    adam_step(opt, net, grads, 0.1, TrainBuffers(1, net))
-    expected = -0.1 * 0.5 / (0.5 + 1e-8)
-    got = float(net.weights[0][0, 0])
-    assert abs(got - expected) < 1e-12, f"first Adam step {got} != {expected}"
-
-
-def _check_var_example(seed: int) -> None:
-    got = var_at(list(range(1, 11)), 10)
-    assert got == 1.9, f"var_at([1..10], 10) = {got}, want 1.9"
-    rng = Rng(seed)
-    vals = rng.normal(size=50)
-    curve = [var_at(vals, p) for p in range(0, 101, 5)]
-    assert all(a <= b for a, b in zip(curve, curve[1:])), "VaR curve not monotone"
-
-
-def _check_langevin_noop(seed: int) -> None:
-    rng = Rng(seed)
-    x0 = rng.normal(size=(5, 2))
-    out = langevin_sample(lambda x: -x, x0, LangevinConfig(alpha=0.01, steps=0), rng)
-    assert np.array_equal(out, x0), "0-step sampler must return x0 unchanged"
-
-
-def _check_inference_snapshots(seed: int) -> None:
-    # a single net and a g|h stack whose second net has the wider output, both
-    # behind an input affine that is not the identity and output affines
-    rng = Rng(seed)
-    g, h = mlp_init([4, 16, 12, 2], 0.1, rng), mlp_init([4, 16, 12, 3], 0.1, rng)
-    for b in g.biases + h.biases:
-        b[:] = rng.normal(size=b.shape)
-    in_affine = (rng.uniform(0.5, 2.0, size=4), rng.normal(size=4))
-    outs = [(rng.uniform(0.5, 2.0, size=p.out_dim), rng.normal(size=p.out_dim)) for p in (g, h)]
-    x = 3.0 * rng.normal(size=(9, 4))
-    for nets in ((g,), (g, h)):
-        snap = InferenceNet(*nets, in_affine=in_affine, out_affines=outs[:len(nets)])
-        out = forward_batch(snap, x)[0].reshape(len(nets), len(x), -1)
-        for j, (p, (scale, shift)) in enumerate(zip(nets, outs)):
-            want = forward_batch(p, x * in_affine[0] + in_affine[1])[0] * scale + shift
-            err = float(np.max(np.abs(out[j, :, :p.out_dim] - want)))
-            assert err <= 1e-12 * max(1.0, float(np.max(np.abs(want)))), (
-                f"{len(nets)}-net snapshot, net {j}: error {err}")
-            assert np.all(out[j, :, p.out_dim:] == 0.0), f"net {j}: padding is not zero"
-        # the hidden layers, rebuilt from the snapshot's arrays
-        act = np.matmul(x, snap.weights[0]) + snap.bias
-        for layer, w in enumerate(snap.weights[1:], start=1):
-            act = np.maximum(act, snap.leaky_slope * act)
-            assert np.all(act[..., -1] == 1.0), (
-                f"{len(nets)}-net snapshot: hidden layer {layer} lost its constant column")
-            act = np.matmul(act, w)
-
-
-def cmd_verify(args: argparse.Namespace) -> int:
-    cfg = _merge_config(args, "verify")
-    seed = cfg["seed"]
-    checks = [
-        ("loss-form identity", _check_loss_identity),
-        ("gradient exactness vs finite differences", _check_gradients),
-        ("inverse-dynamics zero-net example", _check_invdyn_example),
-        ("adam first-step example", _check_adam_example),
-        ("value-at-risk interpolation and monotonicity", _check_var_example),
-        ("langevin zero-step identity", _check_langevin_noop),
-        ("folded inference snapshots vs training layout", _check_inference_snapshots),
-    ]
-    failures = 0
-    for name, fn in checks:
-        try:
-            fn(seed)
-            print(f"ok {name}")
-        except AssertionError as exc:
-            print(f"FAIL {name}: {exc}")
-            failures += 1
-    if failures:
-        print(f"{failures} of {len(checks)} checks failed")
-        return 1
-    print(f"all {len(checks)} checks passed")
     return 0
 
 
@@ -591,11 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON config file; flags win")
     p.add_argument("--force", action="store_true", help="overwrite existing outputs")
     p.set_defaults(fn=cmd_plot, parser=p)
-
-    p = sub.add_parser("verify", help="run the built-in oracle suite")
-    p.add_argument("--seed", type=int, help="seed (default CDSA_SEED or 0)")
-    p.add_argument("--config", help="JSON config file; flags win")
-    p.set_defaults(fn=cmd_verify, parser=p)
 
     return parser
 

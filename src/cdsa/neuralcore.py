@@ -33,8 +33,7 @@ the 1-100 row products of a lockstep step are all that runs besides one bias
 add and the LeakyReLUs. forward_batch runs both, and plain inference on live
 params, so one entry point serves (and traces) every network call; snapshot
 values match the training layout, affines applied outside, to float
-tolerance (1e-12 on unit-scale bundle-shaped nets, not bitwise). fd_grads,
-the finite-difference oracle of the tests, uses forward arithmetic alone.
+tolerance (1e-12 on unit-scale bundle-shaped nets, not bitwise).
 """
 
 from __future__ import annotations
@@ -602,52 +601,3 @@ if _threads is not None:
         _threads[1](1)
     _threads[2]()
 
-
-def fd_grads(net: MlpParams, x: np.ndarray, loss_of_output, h: float = 1e-6) -> MlpParams:
-    """Central finite-difference gradients of a loss of net's output on input x.
-
-    loss_of_output maps a (P, rows, out_dim) stack of outputs to their P
-    losses. Moving a parameter of layer l by +-h moves one column c of that
-    layer's pre-activation alone, so every layer's values are computed once,
-    and chunks of moves, stacked as (P, rows, width), enter the next layer as
-    column c's change times column c of its weights and run through the rest.
-    Forward arithmetic alone: an oracle independent of backward_batch.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    last = len(net.weights) - 1
-    inputs, preacts = [x], []
-    for w, b in zip(net.weights, net.biases):
-        preacts.append(np.dot(inputs[-1], w.T) + b)
-        inputs.append(_leaky(preacts[-1], net.leaky_slope))
-    chunk = max(1, (1 << 16) // (len(x) * max(net.layer_dims)))  # 2**16 floats per stack
-    grads = zero_like_params(net)
-    for l, (w, b) in enumerate(zip(net.weights, net.biases)):
-        theta = np.concatenate([w.ravel(), b])
-        steps = np.concatenate([(theta + h) - theta, (theta - h) - theta])
-        # weight (i, j) moves column i by its step times input column j; bias i by its step
-        col = np.tile(np.concatenate([np.repeat(np.arange(len(b)), w.shape[1]),
-                                      np.arange(len(b))]), 2)
-        unit = np.tile(np.concatenate([np.tile(inputs[l].T, (len(b), 1)),
-                                       np.ones((len(b), len(x)))]), (2, 1))
-        # moved column c adds its change (after the activation) times row c of rows_of
-        if l < last:
-            base, rows_of, unmoved = preacts[l + 1], net.weights[l + 1].T, inputs[l + 1].T
-        else:
-            base, rows_of, unmoved = preacts[l], np.eye(len(b)), preacts[l].T
-        losses = np.empty(len(steps))
-        for k in range(0, len(steps), chunk):
-            c = col[k:k + chunk]
-            moved = preacts[l].T[c] + steps[k:k + chunk, None] * unit[k:k + chunk]
-            if l < last:
-                moved = _leaky(moved, net.leaky_slope)
-            moved -= unmoved[c]
-            z = base + moved[:, :, None] * rows_of[c][:, None, :]
-            for m in range(l + 2, last + 1):
-                a = _leaky(z, net.leaky_slope)
-                z = np.dot(a.reshape(-1, a.shape[-1]), net.weights[m].T).reshape(len(c), len(x), -1)
-                z += net.biases[m]
-            losses[k:k + len(c)] = loss_of_output(z)
-        g = (losses[:len(theta)] - losses[len(theta):]) / (2.0 * h)
-        grads.weights[l][...] = g[:w.size].reshape(w.shape)
-        grads.biases[l][...] = g[w.size:]
-    return grads

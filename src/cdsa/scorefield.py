@@ -7,9 +7,8 @@ the scored coordinates with Gaussian noise (scale sigma, normalized units) and
 regresses the network output at the perturbed point onto -z/sigma, the
 analytic score of the perturbation kernel. The expected-square objective of
 that regression is identical to regressing onto -(perturbed - clean)/sigma^2;
-both forms are implemented, the reparameterized one for training and the
-analytic-target one as an independent oracle, and they must agree to float
-association order on identical draws.
+training uses the first form, and the tests check it against the second, an
+independent oracle, on identical draws to float association order.
 
 Everything here operates in normalized coordinates; each trained field embeds
 the normalization stats of its training dataset so it is self-describing.
@@ -93,26 +92,6 @@ def dsm_loss_reparam_given_noise(net: MlpParams, states: np.ndarray, actions: np
     loss = 0.5 * float(np.sum(np.multiply(resid, resid, out=out))) / n
     resid /= n
     return loss, backward_batch(net, cache, resid, v)
-
-
-def dsm_loss_reference(net: MlpParams, batch_with_noise, sigma: float,
-                       kind: ScoreKind) -> float:
-    """Oracle form of the denoising loss, from clean and perturbed samples.
-
-    Regresses net(x_tilde) onto the analytic Gaussian-kernel score
-    -(perturbed - clean)/sigma^2 of the scored coordinates. Never used in
-    training; exists to pin the training loss down exactly.
-    """
-    states, actions, pert = (np.asarray(v, dtype=np.float64) for v in batch_with_noise)
-    if kind is ScoreKind.ACTION:
-        x_tilde = np.concatenate([states, pert], axis=1)
-        target = -(pert - actions) / sigma**2
-    else:
-        x_tilde = np.concatenate([pert, actions], axis=1)
-        target = -(pert - states) / sigma**2
-    out, _ = forward_batch(net, x_tilde)
-    resid = out - target
-    return 0.5 * float(np.sum(resid * resid)) / len(resid)
 
 
 def train_score_field(dataset: Dataset, kind: ScoreKind, config: ScoreTrainConfig):

@@ -1,7 +1,10 @@
-"""Shared test helpers: JSON field mutations, the reference correction rule, env
-step and planner action, the squared-error loss the finite-difference oracle
-differentiates, the bitwise check that two nets are equal, and the checks
-that a forking call left no child and OpenBLAS on one thread."""
+"""Shared test helpers: JSON field mutations, the two oracles the training math
+is checked against (fd_grads, central finite differences of a loss of a net's
+output by forward arithmetic alone, and dsm_loss_reference, the denoising loss
+in its analytic-target form), the squared-error loss fd_grads differentiates,
+the reference correction rule, env step and planner action, the bitwise check
+that two nets are equal, and the checks that a forking call left no child and
+OpenBLAS on one thread."""
 
 import json
 import os
@@ -12,8 +15,14 @@ import pytest
 from cdsa.dataset import NormStats
 from cdsa.envs import EnvState
 from cdsa.invdyn import infer_action
-from cdsa.neuralcore import _openblas_threads
-from cdsa.scorefield import eval_score
+from cdsa.neuralcore import (
+    MlpParams,
+    _leaky,
+    _openblas_threads,
+    forward_batch,
+    zero_like_params,
+)
+from cdsa.scorefield import ScoreKind, eval_score
 
 # each replaces a number; integer fields also get 2.5
 BAD_NUMBERS = (float("nan"), float("inf"), float("-inf"), "x", "0.5", True)
@@ -90,10 +99,80 @@ def same_params(a, b):
             and a.flat.tobytes() == b.flat.tobytes())
 
 
+def fd_grads(net: MlpParams, x: np.ndarray, loss_of_output, h: float = 1e-6) -> MlpParams:
+    """Central finite-difference gradients of a loss of net's output on input x.
+
+    loss_of_output maps a (P, rows, out_dim) stack of outputs to their P
+    losses. Moving a parameter of layer l by +-h moves one column c of that
+    layer's pre-activation alone, so every layer's values are computed once,
+    and chunks of moves, stacked as (P, rows, width), enter the next layer as
+    column c's change times column c of its weights and run through the rest.
+    Forward arithmetic alone: an oracle independent of backward_batch.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    last = len(net.weights) - 1
+    inputs, preacts = [x], []
+    for w, b in zip(net.weights, net.biases):
+        preacts.append(np.dot(inputs[-1], w.T) + b)
+        inputs.append(_leaky(preacts[-1], net.leaky_slope))
+    chunk = max(1, (1 << 16) // (len(x) * max(net.layer_dims)))  # 2**16 floats per stack
+    grads = zero_like_params(net)
+    for l, (w, b) in enumerate(zip(net.weights, net.biases)):
+        theta = np.concatenate([w.ravel(), b])
+        steps = np.concatenate([(theta + h) - theta, (theta - h) - theta])
+        # weight (i, j) moves column i by its step times input column j; bias i by its step
+        col = np.tile(np.concatenate([np.repeat(np.arange(len(b)), w.shape[1]),
+                                      np.arange(len(b))]), 2)
+        unit = np.tile(np.concatenate([np.tile(inputs[l].T, (len(b), 1)),
+                                       np.ones((len(b), len(x)))]), (2, 1))
+        # moved column c adds its change (after the activation) times row c of rows_of
+        if l < last:
+            base, rows_of, unmoved = preacts[l + 1], net.weights[l + 1].T, inputs[l + 1].T
+        else:
+            base, rows_of, unmoved = preacts[l], np.eye(len(b)), preacts[l].T
+        losses = np.empty(len(steps))
+        for k in range(0, len(steps), chunk):
+            c = col[k:k + chunk]
+            moved = preacts[l].T[c] + steps[k:k + chunk, None] * unit[k:k + chunk]
+            if l < last:
+                moved = _leaky(moved, net.leaky_slope)
+            moved -= unmoved[c]
+            z = base + moved[:, :, None] * rows_of[c][:, None, :]
+            for m in range(l + 2, last + 1):
+                a = _leaky(z, net.leaky_slope)
+                z = np.dot(a.reshape(-1, a.shape[-1]), net.weights[m].T).reshape(len(c), len(x), -1)
+                z += net.biases[m]
+            losses[k:k + len(c)] = loss_of_output(z)
+        g = (losses[:len(theta)] - losses[len(theta):]) / (2.0 * h)
+        grads.weights[l][...] = g[:w.size].reshape(w.shape)
+        grads.biases[l][...] = g[w.size:]
+    return grads
+
+
 def squared_error(target, scale):
     """fd_grads' loss_of_output: scale times the batch mean of each stacked
     output's squared error against target rows, summed over coordinates."""
     return lambda out: scale * np.sum((out - target) ** 2, axis=(1, 2)) / len(target)
+
+
+def dsm_loss_reference(net: MlpParams, batch_with_noise, sigma: float,
+                       kind: ScoreKind) -> float:
+    """Oracle form of the denoising loss, from clean and perturbed samples.
+
+    Regresses net(x_tilde) onto the analytic Gaussian-kernel score
+    -(perturbed - clean)/sigma^2 of the scored coordinates. Never used in
+    training; exists to pin the training loss down exactly.
+    """
+    states, actions, pert = (np.asarray(v, dtype=np.float64) for v in batch_with_noise)
+    if kind is ScoreKind.ACTION:
+        x_tilde = np.concatenate([states, pert], axis=1)
+        target = -(pert - actions) / sigma**2
+    else:
+        x_tilde = np.concatenate([pert, actions], axis=1)
+        target = -(pert - states) / sigma**2
+    out, _ = forward_batch(net, x_tilde)
+    resid = out - target
+    return 0.5 * float(np.sum(resid * resid)) / len(resid)
 
 
 def reference_correction(models, s, a_o, cfg):

@@ -20,11 +20,11 @@ from cdsa.envs import (BcTrainConfig, RandomPolicy, ScriptedDirect,
 from cdsa.evaluation import risk_entry_rate, rollout_batch, var_at
 from cdsa.invdyn import (InvDynTrainConfig, infer_action, invdyn_loss,
                          model_dims, train_invdyn)
-from cdsa.neuralcore import Rng, TrainBuffers, fd_grads, mlp_init
-from cdsa.scorefield import (ScoreKind, ScoreTrainConfig, dsm_loss_reference,
+from cdsa.neuralcore import Rng, TrainBuffers, mlp_init
+from cdsa.scorefield import (ScoreKind, ScoreTrainConfig,
                              dsm_loss_reparam_given_noise, eval_score,
                              field_dims, train_score_field)
-from helpers import squared_error
+from helpers import dsm_loss_reference, fd_grads, squared_error
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str,

@@ -209,6 +209,30 @@ def test_bundle_bc_optional(tmp_path):
     load_bundle(with_bc)  # bc file never blocks the model load
 
 
+# (models, bc) with one model its slot's loader rejects: h as I, g as the BC
+# policy, and an action field whose output does not fit the action dim
+WRONG_SLOT = {
+    "state-score-as-invdyn": ("invdyn", lambda: (CdsaModels(
+        _score(ScoreKind.ACTION), _score(ScoreKind.STATE), _score(ScoreKind.STATE), _norm()),
+        None)),
+    "action-score-as-bc": ("bc", lambda: (_models(), _score(ScoreKind.ACTION))),
+    "action-score-of-wrong-dims": ("action_score", lambda: (CdsaModels(
+        ScoreField(mlp_init(field_dims(ScoreKind.ACTION, DS, DA)[:-1] + [DA + 1], 0.2,
+                            Rng(1)), ScoreKind.ACTION, 0.2, _norm()),
+        _score(ScoreKind.STATE), _invdyn(), _norm()), None)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_SLOT))
+def test_save_bundle_refuses_a_model_its_slot_would_not_load(tmp_path, case):
+    slot, make = WRONG_SLOT[case]
+    models, bc = make()
+    d = tmp_path / "bundle"
+    with pytest.raises(CheckpointError, match=re.escape(f"bundle {d}: slot {slot}: ")):
+        save_bundle(models, str(d), bc)
+    assert not d.exists()
+
+
 def test_bundle_manifest_digest_cross_check(tmp_path):
     d = str(tmp_path / "bundle")
     save_bundle(_models(), d)

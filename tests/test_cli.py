@@ -3,8 +3,10 @@
 import argparse
 import json
 import os
+import re
 import shutil
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 
@@ -21,6 +23,8 @@ from cdsa.neuralcore import Rng, mlp_init
 from cdsa.scorefield import ScoreField, ScoreKind, field_dims
 from cdsa.svgplot import ARM_STYLE
 from helpers import identity_norm, missed, mutations
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _read_json(path):
@@ -43,9 +47,10 @@ def _train(tmp_path, data, name="bundle", extra=()):
 
 
 def test_missing_subcommand_is_usage_error():
-    with pytest.raises(SystemExit) as exc:
-        main([])
-    assert exc.value.code == 2
+    for argv in ([], ["verify"]):  # verify: a retired subcommand is an unknown one
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
 
 
 def test_missing_required_flag_is_usage_error():
@@ -144,7 +149,8 @@ def test_config_file_unknown_key_exits_1(tmp_path, capsys):
 def test_config_file_not_an_object_exits_1(tmp_path, capsys, document):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(document)
-    rc = main(["verify", "--config", str(cfg)])
+    rc = main(["gen-data", "--env", "linear", "--out", str(tmp_path / "d.jsonl"),
+               "--config", str(cfg)])
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(cfg) in err and "JSON object" in err
@@ -154,8 +160,7 @@ def test_config_file_not_an_object_exits_1(tmp_path, capsys, document):
 REQUIRED = {"gen-data": ["--env", "linear", "--out", "d.jsonl"],
             "train": ["--data", "d.jsonl", "--out", "b"],
             "eval": ["--env", "linear", "--bundle", "b", "--outdir", "r"],
-            "plot": ["--env", "linear", "--out", "s.svg"],
-            "verify": []}
+            "plot": ["--env", "linear", "--out", "s.svg"]}
 
 
 def _config(command, path):
@@ -187,14 +192,30 @@ def test_config_file_values_are_typed_as_their_flags(tmp_path):
     assert _config("train", path)["bc"] is True
 
 
+def _subcommands():
+    return next(action for action in build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction)).choices
+
+
+def test_readme_names_exactly_the_parser_subcommands():
+    # the quickstart's `cdsa <subcommand>` lines and the `cdsa.cli` row of the
+    # module table, so a subcommand added or removed without a doc change fails
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    usage = readme.split("## Quickstart (CLI)", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    row = next(line for line in readme.splitlines() if line.startswith("| `cdsa.cli`"))
+    want = sorted(_subcommands())
+    assert sorted({line.split()[1] for line in usage.splitlines()
+                   if line.startswith("cdsa ")}) == want
+    assert sorted(re.findall(r"`([a-z-]+)`", row.split("|")[2])) == want
+
+
 def test_config_keys_are_the_flags_of_their_subcommand():
     # a config key without a flag ends in a KeyError when a config file sets it;
     # plot's --bundle, like its trajectory lists, is an input file named on the
     # command line only
-    sub = next(action for action in build_parser()._actions
-               if isinstance(action, argparse._SubParsersAction))
-    assert set(sub.choices) == set(DEFAULTS)
-    for command, parser in sub.choices.items():
+    subcommands = _subcommands()
+    assert set(subcommands) == set(DEFAULTS)
+    for command, parser in subcommands.items():
         skip = {"config", "force"} | ({"bundle"} if command == "plot" else set())
         dests = {action.dest for action in parser._actions
                  if not (action.required or action.nargs == "*" or action.dest in skip
@@ -552,6 +573,18 @@ def test_eval_checks_the_bundle_against_the_spec_before_writing(tmp_path, capsys
     assert not outdir.exists()
 
 
+def test_plot_checks_the_bundle_against_the_spec_before_writing(tmp_path, capsys):
+    bundle = tmp_path / "bundle"
+    _save_bundle_of_dims(bundle, 3, 3)
+    out = tmp_path / "scene.svg"
+    capsys.readouterr()
+    assert main(["plot", "--env", "pointmass", "--out", str(out), "--bundle", str(bundle)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(
+        f"error: bundle {bundle}: models of state dim 3 "), err
+    assert not out.exists() and not os.path.exists(f"{out}.config.json")
+
+
 # (command, flags, value): each run must exit 1 with one error line naming the
 # value before it writes anything; the planner flags are checked whatever the
 # policy, and every corrected arm's settings before the baseline rolls out
@@ -628,11 +661,3 @@ def test_eval_on_malformed_checkpoint_exits_1_with_one_line(tmp_path, capsys, mu
     assert rc == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: checkpoint {path}: ")
-
-
-def test_verify_all_checks_pass(capsys):
-    rc = main(["verify", "--seed", "0"])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert "all 7 checks passed" in out
-    assert out.count("ok ") == 7

@@ -10,8 +10,8 @@ from cdsa.invdyn import (
     model_dims,
     train_invdyn,
 )
-from cdsa.neuralcore import Rng, TrainBuffers, fd_grads, mlp_init
-from helpers import same_params, squared_error
+from cdsa.neuralcore import Rng, TrainBuffers, mlp_init
+from helpers import fd_grads, same_params, squared_error
 
 
 def _zero_net(ds, da):

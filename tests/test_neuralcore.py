@@ -18,14 +18,13 @@ from cdsa.neuralcore import (
     _leaky,
     adam_step,
     backward_batch,
-    fd_grads,
     forward_batch,
     mlp_init,
     param_count,
     row_norms,
     zero_like_params,
 )
-from helpers import needs_openblas, same_params, squared_error
+from helpers import fd_grads, needs_openblas, same_params, squared_error
 
 
 def test_rng_is_deterministic():

@@ -7,13 +7,12 @@ from cdsa.scorefield import (
     ScoreField,
     ScoreKind,
     ScoreTrainConfig,
-    dsm_loss_reference,
     dsm_loss_reparam_given_noise,
     eval_score,
     field_dims,
     train_score_field,
 )
-from helpers import same_params
+from helpers import dsm_loss_reference, same_params
 
 
 def _zero_net(in_dim, out_dim, slope=0.1):
