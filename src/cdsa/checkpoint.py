@@ -19,11 +19,11 @@ import os
 
 import numpy as np
 
-from .controller import CdsaModels
+from .controller import MODELS, CdsaModels, ControlError, check_slot
 from .dataset import DatasetSchemaError, NormStats, read_norm
 from .envs import BehaviorCloned
 from .invdyn import InvDynModel
-from .neuralcore import MlpParams
+from .neuralcore import Arch, MlpParams
 from .readers import Fields, read_json, write_text
 from .scorefield import ScoreField, ScoreKind
 
@@ -31,9 +31,10 @@ MODEL_FORMAT = "cdsa-model"
 BUNDLE_FORMAT = "cdsa-bundle"
 VERSION = 1
 
-# the CdsaModels fields, which every bundle holds; it may also hold a "bc" policy
-MODELS = ("action_score", "state_score", "invdyn")
-KINDS = (*MODELS, "bc")
+# each kind's arch, from its class; a bundle holds MODELS and may hold a "bc" policy
+_ARCHS = {arch.kind: arch for arch in (*(kind.arch for kind in ScoreKind), InvDynModel.arch,
+                                       BehaviorCloned.arch)}
+KINDS = tuple(_ARCHS)
 MANIFEST_FILE = "manifest.json"
 
 
@@ -78,42 +79,18 @@ def model_file(kind: str) -> str:
     return f"{kind}.json"
 
 
-def _kind_of(model) -> str | None:
-    """The kind a model is checkpointed as; None for an object that is no model."""
-    if isinstance(model, ScoreField):
-        return model.kind.value
-    return {InvDynModel: "invdyn", BehaviorCloned: "bc"}.get(type(model))
-
-
 def model_to_dict(model) -> dict:
-    kind = _kind_of(model)
-    if kind is None:
+    arch = getattr(model, "arch", None)
+    if not isinstance(arch, Arch):
         raise CheckpointError(f"cannot checkpoint object of type {type(model).__name__}")
-    d = {"format": MODEL_FORMAT, "version": VERSION, "kind": kind,
+    d = {"format": MODEL_FORMAT, "version": VERSION, "kind": arch.kind,
          "arch": _params_to_dict(model.params)}
     if isinstance(model, ScoreField):
         d["sigma"] = model.sigma
     d["norm"] = model.norm.to_dict()
-    if kind == "bc":
+    if isinstance(model, BehaviorCloned):
         d["bounds"] = {"low": model.action_low.tolist(), "high": model.action_high.tolist()}
     return d
-
-
-# (input dim, output dim) of each model kind's net, given (state dim, action dim)
-_KIND_DIMS = {
-    ScoreKind.ACTION.value: lambda ds, da: (ds + da, da),
-    ScoreKind.STATE.value: lambda ds, da: (ds + da, ds),
-    "invdyn": lambda ds, da: (2 * ds, da),
-    "bc": lambda ds, da: (ds, da),
-}
-
-
-def _check_fits(kind: str, params: MlpParams, norm: NormStats) -> None:
-    """Refuse a kind model whose net does not fit the dims of its norm stats."""
-    ds, da = len(norm.state_mean), len(norm.action_mean)
-    if (params.in_dim, params.out_dim) != _KIND_DIMS[kind](ds, da):
-        raise CheckpointError(f"arch.dims {params.layer_dims} do not fit a {kind} model of "
-                              f"state dim {ds} and action dim {da}")
 
 
 def model_from_dict(d: dict, kind: str):
@@ -126,10 +103,11 @@ def model_from_dict(d: dict, kind: str):
         norm = read_norm(f.object("norm"))
     except DatasetSchemaError as exc:
         raise CheckpointError(str(exc)) from None
-    _check_fits(kind, params, norm)
-    if kind == "invdyn":
+    arch = _ARCHS[kind]
+    arch.check(params, len(norm.state_mean), len(norm.action_mean), CheckpointError, "arch")
+    if arch is InvDynModel.arch:
         return InvDynModel(params, norm)
-    if kind == "bc":
+    if arch is BehaviorCloned.arch:
         bounds = f.object("bounds")
         low, high = (bounds.array(k, norm.action_mean.shape) for k in ("low", "high"))
         if not np.all(low < high):
@@ -158,18 +136,16 @@ def load_model(path: str, kind: str):
 
 def save_bundle(models: CdsaModels, dirpath: str, bc: BehaviorCloned | None = None) -> None:
     """Write the three model files (plus optional bc policy) and the manifest,
-    once each slot's model has the kind and dims its loader requires."""
-    models.validate()  # so the three models' dims are the bundle's
+    once each slot holds a model of its kind whose net fits the bundle's dims."""
+    try:
+        models.validate()
+        if bc is not None:
+            check_slot(bc, "bc", models.state_dim, models.action_dim)
+    except ControlError as exc:
+        raise CheckpointError(f"bundle {dirpath}: {exc}") from None
     saved = {kind: getattr(models, kind) for kind in MODELS}
     if bc is not None:
         saved["bc"] = bc
-    for kind, model in saved.items():
-        try:
-            if _kind_of(model) != kind:
-                raise CheckpointError(f"holds a {_kind_of(model) or type(model).__name__} model")
-            _check_fits(kind, model.params, model.norm)
-        except CheckpointError as exc:
-            raise CheckpointError(f"bundle {dirpath}: slot {kind}: {exc}") from None
     try:
         os.makedirs(dirpath, exist_ok=True)
     except OSError as exc:
@@ -230,7 +206,12 @@ def load_bundle(dirpath: str) -> CdsaModels:
 
 
 def load_bundle_bc(dirpath: str) -> BehaviorCloned:
-    """Load the optional behavior-cloned policy stored in a bundle."""
-    if "bc" not in _read_manifest(dirpath)["files"]:
+    """The bundle's optional behavior-cloned policy, once its net fits the manifest's dims."""
+    manifest = _read_manifest(dirpath)
+    if "bc" not in manifest["files"]:
         raise CheckpointError(f"bundle {dirpath} holds no behavior-cloned policy")
-    return load_model(os.path.join(dirpath, model_file("bc")), "bc")
+    path = os.path.join(dirpath, model_file("bc"))
+    bc = load_model(path, "bc")
+    bc.arch.check(bc.params, manifest["state_dim"], manifest["action_dim"], CheckpointError,
+                  f"bundle {dirpath}: behavior-cloned policy {path}")
+    return bc

@@ -166,16 +166,12 @@ def _make_policy(spec: EnvSpec, name: str, cfg: dict, bundle: str | None = None)
     raise ValueError(f"unknown policy {name!r}")
 
 
-def _check_fits_spec(bundle: str, spec: EnvSpec, models, bc=None) -> None:
-    """Refuse a bundle whose models, or behavior-cloned policy, do not fit spec's dims."""
-    dims = {"models": (models.state_dim, models.action_dim)}
-    if bc is not None:
-        dims["behavior-cloned policy"] = (bc.params.in_dim, bc.params.out_dim)
-    for what, (ds, da) in dims.items():
-        if (ds, da) != (spec.state_dim, spec.action_dim):
-            raise ValueError(f"bundle {bundle}: {what} of state dim {ds} and action dim "
-                             f"{da} do not fit env {spec.name}, of state dim {spec.state_dim} "
-                             f"and action dim {spec.action_dim}")
+def _check_fits_spec(bundle: str, spec: EnvSpec, models) -> None:
+    """Refuse a bundle whose models, so also its policy, do not fit spec's dims."""
+    if (models.state_dim, models.action_dim) != (spec.state_dim, spec.action_dim):
+        raise ValueError(f"bundle {bundle}: models of state dim {models.state_dim} and action "
+                         f"dim {models.action_dim} do not fit env {spec.name}, of state dim "
+                         f"{spec.state_dim} and action dim {spec.action_dim}")
 
 
 def _entries(raw: str, flag: str) -> list:
@@ -270,7 +266,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     spec = _resolve_spec(args.env, cfg["variant"])
     models = checkpoint.load_bundle(args.bundle)
     policy = _make_policy(spec, cfg["policy"], cfg, args.bundle)
-    _check_fits_spec(args.bundle, spec, models, policy if cfg["policy"] == "bc" else None)
+    _check_fits_spec(args.bundle, spec, models)
     k1s = _float_list(cfg["k1"], "--k1")
     k2s = _float_list(cfg["k2"], "--k2")
     grid = _float_list(cfg["percentiles"], "--percentiles")

@@ -57,6 +57,7 @@ from .neuralcore import InferenceNet, Rng, forward_batch, row_norms
 from .scorefield import ScoreField, ScoreKind, ScoreTrainConfig, train_score_field
 
 ABLATIONS = ("full", "no_a1", "no_a2", "baseline")
+MODELS = ("action_score", "state_score", "invdyn")  # the CdsaModels fields, named by kind
 
 # run_episodes splits a batch of at least this many episodes across two
 # processes. Measured on 2 shared vCPUs, split against one process on paired
@@ -75,6 +76,14 @@ class ControlError(ValueError):
     """Dimension mismatch or non-finite value inside the controller."""
 
 
+def check_slot(model, slot: str, state_dim: int, action_dim: int) -> None:
+    """ControlError("slot S: ...") unless model is of kind slot, its net fitting the dims."""
+    kind = getattr(getattr(model, "arch", None), "kind", type(model).__name__)
+    if kind != slot:
+        raise ControlError(f"slot {slot}: holds a {kind} model")
+    model.arch.check(model.params, state_dim, action_dim, ControlError, f"slot {slot}")
+
+
 @dataclass
 class CdsaModels:
     action_score: ScoreField
@@ -83,11 +92,10 @@ class CdsaModels:
     norm: NormStats
 
     def validate(self) -> None:
-        if self.action_score.kind is not ScoreKind.ACTION:
-            raise ControlError("action_score must be an ACTION field")
-        if self.state_score.kind is not ScoreKind.STATE:
-            raise ControlError("state_score must be a STATE field")
-        for model in (self.action_score, self.state_score, self.invdyn):
+        """ControlError unless each slot holds its kind's model, fitting one shared norm."""
+        for slot in MODELS:
+            model = getattr(self, slot)
+            check_slot(model, slot, self.state_dim, self.action_dim)
             if not self.norm.equals(model.norm):
                 raise ControlError("all models must share one set of norm stats")
         g, h = self.action_score.params, self.state_score.params

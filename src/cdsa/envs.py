@@ -33,6 +33,7 @@ import numpy as np
 
 from .dataset import Dataset, NormStats
 from .neuralcore import (
+    Arch,
     InferenceNet,
     MlpParams,
     Rng,
@@ -377,8 +378,6 @@ class Policy:
     own attribute so per-class instrumentation can wrap it.
     """
 
-    kind = "abstract"
-
     def act(self, s: np.ndarray, ctx: EnvState | None, rng: Rng | None) -> np.ndarray:
         batch = None if ctx is None else EnvStates.stack([ctx])
         return self.act_batch(np.asarray(s, dtype=np.float64)[None, :], batch, [rng])[0]
@@ -409,7 +408,6 @@ def _current_targets(spec: EnvSpec, ctx: EnvStates, n: int) -> np.ndarray:
 class ScriptedDirect(Policy):
     """Unit-capped step straight at the current target, through anything."""
 
-    kind = "direct"
     act = Policy.act
 
     def __init__(self, spec: EnvSpec):
@@ -421,7 +419,6 @@ class ScriptedDirect(Policy):
 
 
 class RandomPolicy(Policy):
-    kind = "random"
     act = Policy.act
 
     def __init__(self, spec: EnvSpec):
@@ -543,7 +540,6 @@ class ScriptedRiskAvoiding(Policy):
     every step so the agent still converges on the target.
     """
 
-    kind = "risk-avoiding"
     act = Policy.act
 
     def __init__(self, spec: EnvSpec, grid_n: int = 40, inflation: float = 0.08,
@@ -592,10 +588,12 @@ class BehaviorCloned(Policy):
     checkpoints save params.
     """
 
-    kind = "bc"
+    arch = Arch("bc", (128, 128, 128), 0.2, lambda ds, da: (ds, da))
 
     def __init__(self, params: MlpParams, norm: NormStats,
                  action_low: np.ndarray, action_high: np.ndarray):
+        self.arch.check(params, len(norm.state_mean), len(norm.action_mean), EnvError,
+                        "behavior-cloned policy")
         self.params = params
         self.norm = norm
         self.action_low = np.asarray(action_low, dtype=np.float64)
@@ -608,10 +606,6 @@ class BehaviorCloned(Policy):
     def act_batch(self, states: np.ndarray, ctx: EnvStates | None, rngs: list) -> np.ndarray:
         out, _ = forward_batch(self._net, states)
         return np.minimum(np.maximum(out, self.action_low), self.action_high)
-
-
-BC_HIDDEN_DIMS = [128, 128, 128]
-BC_LEAKY_SLOPE = 0.2
 
 
 BcTrainConfig = TrainConfig
@@ -630,6 +624,5 @@ def train_bc_policy(dataset: Dataset, config: TrainConfig,
     def batch_loss(net, idx, rng, bufs):
         return mse_loss(net, states_n[idx], actions_n[idx], bufs)
 
-    net, history = train_mlp([dataset.state_dim] + BC_HIDDEN_DIMS + [dataset.action_dim],
-                             BC_LEAKY_SLOPE, config, len(dataset), batch_loss)
+    net, history = train_mlp(BehaviorCloned.arch, dataset, config, batch_loss)
     return BehaviorCloned(net, norm, action_low, action_high), history

@@ -14,6 +14,7 @@ import numpy as np
 
 from .dataset import Dataset, NormStats
 from .neuralcore import (
+    Arch,
     MlpParams,
     TrainBuffers,
     TrainConfig,
@@ -22,21 +23,16 @@ from .neuralcore import (
     train_mlp,
 )
 
-HIDDEN_DIMS = [128, 128, 128]
-LEAKY_SLOPE = 0.2
-
 
 @dataclass
 class InvDynModel:
     params: MlpParams
     norm: NormStats
 
+    arch = Arch("invdyn", (128, 128, 128), 0.2, lambda ds, da: (2 * ds, da))
+
 
 InvDynTrainConfig = TrainConfig
-
-
-def model_dims(state_dim: int, action_dim: int) -> list[int]:
-    return [2 * state_dim] + HIDDEN_DIMS + [action_dim]
 
 
 def invdyn_loss(net: MlpParams, states: np.ndarray, next_states: np.ndarray,
@@ -67,8 +63,7 @@ def train_invdyn(dataset: Dataset, config: TrainConfig):
     def batch_loss(net, idx, rng, bufs):
         return invdyn_loss(net, states_n[idx], next_n[idx], actions_n[idx], bufs)
 
-    net, history = train_mlp(model_dims(dataset.state_dim, dataset.action_dim), LEAKY_SLOPE,
-                             config, len(dataset), batch_loss)
+    net, history = train_mlp(InvDynModel.arch, dataset, config, batch_loss)
     return InvDynModel(net, norm), history
 
 

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,6 +181,26 @@ def mlp_init(layer_dims: list[int], leaky_slope: float, rng: Rng) -> MlpParams:
 
 def zero_like_params(params: MlpParams) -> MlpParams:
     return MlpParams(params.layer_dims, params.leaky_slope, np.zeros_like(params.flat))
+
+
+@dataclass(frozen=True)
+class Arch:
+    """A model kind's net: hidden dims, LeakyReLU slope, io(ds, da) -> (in, out) dims."""
+
+    kind: str
+    hidden: tuple[int, ...]
+    slope: float
+    io: Callable[[int, int], tuple[int, int]]
+
+    def dims(self, state_dim: int, action_dim: int) -> list[int]:
+        n_in, n_out = self.io(state_dim, action_dim)
+        return [n_in, *self.hidden, n_out]
+
+    def check(self, params: MlpParams, state_dim: int, action_dim: int, error, where: str):
+        """error(where: ...) unless params' (input, output) dims are this kind's."""
+        if (params.in_dim, params.out_dim) != self.io(state_dim, action_dim):
+            raise error(f"{where}: dims {params.layer_dims} do not fit kind {self.kind} at "
+                        f"state dim {state_dim} and action dim {action_dim}")
 
 
 # ---------------------------------------------------------------------------
@@ -523,27 +544,26 @@ class TrainConfig:
             raise ValueError(f"lr must be positive and finite, got {self.lr}")
 
 
-def train_mlp(layer_dims: list[int], leaky_slope: float, config: TrainConfig, n_rows: int,
-              batch_loss):
+def train_mlp(arch: Arch, dataset, config: TrainConfig, batch_loss):
     """Adam on one net over config.iterations minibatch steps; the one training loop.
 
-    The net is initialized from Rng(config.seed). Each step draws
-    config.batch_size row indices in [0, n_rows), with replacement, from that
-    same stream and calls batch_loss(net, idx, rng, bufs), which returns
-    (loss, grads) for those rows and may draw more from rng; an Adam step
-    with config.lr follows. Returns (net, history), one (step, loss) row per
-    step. Deterministic given config.seed and the data.
+    The net is arch's at the dataset's dims, initialized from Rng(config.seed).
+    Each step draws config.batch_size row indices in [0, len(dataset)), with
+    replacement, from that same stream and calls batch_loss(net, idx, rng,
+    bufs), which returns (loss, grads) for those rows and may draw more from
+    rng; an Adam step with config.lr follows. Returns (net, history), one
+    (step, loss) row per step. Deterministic given config.seed and the data.
     """
     config.validate()
-    if n_rows == 0:
+    if len(dataset) == 0:
         raise ValueError("cannot train on an empty dataset")
     rng = Rng(config.seed)
-    net = mlp_init(layer_dims, leaky_slope, rng)
+    net = mlp_init(arch.dims(dataset.state_dim, dataset.action_dim), arch.slope, rng)
     opt = AdamState.for_params(net)
     bufs = TrainBuffers(config.batch_size, net)
     history = []
     for step in range(config.iterations):
-        idx = rng.integers(n_rows, size=config.batch_size)
+        idx = rng.integers(len(dataset), size=config.batch_size)
         loss, grads = batch_loss(net, idx, rng, bufs)
         adam_step(opt, net, grads, config.lr, bufs)
         history.append((step, loss))

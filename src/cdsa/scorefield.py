@@ -23,6 +23,7 @@ import numpy as np
 
 from .dataset import Dataset, NormStats
 from .neuralcore import (
+    Arch,
     MlpParams,
     TrainBuffers,
     TrainConfig,
@@ -31,15 +32,21 @@ from .neuralcore import (
     train_mlp,
 )
 
-HIDDEN_DIMS = [32, 128, 32]
-LEAKY_SLOPE = 0.1
 DEFAULT_SIGMA = 0.1
 DEFAULT_LR = 3e-4
 
 
-class ScoreKind(enum.Enum):
-    ACTION = "action_score"
-    STATE = "state_score"
+class ScoreKind(str, enum.Enum):
+    """The coordinates a field scores; a member is its checkpoint kind's name."""
+
+    ACTION = "action_score", lambda ds, da: (ds + da, da)
+    STATE = "state_score", lambda ds, da: (ds + da, ds)
+
+    def __new__(cls, kind: str, io):
+        member = str.__new__(cls, kind)
+        member._value_ = kind
+        member.arch = Arch(kind, (32, 128, 32), 0.1, io)
+        return member
 
 
 @dataclass
@@ -48,6 +55,10 @@ class ScoreField:
     kind: ScoreKind
     sigma: float
     norm: NormStats
+
+    @property
+    def arch(self) -> Arch:
+        return self.kind.arch
 
 
 @dataclass
@@ -59,11 +70,6 @@ class ScoreTrainConfig(TrainConfig):
         if not 0 < self.sigma < np.inf:
             raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         super().validate()
-
-
-def field_dims(kind: ScoreKind, state_dim: int, action_dim: int) -> list[int]:
-    out = action_dim if kind is ScoreKind.ACTION else state_dim
-    return [state_dim + action_dim] + HIDDEN_DIMS + [out]
 
 
 def dsm_loss_reparam_given_noise(net: MlpParams, states: np.ndarray, actions: np.ndarray,
@@ -111,8 +117,7 @@ def train_score_field(dataset: Dataset, kind: ScoreKind, config: ScoreTrainConfi
         return dsm_loss_reparam_given_noise(
             net, states_n[idx], actions_n[idx], config.sigma, z, kind, bufs)
 
-    net, history = train_mlp(field_dims(kind, dataset.state_dim, dataset.action_dim),
-                             LEAKY_SLOPE, config, len(dataset), batch_loss)
+    net, history = train_mlp(kind.arch, dataset, config, batch_loss)
     return ScoreField(net, kind, config.sigma, norm), history
 
 

@@ -89,7 +89,9 @@ def _geometry(spec: EnvSpec, m: _Mapper) -> list[str]:
 
 
 def _polyline(points: np.ndarray, m: _Mapper, color: str, dash: str | None) -> str:
-    coords = " ".join(f"{_fmt(m.x(p[0]))},{_fmt(m.y(p[1]))}" for p in points)
+    # both columns mapped at once, then formatted as _fmt formats each one
+    xy = np.column_stack([m.x(points[:, 0]), m.y(points[:, 1])]).ravel().tolist()
+    coords = " ".join(["%.2f,%.2f"] * len(points)) % tuple(xy)
     dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
     return (f'<polyline points="{coords}" fill="none" stroke="{color}" '
             f'stroke-width="1.4" stroke-opacity="0.8"{dash_attr}/>')

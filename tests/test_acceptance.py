@@ -18,12 +18,12 @@ from cdsa.envs import (BcTrainConfig, RandomPolicy, ScriptedDirect,
                        ScriptedRiskAvoiding, builtin_spec_path, load_env_spec,
                        train_bc_policy)
 from cdsa.evaluation import risk_entry_rate, rollout_batch, var_at
-from cdsa.invdyn import (InvDynTrainConfig, infer_action, invdyn_loss,
-                         model_dims, train_invdyn)
+from cdsa.invdyn import (InvDynModel, InvDynTrainConfig, infer_action, invdyn_loss,
+                         train_invdyn)
 from cdsa.neuralcore import Rng, TrainBuffers, mlp_init
 from cdsa.scorefield import (ScoreKind, ScoreTrainConfig,
                              dsm_loss_reparam_given_noise, eval_score,
-                             field_dims, train_score_field)
+                             train_score_field)
 from helpers import dsm_loss_reference, fd_grads, squared_error
 
 
@@ -90,7 +90,7 @@ def test_02_gradient_exactness_vs_finite_differences():
     worst = 0.0
     for kind in (ScoreKind.ACTION, ScoreKind.STATE):
         for _ in range(8):
-            net = mlp_init(field_dims(kind, 2, 2), 0.2, rng)
+            net = mlp_init(kind.arch.dims(2, 2), 0.2, rng)
             s = rng.normal(size=(8, 2))
             a = rng.normal(size=(8, 2))
             z = rng.normal(size=(8, 2))
@@ -105,7 +105,7 @@ def test_02_gradient_exactness_vs_finite_differences():
             fd = fd_grads(net, x, squared_error(target, 0.5), h=1e-6)
             worst = max(worst, _max_rel_err(grads, fd))
     for _ in range(4):
-        net = mlp_init(model_dims(2, 2), 0.2, rng)
+        net = mlp_init(InvDynModel.arch.dims(2, 2), 0.2, rng)
         s = rng.normal(size=(8, 2))
         s2 = rng.normal(size=(8, 2))
         a = rng.normal(size=(8, 2))

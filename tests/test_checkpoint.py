@@ -5,20 +5,21 @@ import json
 import os
 import re
 import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cdsa.checkpoint import (MANIFEST_FILE, CheckpointError, load_bundle, load_bundle_bc,
-                             load_model, model_from_dict, model_to_dict,
-                             norm_digest, save_bundle, save_model)
-from cdsa.controller import CdsaModels
+from cdsa.checkpoint import (BUNDLE_FORMAT, KINDS, MANIFEST_FILE, VERSION, CheckpointError,
+                             load_bundle, load_bundle_bc, load_model, model_from_dict,
+                             model_to_dict, norm_digest, save_bundle, save_model)
+from cdsa.controller import CdsaModels, ControlError
 from cdsa.dataset import NormStats
 from cdsa.envs import BehaviorCloned
-from cdsa.invdyn import InvDynModel, model_dims
+from cdsa.invdyn import InvDynModel
 from cdsa.neuralcore import Rng, mlp_init
-from cdsa.scorefield import ScoreField, ScoreKind, field_dims
-from helpers import missed, mutated, mutations
+from cdsa.scorefield import ScoreField, ScoreKind
+from helpers import identity_norm, missed, mutated, mutations
 
 DS, DA = 2, 2
 # the files a bundle stores its models in, each named after the model's kind
@@ -33,17 +34,22 @@ def _norm(seed=0):
 
 
 def _score(kind, seed=1, sigma=0.2):
-    params = mlp_init(field_dims(kind, DS, DA), 0.2, Rng(seed))
+    params = mlp_init(kind.arch.dims(DS, DA), 0.2, Rng(seed))
     return ScoreField(params, kind, sigma, _norm())
 
 
 def _invdyn(seed=2):
-    return InvDynModel(mlp_init(model_dims(DS, DA), 0.2, Rng(seed)), _norm())
+    return InvDynModel(mlp_init(InvDynModel.arch.dims(DS, DA), 0.2, Rng(seed)), _norm())
 
 
 def _bc(seed=3):
     params = mlp_init([DS, 16, DA], 0.2, Rng(seed))
     return BehaviorCloned(params, _norm(), -np.ones(DA), np.ones(DA))
+
+
+def _bc_of_state_dim(ds):
+    return BehaviorCloned(mlp_init([ds, 16, DA], 0.2, Rng(3)), identity_norm(ds, DA),
+                          -np.ones(DA), np.ones(DA))
 
 
 def _models():
@@ -217,7 +223,7 @@ WRONG_SLOT = {
         None)),
     "action-score-as-bc": ("bc", lambda: (_models(), _score(ScoreKind.ACTION))),
     "action-score-of-wrong-dims": ("action_score", lambda: (CdsaModels(
-        ScoreField(mlp_init(field_dims(ScoreKind.ACTION, DS, DA)[:-1] + [DA + 1], 0.2,
+        ScoreField(mlp_init(ScoreKind.ACTION.arch.dims(DS, DA)[:-1] + [DA + 1], 0.2,
                             Rng(1)), ScoreKind.ACTION, 0.2, _norm()),
         _score(ScoreKind.STATE), _invdyn(), _norm()), None)),
 }
@@ -231,6 +237,73 @@ def test_save_bundle_refuses_a_model_its_slot_would_not_load(tmp_path, case):
     with pytest.raises(CheckpointError, match=re.escape(f"bundle {d}: slot {slot}: ")):
         save_bundle(models, str(d), bc)
     assert not d.exists()
+
+
+def test_a_bundles_bc_policy_must_have_its_models_dims(tmp_path):
+    d = tmp_path / "bundle"
+    other = _bc_of_state_dim(DS + 1)
+    with pytest.raises(CheckpointError, match=re.escape(
+            f"bundle {d}: slot bc: dims [{DS + 1}, 16, {DA}] do not fit kind bc at state dim "
+            f"{DS} and action dim {DA}")):
+        save_bundle(_models(), str(d), bc=other)
+    assert not d.exists()
+    save_bundle(_models(), str(d), bc=_bc())
+    path = d / "bc.json"
+    save_model(other, str(path))
+    with pytest.raises(CheckpointError, match=re.escape(
+            f"bundle {d}: behavior-cloned policy {path}: dims [{DS + 1}, 16, {DA}] do not fit "
+            f"kind bc at state dim {DS} and action dim {DA}")):
+        load_bundle_bc(str(d))
+    load_bundle(str(d))  # the models still load
+
+
+# a model of every kind at the bundle's dims, and a BC policy of another state dim
+SLOT_MODELS = {
+    "action_score": lambda: _score(ScoreKind.ACTION, 1),
+    "state_score": lambda: _score(ScoreKind.STATE, 2),
+    "invdyn": _invdyn,
+    "bc": _bc,
+    "bc of state dim 3": lambda: _bc_of_state_dim(DS + 1),
+}
+
+
+def _loads(d) -> bool:
+    try:
+        load_bundle(str(d))
+        load_bundle_bc(str(d))
+    except (CheckpointError, ControlError):
+        return False
+    return True
+
+
+@pytest.mark.parametrize("holds", sorted(SLOT_MODELS))
+@pytest.mark.parametrize("slot", KINDS)
+def test_save_bundle_writes_exactly_what_the_loaders_load(tmp_path, slot, holds):
+    # only a model of the slot's own kind, at the models' dims, may be saved and loaded
+    fits = holds == slot
+    models, bc = _models(), _bc()
+    if slot == "bc":
+        bc = SLOT_MODELS[holds]()
+    else:
+        models = replace(models, **{slot: SLOT_MODELS[holds]()})
+    # the readers' verdict, on the files save_bundle writes but left unchecked
+    raw = tmp_path / "raw"
+    raw.mkdir()
+    for kind in KINDS:
+        save_model(bc if kind == "bc" else getattr(models, kind), str(raw / f"{kind}.json"))
+    (raw / MANIFEST_FILE).write_text(json.dumps({
+        "format": BUNDLE_FORMAT, "version": VERSION, "state_dim": DS, "action_dim": DA,
+        "sigma": 0.2, "norm_sha256": norm_digest(_norm()),
+        "files": {kind: f"{kind}.json" for kind in KINDS}}))
+    assert _loads(raw) is fits
+    # the writer's verdict
+    d = tmp_path / "bundle"
+    try:
+        save_bundle(models, str(d), bc)
+    except CheckpointError as exc:
+        assert not fits and not d.exists(), exc
+    else:
+        assert fits and _loads(d)
 
 
 def test_bundle_manifest_digest_cross_check(tmp_path):

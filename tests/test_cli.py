@@ -18,9 +18,9 @@ from cdsa.controller import CdsaModels
 from cdsa.dataset import load_dataset
 from cdsa.envs import BehaviorCloned
 from cdsa.evaluation import load_report_csv
-from cdsa.invdyn import InvDynModel, model_dims
+from cdsa.invdyn import InvDynModel
 from cdsa.neuralcore import Rng, mlp_init
-from cdsa.scorefield import ScoreField, ScoreKind, field_dims
+from cdsa.scorefield import ScoreField, ScoreKind
 from cdsa.svgplot import ARM_STYLE
 from helpers import identity_norm, missed, mutations
 
@@ -545,20 +545,26 @@ def test_eval_on_a_model_outside_its_slot_exits_1_writing_nothing(tmp_path, caps
 
 def _save_bundle_of_dims(path, ds, bc_ds):
     """A bundle of models for state dim ds and a BC policy for state dim bc_ds,
-    both of action dim 2."""
+    both of action dim 2. save_bundle refuses a policy of other dims than the
+    models', so that one is written over the bundle's own."""
     norm = identity_norm(ds, 2)
-    fields = [ScoreField(mlp_init(field_dims(kind, ds, 2), 0.2, Rng(1)), kind, 0.2, norm)
+    fields = [ScoreField(mlp_init(kind.arch.dims(ds, 2), 0.2, Rng(1)), kind, 0.2, norm)
               for kind in (ScoreKind.ACTION, ScoreKind.STATE)]
-    models = CdsaModels(*fields, InvDynModel(mlp_init(model_dims(ds, 2), 0.2, Rng(2)), norm),
-                        norm)
-    bc = BehaviorCloned(mlp_init([bc_ds, 8, 2], 0.2, Rng(3)), identity_norm(bc_ds, 2),
-                        -np.ones(2), np.ones(2))
-    checkpoint.save_bundle(models, str(path), bc)
+    invdyn = InvDynModel(mlp_init(InvDynModel.arch.dims(ds, 2), 0.2, Rng(2)), norm)
+
+    def bc(d):
+        return BehaviorCloned(mlp_init([d, 8, 2], 0.2, Rng(3)), identity_norm(d, 2),
+                              -np.ones(2), np.ones(2))
+
+    checkpoint.save_bundle(CdsaModels(*fields, invdyn, norm), str(path), bc(ds))
+    if bc_ds != ds:
+        checkpoint.save_model(bc(bc_ds), str(path / "bc.json"))
 
 
+# the bc case fails in load_bundle_bc, which names the policy's file
 @pytest.mark.parametrize("ds, bc_ds, policy, what", [
     (3, 3, "direct", "models of state dim 3"),
-    (2, 3, "bc", "behavior-cloned policy of state dim 3"),
+    (2, 3, "bc", "behavior-cloned policy"),
 ])
 def test_eval_checks_the_bundle_against_the_spec_before_writing(tmp_path, capsys, ds, bc_ds,
                                                                 policy, what):
@@ -570,6 +576,9 @@ def test_eval_checks_the_bundle_against_the_spec_before_writing(tmp_path, capsys
                  str(outdir), "--policy", policy, "--episodes", "2"]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: bundle {bundle}: {what} "), err
+    if policy == "bc":
+        assert f"{bundle / 'bc.json'}: dims [3, 8, 2] do not fit kind bc at state dim 2 and " \
+               f"action dim 2" in err[0], err
     assert not outdir.exists()
 
 

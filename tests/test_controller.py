@@ -18,13 +18,12 @@ from cdsa.controller import (
 )
 from cdsa.dataset import NormStats, generate_dataset
 from cdsa.envs import RandomPolicy, ScriptedDirect, builtin_spec_path, load_env_spec
-from cdsa.invdyn import InvDynModel, InvDynTrainConfig, model_dims, train_invdyn
+from cdsa.invdyn import InvDynModel, InvDynTrainConfig, train_invdyn
 from cdsa.neuralcore import Rng, forward_batch, mlp_init
 from cdsa.scorefield import (
     ScoreField,
     ScoreKind,
     ScoreTrainConfig,
-    field_dims,
     train_score_field,
 )
 from helpers import identity_norm, reference_correction, same_params
@@ -42,13 +41,13 @@ def _const_net(dims, value, slope):
 
 def _stub_models(g_value=(0.1, 0.0), h_value=(0.0, 0.0)):
     norm = identity_norm(2, 2)
-    action = ScoreField(params=_const_net(field_dims(ScoreKind.ACTION, 2, 2),
+    action = ScoreField(params=_const_net(ScoreKind.ACTION.arch.dims(2, 2),
                                           np.array(g_value), 0.1),
                         kind=ScoreKind.ACTION, sigma=0.1, norm=norm)
-    state = ScoreField(params=_const_net(field_dims(ScoreKind.STATE, 2, 2),
+    state = ScoreField(params=_const_net(ScoreKind.STATE.arch.dims(2, 2),
                                          np.array(h_value), 0.1),
                        kind=ScoreKind.STATE, sigma=0.1, norm=norm)
-    inv = InvDynModel(params=_const_net(model_dims(2, 2), np.zeros(2), 0.2),
+    inv = InvDynModel(params=_const_net(InvDynModel.arch.dims(2, 2), np.zeros(2), 0.2),
                       norm=norm)
     return CdsaModels(action_score=action, state_score=state, invdyn=inv, norm=norm)
 
@@ -66,11 +65,11 @@ def _random_models():
         return p
 
     return CdsaModels(
-        action_score=ScoreField(net(field_dims(ScoreKind.ACTION, 2, 2), 0.1, 41),
+        action_score=ScoreField(net(ScoreKind.ACTION.arch.dims(2, 2), 0.1, 41),
                                 ScoreKind.ACTION, 0.1, norm),
-        state_score=ScoreField(net(field_dims(ScoreKind.STATE, 2, 2), 0.1, 43),
+        state_score=ScoreField(net(ScoreKind.STATE.arch.dims(2, 2), 0.1, 43),
                                ScoreKind.STATE, 0.1, norm),
-        invdyn=InvDynModel(net(model_dims(2, 2), 0.2, 45), norm),
+        invdyn=InvDynModel(net(InvDynModel.arch.dims(2, 2), 0.2, 45), norm),
         norm=norm)
 
 
@@ -250,7 +249,7 @@ def test_models_fields_must_stack():
     models = _stub_models()
     wider = ScoreField(params=_const_net([4, 32, 64, 32, 2], np.zeros(2), 0.1),
                        kind=ScoreKind.STATE, sigma=0.1, norm=models.norm)
-    steeper = ScoreField(params=_const_net(field_dims(ScoreKind.STATE, 2, 2), np.zeros(2), 0.2),
+    steeper = ScoreField(params=_const_net(ScoreKind.STATE.arch.dims(2, 2), np.zeros(2), 0.2),
                          kind=ScoreKind.STATE, sigma=0.1, norm=models.norm)
     for state in (wider, steeper):
         with pytest.raises(ControlError, match="stack"):

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -30,6 +31,7 @@ from cdsa.envs import (
 from cdsa.neuralcore import Rng, forward_batch, mlp_init
 from cdsa.readers import Fields
 from helpers import (
+    identity_norm,
     missed,
     mutated,
     mutations,
@@ -614,6 +616,15 @@ def test_bc_act_batch_matches_the_normalized_net():
     got = bc.act_batch(states, None, [None] * 50)
     assert 0 < np.sum(got == high) + np.sum(got == low) < got.size
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("dims", [[3, 8, 2], [2, 8, 3]])
+def test_bc_policy_refuses_a_net_that_does_not_fit_its_norm(dims):
+    with pytest.raises(EnvError, match=re.escape(
+            f"behavior-cloned policy: dims {dims} do not fit kind bc at state dim 2 and "
+            f"action dim 2")):
+        BehaviorCloned(mlp_init(dims, 0.2, Rng(0)), identity_norm(2, 2), -np.ones(2),
+                       np.ones(2))
 
 
 def test_bc_training_deterministic():

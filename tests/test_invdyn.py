@@ -4,10 +4,10 @@ import pytest
 from cdsa.dataset import Dataset, generate_dataset
 from cdsa.envs import RandomPolicy, builtin_spec_path, load_env_spec
 from cdsa.invdyn import (
+    InvDynModel,
     InvDynTrainConfig,
     infer_action,
     invdyn_loss,
-    model_dims,
     train_invdyn,
 )
 from cdsa.neuralcore import Rng, TrainBuffers, mlp_init
@@ -15,15 +15,10 @@ from helpers import fd_grads, same_params, squared_error
 
 
 def _zero_net(ds, da):
-    p = mlp_init(model_dims(ds, da), 0.2, Rng(0))
+    p = mlp_init(InvDynModel.arch.dims(ds, da), 0.2, Rng(0))
     for w in p.weights:
         w[:] = 0.0
     return p
-
-
-def test_model_dims_table():
-    assert model_dims(2, 2) == [4, 128, 128, 128, 2]
-    assert model_dims(3, 1) == [6, 128, 128, 128, 1]
 
 
 def test_zero_net_loss_value():

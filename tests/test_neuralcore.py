@@ -8,6 +8,8 @@ import pytest
 
 import cdsa
 
+from cdsa.envs import BehaviorCloned
+from cdsa.invdyn import InvDynModel
 from cdsa.neuralcore import (
     AdamState,
     InferenceNet,
@@ -24,7 +26,20 @@ from cdsa.neuralcore import (
     row_norms,
     zero_like_params,
 )
+from cdsa.scorefield import ScoreKind
 from helpers import fd_grads, needs_openblas, same_params, squared_error
+
+
+def test_kind_dims_table():
+    # layer dims at (state dim, action dim), then each kind's slope
+    assert ScoreKind.ACTION.arch.dims(2, 2) == [4, 32, 128, 32, 2]
+    assert ScoreKind.STATE.arch.dims(3, 2) == [5, 32, 128, 32, 3]
+    assert InvDynModel.arch.dims(2, 2) == [4, 128, 128, 128, 2]
+    assert InvDynModel.arch.dims(3, 1) == [6, 128, 128, 128, 1]
+    assert BehaviorCloned.arch.dims(3, 1) == [3, 128, 128, 128, 1]
+    archs = (ScoreKind.ACTION.arch, ScoreKind.STATE.arch, InvDynModel.arch, BehaviorCloned.arch)
+    assert [a.kind for a in archs] == ["action_score", "state_score", "invdyn", "bc"]
+    assert [a.slope for a in archs] == [0.1, 0.1, 0.2, 0.2]
 
 
 def test_rng_is_deterministic():

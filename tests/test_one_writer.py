@@ -29,9 +29,9 @@ from cdsa.controller import CdsaModels
 from cdsa.dataset import Dataset, DatasetError, save_dataset
 from cdsa.envs import builtin_spec_path, load_env_spec
 from cdsa.evaluation import EpisodeStats, EvalError, emit_report, summarize
-from cdsa.invdyn import InvDynModel, model_dims
+from cdsa.invdyn import InvDynModel
 from cdsa.neuralcore import Rng, mlp_init
-from cdsa.scorefield import ScoreField, ScoreKind, field_dims
+from cdsa.scorefield import ScoreField, ScoreKind
 from helpers import identity_norm
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -172,11 +172,11 @@ def _models():
     norm = identity_norm(2, 2)
     rng = Rng(0)
     return CdsaModels(
-        action_score=ScoreField(mlp_init(field_dims(ScoreKind.ACTION, 2, 2), 0.1, rng),
+        action_score=ScoreField(mlp_init(ScoreKind.ACTION.arch.dims(2, 2), 0.1, rng),
                                 ScoreKind.ACTION, 0.2, norm),
-        state_score=ScoreField(mlp_init(field_dims(ScoreKind.STATE, 2, 2), 0.1, rng),
+        state_score=ScoreField(mlp_init(ScoreKind.STATE.arch.dims(2, 2), 0.1, rng),
                                ScoreKind.STATE, 0.2, norm),
-        invdyn=InvDynModel(mlp_init(model_dims(2, 2), 0.2, rng), norm),
+        invdyn=InvDynModel(mlp_init(InvDynModel.arch.dims(2, 2), 0.2, rng), norm),
         norm=norm)
 
 

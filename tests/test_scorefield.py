@@ -9,7 +9,6 @@ from cdsa.scorefield import (
     ScoreTrainConfig,
     dsm_loss_reparam_given_noise,
     eval_score,
-    field_dims,
     train_score_field,
 )
 from helpers import dsm_loss_reference, same_params
@@ -21,11 +20,6 @@ def _zero_net(in_dim, out_dim, slope=0.1):
     for w in p.weights:
         w[:] = 0.0
     return p
-
-
-def test_field_dims_table():
-    assert field_dims(ScoreKind.ACTION, 2, 2) == [4, 32, 128, 32, 2]
-    assert field_dims(ScoreKind.STATE, 3, 2) == [5, 32, 128, 32, 3]
 
 
 def _selector_net(in_dim, cols):
@@ -105,7 +99,7 @@ def test_loss_forms_agree_on_random_nets():
     for kind in (ScoreKind.ACTION, ScoreKind.STATE):
         for trial in range(20):
             sigma = float(rng.uniform(0.05, 0.5))
-            net = mlp_init(field_dims(kind, 2, 2), 0.1, rng)
+            net = mlp_init(kind.arch.dims(2, 2), 0.1, rng)
             s = np.asarray(rng.normal(size=(32, 2)))
             a = np.asarray(rng.normal(size=(32, 2)))
             z = np.asarray(rng.normal(size=(32, 2)))
@@ -177,7 +171,7 @@ def test_eval_score_uses_normalized_coordinates():
 
 
 def test_eval_score_accepts_row_batches():
-    params = mlp_init(field_dims(ScoreKind.STATE, 2, 2), 0.1, Rng(2))
+    params = mlp_init(ScoreKind.STATE.arch.dims(2, 2), 0.1, Rng(2))
     norm = NormStats(np.array([0.5, -1.0]), np.array([2.0, 0.5]),
                      np.array([0.1, 0.0]), np.array([0.3, 1.5]))
     field = ScoreField(params=params, kind=ScoreKind.STATE, sigma=0.1, norm=norm)

@@ -10,7 +10,7 @@ from cdsa.controller import control_episode
 from cdsa.envs import ScriptedDirect, builtin_spec_path, load_env_spec
 from cdsa.evaluation import emit_report, rollout_batch, summarize
 from cdsa.neuralcore import Rng
-from cdsa.svgplot import ARM_STYLE, render_scene
+from cdsa.svgplot import ARM_STYLE, MARGIN, VIEW, _fmt, _Mapper, _polyline, render_scene
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -118,3 +118,19 @@ def test_written_scenes_end_in_one_newline(tmp_path):
 def test_quiver_grid_below_one_is_rejected(grid_n):
     with pytest.raises(ValueError, match=f"quiver_grid must be >= 1, got {grid_n}"):
         render_scene(_spec(), quiver_fn=lambda pts: -pts, quiver_grid=grid_n)
+
+
+def test_polyline_points_match_the_per_point_format():
+    # arena points that map onto pixels at two-decimal half-way values, just
+    # below and above 0, and -0.0 itself; the first two are a one-step trajectory
+    spec = _spec()
+    m = _Mapper(spec)
+    px = np.array([[0.125, 0.375], [100.005, 99.995], [-0.004, 520.0], [1e-9, -1e-9],
+                   [599.995, 0.0]])
+    pts = np.column_stack([spec.arena_min[0] + (px[:, 0] - MARGIN) / m.scale,
+                           spec.arena_min[1] + (VIEW - MARGIN - px[:, 1]) / m.scale])
+    pts = np.vstack([pts, [[-0.0, -0.0]]])
+    for points in (pts, pts[:2]):
+        want = " ".join(f"{_fmt(m.x(p[0]))},{_fmt(m.y(p[1]))}" for p in points)
+        assert f'points="{want}"' in _polyline(points, m, "#000", None)
+    assert "-0.00," in " ".join(f"{_fmt(m.x(p[0]))}," for p in pts)

@@ -20,16 +20,14 @@ import pytest
 from cdsa.controller import train_cdsa
 from cdsa.dataset import Dataset, generate_dataset
 from cdsa.envs import (
-    BC_HIDDEN_DIMS,
-    BC_LEAKY_SLOPE,
     BcTrainConfig,
+    BehaviorCloned,
     ScriptedDirect,
     builtin_spec_path,
     load_env_spec,
     train_bc_policy,
 )
-from cdsa.invdyn import LEAKY_SLOPE as INVDYN_SLOPE
-from cdsa.invdyn import InvDynTrainConfig, invdyn_loss, model_dims, train_invdyn
+from cdsa.invdyn import InvDynModel, InvDynTrainConfig, invdyn_loss, train_invdyn
 from cdsa.neuralcore import (
     AdamState,
     NeuralCoreError,
@@ -42,15 +40,16 @@ from cdsa.neuralcore import (
     mse_loss,
     zero_like_params,
 )
-from cdsa.scorefield import LEAKY_SLOPE as SCORE_SLOPE
 from cdsa.scorefield import (
     ScoreKind,
     ScoreTrainConfig,
     dsm_loss_reparam_given_noise,
-    field_dims,
     train_score_field,
 )
 from helpers import assert_no_child_left, blas_threads, identity_norm, needs_openblas
+
+# the nets each kind trains: g, h, I and the behavior-cloned policy
+G, H, INV, BC = ScoreKind.ACTION.arch, ScoreKind.STATE.arch, InvDynModel.arch, BehaviorCloned.arch
 
 # ---------------------------------------------------------------------------
 # Reference: per-array parameters, fresh arrays, np.where derivative
@@ -158,18 +157,18 @@ BATCH = 128
 def _loss_cases():
     ds, da = 2, 2
     return {
-        "dsm_action": (field_dims(ScoreKind.ACTION, ds, da), SCORE_SLOPE, 3e-4,
+        "dsm_action": (G.dims(ds, da), G.slope, 3e-4,
                        lambda net, s, a, s2, z, bufs: dsm_loss_reparam_given_noise(
                            net, s, a, 0.2, z, ScoreKind.ACTION, bufs),
                        lambda net, s, a, s2, z: ref_dsm(net, s, a, 0.2, z, ScoreKind.ACTION)),
-        "dsm_state": (field_dims(ScoreKind.STATE, ds, da), SCORE_SLOPE, 3e-4,
+        "dsm_state": (H.dims(ds, da), H.slope, 3e-4,
                       lambda net, s, a, s2, z, bufs: dsm_loss_reparam_given_noise(
                           net, s, a, 0.2, z, ScoreKind.STATE, bufs),
                       lambda net, s, a, s2, z: ref_dsm(net, s, a, 0.2, z, ScoreKind.STATE)),
-        "invdyn": (model_dims(ds, da), INVDYN_SLOPE, 1e-3,
+        "invdyn": (INV.dims(ds, da), INV.slope, 1e-3,
                    lambda net, s, a, s2, z, bufs: invdyn_loss(net, s, s2, a, bufs),
                    lambda net, s, a, s2, z: ref_invdyn(net, s, s2, a)),
-        "bc": ([ds] + BC_HIDDEN_DIMS + [da], BC_LEAKY_SLOPE, 1e-3,
+        "bc": (BC.dims(ds, da), BC.slope, 1e-3,
                lambda net, s, a, s2, z, bufs: mse_loss(net, s, a, bufs),
                lambda net, s, a, s2, z: ref_mse(net, s, a)),
     }
@@ -225,9 +224,9 @@ def test_train_cdsa_and_bc_bitwise_equal_reference(transport_data):
     models = train_cdsa(data, score_cfg, inv_cfg, hist)
 
     rng_g, rng_h, rng_i = Rng(31), Rng(32), Rng(37)
-    ref_g = RefNet(field_dims(ScoreKind.ACTION, ds, da), SCORE_SLOPE, rng_g)
-    ref_h = RefNet(field_dims(ScoreKind.STATE, ds, da), SCORE_SLOPE, rng_h)
-    ref_i = RefNet(model_dims(ds, da), INVDYN_SLOPE, rng_i)
+    ref_g = RefNet(G.dims(ds, da), G.slope, rng_g)
+    ref_h = RefNet(H.dims(ds, da), H.slope, rng_h)
+    ref_i = RefNet(INV.dims(ds, da), INV.slope, rng_i)
     want: dict = {"action_score": [], "state_score": [], "invdyn": []}
     for step in range(inv_cfg.iterations):
         if step < score_cfg.iterations:
@@ -250,7 +249,7 @@ def test_train_cdsa_and_bc_bitwise_equal_reference(transport_data):
     bc_cfg = BcTrainConfig(iterations=STEPS, batch_size=64, seed=41)
     policy, bc_hist = train_bc_policy(data, bc_cfg, spec.action_low, spec.action_high)
     rng = Rng(41)
-    ref = RefNet([ds] + BC_HIDDEN_DIMS + [da], BC_LEAKY_SLOPE, rng)
+    ref = RefNet(BC.dims(ds, da), BC.slope, rng)
     want_bc = []
     for step in range(bc_cfg.iterations):
         idx = rng.integers(n, size=64)
@@ -272,6 +271,22 @@ def test_trainers_reject_empty_dataset(train):
                     np.zeros(0, dtype=bool), norm=identity_norm(2, 2))
     with pytest.raises(ValueError, match="empty dataset"):
         train(empty)
+
+
+@pytest.mark.parametrize("train, arch", [
+    (lambda d: train_score_field(d, ScoreKind.ACTION, ScoreTrainConfig(iterations=1)), G),
+    (lambda d: train_score_field(d, ScoreKind.STATE, ScoreTrainConfig(iterations=1)), H),
+    (lambda d: train_invdyn(d, InvDynTrainConfig(iterations=1)), INV),
+    (lambda d: train_bc_policy(d, BcTrainConfig(iterations=1), -np.ones(2), np.ones(2)), BC),
+], ids=["action_score", "state_score", "invdyn", "bc"])
+def test_each_trainer_builds_its_kinds_net(train, arch):
+    rng = Rng(5)
+    data = Dataset(rng.normal(size=(8, 3)), rng.normal(size=(8, 2)), np.zeros(8),
+                   rng.normal(size=(8, 3)), np.zeros(8, dtype=bool))
+    model, history = train(data)
+    assert len(history) == 1
+    assert model.params.layer_dims == arch.dims(3, 2)
+    assert model.params.leaky_slope == arch.slope
 
 
 def test_train_cdsa_checks_both_configs_before_training(transport_data, monkeypatch):
@@ -473,7 +488,7 @@ def test_leaky_factor_bitwise_equals_where_form_and_leaky(slope):
 def test_training_step_allocates_no_batch_sized_temporaries():
     # one (256, 128) float64 activation is 256 KiB; the per-array form
     # peaked near 2.3 MiB of traced allocation over these steps
-    net = mlp_init(model_dims(2, 2), INVDYN_SLOPE, Rng(0))
+    net = mlp_init(INV.dims(2, 2), INV.slope, Rng(0))
     opt = AdamState.for_params(net)
     bufs = TrainBuffers(256, net)
     data = Rng(1)
