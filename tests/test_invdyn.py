@@ -21,6 +21,11 @@ def _zero_net(ds, da):
     return p
 
 
+def test_model_dims_table():
+    assert InvDynModel.arch.dims(2, 2) == [4, 128, 128, 128, 2]
+    assert InvDynModel.arch.dims(3, 1) == [6, 128, 128, 128, 1]
+
+
 def test_zero_net_loss_value():
     # net = 0, one sample with a = (0.3, -0.4): loss = 0.09 + 0.16 = 0.25
     # (mean squared error over the batch, no 1/2 factor)

@@ -32,10 +32,7 @@ from helpers import fd_grads, needs_openblas, same_params, squared_error
 
 def test_kind_dims_table():
     # layer dims at (state dim, action dim), then each kind's slope
-    assert ScoreKind.ACTION.arch.dims(2, 2) == [4, 32, 128, 32, 2]
-    assert ScoreKind.STATE.arch.dims(3, 2) == [5, 32, 128, 32, 3]
-    assert InvDynModel.arch.dims(2, 2) == [4, 128, 128, 128, 2]
-    assert InvDynModel.arch.dims(3, 1) == [6, 128, 128, 128, 1]
+    # (the score and invdyn dims are checked in their own modules' tests)
     assert BehaviorCloned.arch.dims(3, 1) == [3, 128, 128, 128, 1]
     archs = (ScoreKind.ACTION.arch, ScoreKind.STATE.arch, InvDynModel.arch, BehaviorCloned.arch)
     assert [a.kind for a in archs] == ["action_score", "state_score", "invdyn", "bc"]

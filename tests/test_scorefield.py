@@ -22,6 +22,11 @@ def _zero_net(in_dim, out_dim, slope=0.1):
     return p
 
 
+def test_field_dims_table():
+    assert ScoreKind.ACTION.arch.dims(2, 2) == [4, 32, 128, 32, 2]
+    assert ScoreKind.STATE.arch.dims(3, 2) == [5, 32, 128, 32, 3]
+
+
 def _selector_net(in_dim, cols):
     """One linear layer whose output j is input coordinate cols[j]."""
     w = np.zeros((len(cols), in_dim))
