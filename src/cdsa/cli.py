@@ -37,7 +37,7 @@ from .envs import (
 )
 from .evaluation import emit_report, rollout_batch, summarize
 from .invdyn import InvDynTrainConfig
-from .neuralcore import Rng
+from .neuralcore import Rng, TrainConfig
 from .readers import Fields, parse_field, read_json, write_text
 from .scorefield import ScoreTrainConfig, eval_score
 from .svgplot import render_scene
@@ -45,21 +45,25 @@ from .svgplot import render_scene
 GEN_POLICIES = ("risk-avoiding", "direct", "random")
 EVAL_POLICIES = ("bc", "direct", "risk-avoiding", "random")
 
+_PLANNER = {"grid_n": 40, "inflation": 0.08}  # gen-data's and eval's planner flags
+
+# each subcommand's option values when neither a flag nor a config file sets
+# them; build_parser adds every one that is not None to its flag's help
 DEFAULTS = {
     "gen-data": {
         "policy": "risk-avoiding", "episodes": 50, "seed": None, "variant": None,
-        "exec_noise": 0.2, "grid_n": 40, "inflation": 0.08, "max_steps": None,
+        "exec_noise": 0.2, **_PLANNER, "max_steps": None,
     },
     "train": {
-        "sigma": 0.1, "iters": 10000, "score_iters": None, "invdyn_iters": None,
-        "score_lr": 3e-4, "invdyn_lr": 1e-3, "batch": 256, "seed": None,
-        "bc": False, "bc_iters": None, "bc_lr": 1e-3, "env": None, "variant": None,
+        "sigma": ScoreTrainConfig.sigma, "iters": TrainConfig.iterations,
+        "score_iters": None, "invdyn_iters": None, "score_lr": ScoreTrainConfig.lr,
+        "invdyn_lr": InvDynTrainConfig.lr, "batch": TrainConfig.batch_size, "seed": None,
+        "bc": False, "bc_iters": None, "bc_lr": BcTrainConfig.lr, "env": None, "variant": None,
     },
     "eval": {
         "policy": "bc", "episodes": 200, "seed": None, "variant": None,
         "k1": "0.3", "k2": "1.0", "ablation": "full", "n_refine": 1,
-        "percentiles": "5,10,25,50,75,100", "traj": 10,
-        "exec_noise": 0.0, "grid_n": 40, "inflation": 0.08,
+        "percentiles": "5,10,25,50,75,100", "traj": 10, "exec_noise": 0.0, **_PLANNER,
     },
     "plot": {
         "grid_n": 20, "variant": None,
@@ -159,18 +163,14 @@ def _make_policy(spec: EnvSpec, name: str, cfg: dict, bundle: str | None = None)
                                     exec_noise=cfg["exec_noise"])
     if name == "random":
         return RandomPolicy(spec)
-    if name == "bc":
-        if bundle is None:
-            raise ValueError("bc policy needs a bundle directory")
-        return checkpoint.load_bundle_bc(bundle)
-    raise ValueError(f"unknown policy {name!r}")
+    return checkpoint.load_bundle_bc(bundle)  # "bc", which only eval offers
 
 
-def _check_fits_spec(bundle: str, spec: EnvSpec, models) -> None:
-    """Refuse a bundle whose models, so also its policy, do not fit spec's dims."""
-    if (models.state_dim, models.action_dim) != (spec.state_dim, spec.action_dim):
-        raise ValueError(f"bundle {bundle}: models of state dim {models.state_dim} and action "
-                         f"dim {models.action_dim} do not fit env {spec.name}, of state dim "
+def _check_fits_spec(what: str, held, spec: EnvSpec) -> None:
+    """Refuse held, a bundle's models (so also its policy) or a dataset, unless it fits spec."""
+    if (held.state_dim, held.action_dim) != (spec.state_dim, spec.action_dim):
+        raise ValueError(f"{what} of state dim {held.state_dim} and action "
+                         f"dim {held.action_dim} do not fit env {spec.name}, of state dim "
                          f"{spec.state_dim} and action dim {spec.action_dim}")
 
 
@@ -189,8 +189,6 @@ def _float_list(raw: str, flag: str) -> list:
 
 def cmd_gen_data(args: argparse.Namespace) -> int:
     cfg = _merge_config(args, "gen-data")
-    if cfg["policy"] not in GEN_POLICIES:
-        raise ValueError(f"--policy must be one of {GEN_POLICIES}")
     spec = _resolve_spec(args.env, cfg["variant"])
     if cfg["max_steps"] is not None:
         spec = replace(spec, max_steps=cfg["max_steps"])
@@ -211,11 +209,12 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = _merge_config(args, "train")
     dataset = load_dataset(args.data)
-    score_iters = cfg["iters"] if cfg["score_iters"] is None else cfg["score_iters"]
-    invdyn_iters = cfg["iters"] if cfg["invdyn_iters"] is None else cfg["invdyn_iters"]
-    score_cfg = ScoreTrainConfig(sigma=cfg["sigma"], iterations=score_iters,
+    # each model's iteration count: its override, else --iters; bc's only with --bc
+    iters = {f"{m}_iters": cfg["iters"] if cfg[f"{m}_iters"] is None else cfg[f"{m}_iters"]
+             for m in ("score", "invdyn", "bc") if m != "bc" or cfg["bc"]}
+    score_cfg = ScoreTrainConfig(sigma=cfg["sigma"], iterations=iters["score_iters"],
                                  batch_size=cfg["batch"], lr=cfg["score_lr"], seed=cfg["seed"])
-    invdyn_cfg = InvDynTrainConfig(iterations=invdyn_iters, batch_size=cfg["batch"],
+    invdyn_cfg = InvDynTrainConfig(iterations=iters["invdyn_iters"], batch_size=cfg["batch"],
                                    lr=cfg["invdyn_lr"], seed=cfg["seed"])
     score_cfg.validate()
     invdyn_cfg.validate()
@@ -224,8 +223,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         if not cfg["env"]:
             raise ValueError("--env is required with --bc (action bounds come from the env spec)")
         bc_spec = _resolve_spec(cfg["env"], cfg["variant"])
-        bc_iters = cfg["iters"] if cfg["bc_iters"] is None else cfg["bc_iters"]
-        bc_cfg = BcTrainConfig(iterations=bc_iters, batch_size=cfg["batch"],
+        _check_fits_spec(f"dataset {args.data}: transitions", dataset, bc_spec)
+        bc_cfg = BcTrainConfig(iterations=iters["bc_iters"], batch_size=cfg["batch"],
                                lr=cfg["bc_lr"], seed=cfg["seed"])
         bc_cfg.validate()
     # every model file and its loss CSV, bc's too without --bc, the manifest and the echo
@@ -233,7 +232,7 @@ def cmd_train(args: argparse.Namespace) -> int:
              *(f"loss_{k}.csv" for k in checkpoint.KINDS), checkpoint.MANIFEST_FILE,
              "config.json"]
     _guard_overwrite([os.path.join(args.out, f) for f in files], args.force)
-    if score_iters == 0 or invdyn_iters == 0:
+    if iters["score_iters"] == 0 or iters["invdyn_iters"] == 0:
         print("warning: 0 training iterations; bundle holds initialized, untrained models")
     histories: dict = {}
     models = train_cdsa(dataset, score_cfg, invdyn_cfg, histories)
@@ -253,20 +252,17 @@ def cmd_train(args: argparse.Namespace) -> int:
             if os.path.exists(path):
                 os.remove(path)
     print(f"wrote model bundle to {args.out}")
-    _write_echo(cfg, {"command": "train", "data": args.data, "out": args.out,
-                      "score_iters": score_iters, "invdyn_iters": invdyn_iters},
+    _write_echo(cfg, {"command": "train", "data": args.data, "out": args.out, **iters},
                 os.path.join(args.out, "config.json"))
     return 0
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = _merge_config(args, "eval")
-    if cfg["policy"] not in EVAL_POLICIES:
-        raise ValueError(f"--policy must be one of {EVAL_POLICIES}")
     spec = _resolve_spec(args.env, cfg["variant"])
     models = checkpoint.load_bundle(args.bundle)
     policy = _make_policy(spec, cfg["policy"], cfg, args.bundle)
-    _check_fits_spec(args.bundle, spec, models)
+    _check_fits_spec(f"bundle {args.bundle}: models", models, spec)
     k1s = _float_list(cfg["k1"], "--k1")
     k2s = _float_list(cfg["k2"], "--k2")
     grid = _float_list(cfg["percentiles"], "--percentiles")
@@ -289,10 +285,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
                                         n_refine=cfg["n_refine"], ablation=ab)
             for ab in ablations for k1 in k1s for k2 in k2s}
     outdir = args.outdir
-    outputs = {}
+    outputs, owners = {}, {}
     for (ab, k1, k2), ctl in arms.items():
         ctl.validate()
-        tag = f"{ab}_k1_{k1:g}_k2_{k2:g}"
+        tag, arm = f"{ab}_k1_{k1:g}_k2_{k2:g}", f"{ab} k1={k1!r} k2={k2!r}"
+        if tag in owners:  # :g keeps 6 significant digits, so gains can share a tag
+            raise ValueError(f"arms {owners[tag]} and {arm} would write the same reports "
+                             f"report_{tag}.csv and .svg")
+        owners[tag] = arm
         outputs[(ab, k1, k2)] = (os.path.join(outdir, f"report_{tag}.csv"),
                                  os.path.join(outdir, f"report_{tag}.svg"))
     echo_path = os.path.join(outdir, "config.json")
@@ -330,7 +330,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
     quiver_fn = None
     if args.bundle:
         models = checkpoint.load_bundle(args.bundle)
-        _check_fits_spec(args.bundle, spec, models)
+        _check_fits_spec(f"bundle {args.bundle}: models", models, spec)
         norm = models.norm
 
         def quiver_fn(pts):
@@ -357,15 +357,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-data", help="roll a scripted policy and save transitions")
     p.add_argument("--env", required=True, help="env spec path or builtin name")
     p.add_argument("--out", required=True, help="output dataset path (.jsonl)")
-    p.add_argument("--policy", choices=GEN_POLICIES, help="data-collection policy "
-                   "(default risk-avoiding)")
-    p.add_argument("--episodes", type=int, help="episodes to roll (default 50)")
+    p.add_argument("--policy", choices=GEN_POLICIES, help="data-collection policy")
+    p.add_argument("--episodes", type=int, help="episodes to roll")
     p.add_argument("--seed", type=int, help="seed (default CDSA_SEED or 0)")
     p.add_argument("--variant", choices=VARIANTS, help="task variant override")
     p.add_argument("--exec-noise", dest="exec_noise", type=_number,
-                   help="gaussian action noise for risk-avoiding (default 0.2)")
-    p.add_argument("--grid-n", dest="grid_n", type=int, help="planner grid size (default 40)")
-    p.add_argument("--inflation", type=_number, help="planner obstacle margin (default 0.08)")
+                   help="gaussian action noise for risk-avoiding")
+    p.add_argument("--grid-n", dest="grid_n", type=int, help="planner grid size")
+    p.add_argument("--inflation", type=_number, help="planner obstacle margin")
     p.add_argument("--max-steps", dest="max_steps", type=int, help="episode step override")
     p.add_argument("--config", help="JSON config file; flags win")
     p.add_argument("--force", action="store_true", help="overwrite existing outputs")
@@ -374,22 +373,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train score fields and inverse dynamics")
     p.add_argument("--data", required=True, help="dataset path")
     p.add_argument("--out", required=True, help="bundle directory to create")
-    p.add_argument("--sigma", type=_number, help="perturbation scale (default 0.1)")
-    p.add_argument("--iters", type=int, help="iterations for every model (default 10000)")
+    p.add_argument("--sigma", type=_number, help="perturbation scale")
+    p.add_argument("--iters", type=int, help="iterations for every model")
     p.add_argument("--score-iters", dest="score_iters", type=int,
                    help="score-field iteration override")
     p.add_argument("--invdyn-iters", dest="invdyn_iters", type=int,
                    help="inverse-dynamics iteration override")
-    p.add_argument("--score-lr", dest="score_lr", type=_number,
-                   help="score-field learning rate (default 3e-4)")
+    p.add_argument("--score-lr", dest="score_lr", type=_number, help="score-field learning rate")
     p.add_argument("--invdyn-lr", dest="invdyn_lr", type=_number,
-                   help="inverse-dynamics learning rate (default 1e-3)")
-    p.add_argument("--batch", type=int, help="batch size (default 256)")
+                   help="inverse-dynamics learning rate")
+    p.add_argument("--batch", type=int, help="batch size")
     p.add_argument("--seed", type=int, help="seed (default CDSA_SEED or 0)")
     p.add_argument("--bc", action="store_const", const=True,
                    help="also behavior-clone the dataset policy")
     p.add_argument("--bc-iters", dest="bc_iters", type=int, help="bc iteration override")
-    p.add_argument("--bc-lr", dest="bc_lr", type=_number, help="bc learning rate (default 1e-3)")
+    p.add_argument("--bc-lr", dest="bc_lr", type=_number, help="bc learning rate")
     p.add_argument("--env", help="env spec (required with --bc, for action bounds)")
     p.add_argument("--variant", choices=VARIANTS, help="task variant override")
     p.add_argument("--config", help="JSON config file; flags win")
@@ -400,21 +398,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--env", required=True, help="env spec path or builtin name")
     p.add_argument("--bundle", required=True, help="model bundle directory")
     p.add_argument("--outdir", required=True, help="directory for report files")
-    p.add_argument("--policy", choices=EVAL_POLICIES, help="base policy (default bc)")
-    p.add_argument("--episodes", type=int, help="episodes per arm (default 200)")
+    p.add_argument("--policy", choices=EVAL_POLICIES, help="base policy")
+    p.add_argument("--episodes", type=int, help="episodes per arm")
     p.add_argument("--seed", type=int, help="base seed (default CDSA_SEED or 0)")
-    p.add_argument("--k1", help="action-score gains, comma list (default 0.3)")
-    p.add_argument("--k2", help="state-score gains, comma list (default 1.0)")
-    p.add_argument("--ablation", help=f"comma list from {ABLATIONS} (default full)")
-    p.add_argument("--n-refine", dest="n_refine", type=int,
-                   help="extra correction passes (default 1)")
-    p.add_argument("--percentiles", help="VaR grid (default 5,10,25,50,75,100)")
-    p.add_argument("--traj", type=int, help="trajectories per arm kept for the SVG (default 10)")
+    p.add_argument("--k1", help="action-score gains, comma list")
+    p.add_argument("--k2", help="state-score gains, comma list")
+    p.add_argument("--ablation", help=f"comma list from {ABLATIONS}")
+    p.add_argument("--n-refine", dest="n_refine", type=int, help="extra correction passes")
+    p.add_argument("--percentiles", help="VaR grid")
+    p.add_argument("--traj", type=int, help="trajectories per arm kept for the SVG")
     p.add_argument("--variant", choices=VARIANTS, help="task variant override")
     p.add_argument("--exec-noise", dest="exec_noise", type=_number,
-                   help="scripted-policy action noise (default 0)")
-    p.add_argument("--grid-n", dest="grid_n", type=int, help="planner grid size (default 40)")
-    p.add_argument("--inflation", type=_number, help="planner obstacle margin (default 0.08)")
+                   help="scripted-policy action noise")
+    p.add_argument("--grid-n", dest="grid_n", type=int, help="planner grid size")
+    p.add_argument("--inflation", type=_number, help="planner obstacle margin")
     p.add_argument("--config", help="JSON config file; flags win")
     p.add_argument("--force", action="store_true", help="overwrite existing outputs")
     p.set_defaults(fn=cmd_eval, parser=p)
@@ -423,12 +420,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--env", required=True, help="env spec path or builtin name")
     p.add_argument("--out", required=True, help="output SVG path")
     p.add_argument("--bundle", help="bundle directory; adds a state-score quiver")
-    p.add_argument("--grid-n", dest="grid_n", type=int, help="quiver grid size (default 20)")
+    p.add_argument("--grid-n", dest="grid_n", type=int, help="quiver grid size")
     p.add_argument("--variant", choices=VARIANTS, help="task variant override")
     p.add_argument("--config", help="JSON config file; flags win")
     p.add_argument("--force", action="store_true", help="overwrite existing outputs")
     p.set_defaults(fn=cmd_plot, parser=p)
 
+    for command, p in sub.choices.items():
+        for action in p._actions:
+            value = DEFAULTS[command].get(action.dest)
+            if value is not None and action.nargs != 0:  # --bc's False is no flag value
+                action.help += f" (default {value})"
     return parser
 
 

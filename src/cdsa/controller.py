@@ -302,9 +302,10 @@ def _correct_rows(nets: tuple, s: np.ndarray, a_o: np.ndarray, low: np.ndarray,
                   high: np.ndarray, n_refine: int) -> np.ndarray:
     """The correction rule on (n, d) rows of states and in-bounds base actions at once.
 
-    nets are _inference_nets(models, cfg), so the rule's constants live in
-    them and every value here is in env units: a pass adds the g term and the
-    I term at s~ = s + h to the action and clips once. A pass makes one
+    nets are _inference_nets(models, cfg) of an arm with a term on (callers
+    skip an arm with none), so the rule's constants live in them and every
+    value here is in env units: a pass adds the g term and the I term at
+    s~ = s + h to the action and clips once. A pass makes one
     network call when the k2 term is off (g) and two when it is on (the g|h
     stack, or h alone, then I); their values match the rule on eval_score and
     infer_action to float tolerance, not bitwise (InferenceNet). Each of the
@@ -315,8 +316,6 @@ def _correct_rows(nets: tuple, s: np.ndarray, a_o: np.ndarray, low: np.ndarray,
     later pass and map an inf onto a bound.
     """
     score, inv = nets
-    if score is None:
-        return a_o
     (n, ds), da = s.shape, a_o.shape[1]
     # the networks' inputs, [s, a] and [s, s~], with s written once
     x = np.empty((n, ds + da))

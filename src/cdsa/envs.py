@@ -280,9 +280,6 @@ class EnvStates:
     goods_visited: np.ndarray
     airport_used: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.s)
-
     @classmethod
     def stack(cls, states: list[EnvState]) -> "EnvStates":
         return cls(
@@ -592,12 +589,16 @@ class BehaviorCloned(Policy):
 
     def __init__(self, params: MlpParams, norm: NormStats,
                  action_low: np.ndarray, action_high: np.ndarray):
-        self.arch.check(params, len(norm.state_mean), len(norm.action_mean), EnvError,
-                        "behavior-cloned policy")
+        da = len(norm.action_mean)
+        self.arch.check(params, len(norm.state_mean), da, EnvError, "behavior-cloned policy")
+        low, high = (np.asarray(v, dtype=np.float64) for v in (action_low, action_high))
+        if not (low.shape == high.shape == (da,) and np.isfinite([low, high]).all()
+                and np.all(low < high)):
+            raise EnvError(f"behavior-cloned policy: bounds must be finite arrays of shape "
+                           f"({da},) with low < high, got {low.tolist()} and {high.tolist()}")
         self.params = params
         self.norm = norm
-        self.action_low = np.asarray(action_low, dtype=np.float64)
-        self.action_high = np.asarray(action_high, dtype=np.float64)
+        self.action_low, self.action_high = low, high
         self._net = InferenceNet(params, in_affine=norm.state_normalizer(),
                                  out_affines=[(norm.action_std, norm.action_mean)])
 

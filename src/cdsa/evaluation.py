@@ -116,7 +116,6 @@ class Report:
     var_curve: dict
     deltas: dict
     config_echo: dict
-    warnings: list
     spec: EnvSpec | None = None
     trajectories: dict = field(default_factory=dict)
 
@@ -124,15 +123,13 @@ class Report:
 def summarize(stats_baseline: list[EpisodeStats], stats_corrected: list[EpisodeStats],
               percentile_grid, config_echo: dict | None = None,
               spec: EnvSpec | None = None, trajectories: dict | None = None) -> Report:
-    """Aggregate the two arms into a Report; deterministic fold."""
+    """Aggregate two paired arms, of equal episode counts, into a Report; deterministic."""
     if not stats_baseline or not stats_corrected:
         raise EvalError("summarize needs nonempty stats for both arms")
-    grid = [float(p) for p in percentile_grid]
-    warnings = []
     if len(stats_baseline) != len(stats_corrected):
-        warnings.append(
-            f"episode counts differ: baseline {len(stats_baseline)}, "
-            f"corrected {len(stats_corrected)}")
+        raise EvalError(f"paired arms need equal episode counts, got baseline "
+                        f"{len(stats_baseline)} and corrected {len(stats_corrected)}")
+    grid = [float(p) for p in percentile_grid]
     arms = {"baseline": stats_baseline, "corrected": stats_corrected}
     returns = {k: [s.undiscounted_return for s in v] for k, v in arms.items()}
     report = Report(
@@ -145,7 +142,6 @@ def summarize(stats_baseline: list[EpisodeStats], stats_corrected: list[EpisodeS
         var_curve={k: [var_at(r, p) for p in grid] for k, r in returns.items()},
         deltas={},
         config_echo=dict(config_echo or {}),
-        warnings=warnings,
         spec=spec,
         trajectories=dict(trajectories or {}),
     )
@@ -175,8 +171,6 @@ def _csv_rows(report: Report):
         rows.append((key, "delta", "", f"{report.deltas[key]:.17g}"))
     for p in report.percentile_grid:
         rows.append(("var", "delta", f"{p:g}", f"{report.deltas[f'var@{p:g}']:.17g}"))
-    for w in report.warnings:
-        rows.append(("warning", "", "", w.replace(",", ";")))
     return rows
 
 
@@ -196,7 +190,7 @@ def load_report_csv(path: str) -> dict:
     """Parse an emitted report CSV into {(metric, arm, percentile): value}.
 
     Numeric values come back as floats (17 significant digits round-trip
-    float64 exactly); config and warning rows stay strings. EvalError
+    float64 exactly); config rows stay strings. EvalError
     names path:lineno of a line that is not a report row.
     """
     header, rows = read_csv(path, EvalError)
@@ -204,7 +198,6 @@ def load_report_csv(path: str) -> dict:
         raise EvalError(f"{path}:1: unexpected report CSV header: {','.join(header)!r}")
     out = {}
     for where, (metric, arm, pct, value) in rows:
-        kind = (str if metric in ("config", "warning")
-                else int if metric == "episodes" else float)
+        kind = str if metric == "config" else int if metric == "episodes" else float
         out[(metric, arm, pct)] = parse_field(value, kind, EvalError, f"{where}: value")
     return out

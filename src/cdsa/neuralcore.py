@@ -302,11 +302,12 @@ class InferenceNet:
     LeakyReLUs, and a 128-wide hidden layer runs at width 129, which also
     misses the power-of-two leading dimension some BLAS products are slower at.
 
-    Affines that would wrap the nets are folded into their weights, so they
+    The affines that wrap the nets are folded into their weights, so they
     cost no operation of their own: in_affine = (scale, shift) makes every net
     read x * scale + shift in place of x (folded into the first layer), and
     out_affines[j] = (scale, shift) makes net j return out * scale + shift
-    (folded into its last layer). Each scale and shift is a vector of the
+    (folded into its last layer). Both are required; (1.0, 0.0) is the
+    identity, and folding it is exact. Each scale and shift is a vector of the
     input's or that net's output width, or a number.
 
     A snapshot: writes into the params after it is built are not seen.
@@ -316,7 +317,7 @@ class InferenceNet:
     biases, differently.
     """
 
-    def __init__(self, *params: MlpParams, in_affine=None, out_affines=None):
+    def __init__(self, *params: MlpParams, in_affine, out_affines):
         if not params:
             raise NeuralCoreError("InferenceNet needs at least one net")
         first = params[0]
@@ -325,8 +326,6 @@ class InferenceNet:
                 raise NeuralCoreError(
                     f"nets of dims {first.layer_dims} and {p.layer_dims}, slopes "
                     f"{first.leaky_slope} and {p.leaky_slope} cannot share one stack")
-        if out_affines is None:
-            out_affines = [None] * len(params)
         if len(out_affines) != len(params):
             raise NeuralCoreError(f"{len(out_affines)} output affines for {len(params)} nets")
         self.in_dim = first.in_dim
@@ -344,10 +343,10 @@ class InferenceNet:
                 w[:, fan_in, fan_out] = 1.0
             for j, p in enumerate(params):
                 wt, bj = p.weights[i].T, p.biases[i]
-                if i == 0 and in_affine is not None:
+                if i == 0:
                     scale, shift = _affine(in_affine, fan_in, "input")
                     wt, bj = scale[:, None] * wt, bj + np.dot(shift, wt)
-                if i == last and out_affines[j] is not None:
+                if i == last:
                     scale, shift = _affine(out_affines[j], p.out_dim, f"net {j} output")
                     wt, bj = wt * scale, bj * scale + shift
                 w[j, :fan_in, :p.layer_dims[i + 1]] = wt

@@ -32,9 +32,6 @@ from .neuralcore import (
     train_mlp,
 )
 
-DEFAULT_SIGMA = 0.1
-DEFAULT_LR = 3e-4
-
 
 class ScoreKind(str, enum.Enum):
     """The coordinates a field scores; a member is its checkpoint kind's name."""
@@ -63,8 +60,8 @@ class ScoreField:
 
 @dataclass
 class ScoreTrainConfig(TrainConfig):
-    lr: float = DEFAULT_LR
-    sigma: float = DEFAULT_SIGMA
+    lr: float = 3e-4
+    sigma: float = 0.1
 
     def validate(self) -> None:
         if not 0 < self.sigma < np.inf:

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line entrypoint (in-process main)."""
 
 import argparse
+import inspect
 import json
 import os
 import re
@@ -15,12 +16,12 @@ import pytest
 from cdsa import checkpoint
 from cdsa.cli import DEFAULTS, _merge_config, build_parser, main
 from cdsa.controller import CdsaModels
-from cdsa.dataset import load_dataset
-from cdsa.envs import BehaviorCloned
+from cdsa.dataset import Dataset, load_dataset, save_dataset
+from cdsa.envs import BehaviorCloned, ScriptedRiskAvoiding
 from cdsa.evaluation import load_report_csv
-from cdsa.invdyn import InvDynModel
-from cdsa.neuralcore import Rng, mlp_init
-from cdsa.scorefield import ScoreField, ScoreKind
+from cdsa.invdyn import InvDynModel, InvDynTrainConfig
+from cdsa.neuralcore import Rng, TrainConfig, mlp_init
+from cdsa.scorefield import ScoreField, ScoreKind, ScoreTrainConfig
 from cdsa.svgplot import ARM_STYLE
 from helpers import identity_norm, missed, mutations
 
@@ -209,6 +210,39 @@ def test_readme_names_exactly_the_parser_subcommands():
     assert sorted(re.findall(r"`([a-z-]+)`", row.split("|")[2])) == want
 
 
+def test_readme_quickstart_flags_are_flags_of_their_subcommand():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    usage = readme.split("## Quickstart (CLI)", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    subcommands = _subcommands()
+    lines = [line for line in usage.replace("\\\n", " ").splitlines()
+             if line.startswith("cdsa ")]  # a command continued with a backslash is one line
+    assert len(lines) == len(subcommands)
+    for line in lines:
+        command = line.split()[1]
+        flags = {opt for action in subcommands[command]._actions
+                 for opt in action.option_strings}
+        used = re.findall(r"(?<!\S)(--?[a-z][a-z0-9-]*)", line)
+        assert used and set(used) <= flags, (command, sorted(set(used) - flags))
+
+
+def test_help_names_each_default_once_and_train_defaults_are_the_librarys():
+    for command, parser in _subcommands().items():
+        helps = {action.dest: action.help for action in parser._actions}
+        for key, value in DEFAULTS[command].items():
+            if value is not None and value is not False:  # --bc's False is no flag value
+                assert helps[key].endswith(f" (default {value})"), (command, key)
+                assert helps[key].count("default") == 1, (command, key)
+    train, score, net = DEFAULTS["train"], ScoreTrainConfig(), TrainConfig()
+    assert (train["sigma"], train["score_lr"]) == (score.sigma, score.lr)
+    assert (train["iters"], train["batch"]) == (net.iterations, net.batch_size)
+    assert train["invdyn_lr"] == InvDynTrainConfig().lr and train["bc_lr"] == net.lr
+    assert score.iterations == net.iterations and score.batch_size == net.batch_size
+    planner = inspect.signature(ScriptedRiskAvoiding).parameters
+    for command in ("gen-data", "eval"):
+        for key in ("grid_n", "inflation"):
+            assert DEFAULTS[command][key] == planner[key].default, (command, key)
+
+
 def test_config_keys_are_the_flags_of_their_subcommand():
     # a config key without a flag ends in a KeyError when a config file sets it;
     # plot's --bundle, like its trajectory lists, is an input file named on the
@@ -363,6 +397,48 @@ def test_train_rejects_bad_bc_config_before_training(tmp_path, capsys, monkeypat
     assert not os.path.exists(out)
 
 
+def _unreachable(*args, **kwargs):
+    raise AssertionError("ran past the checks that come before any work")
+
+
+@pytest.mark.parametrize("ds, da", [(2, 3), (3, 2)])
+def test_train_bc_refuses_a_dataset_of_other_dims_than_its_env(tmp_path, capsys, monkeypatch,
+                                                               ds, da):
+    # the policy is trained on the dataset and bounded by the env's action bounds
+    rng, n = Rng(4), 12
+    states, next_states = rng.normal(size=(n, ds)), rng.normal(size=(n, ds))
+    data = str(tmp_path / "d.jsonl")
+    save_dataset(Dataset(states, rng.normal(size=(n, da)), np.zeros(n), next_states,
+                         np.zeros(n, dtype=bool)), data)
+    monkeypatch.setattr("cdsa.cli.train_cdsa", _unreachable)
+    capsys.readouterr()
+    rc, out = _train(tmp_path, data, extra=("--bc", "--env", "linear"))
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: dataset {data}: transitions of state dim {ds} and action dim {da} "
+                   f"do not fit env linear, of state dim 2 and action dim 2"], err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("extra, bc_iters", [
+    ((), None),
+    (("--bc", "--env", "linear"), 5),
+    (("--bc", "--env", "linear", "--bc-iters", "3"), 3),
+], ids=["without --bc", "--bc", "--bc-iters"])
+def test_train_echo_holds_every_resolved_iteration_count(tmp_path, extra, bc_iters):
+    rc, data = _gen(tmp_path)
+    rc, out = _train(tmp_path, data, extra=("--score-iters", "4", *extra))
+    assert rc == 0
+    echo = _read_json(os.path.join(out, "config.json"))
+    assert (echo["iters"], echo["score_iters"], echo["invdyn_iters"]) == (5, 4, 5)
+    assert echo["bc_iters"] == bc_iters
+    counts = {kind: iters for kind, iters in (("action_score", 4), ("invdyn", 5),
+                                              ("bc", bc_iters)) if iters is not None}
+    for kind, iters in counts.items():  # each loss CSV: a header and a row per iteration
+        with open(os.path.join(out, f"loss_{kind}.csv")) as fh:
+            assert len(fh.readlines()) == 1 + iters, kind
+
+
 def test_eval_rejects_bad_ablation_and_gains(tmp_path, capsys):
     rc, data = _gen(tmp_path)
     rc, bundle = _train(tmp_path, data)
@@ -435,6 +511,22 @@ def test_eval_draws_every_recorded_trajectory(tmp_path, linear_bundle):
     root = ET.parse(outdir / "report_full_k1_0.1_k2_0.svg").getroot()
     strokes = [el.get("stroke") for el in root.iter("{http://www.w3.org/2000/svg}polyline")]
     assert [strokes.count(ARM_STYLE[arm][0]) for arm in ("baseline", "corrected")] == [25, 25]
+
+
+def test_eval_refuses_two_arms_of_one_report_before_rolling_out(tmp_path, capsys, monkeypatch,
+                                                              linear_bundle):
+    # report names print each gain to 6 significant digits
+    monkeypatch.setattr("cdsa.cli.rollout_batch", _unreachable)
+    outdir = tmp_path / "rep"
+    capsys.readouterr()
+    assert main(["eval", "--env", "linear", "--bundle", linear_bundle, "--outdir", str(outdir),
+                 "--policy", "direct", "--episodes", "2", "--k1", "0.3,0.1,0.1000001",
+                 "--k2", "0"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(
+        "error: arms full k1=0.1 k2=0.0 and full k1=0.1000001 k2=0.0 "), err
+    assert "report_full_k1_0.1_k2_0.csv" in err[0], err
+    assert not outdir.exists()
 
 
 # (command, the one output an earlier run left): each run without --force must

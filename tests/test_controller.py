@@ -88,9 +88,12 @@ def _wide_cfg(**kw):
 
 
 def _batched_rule(models, s, a_o, cfg):
-    """The batched correction rollouts run, on one arm's snapshots."""
-    return _correct_rows(_inference_nets(models, cfg), s, a_o, cfg.action_low,
-                         cfg.action_high, cfg.n_refine)
+    """The batched correction rollouts run, on one arm's snapshots; like the
+    episode runner, it leaves the actions of an arm with no term on as they are."""
+    nets = _inference_nets(models, cfg)
+    if nets[0] is None:
+        return a_o
+    return _correct_rows(nets, s, a_o, cfg.action_low, cfg.action_high, cfg.n_refine)
 
 
 def _trained_models(iterations=60):
@@ -333,14 +336,12 @@ def test_correct_action_is_one_batched_correction_pass_by_pass(ablation, n_refin
     cfg = ControlConfig(k1=0.3, k2=1.0, action_low=np.array([-1.0, -0.5]),
                         action_high=np.array([1.0, 0.5]), n_refine=n_refine,
                         ablation=ablation)
-    nets = _inference_nets(models, cfg)
     s, a = _rows(models.norm, 8, seed=17)
     for s_i, a_i in zip(s, 1.5 * a):  # some base actions lie outside the bounds
         deltas = []
         got = correct_action(models, s_i, a_i, cfg, deltas)
         clipped = np.clip(a_i, cfg.action_low, cfg.action_high)
-        want = _correct_rows(nets, s_i[None], clipped[None], cfg.action_low, cfg.action_high,
-                             n_refine)[0]
+        want = _batched_rule(models, s_i[None], clipped[None], cfg)[0]
         assert got.tobytes() == want.tobytes()
         assert len(deltas) == (0 if ablation == "baseline" else 1 + n_refine)
         assert all(type(d) is float for d in deltas)

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from cdsa.checkpoint import CheckpointError, model_from_dict, model_to_dict
 from cdsa.controller import run_episodes
 from cdsa.dataset import generate_dataset
 from cdsa.dataset import NormStats
@@ -625,6 +626,30 @@ def test_bc_policy_refuses_a_net_that_does_not_fit_its_norm(dims):
             f"action dim 2")):
         BehaviorCloned(mlp_init(dims, 0.2, Rng(0)), identity_norm(2, 2), -np.ones(2),
                        np.ones(2))
+
+
+# (low, high) for a policy of action dim 3: each breaks one rule a checkpoint's bounds keep
+BAD_BC_BOUNDS = [
+    (-np.ones(2), np.ones(2)),
+    (-np.ones((1, 3)), np.ones((1, 3))),
+    (-np.ones(3), np.array([1.0, 1.0, np.inf])),
+    (np.array([-1.0, np.nan, -1.0]), np.ones(3)),
+    (-np.ones(3), np.array([1.0, -1.0, 1.0])),
+]
+
+
+@pytest.mark.parametrize("low, high", BAD_BC_BOUNDS,
+                         ids=["shape", "2-D", "inf", "nan", "low-not-below-high"])
+def test_bc_policy_refuses_the_bounds_its_checkpoint_reader_refuses(low, high):
+    params = mlp_init(BehaviorCloned.arch.dims(2, 3), 0.2, Rng(0))
+    good = BehaviorCloned(params, identity_norm(2, 3), -np.ones(3), np.ones(3))
+    doc = model_to_dict(good)
+    doc["bounds"] = {"low": low.tolist(), "high": high.tolist()}
+    with pytest.raises(CheckpointError, match="bounds"):
+        model_from_dict(doc, "bc")
+    with pytest.raises(EnvError, match=re.escape(
+            "behavior-cloned policy: bounds must be finite arrays of shape (3,) with low < high")):
+        BehaviorCloned(params, identity_norm(2, 3), low, high)
 
 
 def test_bc_training_deterministic():

@@ -111,7 +111,6 @@ def test_summarize_identical_arms_zero_deltas():
     assert rep.deltas["risk_rate"] == 0.0
     assert all(rep.deltas[f"var@{p:g}"] == 0.0 for p in rep.percentile_grid)
     assert rep.var_curve["baseline"] == rep.var_curve["corrected"]
-    assert rep.warnings == []
 
 
 def test_summarize_deltas_oracle():
@@ -123,9 +122,10 @@ def test_summarize_deltas_oracle():
     assert rep.deltas["var@50"] == -5.0 - (-15.0)
 
 
-def test_summarize_warns_on_count_mismatch():
-    rep = summarize([_stats(1.0)] * 3, [_stats(1.0)] * 2, [50])
-    assert any("episode counts differ" in w for w in rep.warnings)
+def test_summarize_rejects_unpaired_arms():
+    # a paired-seed delta needs episode i of each arm
+    with pytest.raises(EvalError, match="baseline 3 and corrected 2"):
+        summarize([_stats(1.0)] * 3, [_stats(1.0)] * 2, [50])
 
 
 def test_summarize_rejects_empty_arm():
@@ -160,16 +160,6 @@ def test_report_csv_roundtrip(tmp_path):
     assert back[("config", "k1", "")] == "0.3"
     assert isinstance(back[("episodes", "baseline", "")], int)
     assert isinstance(back[("mean_return", "baseline", "")], float)
-
-
-def test_report_csv_warning_row_sanitized(tmp_path):
-    rep = summarize([_stats(1.0)] * 2, [_stats(1.0)] * 3, [50])
-    path = tmp_path / "report.csv"
-    emit_report(rep, str(path))
-    back = load_report_csv(str(path))
-    warn = back[("warning", "", "")]
-    assert "episode counts differ" in warn
-    assert "," not in warn  # commas inside the message become ';'
 
 
 def test_emit_report_svg_requires_spec(tmp_path):

@@ -310,11 +310,17 @@ def _random_net(dims, slope, seed):
     return p
 
 
+def _snapshot(*nets, in_affine=(1.0, 0.0)):
+    """An InferenceNet of nets with identity output affines, and the identity input
+    affine unless one is given; folding x 1.0 and + 0.0 is exact."""
+    return InferenceNet(*nets, in_affine=in_affine, out_affines=[(1.0, 0.0)] * len(nets))
+
+
 @pytest.mark.parametrize("name", sorted(BUNDLE_SHAPES))
 def test_inference_net_matches_forward_batch(name):
     dims, slope = BUNDLE_SHAPES[name]
     p = _random_net(dims, slope, 71)
-    snap = InferenceNet(p)
+    snap = _snapshot(p)
     xs = Rng(72).normal(size=(128, dims[0])) * 2.0
     for n in range(1, 129):
         got, cache = forward_batch(snap, xs[:n])
@@ -328,14 +334,14 @@ def test_stacked_nets_equal_each_net_run_alone(ds, da):
     # g and h read the same [s, a] input; the narrower output layer is zero-padded
     g = _random_net([ds + da, 32, 128, 32, da], 0.1, 73)
     h = _random_net([ds + da, 32, 128, 32, ds], 0.1, 74)
-    stack = InferenceNet(g, h)
+    stack = _snapshot(g, h)
     assert stack.out_dims == [da, ds]
     for n in (1, 2, 7, 26, 64, 128):
         x = Rng(75 + n).normal(size=(n, ds + da))
         out, _ = forward_batch(stack, x)
         assert out.shape == (2, n, max(ds, da))
         for j, (net, width) in enumerate(((g, da), (h, ds))):
-            alone, _ = forward_batch(InferenceNet(net), x)
+            alone, _ = forward_batch(_snapshot(net), x)
             want, _ = forward_batch(net, x)
             np.testing.assert_allclose(out[j, :, :width], alone, rtol=0, atol=1e-12)
             np.testing.assert_allclose(out[j, :, :width], want, rtol=0, atol=1e-12)
@@ -365,7 +371,7 @@ def test_inference_net_is_a_snapshot_in_a_contiguous_layout():
     # layer 0 gains the constant column, the next layers read their bias
     # from it as an extra row, and the last layer drops it
     p = _random_net([3, 5, 6, 4], 0.1, 76)
-    snap = InferenceNet(p)
+    snap = _snapshot(p)
     x = Rng(77).normal(size=(6, 3))
     before, _ = forward_batch(snap, x)
     assert all(w.flags.c_contiguous and w.shape == shape
@@ -374,7 +380,7 @@ def test_inference_net_is_a_snapshot_in_a_contiguous_layout():
     assert not any(np.shares_memory(w, p.flat) for w in snap.weights + [snap.bias])
     p.flat[:] = 0.0
     assert np.array_equal(forward_batch(snap, x)[0], before)
-    assert np.array_equal(forward_batch(InferenceNet(p), x)[0], np.zeros((6, 4)))
+    assert np.array_equal(forward_batch(_snapshot(p), x)[0], np.zeros((6, 4)))
 
 
 @pytest.mark.parametrize("stacked", [False, True])
@@ -384,7 +390,7 @@ def test_constant_column_stays_exactly_one_for_large_inputs(stacked):
     nets = [_random_net([4, 32, 128, 32, 2], 0.1, 81),
             _random_net([4, 32, 128, 32, 3], 0.1, 82)][:1 + stacked]
     in_scale = Rng(83).uniform(0.5, 2.0, size=4)
-    snap = InferenceNet(*nets, in_affine=(in_scale, 1.0))
+    snap = _snapshot(*nets, in_affine=(in_scale, 1.0))
     x = 1e6 * Rng(84).normal(size=(17, 4))
     h = np.matmul(x, snap.weights[0]) + snap.bias
     for w in snap.weights[1:]:
@@ -400,20 +406,20 @@ def test_constant_column_stays_exactly_one_for_large_inputs(stacked):
 
 
 def test_inference_net_checks_input_shape_and_stack_dims():
-    snap = InferenceNet(mlp_init([3, 4, 2], 0.1, Rng(2)))
+    snap = _snapshot(mlp_init([3, 4, 2], 0.1, Rng(2)))
     for bad in (np.zeros((5, 7)), np.zeros((1, 2)), np.zeros(3)):
         with pytest.raises(NeuralCoreError):
             forward_batch(snap, bad)
     with pytest.raises(NeuralCoreError):
-        InferenceNet()
+        _snapshot()
     with pytest.raises(NeuralCoreError, match="one stack"):
-        InferenceNet(mlp_init([3, 4, 2], 0.1, Rng(2)), mlp_init([3, 5, 2], 0.1, Rng(3)))
+        _snapshot(mlp_init([3, 4, 2], 0.1, Rng(2)), mlp_init([3, 5, 2], 0.1, Rng(3)))
     with pytest.raises(NeuralCoreError, match="one stack"):
-        InferenceNet(mlp_init([3, 4, 2], 0.1, Rng(2)), mlp_init([3, 4, 2], 0.2, Rng(3)))
+        _snapshot(mlp_init([3, 4, 2], 0.1, Rng(2)), mlp_init([3, 4, 2], 0.2, Rng(3)))
     net = mlp_init([3, 4, 2], 0.1, Rng(2))
     with pytest.raises(NeuralCoreError, match="input affine"):
-        InferenceNet(net, in_affine=(np.ones(2), 0.0))
+        _snapshot(net, in_affine=(np.ones(2), 0.0))
     with pytest.raises(NeuralCoreError, match="net 0 output affine"):
-        InferenceNet(net, out_affines=[(np.ones(3), 0.0)])
+        InferenceNet(net, in_affine=(1.0, 0.0), out_affines=[(np.ones(3), 0.0)])
     with pytest.raises(NeuralCoreError, match="output affines"):
-        InferenceNet(net, out_affines=[None, None])
+        InferenceNet(net, in_affine=(1.0, 0.0), out_affines=[(1.0, 0.0)] * 2)
