@@ -146,6 +146,14 @@ def _guard_overwrite(paths: list, force: bool) -> None:
             raise ValueError(f"output {path} exists; pass --force to overwrite")
 
 
+def _make_parent(path: str) -> None:
+    """Create the directory that the output path is written into, if it is missing."""
+    try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"output {path}: cannot make its directory: {exc}") from exc
+
+
 def _write_echo(cfg: dict, extra: dict, path: str) -> None:
     echo = {**cfg, **extra}
     write_text(path, [json.dumps(echo, indent=2, sort_keys=True), "\n"], ValueError,
@@ -196,6 +204,7 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
     policy = _make_policy(spec, cfg["policy"], cfg)
     echo_path = args.out + ".config.json"
     _guard_overwrite([args.out, echo_path], args.force)
+    _make_parent(args.out)
     rng = Rng(cfg["seed"])
     dataset = generate_dataset(spec, policy, cfg["episodes"], spec.max_steps, rng)
     save_dataset(dataset, args.out)
@@ -297,7 +306,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
                                  os.path.join(outdir, f"report_{tag}.svg"))
     echo_path = os.path.join(outdir, "config.json")
     _guard_overwrite([echo_path, *(p for pair in outputs.values() for p in pair)], args.force)
-    os.makedirs(outdir, exist_ok=True)
+    _make_parent(echo_path)
 
     traj_b: list = []
     stats_b = rollout_batch(spec, policy, None, base_cfg, episodes, base_seed,
@@ -340,6 +349,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
 
     echo_path = args.out + ".config.json"
     _guard_overwrite([args.out, echo_path], args.force)
+    _make_parent(args.out)
     scene = render_scene(spec, quiver_fn=quiver_fn, quiver_grid=cfg["grid_n"])
     write_text(args.out, [scene, "\n"], ValueError, f"scene SVG {args.out}")
     print(f"wrote {args.out}")

@@ -32,9 +32,10 @@ next batch, not by one already running. A batch of at least
 SPLIT_MIN_EPISODES (64) runs as two halves on two cores, the second in a
 child made by a POSIX fork, as train_cdsa trains the inverse model; the one
 threshold lies between the break-evens of corrected rollouts and dataset
-generation (see the constant). Each half steps its own copy of the policy
-and of its episodes' rngs, so a policy must not carry state from one
-act_batch call to the next (none does).
+generation (see the constant). Episode i draws only from root.substream(i),
+whichever half runs it. Each half builds its own streams, so no input is
+advanced, and steps its own copy of the policy, so a policy must not carry
+state from one act_batch call to the next (none does).
 
 A small Langevin sampler over a score function is included as a diagnostic;
 the controller itself never samples.
@@ -361,16 +362,15 @@ class EpisodeTotals:
     """Running totals of a batch of episodes; entry i belongs to episode i."""
 
     returns: np.ndarray
-    discounted_returns: np.ndarray
     steps: np.ndarray
     risk_entries: np.ndarray
     reached_goal: np.ndarray
 
 
 def run_episodes(spec: EnvSpec, base_policy: Policy, models: CdsaModels | None,
-                 cfg: ControlConfig | None, rngs: list, max_steps: int | None = None,
-                 gamma: float = 1.0, record: int = 0):
-    """Roll len(rngs) episodes in lockstep; episode i draws only from rngs[i].
+                 cfg: ControlConfig | None, root: Rng, episodes: int,
+                 max_steps: int | None = None, record: int = 0):
+    """Roll `episodes` episodes in lockstep; episode i draws only from root.substream(i).
 
     Each time step makes one batched policy call, one batched correction and
     one batched env step over the episodes still running; an episode leaves
@@ -378,13 +378,14 @@ def run_episodes(spec: EnvSpec, base_policy: Policy, models: CdsaModels | None,
     untouched. max_steps overrides the spec's budget when given. Returns
     (EpisodeTotals, trajectories): every episode's totals (return, steps,
     risk entries, goal flag), and the step records of the first `record`
-    episodes as Trajectory objects.
+    episodes as Trajectory objects. root is only read, never advanced, so the
+    same root gives the same episodes to every arm of a paired comparison.
 
     A batch of SPLIT_MIN_EPISODES or more runs as two halves on two cores:
     episodes [0, h) here and [h, n) in a forked child, joined in episode
-    order. The child advances its own copies of its rngs, so rngs[h:] are
-    left as they were; and the policy must not carry state from one
-    act_batch call to the next, since each half calls its own copy.
+    order. Each half builds its own episodes' streams, and calls its own copy
+    of the policy, so the policy must not carry state from one act_batch call
+    to the next.
 
     A row's arithmetic does not depend on the other rows, except that a
     network evaluates all live rows in one matrix product, whose last bits
@@ -392,8 +393,8 @@ def run_episodes(spec: EnvSpec, base_policy: Policy, models: CdsaModels | None,
     float tolerance, and equal it exactly where no network runs.
     """
     spec.validate()
-    if not rngs:
-        raise ControlError("run_episodes needs at least one episode rng")
+    if episodes < 1:
+        raise ControlError(f"run_episodes needs at least one episode, got {episodes}")
     if models is not None:
         if cfg is None:
             raise ControlError("models were given without a ControlConfig (cfg is None)")
@@ -409,43 +410,42 @@ def run_episodes(spec: EnvSpec, base_policy: Policy, models: CdsaModels | None,
     # built before the fork, so a child shares them copy-on-write
     nets = None if models is None else _inference_nets(models, cfg)
 
-    def episodes(lo: int, hi: int):
-        return _lockstep(spec, base_policy, nets, cfg, rngs[lo:hi], budget, gamma,
+    def run(lo: int, hi: int):
+        return _lockstep(spec, base_policy, nets, cfg, root, range(lo, hi), budget,
                          max(record - lo, 0))
 
-    n = len(rngs)
-    if n < SPLIT_MIN_EPISODES:
-        return episodes(0, n)
-    h = n // 2
-    (head, head_trajs), (tail, tail_trajs) = _on_two_cores(lambda: episodes(0, h),
-                                                           lambda: episodes(h, n))
+    if episodes < SPLIT_MIN_EPISODES:
+        return run(0, episodes)
+    h = episodes // 2
+    (head, head_trajs), (tail, tail_trajs) = _on_two_cores(lambda: run(0, h),
+                                                           lambda: run(h, episodes))
     totals = EpisodeTotals(**{k: np.concatenate([v, getattr(tail, k)])
                               for k, v in vars(head).items()})
     return totals, head_trajs + tail_trajs
 
 
 def _lockstep(spec: EnvSpec, base_policy: Policy, nets: tuple | None,
-              cfg: ControlConfig | None, rngs: list, budget: int, gamma: float, record: int):
-    """run_episodes in this process, on inputs it has checked.
+              cfg: ControlConfig | None, root: Rng, span: range, budget: int, record: int):
+    """run_episodes' episodes span in this process, on inputs it has checked.
 
-    nets are the models' snapshots for cfg, or None to run the base policy untouched.
+    Episode i draws from root.substream(i), built here. nets are the models'
+    snapshots for cfg, or None to run the base policy untouched.
     """
-    n, ds, da = len(rngs), spec.state_dim, spec.action_dim
-    st = EnvStates.stack([env_reset(spec, rng) for rng in rngs])
+    n, ds, da = len(span), spec.state_dim, spec.action_dim
+    live_rngs = [root.substream(i) for i in span]
+    st = EnvStates.stack([env_reset(spec, rng) for rng in live_rngs])
     final = st.take(np.arange(n))  # a copy: rows are stored into it as episodes end
     ids = np.arange(n)
-    live_rngs = list(rngs)
     returns = np.zeros(n)
-    discounted = np.zeros(n)
     risk_entries = np.zeros(n, dtype=np.int64)
     # running totals of the live rows, stored into the arrays above as episodes end
-    ret, disc, risks = returns.copy(), discounted.copy(), risk_entries.copy()
+    ret, risks = returns.copy(), risk_entries.copy()
     # the bounds as (n, da) rows: a clip of live rows against a prefix of them
     # runs as one flat loop, against a (da,) vector as one short loop per row
     lows, highs = (np.tile(v, (n, 1)) for v in (spec.action_low, spec.action_high))
     score = None if nets is None else nets[0]
     cols: list = [[] for _ in range(5)]  # episode, s, a, r, done
-    for t in range(budget):
+    for _ in range(budget):
         if len(ids) == 0:
             break
         a_o = np.asarray(base_policy.act_batch(st.s, st, live_rngs), dtype=np.float64)
@@ -465,7 +465,6 @@ def _lockstep(spec: EnvSpec, base_policy: Policy, nets: tuple | None,
         # a is finite and inside the bounds, as env_step_rows requires
         st_next, r, done, risk = env_step_rows(spec, st, a, live_rngs)
         ret += r
-        disc += r * gamma ** t
         risks += risk
         if k:
             # copies, so the step's full-batch arrays are not kept alive
@@ -475,20 +474,18 @@ def _lockstep(spec: EnvSpec, base_policy: Policy, nets: tuple | None,
         if done.any():
             gone = ids[done]
             final.put(gone, st.take(done))
-            returns[gone], discounted[gone] = ret[done], disc[done]
-            risk_entries[gone] = risks[done]
+            returns[gone], risk_entries[gone] = ret[done], risks[done]
             keep = ~done
             st, ids = st.take(keep), ids[keep]
-            ret, disc, risks = ret[keep], disc[keep], risks[keep]
+            ret, risks = ret[keep], risks[keep]
             live_rngs = [rng for rng, d in zip(live_rngs, done) if not d]
     final.put(ids, st)
-    returns[ids], discounted[ids], risk_entries[ids] = ret, disc, risks
+    returns[ids], risk_entries[ids] = ret, risks
 
     at_goal = row_norms(final.s - spec.goal) <= spec.capture_radius
     if spec.variant == "goods":
         at_goal &= final.goods_visited
-    totals = EpisodeTotals(returns=returns, discounted_returns=discounted,
-                           steps=final.steps, risk_entries=risk_entries,
+    totals = EpisodeTotals(returns=returns, steps=final.steps, risk_entries=risk_entries,
                            reached_goal=at_goal & (final.steps > 0))
     tails = ((), (ds,), (da,), (), ())
     dtypes = (np.int64, np.float64, np.float64, np.float64, bool)
@@ -510,9 +507,10 @@ def control_episode(spec: EnvSpec, base_policy: Policy, models: CdsaModels | Non
 
     models = None runs the base policy untouched (same as ablation
     "baseline"). max_steps overrides the env spec's budget when given; 0
-    yields an empty trajectory. This is the one-episode case of run_episodes.
+    yields an empty trajectory. This is the one-episode case of run_episodes:
+    the episode draws from rng.substream(0), and rng is not advanced.
     """
-    _, trajectories = run_episodes(spec, base_policy, models, cfg, [rng], max_steps,
+    _, trajectories = run_episodes(spec, base_policy, models, cfg, rng, 1, max_steps,
                                    record=1)
     return trajectories[0]
 

@@ -145,7 +145,7 @@ def compute_norm_stats(states: np.ndarray, actions: np.ndarray) -> NormStats:
 
 def generate_dataset(env_spec, policy, episodes: int, max_steps: int, rng: Rng) -> Dataset:
     """Roll out full episodes of `policy` in the environment, recording every
-    transition. Deterministic given the rng seed; episode i uses substream i.
+    transition. Deterministic given rng, never advanced; episode i uses rng.substream(i).
 
     The episodes run in lockstep (controller.run_episodes). Each stored
     action is the one executed: the policy's action clipped to the spec's
@@ -157,8 +157,7 @@ def generate_dataset(env_spec, policy, episodes: int, max_steps: int, rng: Rng) 
         raise DatasetError(f"episodes must be >= 1, got {episodes}")
     if max_steps < 1:
         raise DatasetError(f"max_steps must be >= 1, got {max_steps}")
-    _, trajs = run_episodes(env_spec, policy, None, None,
-                            [rng.substream(ep) for ep in range(episodes)], max_steps,
+    _, trajs = run_episodes(env_spec, policy, None, None, rng, episodes, max_steps,
                             record=episodes)
     next_states = [np.concatenate([t.states[1:], t.final_state[None, :]]) for t in trajs]
     return Dataset(np.concatenate([t.states for t in trajs]),

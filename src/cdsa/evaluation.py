@@ -18,6 +18,8 @@ different batch sizes. Without a network in the loop they match bitwise.
 An arm of controller.SPLIT_MIN_EPISODES (64) or more episodes runs as two
 halves on two cores, the second in a forked child (controller.run_episodes);
 each half is such a lockstep batch, and the stats come back in episode order.
+Returns are undiscounted: rollout_batch's gamma must be 1.0, and remains only
+for callers that pass the arguments after it by position.
 """
 
 from __future__ import annotations
@@ -40,17 +42,9 @@ class EvalError(ValueError):
 @dataclass
 class EpisodeStats:
     undiscounted_return: float
-    discounted_return: float
     steps: int
     risk_entries: int
     reached_goal: bool
-    seed: int
-
-    def validate(self, max_steps: int) -> None:
-        if self.steps > max_steps:
-            raise EvalError(f"steps {self.steps} exceed budget {max_steps}")
-        if self.risk_entries > self.steps:
-            raise EvalError("risk_entries cannot exceed steps")
 
 
 def rollout_batch(env_spec: EnvSpec, base_policy: Policy,
@@ -63,30 +57,20 @@ def rollout_batch(env_spec: EnvSpec, base_policy: Policy,
     All episodes step in lockstep (see controller.run_episodes). models =
     None rolls the base policy uncorrected. The first max_trajectories
     trajectories are appended to trajectories_out when given; only those
-    episodes keep full step records.
+    episodes keep full step records. gamma must be 1.0 (see the module).
     """
     if episodes < 1:
         raise EvalError(f"episodes must be >= 1, got {episodes}")
-    root = Rng(base_seed)
+    if gamma != 1.0:
+        raise EvalError(f"gamma must be 1.0 (returns are undiscounted), got {gamma}")
     record = max_trajectories if trajectories_out is not None else 0
-    totals, trajectories = run_episodes(
-        env_spec, base_policy, models, cfg, [root.substream(i) for i in range(episodes)],
-        gamma=gamma, record=record)
-    out = []
-    for i in range(episodes):
-        st = EpisodeStats(
-            undiscounted_return=float(totals.returns[i]),
-            discounted_return=float(totals.discounted_returns[i]),
-            steps=int(totals.steps[i]),
-            risk_entries=int(totals.risk_entries[i]),
-            reached_goal=bool(totals.reached_goal[i]),
-            seed=i,
-        )
-        st.validate(env_spec.max_steps)
-        out.append(st)
+    totals, trajectories = run_episodes(env_spec, base_policy, models, cfg, Rng(base_seed),
+                                        episodes, record=record)
     if trajectories_out is not None:
         trajectories_out.extend(trajectories)
-    return out
+    return [EpisodeStats(undiscounted_return=r, steps=n, risk_entries=k, reached_goal=g)
+            for r, n, k, g in zip(totals.returns.tolist(), totals.steps.tolist(),
+                                  totals.risk_entries.tolist(), totals.reached_goal.tolist())]
 
 
 def var_at(returns, percentile: float) -> float:

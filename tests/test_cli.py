@@ -86,6 +86,18 @@ def test_gen_data_overwrite_guard(tmp_path, capsys):
     assert rc == 0
 
 
+@pytest.mark.parametrize("command", [
+    ["gen-data", "--env", "linear", "--policy", "direct", "--episodes", "2", "--out"],
+    ["plot", "--env", "linear", "--out"],
+], ids=["gen-data", "plot"])
+def test_output_directory_is_made(tmp_path, command):
+    # the README quickstart writes into runs/, which a fresh checkout lacks;
+    # a directory that cannot be made is test_one_writer's one-line failure
+    out = tmp_path / "runs" / "nested" / "out"
+    assert main(command + [str(out)]) == 0
+    assert out.is_file() and Path(f"{out}.config.json").is_file()
+
+
 def test_seed_falls_back_to_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("CDSA_SEED", "7")
     out = str(tmp_path / "d.jsonl")

@@ -305,7 +305,7 @@ def test_rng_stream_alignment_across_risk_outcomes():
 def _episode(spec, policy, seed):
     """One recorded episode of policy, through the episode runner, and its
     risk entries and goal flag."""
-    totals, (traj,) = run_episodes(spec, policy, None, None, [Rng(seed)], record=1)
+    totals, (traj,) = run_episodes(spec, policy, None, None, Rng(seed), 1, record=1)
     return traj, int(totals.risk_entries[0]), bool(totals.reached_goal[0])
 
 

@@ -16,9 +16,9 @@ from cdsa.neuralcore import Rng
 from cdsa.scorefield import ScoreTrainConfig
 
 
-def _stats(ret, risk=0, steps=10, goal=False, seed=0):
-    return EpisodeStats(undiscounted_return=float(ret), discounted_return=float(ret),
-                        steps=steps, risk_entries=risk, reached_goal=goal, seed=seed)
+def _stats(ret, risk=0, steps=10, goal=False):
+    return EpisodeStats(undiscounted_return=float(ret), steps=steps, risk_entries=risk,
+                        reached_goal=goal)
 
 
 def test_var_exact_interpolated_value():
@@ -54,12 +54,12 @@ def test_var_validation():
         var_at([1.0], 100.5)
 
 
-def test_episode_stats_validate():
-    _stats(1.0, risk=3, steps=10).validate(max_steps=10)
-    with pytest.raises(EvalError, match="budget"):
-        _stats(1.0, steps=11).validate(max_steps=10)
-    with pytest.raises(EvalError, match="risk_entries"):
-        _stats(1.0, risk=11, steps=10).validate(max_steps=20)
+def test_rollout_batch_refuses_a_discount():
+    # returns are undiscounted; gamma stays only for callers that pass it by position
+    spec = load_env_spec(builtin_spec_path("linear"))
+    with pytest.raises(EvalError, match="gamma"):
+        rollout_batch(spec, RandomPolicy(spec), None, None, 2, 5, gamma=0.99)
+    assert len(rollout_batch(spec, RandomPolicy(spec), None, None, 2, 5, 1.0)) == 2
 
 
 def test_rollout_batch_paired_seeds_reproducible():
@@ -104,7 +104,7 @@ def test_risk_entry_rate_oracle():
 
 
 def test_summarize_identical_arms_zero_deltas():
-    arm = [_stats(r, risk=i % 3, goal=(i % 2 == 0), seed=i)
+    arm = [_stats(r, risk=i % 3, goal=(i % 2 == 0))
            for i, r in enumerate([-5.0, -2.0, -8.0, -1.0])]
     rep = summarize(arm, list(arm), [0, 10, 50, 100])
     assert rep.deltas["mean_return"] == 0.0
@@ -137,9 +137,9 @@ def test_summarize_rejects_empty_arm():
 
 def test_report_csv_roundtrip(tmp_path):
     rng = Rng(11)
-    base = [_stats(v, risk=i % 4, steps=17, goal=i % 2 == 0, seed=i)
+    base = [_stats(v, risk=i % 4, steps=17, goal=i % 2 == 0)
             for i, v in enumerate(rng.normal(size=25) * 10)]
-    corr = [_stats(v, risk=i % 2, steps=17, goal=True, seed=i)
+    corr = [_stats(v, risk=i % 2, steps=17, goal=True)
             for i, v in enumerate(rng.normal(size=25) * 10 + 3)]
     rep = summarize(base, corr, [0, 10, 50, 100],
                     config_echo={"k1": "0.3", "episodes": "25"})

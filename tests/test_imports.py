@@ -1,6 +1,6 @@
 """Lint checks: every name a module imports is read somewhere in that module,
-and every module-level name and class method `src/cdsa` defines is read
-somewhere or exported.
+and every module-level name, class method and annotated class field
+`src/cdsa` defines is read somewhere or exported.
 
 The source and test trees are parsed with `ast`; no linter is needed. A name
 counts as read when it appears as a loaded name, inside a quoted annotation,
@@ -8,8 +8,11 @@ or in the module's `__all__`. Imports in an `__init__.py` are re-exports and
 are accepted as they are. A definition counts as read when some file of
 `src/` or `cdsabench/` loads it by name, reads it as an attribute, or names
 it in a string (the benchmark's tracer patches functions by name); a method
-counts as read when its name is, on whatever object. An attribute read on a
-name that `import X` binds, X not the package itself (`np.allclose`,
+counts as read when its name is, on whatever object. A field (an annotated
+name in a class body, as a dataclass declares one) counts as read only where
+its name appears as an attribute or as a string, so passing it as a
+constructor keyword does not count. An attribute read on a name that
+`import X` binds, X not the package itself (`np.allclose`,
 `np.linalg.norm`), is X's and does not count. Tests do not count, so code
 only tests use is reported.
 """
@@ -98,27 +101,30 @@ def _dunder(name: str) -> bool:
 
 
 def _defined(tree: ast.Module):
-    """(name, line) of every module-level function, class and assigned name, and
-    ("Class.method", line) of every function in a module-level class; dunders aside."""
+    """(name, line, is_field) of every module-level function, class and assigned
+    name, and ("Class.member", line, is_field) of every function and annotated
+    field in a module-level class; dunders aside."""
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     for node in tree.body:
         if isinstance(node, functions + (ast.ClassDef,)):
-            defs = [(node.name, node.lineno)]
-            if isinstance(node, ast.ClassDef):
-                defs += [(f"{node.name}.{item.name}", item.lineno) for item in node.body
-                         if isinstance(item, functions)]
+            defs = [(node.name, node.lineno, False)]
+            for item in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(item, functions):
+                    defs.append((f"{node.name}.{item.name}", item.lineno, False))
+                elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    defs.append((f"{node.name}.{item.target.id}", item.lineno, True))
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
-            defs = [(n.id, node.lineno) for t in nodes for n in ast.walk(t)
+            defs = [(n.id, node.lineno, False) for t in nodes for n in ast.walk(t)
                     if isinstance(n, ast.Name)]
         else:
             continue
-        yield from ((name, line) for name, line in defs
-                    if not _dunder(name.rpartition(".")[2]))
+        yield from (d for d in defs if not _dunder(d[0].rpartition(".")[2]))
 
 
-def _uses(tree: ast.Module, package: str) -> set[str]:
-    names = _read(tree)
+def _uses(tree: ast.Module, package: str) -> tuple[set[str], set[str]]:
+    """(every name the module reads, the names it reads as an attribute or a string)."""
+    members = set()
     foreign = {alias.asname or alias.name.split(".")[0]
                for node in ast.walk(tree) if isinstance(node, ast.Import)
                for alias in node.names if alias.name.split(".")[0] != package}
@@ -128,22 +134,25 @@ def _uses(tree: ast.Module, package: str) -> set[str]:
             while isinstance(root, ast.Attribute):
                 root = root.value
             if not (isinstance(root, ast.Name) and root.id in foreign):
-                names.add(node.attr)
+                members.add(node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            names.add(node.value)
-    return names
+            members.add(node.value)
+    return _read(tree) | members, members
 
 
 def dead_definitions(package: Path, users: list[Path]) -> list[str]:
-    """Each module-level name or method of package's modules that no file of users
-    reads, as "module.py:line: name"; users include the package, so its `__all__`
-    counts."""
-    used = set()
+    """Each module-level name, method or field of package's modules that no file of
+    users reads, as "module.py:line: name"; users include the package, so its
+    `__all__` counts."""
+    used, members = set(), set()
     for path in users:
-        used |= _uses(_parse(path), package.name)
+        names, attrs = _uses(_parse(path), package.name)
+        used |= names
+        members |= attrs
     return [f"{path.name}:{line}: {name}"
             for path in sorted(package.glob("*.py"))
-            for name, line in _defined(_parse(path)) if name.rpartition(".")[2] not in used]
+            for name, line, is_field in _defined(_parse(path))
+            if name.rpartition(".")[2] not in (members if is_field else used)]
 
 
 def test_no_dead_definitions():
@@ -173,3 +182,21 @@ def test_checker_finds_dead_definitions(tmp_path):
     assert dead_definitions(pkg, sorted(pkg.glob("*.py")) + [user]) == [
         "mod.py:3: UNUSED", "mod.py:3: PAIR", "mod.py:12: Dead", "mod.py:19: Live.unread",
         "mod.py:21: Live.allclose", "mod.py:23: Live.norm"]
+
+
+def test_checker_finds_dead_fields(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "__init__.py").write_text("", encoding="utf-8")
+    (pkg / "mod.py").write_text(
+        "from dataclasses import dataclass\n"
+        "@dataclass\nclass Stats:\n    read: int\n    by_name: int\n    passed: int\n"
+        "    def unread(self):\n        pass\n    shadowed: int\n"
+        "def make(shadowed):\n    return Stats(read=1, by_name=2, passed=3, shadowed=shadowed)\n",
+        encoding="utf-8")
+    user = tmp_path / "user.py"
+    user.write_text("import pkg.mod\nstats = pkg.mod.make(0)\nprint(stats.read)\n"
+                    "getattr(stats, 'by_name')\n", encoding="utf-8")
+    # a constructor keyword and a bare name of the same spelling are no reads
+    assert dead_definitions(pkg, sorted(pkg.glob("*.py")) + [user]) == [
+        "mod.py:6: Stats.passed", "mod.py:7: Stats.unread", "mod.py:9: Stats.shadowed"]

@@ -134,19 +134,16 @@ def assert_matches_reference(spec, policy, models, cfg, episodes, base_seed,
     """rollout_batch against the reference, episode by episode; returns the stats."""
     record = episodes if max_trajectories is None else max_trajectories
     trajs: list = []
-    stats = rollout_batch(spec, policy, models, cfg, episodes, base_seed, 0.97,
-                          trajs, record)
+    stats = rollout_batch(spec, policy, models, cfg, episodes, base_seed,
+                          trajectories_out=trajs, max_trajectories=record)
     assert len(stats) == episodes and len(trajs) == min(record, episodes)
     root = Rng(base_seed)
     for i, st in enumerate(stats):
         ref = reference_episode(spec, policy, models, cfg, root.substream(i))
-        assert st.seed == i
         assert st.steps == len(ref.rewards)
         assert st.risk_entries == sum(ref.risk_flags)
         assert st.reached_goal == ref.reached_goal
-        disc = sum(r * 0.97 ** t for t, r in enumerate(ref.rewards))
         np.testing.assert_allclose(st.undiscounted_return, sum(ref.rewards), rtol=0, atol=ATOL)
-        np.testing.assert_allclose(st.discounted_return, disc, rtol=0, atol=ATOL)
         if i >= len(trajs):
             continue
         tr = trajs[i]
@@ -154,10 +151,7 @@ def assert_matches_reference(spec, policy, models, cfg, episodes, base_seed,
         risk = risk_occupancy(spec, np.vstack([tr.states[1:], tr.final_state]))
         # the running totals agree with the recorded trajectory's arrays
         assert (len(tr), int(risk.sum())) == (st.steps, st.risk_entries)
-        np.testing.assert_allclose(
-            [st.undiscounted_return, st.discounted_return],
-            [tr.rewards.sum(), np.sum(tr.rewards * 0.97 ** np.arange(len(tr)))],
-            rtol=0, atol=1e-9)
+        np.testing.assert_allclose(st.undiscounted_return, tr.rewards.sum(), rtol=0, atol=1e-9)
         assert risk.tolist() == ref.risk_flags
         assert tr.dones.tolist() == ref.dones
         _close(tr.states, ref.states, exact)
@@ -220,15 +214,18 @@ def test_linear_random_policy_matches_reference():
 
 
 def test_control_episode_is_a_one_episode_batch(pointmass):
+    # episode 0 of rollout_batch and of run_episodes on the same root, bitwise
     spec, models, bc = pointmass
     cfg = ControlConfig(0.1, 0.05, spec.action_low, spec.action_high)
     trajs: list = []
     stats = rollout_batch(spec, bc, models, cfg, 1, 55, 1.0, trajs, 1)
-    one = control_episode(spec, bc, models, cfg, Rng(55).substream(0))
-    batch = trajs[0]
-    for name in ("states", "actions", "rewards", "dones", "final_state"):
-        assert np.array_equal(getattr(one, name), getattr(batch, name)), name
-    assert len(one) == stats[0].steps
+    rng = Rng(55)
+    one = control_episode(spec, bc, models, cfg, rng)
+    _, (run,) = run_episodes(spec, bc, models, cfg, rng, 1, record=1)
+    for batch in (trajs[0], run):
+        for name in ("states", "actions", "rewards", "dones", "final_state"):
+            assert getattr(one, name).tobytes() == getattr(batch, name).tobytes(), name
+    assert len(one) == stats[0].steps > 1
 
 
 def test_batch_sees_writes_into_params_made_before_it(pointmass):
@@ -348,12 +345,14 @@ def test_split_generate_dataset_matches_reference_bitwise():
     assert_no_child_left()
 
 
-def test_split_child_advances_its_own_rng_copies():
+@pytest.mark.parametrize("episodes", [4, SPLIT_MIN_EPISODES])
+def test_run_episodes_leaves_root_unadvanced(episodes):
+    # each half builds its episodes' streams from root, split or not, and
+    # draws nothing from root itself
     spec = load_env_spec(builtin_spec_path("linear"))
-    rngs = [Rng(8).substream(i) for i in range(SPLIT_MIN_EPISODES)]
-    run_episodes(spec, RandomPolicy(spec), None, None, rngs)
-    assert rngs[0].random() != Rng(8).substream(0).random()
-    assert rngs[-1].random() == Rng(8).substream(SPLIT_MIN_EPISODES - 1).random()
+    root = Rng(8)
+    run_episodes(spec, RandomPolicy(spec), None, None, root, episodes)
+    assert root.random() == Rng(8).random()
     assert_no_child_left()
 
 
@@ -395,7 +394,7 @@ def test_small_batches_stay_in_one_process(pointmass, monkeypatch):
     monkeypatch.setattr(os, "fork", no_fork)
     stats = rollout_batch(spec, bc, models, cfg, SPLIT_MIN_EPISODES - 1, 7)
     assert len(stats) == SPLIT_MIN_EPISODES - 1
-    control_episode(spec, bc, models, cfg, Rng(7).substream(0))
+    control_episode(spec, bc, models, cfg, Rng(7))
     generate_dataset(spec, ScriptedDirect(spec), 2, spec.max_steps, Rng(7))
     with pytest.raises(OSError, match="fork is patched out"):
         rollout_batch(spec, bc, models, cfg, SPLIT_MIN_EPISODES, 7)
@@ -410,14 +409,13 @@ class NanPolicy:
 
 def test_nan_base_actions_raise_env_error_uncorrected_and_control_error_corrected(pointmass):
     spec, models, _ = pointmass
-    rngs = [Rng(9).substream(i) for i in range(3)]
     baseline = ControlConfig(0.4, 0.2, spec.action_low, spec.action_high, ablation="baseline")
     for m, c in ((None, None), (models, baseline)):
         with pytest.raises(EnvError, match="finite"):
-            run_episodes(spec, NanPolicy(), m, c, rngs)
+            run_episodes(spec, NanPolicy(), m, c, Rng(9), 3)
     corrected = ControlConfig(0.1, 0.02, spec.action_low, spec.action_high)
     with pytest.raises(ControlError, match="diverged model"):
-        run_episodes(spec, NanPolicy(), models, corrected, rngs)
+        run_episodes(spec, NanPolicy(), models, corrected, Rng(9), 3)
 
 
 def test_config_bounds_must_be_the_spec_bounds(pointmass):
@@ -425,4 +423,4 @@ def test_config_bounds_must_be_the_spec_bounds(pointmass):
     spec, models, bc = pointmass
     cfg = ControlConfig(0.1, 0.02, spec.action_low, 0.5 * spec.action_high)
     with pytest.raises(ControlError, match="action bounds"):
-        run_episodes(spec, bc, models, cfg, [Rng(9)])
+        run_episodes(spec, bc, models, cfg, Rng(9), 1)

@@ -181,8 +181,8 @@ def _models():
 
 
 def _report(spec=None):
-    stats = [EpisodeStats(undiscounted_return=1.0, discounted_return=1.0, steps=10,
-                          risk_entries=0, reached_goal=False, seed=0)]
+    stats = [EpisodeStats(undiscounted_return=1.0, steps=10, risk_entries=0,
+                          reached_goal=False)]
     return summarize(stats, stats, [50], spec=spec)
 
 
